@@ -1,8 +1,8 @@
 //! Campaign-executor scaling: wall-clock of the same fault-injection
 //! campaign at 1, 2, 4, … worker threads, verifying both the speedup and
 //! the bit-identical-results contract of `goldeneye::run_campaign` /
-//! `run_weight_campaign`; the batched checkpoint/replay engine vs. the
-//! per-trial engine (byte-identical canonical records asserted) and the
+//! `run_weight_campaign`; batched checkpoint/replay vs. replaying one
+//! trial at a time (byte-identical canonical records asserted) and the
 //! early-stopping trial savings at equal statistical power (DESIGN.md
 //! §11) — plus the tracing-overhead budget: the same serial campaign with
 //! structured tracing on must stay within ~2% of the untraced wall-clock
@@ -191,61 +191,9 @@ fn main() {
         println!();
     }
 
-    // Kernel before/after: end-to-end trials/sec of the serial campaign
-    // with the legacy axpy GEMM vs. the packed register-tiled kernel
-    // (everything else — injection, quantise, statistics — identical).
-    let cfg = CampaignConfig {
-        injections_per_layer: n,
-        kind: SiteKind::Value,
-        seed: 17,
-        jobs: 1,
-        ..Default::default()
-    };
-    let trials = run_campaign(&ge, model.as_ref(), &x, &y, &cfg).trials.len();
-    // Interleave the repetitions (legacy, packed, legacy, packed, …) so a
-    // noisy-neighbour slow phase on shared hardware cannot land entirely
-    // on one kernel's measurement window; best-of per kernel as above.
-    let (mut before_s, mut after_s) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..3 {
-        tensor::linalg::set_legacy_kernel(true);
-        before_s = before_s.min(best_time(1, &ge, model.as_ref(), &x, &y, &cfg));
-        tensor::linalg::set_legacy_kernel(false);
-        after_s = after_s.min(best_time(1, &ge, model.as_ref(), &x, &y, &cfg));
-    }
-    let (before_tps, after_tps) = (trials as f64 / before_s, trials as f64 / after_s);
-    println!(
-        "Kernel throughput (serial, {trials} trials): legacy axpy {before_tps:.2} trials/s, \
-         packed {after_tps:.2} trials/s ({:.2}x)\n",
-        after_tps / before_tps
-    );
-
-    // Fused quantise-into-pack vs the two-pass hook round-trip: the same
-    // serial campaign with the fused single-pass quantise path on vs off.
-    // Canonical per-trial records are asserted byte-identical first — the
-    // fused path is a pure performance lever. Interleaved best-of as above.
-    goldeneye::set_fused_quantize(false);
-    let two_pass_jsonl = run_campaign(&ge, model.as_ref(), &x, &y, &cfg).canonical_trial_jsonl();
-    goldeneye::set_fused_quantize(true);
-    let fused_jsonl = run_campaign(&ge, model.as_ref(), &x, &y, &cfg).canonical_trial_jsonl();
-    assert!(fused_jsonl == two_pass_jsonl, "fused quantise changed per-trial campaign records");
-    let (mut two_pass_s, mut fused_s) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..3 {
-        goldeneye::set_fused_quantize(false);
-        two_pass_s = two_pass_s.min(best_time(1, &ge, model.as_ref(), &x, &y, &cfg));
-        goldeneye::set_fused_quantize(true);
-        fused_s = fused_s.min(best_time(1, &ge, model.as_ref(), &x, &y, &cfg));
-    }
-    let (two_pass_tps, fused_tps) = (trials as f64 / two_pass_s, trials as f64 / fused_s);
-    println!(
-        "Fused quantise-into-pack (serial, {trials} trials): two-pass {two_pass_tps:.2} \
-         trials/s, fused {fused_tps:.2} trials/s ({:.2}x, byte-identical records)\n",
-        fused_tps / two_pass_tps
-    );
-
-    // Batched checkpoint/replay vs. the per-trial engine: same campaign,
-    // same canonical per-trial records (asserted byte-identical), but
-    // trials packed N to a forward and replayed from the checkpoint
-    // preceding their injection layer. Reported as end-to-end trials/sec.
+    // Batched checkpoint/replay vs. a batch of one: same campaign, same
+    // canonical per-trial records (asserted byte-identical), but trials
+    // packed N to a replayed forward. Reported as end-to-end trials/sec.
     let base = CampaignConfig {
         injections_per_layer: n,
         kind: SiteKind::Value,
@@ -255,10 +203,11 @@ fn main() {
     };
     let serial_result = run_campaign(&ge, model.as_ref(), &x, &y, &base);
     let serial_jsonl = serial_result.canonical_trial_jsonl();
+    let trials = serial_result.trials.len();
     let unbatched_s = best_time(2, &ge, model.as_ref(), &x, &y, &base);
     let unbatched_tps = trials as f64 / unbatched_s;
     println!(
-        "\nBatched replay vs per-trial (serial, {trials} trials): per-trial \
+        "\nBatched replay vs batch of one (serial, {trials} trials): batch of one \
          {unbatched_tps:.2} trials/s"
     );
     let mut batch_rows: Vec<Json> = Vec::new();
@@ -268,7 +217,7 @@ fn main() {
         let result = run_campaign(&ge, model.as_ref(), &x, &y, &cfg);
         assert!(
             result.canonical_trial_jsonl() == serial_jsonl,
-            "batch {batch} diverged from the per-trial baseline"
+            "batch {batch} diverged from the batch-of-one baseline"
         );
         let secs = best_time(2, &ge, model.as_ref(), &x, &y, &cfg);
         let tps = trials as f64 / secs;
@@ -281,7 +230,7 @@ fn main() {
             ("trials_per_batch", Json::from(batch)),
             ("seconds", Json::Num(secs)),
             ("trials_per_sec", Json::Num(tps)),
-            ("speedup_vs_per_trial", Json::Num(tps / unbatched_tps)),
+            ("speedup_vs_batch_one", Json::Num(tps / unbatched_tps)),
         ]));
     }
 
@@ -292,9 +241,8 @@ fn main() {
     // Each site gets `es_n` trials; the CI target is what that full
     // campaign achieves on its *worst* site, so the early-stopped run
     // reaches the same per-site precision everywhere while skipping the
-    // trials that already-converged sites don't need. Batched throughput
-    // is per-trial-invariant, so the per-trial engine's trials/sec above
-    // is the fair baseline.
+    // trials that already-converged sites don't need. The batch-of-one
+    // trials/sec above is the baseline.
     let es_n = (8 * goldeneye::EARLY_STOP_WAVE).max(n);
     let es_base = CampaignConfig {
         injections_per_layer: es_n,
@@ -324,7 +272,7 @@ fn main() {
     println!(
         "Early stop @ CI {target_ci:.4} ({es_n} planned/site, full batched run \
          {es_full_secs:.1}s): {} of {} trials ({:.0}% saved), \
-         {:.2} executed trials/s, {:.2} effective trials/s ({:.1}x per-trial engine)",
+         {:.2} executed trials/s, {:.2} effective trials/s ({:.1}x batch of one)",
         es_result.trials.len(),
         es_result.planned_trials,
         es_result.early_stop_savings() * 100.0,
@@ -385,13 +333,7 @@ fn main() {
         .with_extra("untraced_s", Json::Num(off))
         .with_extra("traced_s", Json::Num(on))
         .with_extra("serial_trials", Json::from(trials))
-        .with_extra("trials_per_sec_legacy_kernel", Json::Num(before_tps))
-        .with_extra("trials_per_sec_packed_kernel", Json::Num(after_tps))
-        .with_extra("kernel_throughput_ratio", Json::Num(after_tps / before_tps))
-        .with_extra("trials_per_sec_two_pass_quantise", Json::Num(two_pass_tps))
-        .with_extra("trials_per_sec_fused_quantise", Json::Num(fused_tps))
-        .with_extra("fused_quantise_speedup", Json::Num(fused_tps / two_pass_tps))
-        .with_extra("trials_per_sec_per_trial_engine", Json::Num(unbatched_tps))
+        .with_extra("trials_per_sec_batch_one", Json::Num(unbatched_tps))
         .with_extra("batched_engine", Json::Arr(batch_rows))
         .with_extra("best_batched_trials_per_sec", Json::Num(best_batched_tps))
         .with_extra("batched_speedup", Json::Num(best_batched_tps / unbatched_tps))
@@ -402,7 +344,7 @@ fn main() {
         .with_extra("early_stop_executed_trials", Json::from(es_result.trials.len()))
         .with_extra("early_stop_planned_trials", Json::from(es_result.planned_trials))
         .with_extra("effective_trials_per_sec", Json::Num(effective_tps))
-        .with_extra("effective_speedup_vs_per_trial", Json::Num(effective_tps / unbatched_tps))
+        .with_extra("effective_speedup_vs_batch_one", Json::Num(effective_tps / unbatched_tps))
         .with_extra("store_cold_s", Json::Num(cold_s))
         .with_extra("store_warm_s", Json::Num(warm_s))
         .with_extra("store_warm_speedup", Json::Num(warm_speedup))

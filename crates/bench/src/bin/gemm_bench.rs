@@ -1,19 +1,16 @@
 //! GEMM kernel benchmark: the explicit-SIMD micro-kernels (scalar /
-//! AVX2 / AVX-512, whichever the host supports) against the legacy axpy
-//! kernel, plus runtime dispatch at 1 and N intra-op threads and the
-//! fused quantise-into-pack path vs a separate quantise pass — all in
-//! GFLOP/s.
+//! AVX2 / AVX-512, whichever the host supports) forced one at a time,
+//! plus runtime dispatch at 1 and N intra-op threads — all in GFLOP/s.
 //!
-//! Every timed cell is checked bit-identical to `matmul_naive` (or, for
-//! the fused pair, to its unfused twin) before it is timed, so the
-//! numbers always describe the *correct* kernel — never a fast-but-wrong
-//! variant. Forced kernels are additionally checked byte-identical to the
-//! forced-scalar output, which is the divergence gate the CI bench-smoke
-//! job relies on.
+//! Every timed cell is checked bit-identical to `matmul_naive` before it
+//! is timed, so the numbers always describe the *correct* kernel — never
+//! a fast-but-wrong variant. Forced kernels are additionally checked
+//! byte-identical to the forced-scalar output, which is the divergence
+//! gate the CI bench-smoke job relies on.
 //!
 //! Writes `BENCH_gemm.json` (override with `--out`): the run manifest
-//! with one row per cell, per-kernel single-thread GFLOP/s, the measured
-//! multicore scaling, and the fused-pack overhead ratio.
+//! with one row per cell, per-kernel single-thread GFLOP/s and the
+//! measured multicore scaling.
 //!
 //! Run with: `cargo run --release -p bench --bin gemm_bench
 //! [--quick] [--jobs N] [--out PATH]`
@@ -23,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use tensor::linalg::kernels::{self, Kernel};
-use tensor::linalg::{matmul_naive, sgemm, sgemm_axpy, sgemm_fused};
+use tensor::linalg::{matmul_naive, sgemm};
 use tensor::Tensor;
 use trace::Json;
 
@@ -42,12 +39,6 @@ fn best_secs(reps: usize, mut run: impl FnMut()) -> f64 {
 
 fn random_vec(n: usize, rng: &mut StdRng) -> Vec<f32> {
     (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
-}
-
-/// The toy quantiser for the fused-pack A/B: exact in f32 so fused and
-/// separate passes must agree bitwise.
-fn quant(x: f32) -> f32 {
-    (x * 8.0).round() * 0.125
 }
 
 fn main() {
@@ -86,11 +77,8 @@ fn main() {
     let t_all = Instant::now();
     let mut rows: Vec<Json> = Vec::new();
     // (size -> GFLOP/s) cells feeding the summary ratios.
-    let mut axpy1 = std::collections::BTreeMap::new();
     let mut dispatch1 = std::collections::BTreeMap::new();
     let mut dispatch_n = std::collections::BTreeMap::new();
-    let mut fused1 = std::collections::BTreeMap::new();
-    let mut separate1 = std::collections::BTreeMap::new();
     let mut per_kernel1: std::collections::BTreeMap<(&'static str, usize), f64> =
         std::collections::BTreeMap::new();
 
@@ -125,41 +113,28 @@ fn main() {
         );
 
         // (label, forced kernel, threads). `None` = runtime dispatch.
-        let mut cells: Vec<(String, Option<Kernel>, usize)> = vec![("axpy".into(), None, 1)];
-        for &kern in &supported {
-            cells.push((kern.name().into(), Some(kern), 1));
-        }
+        let mut cells: Vec<(String, Option<Kernel>, usize)> =
+            supported.iter().map(|&kern| (kern.name().into(), Some(kern), 1)).collect();
         cells.push(("dispatch".into(), None, 1));
         cells.push(("dispatch".into(), None, max_threads.max(2)));
         for (label, forced, threads) in cells {
             kernels::force(forced);
             let _guard = tensor::parallel::with_threads(threads);
             let mut out = vec![0.0f32; m * n];
-            let axpy = label == "axpy";
-            if axpy {
-                sgemm_axpy(m, k, n, &a, &b, &mut out);
-            } else {
-                sgemm(m, k, n, &a, &b, &mut out);
-            }
-            // Correctness gates: bit-identical to the naive reference, and
-            // (for the micro-kernels) byte-identical to forced scalar.
+            sgemm(m, k, n, &a, &b, &mut out);
+            // Correctness gates: bit-identical to the naive reference and
+            // byte-identical to forced scalar.
             assert!(
                 out.iter().zip(reference.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
                 "{label} kernel diverged from matmul_naive at {m}³ ({threads} threads)"
             );
-            if !axpy {
-                assert!(
-                    out.iter().zip(&scalar_out).all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "{label} kernel diverged from forced scalar at {m}³ ({threads} threads)"
-                );
-            }
+            assert!(
+                out.iter().zip(&scalar_out).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{label} kernel diverged from forced scalar at {m}³ ({threads} threads)"
+            );
             let secs = best_secs(reps(m), || {
                 out.fill(0.0);
-                if axpy {
-                    sgemm_axpy(m, k, n, &a, &b, &mut out);
-                } else {
-                    sgemm(m, k, n, &a, &b, &mut out);
-                }
+                sgemm(m, k, n, &a, &b, &mut out);
             });
             kernels::force(None);
             let gflops = flops / secs / 1e9;
@@ -172,7 +147,6 @@ fn main() {
                 ("gflops", Json::Num(gflops)),
             ]));
             match (label.as_str(), threads) {
-                ("axpy", 1) => drop(axpy1.insert(m, gflops)),
                 ("dispatch", 1) => drop(dispatch1.insert(m, gflops)),
                 ("dispatch", _) => drop(dispatch_n.insert(m, gflops)),
                 _ => {
@@ -182,65 +156,22 @@ fn main() {
                 }
             }
         }
-
-        // Fused quantise-into-pack vs a separate full-tensor quantise pass
-        // feeding the same GEMM (both on runtime dispatch, 1 thread; both
-        // timings include the quantisation work).
-        {
-            let _g = tensor::parallel::with_threads(1);
-            let mut fused_out = vec![0.0f32; m * n];
-            sgemm_fused(m, k, n, &a, &b, &mut fused_out, Some(&quant), Some(&quant));
-            let mut sep_out = vec![0.0f32; m * n];
-            let aq: Vec<f32> = a.iter().map(|&x| quant(x)).collect();
-            let bq: Vec<f32> = b.iter().map(|&x| quant(x)).collect();
-            sgemm(m, k, n, &aq, &bq, &mut sep_out);
-            assert!(
-                fused_out.iter().zip(&sep_out).all(|(x, y)| x.to_bits() == y.to_bits()),
-                "fused pack diverged from separate quantise at {m}³"
-            );
-            let fused_secs = best_secs(reps(m), || {
-                fused_out.fill(0.0);
-                sgemm_fused(m, k, n, &a, &b, &mut fused_out, Some(&quant), Some(&quant));
-            });
-            let sep_secs = best_secs(reps(m), || {
-                sep_out.fill(0.0);
-                let aq: Vec<f32> = a.iter().map(|&x| quant(x)).collect();
-                let bq: Vec<f32> = b.iter().map(|&x| quant(x)).collect();
-                sgemm(m, k, n, &aq, &bq, &mut sep_out);
-            });
-            for (label, secs) in [("fused_pack", fused_secs), ("separate_quantise", sep_secs)] {
-                let gflops = flops / secs / 1e9;
-                println!("{m:<8} {label:<18} {:>8} {secs:>10.4} {gflops:>10.2}", 1);
-                rows.push(Json::obj([
-                    ("size", Json::from(m)),
-                    ("kernel", Json::from(label)),
-                    ("threads", Json::from(1usize)),
-                    ("seconds", Json::Num(secs)),
-                    ("gflops", Json::Num(gflops)),
-                ]));
-            }
-            fused1.insert(m, fused_secs);
-            separate1.insert(m, sep_secs);
-        }
     }
     println!();
 
-    // Summary ratios, reported at the largest size that ran every cell
-    // (512 in full mode, 256 in --quick).
+    // Per-kernel GFLOP/s is reported at 512³ (the largest size, 256³, in
+    // --quick).
     let &pivot = dispatch1.keys().max().expect("no sizes ran");
     let pivot = if dispatch1.contains_key(&512) { 512 } else { pivot };
-    let st_speedup = dispatch1[&pivot] / axpy1[&pivot];
     // Thread scaling is reported at the largest size that ran: the
     // scoped-worker pool spawns per dispatch, so small GEMMs are overhead
     // dominated and the multicore claim is about large ones.
     let &scaling_size = dispatch_n.keys().max().expect("no sizes ran");
     let thread_scaling = dispatch_n[&scaling_size] / dispatch1[&scaling_size];
-    let fused_speedup = separate1[&pivot] / fused1[&pivot];
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     println!(
-        "dispatch vs axpy, 1 thread, {pivot}³: {st_speedup:.2}x   dispatch {threads_effective} \
-         vs 1 thread, {scaling_size}³: {thread_scaling:.2}x ({cores} core(s) available)   fused \
-         pack vs separate quantise: {fused_speedup:.2}x"
+        "dispatch {threads_effective} vs 1 thread, {scaling_size}³: {thread_scaling:.2}x \
+         ({cores} core(s) available)"
     );
     let per_kernel_pivot: Vec<(&'static str, f64)> = per_kernel1
         .iter()
@@ -255,11 +186,9 @@ fn main() {
     manifest = manifest
         .with_extra("cells", Json::Arr(rows))
         .with_extra("pivot_size", Json::from(pivot))
-        .with_extra("single_thread_speedup_vs_axpy", Json::Num(st_speedup))
         .with_extra("thread_scaling", Json::Num(thread_scaling))
         .with_extra("thread_scaling_size", Json::from(scaling_size))
         .with_extra("threads_effective", Json::from(threads_effective))
-        .with_extra("fused_pack_speedup", Json::Num(fused_speedup))
         .with_extra(
             "per_kernel_gflops",
             Json::Arr(

@@ -186,7 +186,7 @@ fn print_usage() {
            campaign --model cnn|vit --spec <spec>  per-layer delta-loss injection campaign\n\
                     [--site value|metadata] [--injections N] [--jobs N]\n\
                     [--trials-per-batch N]  trials packed per batched forward\n\
-                                            (default 0 = auto-size, 1 = per-trial)\n\
+                                            (default 0 = auto-size, 1 = one at a time)\n\
                     [--early-stop CI]       stop a layer once its delta-loss 95% CI\n\
                                             half-width falls to CI\n\
                     [--sampler uniform|stratified]  bit-position sampling policy\n\

@@ -44,12 +44,12 @@ pub struct CampaignConfig {
     /// runs `N` scoped threads, `0` uses the machine's available
     /// parallelism. Results are **bit-identical** for every value.
     pub jobs: usize,
-    /// Trials packed into one batched forward: `1` re-runs the whole
-    /// network per trial (the classic per-trial engine), `N > 1` replays
-    /// batches of `N` trials from the checkpoint preceding the injection
-    /// layer, and `0` auto-sizes the batch from the kernel workspace
-    /// pool's budget. Trial records are **bit-identical** for every
-    /// value — batching changes only the execution schedule.
+    /// Trials packed into one replayed forward: every batch of `N`
+    /// trials replays from the checkpoint preceding the injection layer
+    /// (`1` replays one trial at a time), and `0` auto-sizes the batch
+    /// from the kernel workspace pool's budget. Trial records are
+    /// **bit-identical** for every value — batching changes only the
+    /// execution schedule.
     pub trials_per_batch: usize,
     /// When set, stop injecting into a site once the 95% confidence
     /// interval of its ΔLoss mean has half-width ≤ this (checked every
@@ -86,7 +86,7 @@ impl CampaignConfig {
     }
 
     /// Returns the config with `n` trials per batched forward
-    /// (`0` = auto-size, `1` = per-trial).
+    /// (`0` = auto-size, `1` = one trial per replayed forward).
     #[must_use]
     pub fn with_trials_per_batch(mut self, n: usize) -> Self {
         self.trials_per_batch = n;
@@ -339,23 +339,21 @@ impl CampaignResult {
 
 /// Builds one trial's replayable record and emits it as a `trial` event
 /// on the active trace sinks (tagged with the worker id).
-#[allow(clippy::too_many_arguments)]
 fn trial_record(
-    layer: usize,
-    layer_name: &str,
+    site: &SiteState,
     trial: usize,
     kind: SiteKind,
-    site: Option<(usize, usize)>,
+    flip: Option<(usize, usize)>,
     outcome: Option<&metrics::InjectionOutcome>,
     worker: usize,
 ) -> TrialRecord {
     let record = TrialRecord {
-        layer,
-        layer_name: layer_name.to_string(),
+        layer: site.index,
+        layer_name: site.name.clone(),
         trial,
         site: kind.as_str().to_string(),
-        element: site.map(|(e, _)| e),
-        bit: site.map(|(_, b)| b),
+        element: flip.map(|(e, _)| e),
+        bit: flip.map(|(_, b)| b),
         delta_loss: outcome.map(|o| o.delta_loss),
         mismatch: outcome.map(|o| o.mismatch_rate),
         worker,
@@ -387,9 +385,17 @@ fn trial_record(
     record
 }
 
+/// What one trial reports back to the scheduler: the flipped
+/// `(element or word, bit)` and the fault's outcome, both `None` when the
+/// planned fault never fired.
+type TrialOutcome = (Option<(usize, usize)>, Option<metrics::InjectionOutcome>);
+
 /// Per-site accumulator for the wave scheduler: canonical-order records
 /// plus the running statistics the early-stop rule reads.
 struct SiteState {
+    /// Site index: the instrumented layer, or the weight tensor's ordinal.
+    index: usize,
+    name: String,
     done: usize,
     stopped: bool,
     records: Vec<TrialRecord>,
@@ -401,6 +407,34 @@ struct SiteState {
 }
 
 impl SiteState {
+    fn new(
+        index: usize,
+        name: String,
+        strata: BitStrata,
+        kind: SiteKind,
+        cfg: &CampaignConfig,
+    ) -> Self {
+        let stratified = match (kind, cfg.sampler) {
+            (SiteKind::Value, BitSampler::Stratified { .. }) => Some(StratifiedStats::new(&[
+                strata.population_weight(0),
+                strata.population_weight(1),
+            ])),
+            _ => None,
+        };
+        SiteState {
+            index,
+            name,
+            done: 0,
+            stopped: false,
+            records: Vec::new(),
+            delta_loss: RunningStats::new(),
+            mismatch: RunningStats::new(),
+            fired: 0,
+            stratified,
+            strata,
+        }
+    }
+
     fn fold(&mut self, record: TrialRecord) {
         if let (Some(d), Some(m)) = (record.delta_loss, record.mismatch) {
             self.fired += 1;
@@ -422,24 +456,157 @@ impl SiteState {
     }
 }
 
+/// Checkpoint reuse of an activation campaign, for the heartbeat's
+/// `cache_hit_rate`: the segments each site's replay skips, out of the
+/// model's segment count.
+struct ReplaySegments {
+    skipped: Vec<usize>,
+    total: usize,
+}
+
+/// The wave scheduler every campaign runs on.
+///
+/// Each round gives every unstopped site one wave of trials (the whole
+/// site without early stopping, [`EARLY_STOP_WAVE`] trials with it),
+/// split into units of at most `batch` trials that never cross the wave
+/// boundary. `run_unit(site, seeds)` executes one unit — trial `t` of
+/// site `s` is seeded with [`trial_seed`]`(cfg.seed, s.index, t)` — and
+/// returns one [`TrialOutcome`] per seed. Units run on `cfg.jobs`
+/// workers; their records fold in canonical `(site, trial)` order, and
+/// early-stop decisions happen only between rounds, so the executed trial
+/// set and every record are independent of `jobs` and `batch`.
+fn run_waves(
+    cfg: &CampaignConfig,
+    kind: SiteKind,
+    phase: &'static str,
+    mut sites: Vec<SiteState>,
+    batch: usize,
+    replay: Option<ReplaySegments>,
+    run_unit: impl Fn(&SiteState, &[u64]) -> Vec<TrialOutcome> + Sync,
+) -> Vec<SiteState> {
+    let n = cfg.injections_per_layer;
+    let rule = cfg.early_stop.map(EarlyStop::new);
+    // Streaming progress: workers tick the live status line per unit;
+    // heartbeat *events* fire only at wave-round boundaries, which are
+    // schedule-invariant, so heartbeat content is byte-deterministic
+    // across `jobs` and `trials_per_batch` (modulo the volatile timing
+    // fields listed in `trace::names::PROGRESS_VOLATILE_FIELDS`).
+    let progress = Progress::new(phase, (sites.len() * n) as u64);
+    let (mut seg_skipped, mut seg_total) = (0usize, 0usize);
+    let mut round: u64 = 0;
+    loop {
+        let mut units: Vec<(usize, usize, usize)> = Vec::new();
+        for (si, st) in sites.iter().enumerate() {
+            if st.stopped || st.done >= n {
+                continue;
+            }
+            // Without early stopping there are no decisions to take, so
+            // one wave covers the whole site (fewer scheduling barriers).
+            let wave = if rule.is_some() { EARLY_STOP_WAVE } else { n };
+            let wave_end = st.done + wave.min(n - st.done);
+            let mut t = st.done;
+            while t < wave_end {
+                let len = batch.min(wave_end - t);
+                units.push((si, t, len));
+                t += len;
+            }
+        }
+        if units.is_empty() {
+            break;
+        }
+        let results: Vec<Vec<TrialRecord>> = run_trials(cfg.jobs, units.len(), |worker, u| {
+            let (si, start, len) = units[u];
+            let site = &sites[si];
+            let _span = trace::span!("batch", layer = site.index, trials = len);
+            let seeds: Vec<u64> = (start..start + len)
+                .map(|t| trial_seed(cfg.seed, site.index as u64, t as u64))
+                .collect();
+            let outcomes = run_unit(site, &seeds);
+            progress.tick(outcomes.len() as u64);
+            outcomes
+                .into_iter()
+                .enumerate()
+                .map(|(i, (flip, outcome))| {
+                    trial_record(site, start + i, kind, flip, outcome.as_ref(), worker)
+                })
+                .collect()
+        });
+        for (&(si, _, _), recs) in units.iter().zip(results) {
+            if let Some(r) = &replay {
+                seg_skipped += r.skipped[si];
+                seg_total += r.total;
+            }
+            for rec in recs {
+                sites[si].fold(rec);
+            }
+        }
+        if let Some(rule) = &rule {
+            for st in &mut sites {
+                if !st.stopped && st.done < n && st.should_stop(rule) {
+                    st.stopped = true;
+                }
+            }
+        }
+        round += 1;
+        // Deterministic content first (wave index, site states), volatile
+        // schedule/timing fields last.
+        let stopped = sites.iter().filter(|s| s.stopped).count();
+        let mut extra: Vec<(&'static str, Json)> = vec![
+            ("wave", Json::from(round)),
+            ("stopped_sites", Json::from(stopped)),
+            ("jobs", Json::from(cfg.jobs)),
+            ("batch", Json::from(batch)),
+        ];
+        if seg_total > 0 {
+            extra.push(("cache_hit_rate", Json::Num(seg_skipped as f64 / seg_total as f64)));
+        }
+        progress.heartbeat(extra);
+    }
+    progress.finish();
+    sites
+}
+
+/// Folds the scheduler's finished sites into a [`CampaignResult`].
+fn campaign_result(
+    format: String,
+    kind: SiteKind,
+    sites: Vec<SiteState>,
+    n: usize,
+) -> CampaignResult {
+    let planned_trials = sites.len() * n;
+    let mut layers = Vec::with_capacity(sites.len());
+    let mut trials = Vec::new();
+    for st in sites {
+        trials.extend(st.records);
+        layers.push(LayerResult {
+            layer: st.index,
+            name: st.name,
+            delta_loss: st.delta_loss,
+            mismatch: st.mismatch,
+            injections: st.fired,
+            stratified: st.stratified,
+        });
+    }
+    CampaignResult { format, kind, layers, trials, planned_trials }
+}
+
 /// Runs a layer-by-layer injection campaign.
 ///
 /// For each instrumented layer, performs up to `cfg.injections_per_layer`
 /// single-bit flips (per `cfg.kind`), each compared against the
 /// error-free emulated run over `(x, targets)`.
 ///
-/// **Execution schedule.** With `cfg.trials_per_batch == 1` every trial
-/// is a fresh full inference (the classic engine). With a larger batch,
-/// the clean run is captured once as per-segment checkpoints
-/// ([`GoldenEye::capture_clean_run`]) and trials replay only the network
-/// suffix from the checkpoint preceding their injection layer, packed
-/// `N` replicas to a forward ([`GoldenEye::run_replay_batch`]). With
-/// `cfg.early_stop` set, each site's trials run in canonical waves of
-/// [`EARLY_STOP_WAVE`] and stop once the site's ΔLoss confidence
+/// **Execution schedule.** The clean run is captured once as per-segment
+/// checkpoints ([`GoldenEye::capture_clean_run`]), and trials replay only
+/// the network suffix from the checkpoint preceding their injection
+/// layer, packed `cfg.trials_per_batch` replicas to a forward
+/// ([`GoldenEye::run_replay_batch`]; a batch of one replays a single
+/// trial). With `cfg.early_stop` set, each site's trials run in canonical
+/// waves of [`EARLY_STOP_WAVE`] and stop once the site's ΔLoss confidence
 /// interval is tight enough.
 ///
 /// **Determinism.** Per-trial seeds come from [`trial_seed`], batched
-/// replicas reproduce their serial trials draw-for-draw, outcomes fold in
+/// replicas reproduce single-trial runs draw-for-draw, outcomes fold in
 /// canonical `(layer, trial)` order, and early-stop decisions happen only
 /// at wave boundaries — so the executed trial set and every record are
 /// bit-identical across all `jobs` *and* `trials_per_batch` values.
@@ -471,178 +638,45 @@ pub fn run_campaign(
         batch = batch
     );
     let layers = ge.discover_layers(model, x.clone());
-    let n = cfg.injections_per_layer;
-    // Checkpointed clean run only when batching pays for it; its golden
-    // logits are bit-identical to `ge.run` either way.
-    let clean = (batch > 1).then(|| ge.capture_clean_run(model, x.clone()));
-    let golden = match &clean {
-        Some(c) => c.golden().clone(),
-        None => ge.run(model, x.clone()),
+    let clean = ge.capture_clean_run(model, x.clone());
+    let replay = ReplaySegments {
+        skipped: layers.iter().map(|l| clean.segment_for_layer(l.index)).collect(),
+        total: model.num_segments(),
     };
-    let rule = cfg.early_stop.map(EarlyStop::new);
-    let mut states: Vec<SiteState> = layers
+    let sites = layers
         .iter()
         .map(|l| {
             let strata = BitStrata::for_format(ge.format_for_layer(l.index));
-            let stratified = match (cfg.kind, cfg.sampler) {
-                (SiteKind::Value, BitSampler::Stratified { .. }) => Some(StratifiedStats::new(&[
-                    strata.population_weight(0),
-                    strata.population_weight(1),
-                ])),
-                _ => None,
-            };
-            SiteState {
-                done: 0,
-                stopped: false,
-                records: Vec::new(),
-                delta_loss: RunningStats::new(),
-                mismatch: RunningStats::new(),
-                fired: 0,
-                stratified,
-                strata,
-            }
+            SiteState::new(l.index, l.name.clone(), strata, cfg.kind, cfg)
         })
         .collect();
-    // Streaming progress: workers tick the live status line per unit;
-    // heartbeat *events* fire only at wave-round boundaries, which are
-    // schedule-invariant, so heartbeat content is byte-deterministic
-    // across `jobs` and `trials_per_batch` (modulo the volatile timing
-    // fields listed in `trace::names::PROGRESS_VOLATILE_FIELDS`).
-    let progress = Progress::new("campaign", (layers.len() * n) as u64);
-    let mut round: u64 = 0;
-    // Rounds of one wave per unstopped site; each wave splits into
-    // batches that never cross the wave boundary.
-    loop {
-        let mut units: Vec<(usize, usize, usize)> = Vec::new();
-        for (li, st) in states.iter().enumerate() {
-            if st.stopped || st.done >= n {
-                continue;
-            }
-            // Without early stopping there are no decisions to take, so
-            // one wave covers the whole site (fewer scheduling barriers).
-            let wave = if rule.is_some() { EARLY_STOP_WAVE } else { n };
-            let wave_end = st.done + wave.min(n - st.done);
-            let mut t = st.done;
-            while t < wave_end {
-                let len = batch.min(wave_end - t);
-                units.push((li, t, len));
-                t += len;
-            }
-        }
-        if units.is_empty() {
-            break;
-        }
-        let results: Vec<Vec<TrialRecord>> = run_trials(cfg.jobs, units.len(), |worker, u| {
-            let (li, start, len) = units[u];
-            let layer = &layers[li];
-            let plan = InjectionPlan::single(layer.index, cfg.kind);
-            let run_one = |trial: usize, faulty: &Tensor, rec: Option<&InjectionRecord>| {
-                let outcome = rec.map(|_| compare_outcomes(&golden, faulty, targets));
-                let site = rec.map(|r| match r {
+    let sites = run_waves(cfg, cfg.kind, "campaign", sites, batch, Some(replay), |site, seeds| {
+        let plan = InjectionPlan::single(site.index, cfg.kind);
+        ge.run_replay_batch(model, &clean, plan, cfg.sampler, seeds)
+            .iter()
+            .map(|(faulty, rec)| {
+                let flip = rec.as_ref().map(|r| match r {
                     InjectionRecord::Value { flip, .. } => (flip.element, flip.bit),
                     InjectionRecord::Metadata { flip, .. } => (flip.word, flip.bit),
                 });
-                trial_record(
-                    layer.index,
-                    &layer.name,
-                    trial,
-                    cfg.kind,
-                    site,
-                    outcome.as_ref(),
-                    worker,
-                )
-            };
-            let recs: Vec<TrialRecord> = match &clean {
-                Some(clean) => {
-                    let _span = trace::span!("batch", layer = layer.index, trials = len);
-                    let seeds: Vec<u64> = (start..start + len)
-                        .map(|t| trial_seed(cfg.seed, layer.index as u64, t as u64))
-                        .collect();
-                    let outs = ge.run_replay_batch(model, clean, plan, cfg.sampler, &seeds);
-                    outs.iter()
-                        .enumerate()
-                        .map(|(i, (faulty, rec))| run_one(start + i, faulty, rec.as_ref()))
-                        .collect()
-                }
-                None => (start..start + len)
-                    .map(|trial| {
-                        let _span = trace::span!("trial", layer = layer.index, trial = trial);
-                        let seed = trial_seed(cfg.seed, layer.index as u64, trial as u64);
-                        let (faulty, rec) = ge.run_with_injection_sampled(
-                            model,
-                            x.clone(),
-                            plan,
-                            seed,
-                            cfg.sampler,
-                        );
-                        run_one(trial, &faulty, rec.as_ref())
-                    })
-                    .collect(),
-            };
-            progress.tick(recs.len() as u64);
-            recs
-        });
-        for ((li, _, _), recs) in units.iter().zip(results) {
-            for r in recs {
-                states[*li].fold(r);
-            }
-        }
-        if let Some(rule) = &rule {
-            for st in &mut states {
-                if !st.stopped && st.done < n && st.should_stop(rule) {
-                    st.stopped = true;
-                }
-            }
-        }
-        round += 1;
-        // Deterministic content first (wave index, site states), volatile
-        // schedule/timing fields last.
-        let stopped = states.iter().filter(|s| s.stopped).count();
-        let mut extra: Vec<(&'static str, Json)> = vec![
-            ("wave", Json::from(round)),
-            ("stopped_sites", Json::from(stopped)),
-            ("jobs", Json::from(cfg.jobs)),
-            ("batch", Json::from(batch)),
-        ];
-        let seg_total = trace::counter(names::CAMPAIGN_REPLAY_SEG_TOTAL).count();
-        if seg_total > 0 {
-            let skipped = trace::counter(names::CAMPAIGN_REPLAY_SEG_SKIPPED).count();
-            extra.push(("cache_hit_rate", Json::Num(skipped as f64 / seg_total as f64)));
-        }
-        progress.heartbeat(extra);
-    }
-    progress.finish();
-    let mut results = Vec::with_capacity(layers.len());
-    let mut trials = Vec::new();
-    for (layer, st) in layers.iter().zip(states) {
-        trials.extend(st.records);
-        results.push(LayerResult {
-            layer: layer.index,
-            name: layer.name.clone(),
-            delta_loss: st.delta_loss,
-            mismatch: st.mismatch,
-            injections: st.fired,
-            stratified: st.stratified,
-        });
-    }
-    CampaignResult {
-        format: ge.format().name(),
-        kind: cfg.kind,
-        layers: results,
-        trials,
-        planned_trials: layers.len() * n,
-    }
+                (flip, rec.as_ref().map(|_| compare_outcomes(clean.golden(), faulty, targets)))
+            })
+            .collect()
+    });
+    campaign_result(ge.format().name(), cfg.kind, sites, cfg.injections_per_layer)
 }
 
 /// Runs a **weight**-fault campaign (§V-B: injections in weights as well
-/// as neurons): for each weight parameter (`*.weight`), performs
+/// as neurons): for each weight parameter (`*.weight`), performs up to
 /// `cfg.injections_per_layer` single-bit flips in the stored, quantised
 /// weight, each evaluated in a fresh inference and compared against the
 /// error-free run over quantised weights.
 ///
 /// Weights are quantised into the format up front (the paper's offline
 /// conversion), and fully restored before returning. `cfg.kind` is
-/// ignored: stored weights are data values.
+/// ignored: stored weights are data values. Trials run on the same wave
+/// scheduler as [`run_campaign`], one trial per unit, so early stopping,
+/// stratified bit sampling and wave heartbeats apply here too.
 ///
 /// Each trial perturbs its weight through a **thread-local** parameter
 /// override ([`nn::Param::override_local`]) instead of mutating the
@@ -662,80 +696,47 @@ pub fn run_weight_campaign(
     let snapshot = ParamSnapshot::capture(model);
     ge.quantize_weights(model);
     let golden = ge.run(model, x.clone());
-    // Clean quantised weights, captured once: each trial flips a bit in a
-    // private copy derived from these.
-    let mut weights: Vec<(nn::Param, Tensor)> = Vec::new();
-    model.visit_params(&mut |p| {
-        if p.name().ends_with(".weight") {
-            weights.push((p.clone(), p.get()));
-        }
-    });
-    let width = ge.format().bit_width() as usize;
-    let n = cfg.injections_per_layer;
     // Clean weights quantise to the same codes every trial: convert each
     // once (through the artifact store when attached) and hand trials a
-    // private clone to flip, instead of re-running the offline conversion
-    // per trial.
-    let clean_quantized: Vec<formats::Quantized> =
-        weights.iter().map(|(_, clean)| ge.quantize_tensor_cached(clean)).collect();
+    // private clone to flip.
+    let mut weights: Vec<(nn::Param, formats::Quantized)> = Vec::new();
+    model.visit_params(&mut |p| {
+        if p.name().ends_with(".weight") {
+            weights.push((p.clone(), ge.quantize_tensor_cached(&p.get())));
+        }
+    });
     let _campaign_span =
         trace::span!("campaign", format = ge.format().name(), site = "weight", jobs = cfg.jobs);
-    let progress = Progress::new("weight_campaign", (weights.len() * n) as u64);
-    let trials = run_trials(cfg.jobs, weights.len() * n, |worker, idx| {
-        let (param, clean) = &weights[idx / n];
-        let trial = idx % n;
-        let _trial_span = trace::span!("trial", layer = idx / n, trial = trial);
-        let seed = trial_seed(cfg.seed, (idx / n) as u64, trial as u64);
-        let mut injector = inject::Injector::new(seed);
-        let fault = injector.sample_value_fault(clean.numel(), width);
-        let mut q = clean_quantized[idx / n].clone();
-        inject::flip_value(ge.format(), &mut q, fault.index, fault.bit);
-        let faulty_weight = ge.format().format_to_real_tensor(&q);
-        let _guard = param.override_local(faulty_weight);
-        let faulty = ge.run(model, x.clone());
-        let outcome = compare_outcomes(&golden, &faulty, targets);
-        let record = trial_record(
-            idx / n,
-            param.name(),
-            trial,
-            SiteKind::Value,
-            Some((fault.index, fault.bit)),
-            Some(&outcome),
-            worker,
-        );
-        progress.tick(1);
-        record
-    });
-    progress.heartbeat(vec![("jobs", Json::from(cfg.jobs))]);
-    progress.finish();
-    let mut results = Vec::with_capacity(weights.len());
-    for (li, (param, _)) in weights.iter().enumerate() {
-        let mut delta_loss = RunningStats::new();
-        let mut mismatch = RunningStats::new();
-        for record in &trials[li * n..(li + 1) * n] {
-            if let (Some(d), Some(m)) = (record.delta_loss, record.mismatch) {
-                delta_loss.push(d);
-                mismatch.push(m);
-            }
-        }
-        results.push(LayerResult {
-            layer: li,
-            name: param.name().to_string(),
-            delta_loss,
-            mismatch,
-            injections: n,
-            stratified: None,
+    let strata = BitStrata::for_format(ge.format());
+    let sites = weights
+        .iter()
+        .enumerate()
+        .map(|(i, (p, _))| {
+            SiteState::new(i, p.name().to_string(), strata.clone(), SiteKind::Value, cfg)
+        })
+        .collect();
+    let sites =
+        run_waves(cfg, SiteKind::Value, "weight_campaign", sites, 1, None, |site, seeds| {
+            let (param, clean) = &weights[site.index];
+            seeds
+                .iter()
+                .map(|&seed| {
+                    let (fault, _) = inject::Injector::new(seed)
+                        .try_sample_value_fault_with(clean.values.numel(), &cfg.sampler, &strata)
+                        .unwrap_or_else(|e| panic!("{e}"));
+                    let mut q = clean.clone();
+                    inject::flip_value(ge.format(), &mut q, fault.index, fault.bit);
+                    let _guard = param.override_local(ge.format().format_to_real_tensor(&q));
+                    let faulty = ge.run(model, x.clone());
+                    (
+                        Some((fault.index, fault.bit)),
+                        Some(compare_outcomes(&golden, &faulty, targets)),
+                    )
+                })
+                .collect()
         });
-    }
     snapshot.restore(model);
-    let planned_trials = trials.len();
-    CampaignResult {
-        format: ge.format().name(),
-        kind: SiteKind::Value,
-        layers: results,
-        trials,
-        planned_trials,
-    }
+    campaign_result(ge.format().name(), SiteKind::Value, sites, cfg.injections_per_layer)
 }
 
 #[cfg(test)]

@@ -20,10 +20,9 @@ use tensor::Tensor;
 /// below is gated on [`trace::recording`] — with tracing off the hook
 /// pays a single relaxed atomic load and no clock reads.
 struct HookMetrics {
-    /// Per-call FP32 → format conversion time.
+    /// Per-call format round-trip time (quantise, any fault, dequantise —
+    /// or the fused single pass).
     quantize_ns: &'static trace::Metric,
-    /// Per-call format → FP32 conversion time.
-    dequantize_ns: &'static trace::Metric,
     /// Elements converted (ratio `sum(ns) / sum(elements)` is the
     /// format-conversion cost in ns/element).
     convert_elems: &'static trace::Metric,
@@ -35,43 +34,9 @@ fn hook_metrics() -> &'static HookMetrics {
     static M: OnceLock<HookMetrics> = OnceLock::new();
     M.get_or_init(|| HookMetrics {
         quantize_ns: trace::histogram(trace::names::HOOK_QUANTIZE_NS),
-        dequantize_ns: trace::histogram(trace::names::HOOK_DEQUANTIZE_NS),
         convert_elems: trace::counter(trace::names::HOOK_CONVERT_ELEMS),
         lock_wait_ns: trace::histogram(trace::names::HOOK_LOCK_WAIT_NS),
     })
-}
-
-/// Fused-quantise toggle: 0 = unset (consult `GOLDENEYE_FUSED` once),
-/// 1 = on, 2 = off.
-static FUSED_QUANTIZE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Enables or disables the fused single-pass quantise→dequantise hook
-/// path (overrides the `GOLDENEYE_FUSED` environment variable).
-///
-/// Fused and two-pass are bit-identical by the
-/// [`formats::NumberFormat::elementwise_quantizer`] contract; the toggle
-/// exists so benchmarks can A/B the two routes and so a suspect run can
-/// be re-executed on the legacy path (`GOLDENEYE_FUSED=0`).
-pub fn set_fused_quantize(on: bool) {
-    FUSED_QUANTIZE.store(if on { 1 } else { 2 }, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Whether hooks may take the fused round-trip fast path. Defaults to on;
-/// `GOLDENEYE_FUSED=0` / `off` / `false` disables it at startup.
-fn fused_quantize_enabled() -> bool {
-    match FUSED_QUANTIZE.load(std::sync::atomic::Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            static FROM_ENV: OnceLock<bool> = OnceLock::new();
-            *FROM_ENV.get_or_init(|| {
-                !matches!(
-                    std::env::var("GOLDENEYE_FUSED").as_deref(),
-                    Ok("0") | Ok("off") | Ok("false")
-                )
-            })
-        }
-    }
 }
 
 /// Locks a mutex, ignoring poisoning: hook state is only ever replaced
@@ -188,15 +153,26 @@ impl RangeMode {
     }
 }
 
-/// The number-format emulation hook (with optional injection), installed
-/// on every instrumented layer.
+/// The number-format emulation hook, installed on every instrumented
+/// layer: each output is quantised into the format, the planned fault (if
+/// it lands in this layer) flips bits in the quantised codes, and the
+/// result is dequantised back to FP32.
+///
+/// One forward pass carries `replicas` trials stacked along the batch
+/// dimension (replica `r` in rows `r·B..(r+1)·B`; a plain run is one
+/// replica), and every replica slice is quantised **independently**.
+/// Per-tensor formats derive tensor-wide state (BFP shared exponents, INT
+/// scales, AFP biases) during quantisation, so slicing is what keeps each
+/// replica's metadata layout — and therefore its fault's element/word
+/// addressing — bit-identical to a single-replica run over the same
+/// `[B, ...]` tensor.
 struct EmulationHook {
     formats: Arc<FormatTable>,
     filter: LayerFilter,
     plan: Option<InjectionPlan>,
     sampler: BitSampler,
-    injector: Mutex<Injector>,
-    record: Mutex<Option<InjectionRecord>>,
+    /// Per-replica injector and the record of what its fault did.
+    state: Mutex<Vec<(Injector, Option<InjectionRecord>)>>,
     range: Arc<RangeProfile>,
     range_mode: RangeMode,
 }
@@ -215,40 +191,57 @@ impl FormatTable {
 
 impl ForwardHook for EmulationHook {
     fn on_output(&self, layer: &LayerInfo, output: &Tensor) -> Option<Tensor> {
+        self.on_output_batched(layer, output, 1)
+    }
+
+    fn on_output_batched(
+        &self,
+        layer: &LayerInfo,
+        output: &Tensor,
+        replicas: usize,
+    ) -> Option<Tensor> {
         let format = self.formats.resolve(layer.index);
-        let fault_here = self.plan.as_ref().is_some_and(|p| p.layer == layer.index);
-        // Fused fast path: no fault lands in this layer, so the quantised
-        // intermediate is never inspected and the round-trip collapses to
-        // one elementwise pass (bit-identical by the quantizer contract).
-        if !fault_here && fused_quantize_enabled() {
-            let timing = trace::recording().then(Instant::now);
-            if let Some(values) = formats::fused_roundtrip(format, output) {
-                if let Some(t0) = timing {
-                    let m = hook_metrics();
-                    m.quantize_ns.record(t0.elapsed().as_nanos() as u64);
-                    m.convert_elems.add(output.numel() as u64);
-                }
-                return Some(self.range_mode.apply(&self.range, layer.index, values));
-            }
-        }
+        let plan = self.plan.filter(|p| p.layer == layer.index);
         let timing = trace::recording().then(Instant::now);
-        let mut q = format.real_to_format_tensor(output);
+        // Fused fast path: no fault lands in this layer, so the quantised
+        // codes are never inspected and the round-trip collapses to one
+        // elementwise pass. It commutes with replica slicing, and is
+        // bit-identical to the two-pass route by the quantizer contract.
+        let fused = plan.is_none().then(|| formats::fused_roundtrip(format, output)).flatten();
+        let values = fused.unwrap_or_else(|| {
+            let rows = output.dims()[0];
+            assert_eq!(rows % replicas, 0, "{rows} rows do not split into {replicas} replicas");
+            let per = rows / replicas;
+            let mut state = plan.map(|_| lock(&self.state));
+            if let Some(state) = &state {
+                assert_eq!(state.len(), replicas, "one injector per replica");
+            }
+            let mut slices = Vec::with_capacity(replicas);
+            for r in 0..replicas {
+                let narrowed;
+                let slice = if replicas == 1 {
+                    output
+                } else {
+                    narrowed = tensor::ops::narrow(output, 0, r * per, per);
+                    &narrowed
+                };
+                let mut q = format.real_to_format_tensor(slice);
+                if let (Some(plan), Some(state)) = (&plan, state.as_mut()) {
+                    let (inj, rec) = &mut state[r];
+                    *rec = Some(apply_fault(format, layer, plan, &self.sampler, inj, &mut q));
+                }
+                slices.push(format.format_to_real_tensor(&q));
+            }
+            if replicas == 1 {
+                slices.pop().expect("one replica")
+            } else {
+                tensor::ops::concat(&slices.iter().collect::<Vec<_>>(), 0)
+            }
+        });
         if let Some(t0) = timing {
             let m = hook_metrics();
             m.quantize_ns.record(t0.elapsed().as_nanos() as u64);
             m.convert_elems.add(output.numel() as u64);
-        }
-        if let Some(plan) = &self.plan {
-            if plan.layer == layer.index {
-                let mut inj = lock(&self.injector);
-                let record = apply_fault(format, layer, plan, &self.sampler, &mut inj, &mut q);
-                *lock(&self.record) = Some(record);
-            }
-        }
-        let timing = trace::recording().then(Instant::now);
-        let values = format.format_to_real_tensor(&q);
-        if let Some(t0) = timing {
-            hook_metrics().dequantize_ns.record(t0.elapsed().as_nanos() as u64);
         }
         Some(self.range_mode.apply(&self.range, layer.index, values))
     }
@@ -259,9 +252,9 @@ impl ForwardHook for EmulationHook {
 }
 
 /// Samples and executes one planned fault on an already-quantised tensor,
-/// drawing locations from `inj`. Shared by the serial and batched hooks,
-/// which is what makes a batched replica reproduce its serial trial
-/// draw-for-draw: both paths consume the trial's RNG identically.
+/// drawing locations from `inj`. Every replica consumes its own trial's
+/// RNG identically, which is what makes a replayed replica reproduce a
+/// single-trial run draw-for-draw.
 fn apply_fault(
     format: &dyn NumberFormat,
     layer: &LayerInfo,
@@ -295,96 +288,6 @@ fn apply_fault(
             }
             InjectionRecord::Metadata { layer: layer.clone(), flip }
         }
-    }
-}
-
-/// The batch-aware emulation hook: one forward pass carries N trial
-/// replicas stacked along the batch dimension (replica `r` in rows
-/// `r·B..(r+1)·B`), and every replica slice is quantised **independently**.
-/// Per-tensor formats derive tensor-wide state (BFP shared exponents, INT
-/// scales, AFP biases) during quantisation, so slicing is what keeps each
-/// replica's metadata layout — and therefore its fault's element/word
-/// addressing — bit-identical to a serial single-trial run over the same
-/// `[B, ...]` tensor.
-struct BatchEmulationHook {
-    formats: Arc<FormatTable>,
-    filter: LayerFilter,
-    plan: InjectionPlan,
-    sampler: BitSampler,
-    /// Per-replica injector and the record of what its fault did.
-    state: Mutex<Vec<(Injector, Option<InjectionRecord>)>>,
-    range: Arc<RangeProfile>,
-    range_mode: RangeMode,
-}
-
-impl ForwardHook for BatchEmulationHook {
-    fn on_output(&self, layer: &LayerInfo, output: &Tensor) -> Option<Tensor> {
-        self.on_output_batched(layer, output, 1)
-    }
-
-    fn on_output_batched(
-        &self,
-        layer: &LayerInfo,
-        output: &Tensor,
-        replicas: usize,
-    ) -> Option<Tensor> {
-        let format = self.formats.resolve(layer.index);
-        let rows = output.dims()[0];
-        assert_eq!(rows % replicas, 0, "{rows} rows do not split into {replicas} replicas");
-        let per = rows / replicas;
-        let inject_here = self.plan.layer == layer.index;
-        // Fused fast path: away from the fault layer every replica gets the
-        // same pure elementwise round-trip, which commutes with replica
-        // slicing — one whole-tensor pass replaces narrow → quantise →
-        // dequantise → concat, bit-identically.
-        if !inject_here && fused_quantize_enabled() {
-            let timing = trace::recording().then(Instant::now);
-            if let Some(values) = formats::fused_roundtrip(format, output) {
-                if let Some(t0) = timing {
-                    let m = hook_metrics();
-                    m.quantize_ns.record(t0.elapsed().as_nanos() as u64);
-                    m.convert_elems.add(output.numel() as u64);
-                }
-                return Some(self.range_mode.apply(&self.range, layer.index, values));
-            }
-        }
-        let timing = trace::recording().then(Instant::now);
-        let mut slices = Vec::with_capacity(replicas);
-        {
-            let mut state = inject_here.then(|| lock(&self.state));
-            if let Some(state) = &state {
-                assert_eq!(state.len(), replicas, "one injector per replica");
-            }
-            for r in 0..replicas {
-                let slice = if replicas == 1 {
-                    output.clone()
-                } else {
-                    tensor::ops::narrow(output, 0, r * per, per)
-                };
-                let mut q = format.real_to_format_tensor(&slice);
-                if let Some(state) = state.as_mut() {
-                    let (inj, rec) = &mut state[r];
-                    *rec = Some(apply_fault(format, layer, &self.plan, &self.sampler, inj, &mut q));
-                }
-                slices.push(format.format_to_real_tensor(&q));
-            }
-        }
-        if let Some(t0) = timing {
-            let m = hook_metrics();
-            m.quantize_ns.record(t0.elapsed().as_nanos() as u64);
-            m.convert_elems.add(output.numel() as u64);
-        }
-        let values = if replicas == 1 {
-            slices.pop().unwrap()
-        } else {
-            let refs: Vec<&Tensor> = slices.iter().collect();
-            tensor::ops::concat(&refs, 0)
-        };
-        Some(self.range_mode.apply(&self.range, layer.index, values))
-    }
-
-    fn applies_to(&self, kind: LayerKind) -> bool {
-        self.filter.matches(kind)
     }
 }
 
@@ -596,7 +499,8 @@ impl GoldenEye {
 
     /// Runs an emulated inference (no injection) and returns the logits.
     pub fn run(&self, model: &dyn Module, x: Tensor) -> Tensor {
-        self.run_inner(model, x, None, 0, BitSampler::Uniform).0
+        let hook = self.hook(None, BitSampler::Uniform, &[], self.trial_range_mode());
+        forward_hooked(model, x, hook)
     }
 
     /// Runs an emulated inference with one fault injected per `plan`,
@@ -611,7 +515,7 @@ impl GoldenEye {
         plan: InjectionPlan,
         seed: u64,
     ) -> (Tensor, Option<InjectionRecord>) {
-        self.run_inner(model, x, Some(plan), seed, BitSampler::Uniform)
+        self.run_with_injection_sampled(model, x, plan, seed, BitSampler::Uniform)
     }
 
     /// [`GoldenEye::run_with_injection`] with an explicit bit-position
@@ -625,40 +529,33 @@ impl GoldenEye {
         seed: u64,
         sampler: BitSampler,
     ) -> (Tensor, Option<InjectionRecord>) {
-        self.run_inner(model, x, Some(plan), seed, sampler)
+        let hook = self.hook(Some(plan), sampler, &[seed], self.trial_range_mode());
+        let logits = forward_hooked(model, x, hook.clone());
+        let record = lock(&hook.state)[0].1.clone();
+        (logits, record)
     }
 
-    fn format_table(&self) -> Arc<FormatTable> {
-        Arc::new(FormatTable {
-            default: self.format.clone(),
-            per_layer: self.layer_formats.clone(),
-        })
-    }
-
-    fn run_inner(
+    /// The emulation hook for one forward pass, carrying one injector per
+    /// replica seed (`seeds` may be empty when `plan` is `None`).
+    fn hook(
         &self,
-        model: &dyn Module,
-        x: Tensor,
         plan: Option<InjectionPlan>,
-        seed: u64,
         sampler: BitSampler,
-    ) -> (Tensor, Option<InjectionRecord>) {
-        let hook = Arc::new(EmulationHook {
-            formats: self.format_table(),
+        seeds: &[u64],
+        range_mode: RangeMode,
+    ) -> Arc<EmulationHook> {
+        Arc::new(EmulationHook {
+            formats: Arc::new(FormatTable {
+                default: self.format.clone(),
+                per_layer: self.layer_formats.clone(),
+            }),
             filter: self.filter,
             plan,
             sampler,
-            injector: Mutex::new(Injector::new(seed)),
-            record: Mutex::new(None),
+            state: Mutex::new(seeds.iter().map(|&s| (Injector::new(s), None)).collect()),
             range: self.range.clone(),
-            range_mode: self.trial_range_mode(),
-        });
-        let mut ctx = Ctx::inference();
-        ctx.add_hook(hook.clone());
-        let xv = ctx.input(x);
-        let logits = model.forward(&xv, &mut ctx).value();
-        let record = lock(&hook.record).clone();
-        (logits, record)
+            range_mode,
+        })
     }
 
     fn trial_range_mode(&self) -> RangeMode {
@@ -672,24 +569,14 @@ impl GoldenEye {
     /// Runs one clean (fault-free) emulated inference segment by segment,
     /// caching the activation entering each [`Module`] segment and the
     /// hook-point count at each boundary. The cached activations are the
-    /// checkpoints batched trials replay from: a trial injecting at layer
+    /// checkpoints fault trials replay from: a trial injecting at layer
     /// `L` re-executes only the segments from `L`'s onward.
     ///
     /// Since `Module::forward` is contractually the segment chain, the
     /// returned golden logits are bit-identical to [`GoldenEye::run`].
     pub fn capture_clean_run(&self, model: &dyn Module, x: Tensor) -> CleanRun {
-        let hook = Arc::new(EmulationHook {
-            formats: self.format_table(),
-            filter: self.filter,
-            plan: None,
-            sampler: BitSampler::Uniform,
-            injector: Mutex::new(Injector::new(0)),
-            record: Mutex::new(None),
-            range: self.range.clone(),
-            range_mode: self.trial_range_mode(),
-        });
         let mut ctx = Ctx::inference();
-        ctx.add_hook(hook);
+        ctx.add_hook(self.hook(None, BitSampler::Uniform, &[], self.trial_range_mode()));
         let segments = model.num_segments();
         let mut seg_inputs = Vec::with_capacity(segments);
         let mut seg_layer_offset = Vec::with_capacity(segments);
@@ -733,20 +620,11 @@ impl GoldenEye {
         let seg = clean.segment_for_layer(plan.layer);
         // Checkpoint-cache accounting: of the `num_segments` a full
         // forward would run, this batch skips the `seg` before the
-        // checkpoint (the progress heartbeat reports the ratio as the
-        // cache hit rate).
+        // checkpoint.
         trace::counter(trace::names::CAMPAIGN_REPLAY_BATCHES).add(1);
         trace::counter(trace::names::CAMPAIGN_REPLAY_SEG_SKIPPED).add(seg as u64);
         trace::counter(trace::names::CAMPAIGN_REPLAY_SEG_TOTAL).add(model.num_segments() as u64);
-        let hook = Arc::new(BatchEmulationHook {
-            formats: self.format_table(),
-            filter: self.filter,
-            plan,
-            sampler,
-            state: Mutex::new(seeds.iter().map(|&s| (Injector::new(s), None)).collect()),
-            range: self.range.clone(),
-            range_mode: self.trial_range_mode(),
-        });
+        let hook = self.hook(Some(plan), sampler, seeds, self.trial_range_mode());
         let mut ctx = Ctx::inference();
         ctx.add_hook(hook.clone());
         ctx.set_base_layer(clean.seg_layer_offset[seg]);
@@ -771,20 +649,8 @@ impl GoldenEye {
     pub fn profile_ranges(&self, model: &dyn Module, batches: &[Tensor]) {
         let _span = trace::span!("profile_ranges", batches = batches.len());
         for x in batches {
-            let hook = Arc::new(EmulationHook {
-                formats: self.format_table(),
-                filter: self.filter,
-                plan: None,
-                sampler: BitSampler::Uniform,
-                injector: Mutex::new(Injector::new(0)),
-                record: Mutex::new(None),
-                range: self.range.clone(),
-                range_mode: RangeMode::Profile,
-            });
-            let mut ctx = Ctx::inference();
-            ctx.add_hook(hook);
-            let xv = ctx.input(x.clone());
-            model.forward(&xv, &mut ctx);
+            let hook = self.hook(None, BitSampler::Uniform, &[], RangeMode::Profile);
+            forward_hooked(model, x.clone(), hook);
         }
         if trace::recording() {
             let ranges: Vec<trace::Json> = self
@@ -858,6 +724,14 @@ impl GoldenEye {
         });
         result
     }
+}
+
+/// One inference forward of `model` over `x` with `hook` installed.
+fn forward_hooked(model: &dyn Module, x: Tensor, hook: Arc<EmulationHook>) -> Tensor {
+    let mut ctx = Ctx::inference();
+    ctx.add_hook(hook);
+    let xv = ctx.input(x);
+    model.forward(&xv, &mut ctx).value()
 }
 
 /// A forward hook for **fault-aware training** (§V-D: GoldenEye "can
@@ -1025,24 +899,34 @@ mod tests {
         assert!(emulated.all_finite());
     }
 
+    /// The unfused reference: quantise every hooked output, then
+    /// dequantise it — the paper's two-pass round-trip, with no fast path.
+    struct TwoPassHook(Box<dyn NumberFormat>);
+
+    impl ForwardHook for TwoPassHook {
+        fn on_output(&self, _layer: &LayerInfo, output: &Tensor) -> Option<Tensor> {
+            Some(self.0.format_to_real_tensor(&self.0.real_to_format_tensor(output)))
+        }
+    }
+
     #[test]
-    fn fused_hook_path_is_bit_identical_to_two_pass() {
+    fn emulation_hook_is_bit_identical_to_two_pass_oracle() {
         let model = tiny_model(1);
         let x = sample(2);
-        // fp:e4m3 has an elementwise quantizer (fused path taken); bfp does
-        // not (both runs take the two-pass route — the toggle is inert).
-        for spec in ["fp:e4m3", "bfp:e5m5:b16"] {
-            let ge = GoldenEye::parse(spec).unwrap();
-            set_fused_quantize(true);
-            let fused = ge.run(&model, x.clone());
-            set_fused_quantize(false);
-            let two_pass = ge.run(&model, x.clone());
-            set_fused_quantize(true);
-            assert_eq!(fused.as_slice().len(), two_pass.as_slice().len(), "{spec}: shape mismatch");
-            for (i, (a, b)) in fused.as_slice().iter().zip(two_pass.as_slice()).enumerate() {
+        // One format of each family with an elementwise quantizer (the
+        // hook takes the fused path), plus one without (two-pass path).
+        for spec in ["fp:e4m3", "fxp:1:3:4", "posit:8:0", "p3109:e4m3", "gf:8", "bfp:e5m5:b16"] {
+            let format = spec.parse::<formats::FormatSpec>().unwrap().build();
+            let mut ctx = Ctx::inference();
+            ctx.add_hook(Arc::new(TwoPassHook(format)));
+            let xv = ctx.input(x.clone());
+            let oracle = model.forward(&xv, &mut ctx).value();
+            let got = GoldenEye::parse(spec).unwrap().run(&model, x.clone());
+            assert_eq!(got.dims(), oracle.dims(), "{spec}: shape mismatch");
+            for (i, (a, b)) in got.as_slice().iter().zip(oracle.as_slice()).enumerate() {
                 assert!(
                     a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
-                    "{spec} logit {i}: fused {a} vs two-pass {b}"
+                    "{spec} logit {i}: hook {a} vs two-pass {b}"
                 );
             }
         }

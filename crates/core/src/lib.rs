@@ -54,6 +54,6 @@ pub use campaign::{
 };
 pub use evaluate::{accuracy_sweep, evaluate_accuracy, evaluate_accuracy_jobs, AccuracyPoint};
 pub use instrument::{
-    set_fused_quantize, CleanRun, FaultyTrainingHook, GoldenEye, InjectionPlan, InjectionRecord,
-    LayerFilter, ParamSnapshot,
+    CleanRun, FaultyTrainingHook, GoldenEye, InjectionPlan, InjectionRecord, LayerFilter,
+    ParamSnapshot,
 };

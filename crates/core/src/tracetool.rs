@@ -84,8 +84,10 @@ pub fn stats_report(source: &str, jsonl: &str) -> Result<String, String> {
 
     // One decode pass; validate_trace has already guaranteed shape.
     let mut spans: HashMap<String, SpanAgg> = HashMap::new();
-    let mut trial_spans: Vec<(u64, u64, u64)> = Vec::new(); // (dur, layer, trial)
-    let mut layer_ns: HashMap<u64, (u64, u64)> = HashMap::new(); // layer -> (ns, count)
+    // Campaign units are `batch` spans over `trials` trials each; a
+    // trial's cost is its batch's duration split evenly.
+    let mut batch_spans: Vec<(u64, u64, u64)> = Vec::new(); // (ns per trial, layer, trials)
+    let mut layer_ns: HashMap<u64, (u64, u64)> = HashMap::new(); // layer -> (ns, trials)
     let mut heartbeats: Vec<(u64, String, u64, u64)> = Vec::new(); // (ts, phase, done, planned)
     let mut manifests: Vec<RunManifest> = Vec::new();
     for line in jsonl.lines().map(str::trim).filter(|l| !l.is_empty()) {
@@ -98,13 +100,13 @@ pub fn stats_report(source: &str, jsonl: &str) -> Result<String, String> {
                 agg.count += 1;
                 agg.total_ns += dur;
                 agg.max_ns = agg.max_ns.max(dur);
-                if name == "trial" {
+                if name == "batch" {
                     let layer = v.get("layer").and_then(Json::as_u64).unwrap_or(0);
-                    let trial = v.get("trial").and_then(Json::as_u64).unwrap_or(0);
-                    trial_spans.push((dur, layer, trial));
+                    let trials = v.get("trials").and_then(Json::as_u64).unwrap_or(1).max(1);
+                    batch_spans.push((dur / trials, layer, trials));
                     let slot = layer_ns.entry(layer).or_default();
                     slot.0 += dur;
-                    slot.1 += 1;
+                    slot.1 += trials;
                 }
             }
             Some("progress") => {
@@ -145,15 +147,19 @@ pub fn stats_report(source: &str, jsonl: &str) -> Result<String, String> {
         }
     }
 
-    if !trial_spans.is_empty() {
-        trial_spans.sort_by(|a, b| b.0.cmp(&a.0).then((a.1, a.2).cmp(&(b.1, b.2))));
-        let _ = writeln!(out, "\n  slowest trials:");
-        for (dur, layer, trial) in trial_spans.iter().take(TOP_N.min(5)) {
-            let _ = writeln!(out, "    layer {layer:>3} trial {trial:>4}  {}", fmt_ns(*dur));
+    if !batch_spans.is_empty() {
+        batch_spans.sort_by(|a, b| b.0.cmp(&a.0).then((a.1, a.2).cmp(&(b.1, b.2))));
+        let _ = writeln!(out, "\n  slowest trials (per-trial cost of each batch span):");
+        for (ns, layer, trials) in batch_spans.iter().take(TOP_N.min(5)) {
+            let _ = writeln!(
+                out,
+                "    layer {layer:>3}  {:>10} per trial (batch of {trials})",
+                fmt_ns(*ns)
+            );
         }
         let mut layers: Vec<(u64, (u64, u64))> = layer_ns.into_iter().collect();
         layers.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then(a.0.cmp(&b.0)));
-        let _ = writeln!(out, "\n  slowest layers (summed trial spans):");
+        let _ = writeln!(out, "\n  slowest layers (summed batch spans):");
         for (layer, (ns, count)) in layers.iter().take(TOP_N.min(5)) {
             let _ = writeln!(
                 out,
@@ -455,7 +461,7 @@ mod tests {
             inclusive_ns: (wall * 1e9) as u64,
             exclusive_ns: 1000,
             children: vec![ProfileNode {
-                name: "trial".into(),
+                name: "batch".into(),
                 count: 100,
                 inclusive_ns: (wall * 0.9e9) as u64,
                 exclusive_ns: (wall * 0.9e9) as u64,
@@ -505,7 +511,7 @@ mod tests {
         b.counters = vec![("campaign.trials".into(), Json::obj([("count", Json::from(200u64))]))];
         let report = diff_manifests(&a, &b, 0.10);
         assert!(report.text.contains("campaign.trials"), "{}", report.text);
-        assert!(report.text.contains("campaign;trial"), "{}", report.text);
+        assert!(report.text.contains("campaign;batch"), "{}", report.text);
     }
 
     #[test]
@@ -513,7 +519,7 @@ mod tests {
         let m = manifest(1.0, 100.0);
         let folded = export_folded(&m).unwrap();
         assert!(folded.contains("campaign 1000\n"), "{folded}");
-        assert!(folded.contains("campaign;trial"), "{folded}");
+        assert!(folded.contains("campaign;batch"), "{folded}");
         let empty = RunManifest::new("bare");
         assert!(export_folded(&empty).is_err());
     }
@@ -535,8 +541,8 @@ mod tests {
         };
         let jsonl = format!(
             "{}\n{}\n{}\n{}\n{}\n{}\n",
-            r#"{"ts_ns":1000,"level":"debug","type":"span","name":"trial","layer":1,"trial":0,"dur_ns":4000}"#,
-            r#"{"ts_ns":2000,"level":"debug","type":"span","name":"trial","layer":2,"trial":1,"dur_ns":9000}"#,
+            r#"{"ts_ns":1000,"level":"debug","type":"span","name":"batch","layer":1,"trials":1,"dur_ns":4000}"#,
+            r#"{"ts_ns":2000,"level":"debug","type":"span","name":"batch","layer":2,"trials":2,"dur_ns":18000}"#,
             r#"{"ts_ns":3000,"level":"debug","type":"span","name":"campaign","dur_ns":20000}"#,
             r#"{"ts_ns":1000000,"level":"info","type":"progress","phase":"campaign","done":8,"planned":16}"#,
             r#"{"ts_ns":2000000,"level":"info","type":"progress","phase":"campaign","done":16,"planned":16}"#,
@@ -546,7 +552,8 @@ mod tests {
         let report = stats_report("test.jsonl", &jsonl).unwrap();
         assert!(report.contains("2 span(s)") || report.contains("3 span(s)"), "{report}");
         assert!(report.contains("slowest trials"), "{report}");
-        assert!(report.contains("layer   2 trial    1"), "{report}");
+        assert!(report.contains("9.0µs per trial (batch of 2)"), "{report}");
+        assert!(report.contains("18.0µs over 2 trial(s)  (9.0µs mean)"), "{report}");
         assert!(report.contains("throughput timeline"), "{report}");
         assert!(report.contains("goldeneye campaign"), "{report}");
         assert!(report.contains("% of wall"), "{report}");

@@ -131,8 +131,8 @@ pub trait NumberFormat: std::fmt::Debug + Send + Sync {
     }
 
     /// The format's quantise→dequantise round-trip as a pure elementwise
-    /// function, when one exists — the hook for **fused quantize-into-pack**
-    /// ([`crate::fused_roundtrip`] and `tensor::linalg::sgemm_fused`).
+    /// function, when one exists — what [`crate::fused_roundtrip`] runs in
+    /// a single pass.
     ///
     /// The contract: for every input tensor `t`,
     /// `t.map(f)` must be bit-identical to

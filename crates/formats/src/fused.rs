@@ -10,10 +10,6 @@
 //! chunk-parallel pass: one allocation, one traversal, bit-identical
 //! output by construction (the quantizer contract *is* the two-pass
 //! round-trip).
-//!
-//! The same closure is what `tensor::linalg::sgemm_fused` folds into the
-//! GEMM pack step when quantisation can ride the packing traversal
-//! instead of owning its own.
 
 use std::sync::OnceLock;
 use std::time::Instant;

@@ -128,19 +128,6 @@ pub fn conv2d(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -
         return Tensor::from_vec(out, [n, o, oh, ow]);
     }
 
-    if linalg::legacy_kernel_enabled() {
-        // Historical serial path, kept so `campaign_scaling`'s legacy A/B
-        // toggle still measures the whole pre-rewrite pipeline.
-        let mut cols = workspace::take(ckk * ohow);
-        for ni in 0..n {
-            im2col(&x.as_slice()[ni * chw..(ni + 1) * chw], c, h, wd, spec, &mut cols);
-            let out_n = &mut out[ni * o * ohow..(ni + 1) * o * ohow];
-            sgemm(o, ckk, ohow, w.as_slice(), &cols, out_n);
-            add_bias(out_n, bias, 0, o, ohow);
-        }
-        return Tensor::from_vec(out, [n, o, oh, ow]);
-    }
-
     let kern = kernels::active();
     let npanels = ohow.div_ceil(NR);
     let mpanels = o.div_ceil(MR);
@@ -151,7 +138,7 @@ pub fn conv2d(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -
     let mut wpack = workspace::take(mpanels * ckk * MR);
     for pi in 0..mpanels {
         let i0 = pi * MR;
-        pack_w_panel(ckk, w.as_slice(), i0, MR.min(o - i0), &mut wpack[pi * ckk * MR..]);
+        linalg::pack_a(ckk, w.as_slice(), i0, MR.min(o - i0), &mut wpack[pi * ckk * MR..]);
     }
 
     let mut bpack = workspace::take(block * panel_elems);
@@ -173,7 +160,9 @@ pub fn conv2d(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -
                 let dst = unsafe {
                     std::slice::from_raw_parts_mut(bp.get().add(bi * panel_elems), panel_elems)
                 };
-                pack_image(ckk, ohow, &cols, dst);
+                // Padding lanes of the ragged last panel are never written,
+                // so they stay zero from the pool's zeroed buffer.
+                linalg::pack_b(ckk, ohow, &cols, dst);
             });
         }
         let ob = SendPtr(out.as_mut_ptr());
@@ -207,7 +196,8 @@ pub fn conv2d(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -
 
 /// Adds `bias[o0 + r]` to each of `rows` output rows of length `ohow`
 /// (no-op without a bias), after the GEMM accumulation — the same order
-/// as the historical serial path, so results stay bit-identical.
+/// as a per-image `sgemm` followed by the bias, so results stay
+/// bit-identical.
 fn add_bias(orow: &mut [f32], bias: Option<&Tensor>, o0: usize, rows: usize, ohow: usize) {
     if let Some(b) = bias {
         for r in 0..rows {
@@ -217,19 +207,6 @@ fn add_bias(orow: &mut [f32], bias: Option<&Tensor>, o0: usize, rows: usize, oho
             }
         }
     }
-}
-
-/// Packs weight rows `i0..i0+rows` (each of length `ckk`) into one
-/// k-major `MR`-row panel (delegates to the SGEMM packer).
-fn pack_w_panel(ckk: usize, w: &[f32], i0: usize, rows: usize, dst: &mut [f32]) {
-    linalg::pack_a(ckk, w, i0, rows, dst, None);
-}
-
-/// Packs one image's `[ckk, ohow]` im2col matrix into `NR`-column panels
-/// (delegates to the SGEMM packer; `dst` must be zeroed for the ragged
-/// last panel's padding lanes).
-fn pack_image(ckk: usize, ohow: usize, cols: &[f32], dst: &mut [f32]) {
-    linalg::pack_b(ckk, ohow, cols, dst, None);
 }
 
 /// Gradients of [`conv2d`] with respect to input, weight, and bias.

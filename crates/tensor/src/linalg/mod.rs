@@ -13,13 +13,7 @@
 //! worker pool ([`crate::parallel`]); every output element is produced by
 //! exactly one task with a fixed accumulation order, which makes results
 //! **bit-exact** against [`matmul_naive`] and identical for every thread
-//! count, micro-kernel, and fused/unfused pack. See DESIGN.md §10 and
-//! §15.
-//!
-//! The packing step can additionally **fuse an elementwise transform**
-//! ([`sgemm_fused`], [`matmul_fused`]): format quantisation is applied
-//! while operands stream into panels, eliminating the separate
-//! full-tensor quantise memory pass from the campaign hot path.
+//! count and micro-kernel. See DESIGN.md §10 and §15.
 
 pub mod kernels;
 
@@ -42,29 +36,8 @@ use kernels::{Kernel, MR, NR};
 /// top without oversubscription).
 pub(crate) const PAR_FLOP_THRESHOLD: usize = 1 << 27;
 
-/// An elementwise operand transform fused into the pack step (typically a
-/// number format's quantise→dequantise round-trip).
-pub type Transform<'a> = &'a (dyn Fn(f32) -> f32 + Sync);
-
-/// Benchmark-only escape hatch: when set, [`sgemm`] (and everything built
-/// on it: `matmul`, conv2d) routes through the legacy axpy kernel so
-/// `campaign_scaling` can measure end-to-end before/after throughput in
-/// one process. Never enable outside benchmarks — the legacy kernel keeps
-/// the historical zero-skip that drops NaN/Inf propagation.
-static LEGACY_KERNEL: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-#[doc(hidden)]
-pub fn set_legacy_kernel(on: bool) {
-    LEGACY_KERNEL.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-pub(crate) fn legacy_kernel_enabled() -> bool {
-    LEGACY_KERNEL.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 struct GemmMetrics {
     pack_ns: &'static trace::Metric,
-    fused_quantize_ns: &'static trace::Metric,
     kernel_ns: &'static trace::Metric,
     kernel_kind: &'static trace::Metric,
     flops: &'static trace::Metric,
@@ -74,7 +47,6 @@ fn gemm_metrics() -> &'static GemmMetrics {
     static METRICS: OnceLock<GemmMetrics> = OnceLock::new();
     METRICS.get_or_init(|| GemmMetrics {
         pack_ns: trace::histogram(trace::names::TENSOR_GEMM_PACK_NS),
-        fused_quantize_ns: trace::histogram(trace::names::PACK_FUSED_QUANTIZE_NS),
         kernel_ns: trace::histogram(trace::names::TENSOR_GEMM_KERNEL_NS),
         kernel_kind: trace::histogram(trace::names::GEMM_KERNEL),
         flops: trace::counter(trace::names::TENSOR_GEMM_FLOPS),
@@ -106,30 +78,13 @@ impl GemmMetrics {
 /// assert_eq!(matmul(&a, &b).as_slice(), &[19., 22., 43., 50.]);
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    matmul_fused(a, b, None, None)
-}
-
-/// [`matmul`] with elementwise transforms fused into the pack step:
-/// bit-identical to `matmul(&a.map(fa), &b.map(fb))` without ever
-/// materialising the transformed operands (a `None` transform is the
-/// identity).
-///
-/// # Panics
-///
-/// Panics if operands are not 2-D or the inner dimensions disagree.
-pub fn matmul_fused(
-    a: &Tensor,
-    b: &Tensor,
-    fa: Option<Transform<'_>>,
-    fb: Option<Transform<'_>>,
-) -> Tensor {
     assert_eq!(a.ndim(), 2, "matmul lhs must be 2-D, got {:?}", a.shape());
     assert_eq!(b.ndim(), 2, "matmul rhs must be 2-D, got {:?}", b.shape());
     let (m, k) = (a.dims()[0], a.dims()[1]);
     let (k2, n) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul inner dims: {:?} × {:?}", a.shape(), b.shape());
     let mut out = vec![0.0f32; m * n];
-    sgemm_fused(m, k, n, a.as_slice(), b.as_slice(), &mut out, fa, fb);
+    sgemm(m, k, n, a.as_slice(), b.as_slice(), &mut out);
     Tensor::from_vec(out, [m, n])
 }
 
@@ -168,7 +123,6 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
             n,
             &b.as_slice()[bi * k * n..(bi + 1) * k * n],
             &mut bpack[bi * npanels * panel_len..(bi + 1) * npanels * panel_len],
-            None,
         );
     }
     if let Some(t0) = t0 {
@@ -185,7 +139,7 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
         let i0 = pi * MR;
         let rows = MR.min(m - i0);
         let mut apack = workspace::take(k * MR);
-        pack_a(k, &a_all[bi * m * k..(bi + 1) * m * k], i0, rows, &mut apack, None);
+        pack_a(k, &a_all[bi * m * k..(bi + 1) * m * k], i0, rows, &mut apack);
         // SAFETY: task t owns exactly rows `i0..i0+rows` of batch `bi`;
         // the (bi, pi) → task mapping is a bijection, so regions are
         // disjoint, and `out` outlives the thread scope.
@@ -209,36 +163,6 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
 /// (on a zeroed `out`) and to itself under any thread count or dispatched
 /// micro-kernel.
 pub fn sgemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    if legacy_kernel_enabled() {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(out.len(), m * n);
-        return sgemm_axpy(m, k, n, a, b, out);
-    }
-    sgemm_fused(m, k, n, a, b, out, None, None);
-}
-
-/// [`sgemm`] with elementwise transforms fused into the pack step.
-///
-/// `fa`/`fb` are applied to each operand element exactly once while it
-/// streams into its packed panel, so the result is bit-identical to
-/// transforming the operands first and calling [`sgemm`] — without the
-/// intermediate full-tensor write/read (padding lanes are never
-/// transformed or stored back, so they cannot observe `f`).
-///
-/// Ignores the benchmark-only legacy-kernel toggle: the axpy kernel has
-/// no pack step to fuse into.
-#[allow(clippy::too_many_arguments)]
-pub fn sgemm_fused(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    fa: Option<Transform<'_>>,
-    fb: Option<Transform<'_>>,
-) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
@@ -251,14 +175,9 @@ pub fn sgemm_fused(
     let t0 = timing.then(Instant::now);
     let npanels = n.div_ceil(NR);
     let mut bpack = workspace::take(npanels * k * NR);
-    pack_b(k, n, b, &mut bpack, fb);
+    pack_b(k, n, b, &mut bpack);
     if let Some(t0) = t0 {
-        let metrics = gemm_metrics();
-        let ns = t0.elapsed().as_nanos() as u64;
-        metrics.pack_ns.record(ns);
-        if fa.is_some() || fb.is_some() {
-            metrics.fused_quantize_ns.record(ns);
-        }
+        gemm_metrics().pack_ns.record(t0.elapsed().as_nanos() as u64);
     }
 
     let t1 = timing.then(Instant::now);
@@ -271,7 +190,7 @@ pub fn sgemm_fused(
         let i0 = pi * MR;
         let rows = MR.min(m - i0);
         let mut apack = workspace::take(k * MR);
-        pack_a(k, a, i0, rows, &mut apack, fa);
+        pack_a(k, a, i0, rows, &mut apack);
         // SAFETY: panel pi owns exactly output rows `i0..i0+rows`; panels
         // partition `0..m` disjointly and `out` outlives the thread scope.
         let orow = unsafe { std::slice::from_raw_parts_mut(base.get().add(i0 * n), rows * n) };
@@ -283,25 +202,16 @@ pub fn sgemm_fused(
 }
 
 /// Packs `b: k×n` into `⌈n/NR⌉` contiguous k-major panels:
-/// `dst[(panel·k + kk)·NR + c] = f(b[kk, panel·NR + c])`, zero-padding the
-/// ragged last panel so the micro-kernel never branches on width. With no
-/// transform each row segment is a straight memcpy.
-pub(crate) fn pack_b(k: usize, n: usize, b: &[f32], dst: &mut [f32], f: Option<Transform<'_>>) {
+/// `dst[(panel·k + kk)·NR + c] = b[kk, panel·NR + c]`, zero-padding the
+/// ragged last panel so the micro-kernel never branches on width.
+pub(crate) fn pack_b(k: usize, n: usize, b: &[f32], dst: &mut [f32]) {
     let npanels = n.div_ceil(NR);
     for pj in 0..npanels {
         let j0 = pj * NR;
         let cols = NR.min(n - j0);
         let panel = &mut dst[pj * k * NR..(pj + 1) * k * NR];
         for kk in 0..k {
-            let src = &b[kk * n + j0..kk * n + j0 + cols];
-            match f {
-                None => panel[kk * NR..kk * NR + cols].copy_from_slice(src),
-                Some(f) => {
-                    for (d, &s) in panel[kk * NR..kk * NR + cols].iter_mut().zip(src) {
-                        *d = f(s);
-                    }
-                }
-            }
+            panel[kk * NR..kk * NR + cols].copy_from_slice(&b[kk * n + j0..kk * n + j0 + cols]);
             // Padding lanes stay zero: `workspace::take` hands out zeroed
             // buffers, and padded products are never stored back.
         }
@@ -309,30 +219,12 @@ pub(crate) fn pack_b(k: usize, n: usize, b: &[f32], dst: &mut [f32], f: Option<T
 }
 
 /// Packs rows `i0..i0+rows` of `a: ?×k` k-major:
-/// `dst[kk·MR + r] = f(a[i0 + r, kk])`, zero-padding rows past `rows`
-/// (padding is not transformed — it exists only for lane uniformity and
-/// is never stored back).
-pub(crate) fn pack_a(
-    k: usize,
-    a: &[f32],
-    i0: usize,
-    rows: usize,
-    dst: &mut [f32],
-    f: Option<Transform<'_>>,
-) {
+/// `dst[kk·MR + r] = a[i0 + r, kk]`, zero-padding rows past `rows`
+/// (padding exists only for lane uniformity and is never stored back).
+pub(crate) fn pack_a(k: usize, a: &[f32], i0: usize, rows: usize, dst: &mut [f32]) {
     for r in 0..rows {
-        let arow = &a[(i0 + r) * k..(i0 + r + 1) * k];
-        match f {
-            None => {
-                for (kk, &v) in arow.iter().enumerate() {
-                    dst[kk * MR + r] = v;
-                }
-            }
-            Some(f) => {
-                for (kk, &v) in arow.iter().enumerate() {
-                    dst[kk * MR + r] = f(v);
-                }
-            }
+        for (kk, &v) in a[(i0 + r) * k..(i0 + r + 1) * k].iter().enumerate() {
+            dst[kk * MR + r] = v;
         }
     }
     if rows < MR {
@@ -373,31 +265,6 @@ pub(crate) fn row_panel(
         kernels::run(kern, k, apack, bpanel, &mut acc);
         for r in 0..rows {
             orow[r * n + j0..r * n + j0 + cols].copy_from_slice(&acc[r][..cols]);
-        }
-    }
-}
-
-/// The pre-rewrite k-blocked axpy kernel, retained **only** as the
-/// `gemm_bench` baseline (including its historical zero-skip, which drops
-/// NaN/Inf propagation — do not use for real computation).
-#[doc(hidden)]
-pub fn sgemm_axpy(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    const KB: usize = 64;
-    for k0 in (0..k).step_by(KB) {
-        let kmax = (k0 + KB).min(k);
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for kk in k0..kmax {
-                let aik = arow[kk];
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = &b[kk * n..(kk + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += aik * bv;
-                }
-            }
         }
     }
 }
@@ -561,45 +428,6 @@ mod tests {
             let _g = with_threads(threads);
             assert_bits_eq(&bmm(&a, &b), &serial, &format!("bmm {threads} threads"));
         }
-    }
-
-    /// `matmul_fused(a, b, fa, fb)` must equal `matmul(map(a), map(b))`
-    /// bit-for-bit — the fused quantize-into-pack contract — for every
-    /// dispatched micro-kernel and thread count.
-    #[test]
-    fn fused_pack_matches_map_then_matmul_bitwise() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let quant = |x: f32| (x * 4.0).round() * 0.25; // a toy quantizer
-        let neg = |x: f32| -x;
-        for &(m, k, n) in &[(5, 9, 17), (17, 33, 9), (64, 70, 65), (1, 1, 1), (3, 64, 16)] {
-            let a = Tensor::randn([m, k], &mut rng);
-            let b = Tensor::randn([k, n], &mut rng);
-            let want = matmul(&a.map(quant), &b.map(quant));
-            let want_b_only = matmul(&a, &b.map(neg));
-            for kern in kernels::supported_kernels() {
-                kernels::force(Some(kern));
-                for threads in [1usize, 4] {
-                    let _g = with_threads(threads);
-                    let got = matmul_fused(&a, &b, Some(&quant), Some(&quant));
-                    assert_bits_eq(&got, &want, &format!("fused ({m},{k},{n}) {kern} t{threads}"));
-                    let got = matmul_fused(&a, &b, None, Some(&neg));
-                    assert_bits_eq(&got, &want_b_only, &format!("fused-b ({m},{k},{n}) {kern}"));
-                }
-            }
-            kernels::force(None);
-        }
-    }
-
-    #[test]
-    fn legacy_axpy_agrees_on_finite_inputs() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let a = Tensor::randn([9, 14], &mut rng);
-        let b = Tensor::randn([14, 11], &mut rng);
-        let mut legacy = vec![0.0f32; 9 * 11];
-        sgemm_axpy(9, 14, 11, a.as_slice(), b.as_slice(), &mut legacy);
-        let packed = matmul(&a, &b);
-        let legacy = Tensor::from_vec(legacy, [9, 11]);
-        assert!(packed.allclose(&legacy, 1e-5));
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! garbage. The integration suite asserts that every metric name appearing
 //! in a recorded trace is registered here.
 
-/// Per-call FP32 → format conversion time in the emulation hook.
+/// Per-call format round-trip time in the emulation hook: FP32 → format,
+/// any fault, format → FP32 (or the fused single pass).
 pub const HOOK_QUANTIZE_NS: &str = "hook.quantize_ns";
-/// Per-call format → FP32 conversion time in the emulation hook.
-pub const HOOK_DEQUANTIZE_NS: &str = "hook.dequantize_ns";
 /// Elements converted by the emulation hook.
 pub const HOOK_CONVERT_ELEMS: &str = "hook.convert_elems";
 /// Time hooks spent blocked on contended internal locks.
@@ -33,9 +32,9 @@ pub const FORMATS_QUANTIZE_CHUNKED_ELEMS: &str = "formats.quantize.chunked_elems
 /// 1 = AVX2, 2 = AVX-512); a histogram so `trace stats` shows which
 /// kernel a run actually used.
 pub const GEMM_KERNEL: &str = "gemm.kernel";
-/// Wall time of fused quantize-into-pack passes: the operand-B pack phase
-/// of `sgemm_fused` when a transform is fused, and the hook-side fused
-/// quantise→dequantise round-trip.
+/// Wall time of the fused single-pass quantise→dequantise round-trip
+/// (`formats::fused_roundtrip`), which the emulation hook takes at every
+/// layer without a fault when the format has an elementwise quantizer.
 pub const PACK_FUSED_QUANTIZE_NS: &str = "pack.fused_quantize_ns";
 /// Fused quantise round-trips whose format had a validated cached
 /// dequantise LUT available (the ≤16-bit fast-path population).
@@ -68,7 +67,6 @@ pub const ALL_METRICS: &[&str] = &[
     FORMATS_QUANTIZE_CHUNKED_NS,
     GEMM_KERNEL,
     HOOK_CONVERT_ELEMS,
-    HOOK_DEQUANTIZE_NS,
     HOOK_LOCK_WAIT_NS,
     HOOK_QUANTIZE_NS,
     PACK_FUSED_QUANTIZE_NS,

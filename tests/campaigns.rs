@@ -221,8 +221,8 @@ fn batch_injector_edge_cases_match_per_trial_typed_errors() {
 
 #[test]
 fn batch_size_one_campaign_equals_per_trial_campaign() {
-    // `trials_per_batch: 1` must take the historical per-trial path and
-    // any N > planned trials must clip, not crash.
+    // A batch of one (each trial replayed alone) and a batch larger than
+    // the planned trials (clipped to the site, not a crash) must agree.
     let (model, x, y) = setup();
     let ge = GoldenEye::parse("fp:e4m3").unwrap();
     let base = CampaignConfig {

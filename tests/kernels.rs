@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tensor::linalg::kernels::{self, Kernel};
-use tensor::linalg::{matmul, matmul_fused, matmul_naive};
+use tensor::linalg::{matmul, matmul_naive};
 use tensor::{parallel, Tensor};
 
 fn random_tensor(dims: [usize; 2], rng: &mut StdRng) -> Tensor {
@@ -112,44 +112,39 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The forced-fallback differential matrix: every supported micro-kernel
-    /// (scalar / AVX2 / AVX-512 as the host allows) × thread budget ×
-    /// fused/unfused pack must agree with the forced-scalar single-thread
-    /// baseline byte-for-byte, ragged shapes included. This is the suite the
-    /// CI `kernel-matrix` job replays under each `GOLDENEYE_KERNEL` value.
+    /// (scalar / AVX2 / AVX-512 as the host allows) × thread budget must
+    /// agree with the forced-scalar single-thread baseline byte-for-byte,
+    /// ragged shapes included. This is the suite the CI `kernel-matrix` job
+    /// replays under each `GOLDENEYE_KERNEL` value.
     #[test]
-    fn prop_forced_kernels_fused_or_not_match_scalar(
+    fn prop_forced_kernels_match_scalar(
         m in 0usize..=80, k in 0usize..=80, n in 0usize..=80, seed in 0u64..1000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = random_tensor([m, k], &mut rng);
         let b = random_tensor([k, n], &mut rng);
-        // A toy mid-precision quantiser for the fused-pack leg (exact in
-        // f32, so fused vs pre-quantised operands must agree bitwise).
+        // Pre-quantise the operands with a toy mid-precision quantiser,
+        // as an emulated layer's inputs are.
         let quant = |x: f32| (x * 8.0).round() * 0.125;
-        let aq = a.map(quant);
-        let bq = b.map(quant);
+        let (a, b) = (a.map(quant), b.map(quant));
         let _restore = ForceGuard;
         kernels::force(Some(Kernel::Scalar));
         let base = {
             let _g = parallel::with_threads(1);
-            matmul(&aq, &bq)
+            matmul(&a, &b)
         };
         for kern in kernels::supported_kernels() {
             kernels::force(Some(kern));
             for threads in [1usize, 2, 8] {
                 let _g = parallel::with_threads(threads);
-                for (label, got) in [
-                    ("unfused", matmul(&aq, &bq)),
-                    ("fused", matmul_fused(&a, &b, Some(&quant), Some(&quant))),
-                ] {
-                    prop_assert_eq!(got.dims(), base.dims());
-                    for (i, (x, y)) in got.as_slice().iter().zip(base.as_slice()).enumerate() {
-                        prop_assert!(
-                            x.to_bits() == y.to_bits(),
-                            "({},{},{}) {:?} {} threads={}: element {}: {} vs {}",
-                            m, k, n, kern, label, threads, i, x, y
-                        );
-                    }
+                let got = matmul(&a, &b);
+                prop_assert_eq!(got.dims(), base.dims());
+                for (i, (x, y)) in got.as_slice().iter().zip(base.as_slice()).enumerate() {
+                    prop_assert!(
+                        x.to_bits() == y.to_bits(),
+                        "({},{},{}) {:?} threads={}: element {}: {} vs {}",
+                        m, k, n, kern, threads, i, x, y
+                    );
                 }
             }
         }
@@ -188,11 +183,10 @@ fn forced_kernels_propagate_nan_inf_like_scalar() {
 }
 
 /// End to end: the canonical per-trial campaign records are byte-identical
-/// under every forced kernel and under the fused-roundtrip hook toggle.
-/// The kernel layer and the fused quantise path are pure performance
-/// levers — no campaign statistic may move.
+/// under every forced kernel. The kernel layer is a pure performance
+/// lever — no campaign statistic may move.
 #[test]
-fn campaign_records_identical_across_kernels_and_fused_toggle() {
+fn campaign_records_identical_across_kernels() {
     use goldeneye::{run_campaign, CampaignConfig, GoldenEye};
     use inject::SiteKind;
     let mut rng = StdRng::seed_from_u64(1);
@@ -209,18 +203,13 @@ fn campaign_records_identical_across_kernels_and_fused_toggle() {
     };
     let _restore = ForceGuard;
     kernels::force(Some(Kernel::Scalar));
-    goldeneye::set_fused_quantize(false);
     let reference = run_campaign(&ge, &model, &x, &y, &cfg).canonical_trial_jsonl();
     assert!(!reference.is_empty());
     for kern in kernels::supported_kernels() {
         kernels::force(Some(kern));
-        for fused in [false, true] {
-            goldeneye::set_fused_quantize(fused);
-            let got = run_campaign(&ge, &model, &x, &y, &cfg).canonical_trial_jsonl();
-            assert!(got == reference, "campaign records diverged under {kern:?} fused={fused}");
-        }
+        let got = run_campaign(&ge, &model, &x, &y, &cfg).canonical_trial_jsonl();
+        assert!(got == reference, "campaign records diverged under {kern:?}");
     }
-    goldeneye::set_fused_quantize(true);
 }
 
 /// The historical zero-skip dropped NaN/Inf propagation; the packed kernel

@@ -5,7 +5,7 @@
 //! These tests mutate the process-global tracer (level, capture buffer,
 //! metrics), so they serialise on a local mutex.
 
-use goldeneye::{run_campaign, CampaignConfig, GoldenEye};
+use goldeneye::{run_campaign, CampaignConfig, GoldenEye, LayerFilter};
 use inject::SiteKind;
 use models::{train, ResNet, ResNetConfig, SyntheticDataset, TrainConfig};
 use rand::rngs::StdRng;
@@ -171,6 +171,56 @@ fn progress_heartbeats_are_byte_deterministic_across_jobs_and_batch() {
             assert!(!hb.contains(&format!("\"{volatile}\"")), "{hb} leaked {volatile}");
         }
     }
+}
+
+/// Runs one campaign with event capture on and returns the
+/// `cache_hit_rate` of every `progress` heartbeat it emitted, in order.
+fn heartbeat_hit_rates(
+    ge: &GoldenEye,
+    model: &ResNet,
+    x: &tensor::Tensor,
+    y: &[usize],
+    cfg: &CampaignConfig,
+) -> Vec<f64> {
+    trace::capture_events(true);
+    let _ = trace::take_events();
+    run_campaign(ge, model, x, y, cfg);
+    trace::capture_events(false);
+    trace::take_events()
+        .iter()
+        .map(|e| e.to_json())
+        .filter(|v| v.get("type").and_then(|t| t.as_str()) == Some("progress"))
+        .filter_map(|v| v.get("cache_hit_rate").and_then(|r| r.as_f64()))
+        .collect()
+}
+
+/// A campaign's heartbeat reports the checkpoint reuse of its own units
+/// only: the same campaign reports the same rate whether or not another
+/// campaign ran earlier in the process.
+#[test]
+fn heartbeat_cache_hit_rate_is_per_campaign() {
+    let _gate = serialize_tests();
+    let (model, x, y) = setup();
+    let cfg = CampaignConfig {
+        injections_per_layer: 3,
+        kind: SiteKind::Value,
+        seed: 5,
+        jobs: 1,
+        ..Default::default()
+    }
+    .with_trials_per_batch(2);
+    let ge = GoldenEye::parse("fp:e4m3").unwrap();
+    // Hooking every layer kind changes which checkpoints trials replay
+    // from, so this campaign's reuse differs from `ge`'s.
+    let other = GoldenEye::parse("fp:e4m3").unwrap().with_filter(LayerFilter::All);
+    trace::reset_metrics();
+    let alone = heartbeat_hit_rates(&ge, &model, &x, &y, &cfg);
+    assert!(!alone.is_empty(), "campaign reported no cache hit rate");
+    trace::reset_metrics();
+    let first = heartbeat_hit_rates(&other, &model, &x, &y, &cfg);
+    assert_ne!(first, alone, "fixture campaigns must differ in checkpoint reuse");
+    let second = heartbeat_hit_rates(&ge, &model, &x, &y, &cfg);
+    assert_eq!(second, alone, "an earlier campaign leaked into the hit rate");
 }
 
 #[test]

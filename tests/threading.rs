@@ -5,6 +5,7 @@
 
 use goldeneye::{
     run_campaign, run_weight_campaign, CampaignConfig, CampaignResult, GoldenEye, ParamSnapshot,
+    EARLY_STOP_WAVE,
 };
 use inject::SiteKind;
 use models::{train, ResNet, ResNetConfig, SyntheticDataset, TrainConfig};
@@ -165,6 +166,36 @@ fn weight_campaign_trial_jsonl_is_byte_identical_across_jobs() {
     assert!(
         serial.canonical_trial_jsonl() == parallel.canonical_trial_jsonl(),
         "weight-campaign canonical JSONL differs between jobs=1 and jobs=4"
+    );
+}
+
+/// Weight campaigns run on the same wave scheduler as activation
+/// campaigns, so early stopping applies to them and its executed trial
+/// set is independent of `jobs`.
+#[test]
+fn weight_campaign_early_stop_is_identical_across_jobs() {
+    let (model, x, y) = setup();
+    let ge = GoldenEye::parse("int:8").unwrap();
+    // A loose CI bound stops converged weights after the first wave.
+    let cfg = CampaignConfig {
+        injections_per_layer: 2 * EARLY_STOP_WAVE,
+        kind: SiteKind::Value,
+        seed: 37,
+        jobs: 1,
+        ..Default::default()
+    }
+    .with_early_stop(5.0);
+    let serial = run_weight_campaign(&ge, &model, &x, &y, &cfg);
+    assert!(
+        serial.trials.len() < serial.planned_trials,
+        "loose CI should stop early ({} of {} trials ran)",
+        serial.trials.len(),
+        serial.planned_trials
+    );
+    let parallel = run_weight_campaign(&ge, &model, &x, &y, &cfg.clone().with_jobs(4));
+    assert!(
+        serial.canonical_trial_jsonl() == parallel.canonical_trial_jsonl(),
+        "early-stopped weight-campaign JSONL differs between jobs=1 and jobs=4"
     );
 }
 
