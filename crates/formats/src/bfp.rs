@@ -115,6 +115,31 @@ impl BlockFloatingPoint {
         (1i64 << self.man_bits) - 1
     }
 
+    /// Method 1 for one block at quantisation step `step`.
+    ///
+    /// `|x| / step` is computed as `|x| · (1 / step)`. The step is a power
+    /// of two, so whenever its reciprocal is a finite normal f64 the
+    /// product is exact and equals the quotient. Otherwise the output is
+    /// the same anyway: a step of +Inf has reciprocal 0, and `a · 0` equals
+    /// `a / Inf` for every `a`; a step at or below 2^−1024 makes every
+    /// `±mag · step` (`mag ≤ mag_max`) underflow to the same signed f32
+    /// zero, whichever magnitude the quotient would have given.
+    #[inline]
+    fn quantize_block(&self, src: &[f32], out: &mut [f32], step: f64) {
+        let mag_max = self.mag_max() as f64;
+        let inv = 1.0 / step;
+        for (v, &x) in out.iter_mut().zip(src) {
+            // `is_sign_negative` (not `< 0.0`) so a −0.0 element keeps its
+            // sign bit through the round trip (law `round-trip`), matching
+            // `FpParams::encode`. NaN has no magnitude in BFP: it
+            // quantises to (signed) zero, as in the scalar Method 3.
+            let sign = if x.is_sign_negative() { -1.0 } else { 1.0 };
+            let mag =
+                if x.is_nan() { 0.0 } else { round_ties_even((x as f64).abs() * inv).min(mag_max) };
+            *v = f32_saturate(sign * mag * step);
+        }
+    }
+
     fn codes_of(meta: &Metadata) -> (&[u32], usize) {
         match meta {
             Metadata::SharedExponents { codes, block_size, .. } => (codes, *block_size),
@@ -147,50 +172,12 @@ impl NumberFormat for BlockFloatingPoint {
     }
 
     fn real_to_format_tensor(&self, t: &Tensor) -> Quantized {
-        let n = t.numel();
-        let src = t.as_slice();
-        let nblocks = n.div_ceil(self.block_size);
-        // Effective block extent, clamped so per-tensor blocks
-        // (`block_size == usize::MAX`) don't overflow the index math.
-        let bs = self.block_size.min(n.max(1));
-        // A task covers a fixed run of *whole* blocks, so chunk boundaries
-        // align with shared-exponent blocks and the result is identical
-        // for every thread count.
-        let blocks_per_task = (crate::chunk::QUANT_CHUNK / bs).max(1);
-        let mut codes = vec![0u32; nblocks];
-        tensor::parallel::par_chunks_mut(&mut codes, blocks_per_task, |ci, chunk| {
-            let b0 = ci * blocks_per_task;
-            for (bj, slot) in chunk.iter_mut().enumerate() {
-                let start = (b0 + bj) * bs;
-                let end = (start + bs).min(n);
-                let max_abs = src[start..end].iter().fold(0.0f64, |m, &x| m.max((x as f64).abs()));
-                *slot = self.code_for_block(max_abs);
-            }
-        });
-        let mut values = vec![0.0f32; n];
-        let codes_ref = &codes[..];
-        tensor::parallel::par_chunks_mut(&mut values, blocks_per_task * bs, |ci, out| {
-            let b0 = ci * blocks_per_task;
-            for (bj, block) in out.chunks_mut(bs).enumerate() {
-                let step = self.step_for_code(codes_ref[b0 + bj]);
-                let start = (b0 + bj) * bs;
-                for (j, v) in block.iter_mut().enumerate() {
-                    let x = src[start + j];
-                    // `is_sign_negative` (not `< 0.0`) so a −0.0 element
-                    // keeps its sign bit through the round trip (law
-                    // `round-trip`), matching `FpParams::encode`. NaN has
-                    // no magnitude in BFP: it quantises to (signed) zero,
-                    // as in the scalar Method 3.
-                    let sign = if x.is_sign_negative() { -1.0 } else { 1.0 };
-                    let mag = if x.is_nan() {
-                        0.0
-                    } else {
-                        round_ties_even((x as f64).abs() / step).min(self.mag_max() as f64)
-                    };
-                    *v = f32_saturate(sign * mag * step);
-                }
-            }
-        });
+        let (values, codes) = crate::chunk::quantize_blocks(
+            t,
+            self.block_size,
+            |max_abs| self.code_for_block(max_abs as f64),
+            |code, src, out| self.quantize_block(src, out, self.step_for_code(code)),
+        );
         Quantized {
             values: Tensor::from_vec(values, t.shape().clone()),
             meta: Metadata::SharedExponents {
@@ -440,10 +427,10 @@ mod tests {
         // Audit of the whole-tensor sentinel (`block_size == usize::MAX`)
         // against the chunk-parallel path: one shared-exponent block spans
         // many QUANT_CHUNK=4096 tasks, and the two-phase block max must
-        // make the result byte-identical to the serial path. >4096 elements
-        // so the tensor genuinely crosses chunk boundaries.
+        // make the result byte-identical to the serial path. Above
+        // PAR_MIN_ELEMS so the parallel dispatch path really runs.
         use tensor::parallel::with_threads;
-        let n = 10_007;
+        let n = crate::chunk::PAR_MIN_ELEMS + 10_007;
         let x = Tensor::from_vec((0..n).map(|i| ((i as f32) * 0.371).sin() * 80.0).collect(), [n]);
         let bfp = BlockFloatingPoint::per_tensor(5, 5);
         let serial = {
@@ -483,9 +470,10 @@ mod tests {
     fn non_dividing_block_sizes_tail_is_thread_count_invariant() {
         // Block sizes that divide neither the tensor length nor QUANT_CHUNK:
         // the tail block is shorter, and whole blocks must never straddle
-        // task boundaries.
+        // task boundaries. Above PAR_MIN_ELEMS so the parallel dispatch
+        // path really runs.
         use tensor::parallel::with_threads;
-        let n = 9001;
+        let n = crate::chunk::PAR_MIN_ELEMS + 9001;
         let x = Tensor::from_vec((0..n).map(|i| ((i as f32) * 1.618).cos() * 300.0).collect(), [n]);
         for block in [3usize, 48, 100, 5000] {
             let bfp = BlockFloatingPoint::new(5, 5, block);
@@ -503,6 +491,59 @@ mod tests {
                 {
                     assert_eq!(a.to_bits(), b.to_bits(), "block {block}, element {i}");
                 }
+            }
+        }
+    }
+
+    /// Method 1 as it was before the block loop was tightened: f64 block
+    /// max, division by the step, one element at a time.
+    fn oracle(bfp: &BlockFloatingPoint, x: &[f32]) -> (Vec<f32>, Vec<u32>) {
+        let bs = bfp.block_size.min(x.len().max(1));
+        let (mut values, mut codes) = (Vec::new(), Vec::new());
+        for block in x.chunks(bs) {
+            let max_abs = block.iter().fold(0.0f64, |m, &x| m.max((x as f64).abs()));
+            let code = bfp.code_for_block(max_abs);
+            let step = bfp.step_for_code(code);
+            codes.push(code);
+            for &x in block {
+                let sign = if x.is_sign_negative() { -1.0 } else { 1.0 };
+                let mag = if x.is_nan() {
+                    0.0
+                } else {
+                    round_ties_even((x as f64).abs() / step).min(bfp.mag_max() as f64)
+                };
+                values.push(f32_saturate(sign * mag * step));
+            }
+        }
+        (values, codes)
+    }
+
+    #[test]
+    fn tensor_path_matches_division_oracle_bitwise() {
+        // The reciprocal multiply, the f32 block max and the shared
+        // `chunk::quantize_blocks` must not move a bit. e11 formats reach steps whose
+        // reciprocal is not a normal f64 (2^−1027 for all-zero blocks,
+        // +Inf at the top code of e11m1), where the product is not the
+        // quotient but the output still is (see `quantize_block`).
+        let x = crate::chunk::oracle_inputs();
+        let t = Tensor::from_vec(x.clone(), [x.len()]);
+        let formats = [
+            BlockFloatingPoint::new(5, 5, 16),
+            BlockFloatingPoint::new(8, 7, 16),
+            BlockFloatingPoint::new(2, 3, 8),
+            BlockFloatingPoint::new(4, 23, 3),
+            BlockFloatingPoint::new(11, 1, 4),
+            BlockFloatingPoint::new(11, 5, 4),
+            BlockFloatingPoint::new(5, 5, 5000),
+            BlockFloatingPoint::per_tensor(5, 5),
+        ];
+        for bfp in formats {
+            let q = bfp.real_to_format_tensor(&t);
+            let (values, codes) = oracle(&bfp, &x);
+            let Metadata::SharedExponents { codes: got, .. } = &q.meta else { panic!() };
+            assert_eq!(got, &codes, "{}", bfp.name());
+            for (i, (a, b)) in q.values.as_slice().iter().zip(&values).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{} element {i} ({:e})", bfp.name(), x[i]);
             }
         }
     }

@@ -52,8 +52,10 @@ pub(crate) fn map_chunked(t: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
     let _serial = (src.len() < PAR_MIN_ELEMS).then(|| parallel::with_threads(1));
     parallel::par_chunks_mut(&mut out, QUANT_CHUNK, |i, chunk| {
         let base = i * QUANT_CHUNK;
-        for (j, v) in chunk.iter_mut().enumerate() {
-            *v = f(src[base + j]);
+        // Zipped slices, not `src[base + j]`: no bounds check per element,
+        // so a branch-free `f` vectorises.
+        for (v, &x) in chunk.iter_mut().zip(&src[base..]) {
+            *v = f(x);
         }
     });
     if let Some(t0) = t0 {
@@ -77,9 +79,81 @@ pub(crate) fn max_abs_chunked(t: &Tensor) -> f32 {
     parallel::par_chunks_mut(&mut partials, 1, |i, slot| {
         let start = i * QUANT_CHUNK;
         let end = (start + QUANT_CHUNK).min(src.len());
-        slot[0] = src[start..end].iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+        slot[0] = max_abs(&src[start..end]);
     });
     partials.iter().fold(0.0f32, |m, &p| m.max(p))
+}
+
+/// `max |x|` over a slice, folded from 0.0; NaN elements are ignored
+/// (`m.max(NaN) == m`). Folds eight independent lanes so the loop
+/// vectorises: `f32::max` is exact and no lane ever holds NaN or −0.0, so
+/// the grouping cannot change the result — it equals the serial fold,
+/// and `(max_abs(xs) as f64)` equals a fold over `(x as f64).abs()`.
+fn max_abs(xs: &[f32]) -> f32 {
+    const LANES: usize = 8;
+    let mut acc = [0.0f32; LANES];
+    let mut groups = xs.chunks_exact(LANES);
+    for g in &mut groups {
+        for (a, &x) in acc.iter_mut().zip(g) {
+            *a = a.max(x.abs());
+        }
+    }
+    let tail = groups.remainder().iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+    acc.iter().fold(tail, |m, &a| m.max(a))
+}
+
+/// Block-scaled Method 1, shared by BFP and MX: one pass computes each
+/// block's register code from its `max |x|` (`code_for_max`), a second
+/// quantises each block under its code (`quantize_block(code, src, out)`).
+///
+/// A task covers a fixed run of *whole* blocks (about [`QUANT_CHUNK`]
+/// elements), so chunk boundaries align with the blocks and the result is
+/// identical for every thread count; both passes take the
+/// [`PAR_MIN_ELEMS`] serial guard. `block_size == usize::MAX` (one block
+/// for the whole tensor) is clamped to the tensor length.
+pub(crate) fn quantize_blocks(
+    t: &Tensor,
+    block_size: usize,
+    code_for_max: impl Fn(f32) -> u32 + Sync,
+    quantize_block: impl Fn(u32, &[f32], &mut [f32]) + Sync,
+) -> (Vec<f32>, Vec<u32>) {
+    let src = t.as_slice();
+    let n = src.len();
+    let bs = block_size.min(n.max(1));
+    let blocks_per_task = (QUANT_CHUNK / bs).max(1);
+    let _serial = (n < PAR_MIN_ELEMS).then(|| parallel::with_threads(1));
+    let mut codes = vec![0u32; n.div_ceil(bs)];
+    parallel::par_chunks_mut(&mut codes, blocks_per_task, |ci, chunk| {
+        let start = ci * blocks_per_task * bs;
+        for (slot, block) in chunk.iter_mut().zip(src[start..].chunks(bs)) {
+            *slot = code_for_max(max_abs(block));
+        }
+    });
+    let mut values = vec![0.0f32; n];
+    let task_codes = &codes[..];
+    parallel::par_chunks_mut(&mut values, blocks_per_task * bs, |ci, out| {
+        let start = ci * blocks_per_task * bs;
+        let blocks = out.chunks_mut(bs).zip(src[start..].chunks(bs));
+        for ((out, block), &code) in blocks.zip(&task_codes[ci * blocks_per_task..]) {
+            quantize_block(code, block, out);
+        }
+    });
+    (values, codes)
+}
+
+/// Inputs for the block formats' oracle tests: random f32 bit patterns
+/// (NaN, ±Inf, subnormals, every binade), a smooth ramp, and blocks of
+/// zeros and of ±Inf.
+#[cfg(test)]
+pub(crate) fn oracle_inputs() -> Vec<f32> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(0xb10c);
+    let mut x: Vec<f32> = (0..4000).map(|_| f32::from_bits(rng.gen::<u32>())).collect();
+    x.extend((0..4000).map(|i| ((i as f32) * 0.731).sin() * 40.0));
+    x.extend([0.0, -0.0, 0.0, 0.0, 0.0, -0.0, 0.0, 0.0]);
+    x.extend([f32::INFINITY, 1.0, -0.0, f32::NAN, f32::NEG_INFINITY, 3.0, 1e-45, -2.0]);
+    x
 }
 
 #[cfg(test)]

@@ -199,17 +199,21 @@ impl FpParams {
     }
 }
 
-/// `2^k` in f64, exact for the exponent range used here — including the
+/// `2^k` in f64, exact for every `k`: built directly from the IEEE bit
+/// pattern, so it costs no libm call on the per-element paths. Covers the
 /// subnormal range `−1074 ≤ k < −1022` (an e11 format's smallest denormal
-/// is 2^−1042, which naive `powi` underflows to 0 because the intermediate
-/// 2^1042 overflows before the reciprocal).
+/// is 2^−1042), and saturates to `+Inf` above 2^1023 and to `+0` below
+/// 2^−1074, as the exact real result rounds there.
+#[inline]
 pub(crate) fn exp2(k: i64) -> f64 {
-    if k >= -1022 {
-        (2.0f64).powi(k as i32)
+    if k > 1023 {
+        f64::INFINITY
+    } else if k >= -1022 {
+        f64::from_bits(((k + 1023) as u64) << 52)
+    } else if k >= -1074 {
+        f64::from_bits(1u64 << (k + 1074))
     } else {
-        // Split so each factor stays in range; powers of two multiply
-        // exactly even when the product is subnormal.
-        (2.0f64).powi(-1022) * (2.0f64).powi((k + 1022).max(-100) as i32)
+        0.0
     }
 }
 
@@ -255,12 +259,32 @@ pub(crate) fn exponent_of(a: f64) -> i64 {
 }
 
 /// Round half to even, matching IEEE default rounding.
+///
+/// Below 2^52 in magnitude, adding and then subtracting 2^52 makes the FPU
+/// round `|x|` to an integer under its default round-to-nearest-even mode,
+/// and both steps are exact otherwise; at or above 2^52 every f64 is
+/// already an integer. This compiles to a handful of branch-free SSE2
+/// instructions that the quantise loops can inline and vectorise;
+/// `f64::round_ties_even` is a libm call on baseline x86-64 and cannot be.
+///
+/// Sign of zero: every result that rounds to zero keeps the sign of `x`,
+/// so `round_ties_even(-0.5)` is `-0.0` (the libm-based oracle in the tests
+/// gives `+0.0` for exactly −0.5). No caller can observe this: each one
+/// either passes a non-negative magnitude (FP/minifloat mantissas, BFP
+/// magnitudes) or treats the result as an integer — FxP raw words cast it
+/// (`-0.0 as i64 == 0`) and INT codes add `+0.0`. NaN and ±Inf are
+/// returned unchanged (a signalling NaN is not quieted, unlike libm's).
+/// No output depends on a NaN's bits: INT maps a NaN result to code 0,
+/// BFP's `.min(mag_max)` discards it, and the other callers filter NaN
+/// out before rounding.
+#[inline]
 pub(crate) fn round_ties_even(x: f64) -> f64 {
-    let r = x.round();
-    if (x - x.trunc()).abs() == 0.5 && r % 2.0 != 0.0 {
-        r - r.signum()
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let a = x.abs();
+    if a < TWO_52 {
+        ((a + TWO_52) - TWO_52).copysign(x)
     } else {
-        r
+        x
     }
 }
 
@@ -562,6 +586,94 @@ mod tests {
         assert_eq!(round_ties_even(-0.5), 0.0);
         assert_eq!(round_ties_even(-1.5), -2.0);
         assert_eq!(round_ties_even(1.3), 1.0);
+    }
+
+    /// The previous `round_ties_even` (libm `round`, `trunc` and `fmod`),
+    /// kept as the oracle the fast version is pinned against.
+    fn round_ties_even_oracle(x: f64) -> f64 {
+        let r = x.round();
+        if (x - x.trunc()).abs() == 0.5 && r % 2.0 != 0.0 {
+            r - r.signum()
+        } else {
+            r
+        }
+    }
+
+    /// Bit-equal to the oracle for every non-negative input; equal in
+    /// value (`==`, so `-0.0 == +0.0`) for every negative input; NaN for
+    /// NaN (the quiet bit is not observable, see `round_ties_even`).
+    fn assert_matches_oracle(x: f64) {
+        let (got, want) = (round_ties_even(x), round_ties_even_oracle(x));
+        if x.is_nan() {
+            assert!(got.is_nan() && want.is_nan(), "x = {x:e} ({:#018x})", x.to_bits());
+        } else if x.is_sign_positive() {
+            assert_eq!(got.to_bits(), want.to_bits(), "x = {x:e} ({:#018x})", x.to_bits());
+        } else {
+            assert!(got == want, "x = {x:e} ({:#018x}): {got:e} vs {want:e}", x.to_bits());
+        }
+    }
+
+    #[test]
+    fn round_ties_even_matches_libm_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let two52 = exp2(52);
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            two52 - 1.0,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            exp2(53),
+            exp2(51) + 0.5,
+        ];
+        // Every k + 0.5 tie for |k| < 2^12, and its neighbours.
+        for k in -(1i64 << 12) + 1..(1i64 << 12) {
+            let t = k as f64 + 0.5;
+            cases.extend([t, f64::from_bits(t.to_bits() + 1), f64::from_bits(t.to_bits() - 1)]);
+        }
+        // f64 subnormals: the extremes and a spread in between.
+        for k in 0..52 {
+            let s = f64::from_bits(1u64 << k);
+            cases.extend([s, -s, f64::from_bits((1u64 << k) | 1)]);
+        }
+        cases.push(f64::from_bits(0x000f_ffff_ffff_ffff));
+        let signed: Vec<f64> = cases.iter().map(|&x| -x).collect();
+        for x in cases.into_iter().chain(signed) {
+            assert_matches_oracle(x);
+        }
+        let mut rng = StdRng::seed_from_u64(0x5eed_2a3e);
+        for _ in 0..1_000_000 {
+            assert_matches_oracle(f64::from_bits(rng.gen::<u64>()));
+        }
+    }
+
+    /// The previous `exp2` (`powi`, split below 2^−1022), as an oracle.
+    fn exp2_oracle(k: i64) -> f64 {
+        if k >= -1022 {
+            (2.0f64).powi(k as i32)
+        } else {
+            (2.0f64).powi(-1022) * (2.0f64).powi((k + 1022).max(-100) as i32)
+        }
+    }
+
+    #[test]
+    fn exp2_matches_powi_oracle() {
+        for k in -1200..1200 {
+            assert_eq!(exp2(k).to_bits(), exp2_oracle(k).to_bits(), "k = {k}");
+        }
+        for k in [-40_000, -2000, 2000, 40_000] {
+            assert_eq!(exp2(k).to_bits(), exp2_oracle(k).to_bits(), "k = {k}");
+        }
     }
 
     #[test]

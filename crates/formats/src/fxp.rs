@@ -51,7 +51,7 @@ impl FixedPoint {
     }
 
     fn step(&self) -> f64 {
-        (2.0f64).powi(-(self.frac_bits as i32))
+        crate::fp::exp2(-(self.frac_bits as i64))
     }
 
     fn raw_max(&self) -> i64 {

@@ -64,17 +64,26 @@ impl IntQuant {
     }
 
     fn code_of(&self, value: f32, scale: f32) -> i64 {
-        if !value.is_finite() || scale == 0.0 {
-            return if value > 0.0 {
-                self.qmax()
-            } else if value < 0.0 {
-                -self.qmax()
-            } else {
-                0
-            };
+        self.code(value, scale) as i64
+    }
+
+    /// The integer code of `value` under `scale`, as an f64: `value /
+    /// scale` rounded ties-to-even and clamped to `±qmax`. An infinite
+    /// value, or any value over a zero scale, saturates by its sign, and
+    /// NaN maps to code 0. Branch-free, so the tensor map vectorises.
+    #[inline]
+    fn code(&self, value: f32, scale: f32) -> f64 {
+        let qmax = self.qmax() as f64;
+        // `· Inf` gives ±Inf (clamped to ±qmax) or, for ±0 and NaN, NaN.
+        let r =
+            if value.is_infinite() || scale == 0.0 { value * f32::INFINITY } else { value / scale };
+        let q = crate::fp::round_ties_even(r as f64);
+        // `+ 0.0` turns a −0.0 code into +0.0, like the integer it stands for.
+        if q.is_nan() {
+            0.0
+        } else {
+            q.clamp(-qmax, qmax) + 0.0
         }
-        let q = crate::fp::round_ties_even((value / scale) as f64);
-        (q as i64).clamp(-self.qmax(), self.qmax())
     }
 
     fn expect_scale(meta: &Metadata) -> f32 {
@@ -104,8 +113,7 @@ impl NumberFormat for IntQuant {
         // the scale fixed.
         let m = crate::chunk::max_abs_chunked(t);
         let scale = if m == 0.0 { 1.0 } else { m / self.qmax() as f32 };
-        let values =
-            crate::chunk::map_chunked(t, |x| (self.code_of(x, scale) as f64 * scale as f64) as f32);
+        let values = crate::chunk::map_chunked(t, |x| (self.code(x, scale) * scale as f64) as f32);
         Quantized { values, meta: Metadata::Scale(scale) }
     }
 
@@ -283,6 +291,66 @@ mod tests {
             let code = f.code_of(v0, old_s);
             assert_eq!(v1, (code as f64 * new_s as f64) as f32, "element {i}");
             assert!(code.abs() <= f.qmax());
+        }
+    }
+
+    /// `code_of` as it was before the branch-free rewrite: a guard for
+    /// non-finite values and zero scales, then an integer clamp.
+    fn code_oracle(f: &IntQuant, value: f32, scale: f32) -> i64 {
+        if !value.is_finite() || scale == 0.0 {
+            return if value > 0.0 {
+                f.qmax()
+            } else if value < 0.0 {
+                -f.qmax()
+            } else {
+                0
+            };
+        }
+        let q = crate::fp::round_ties_even((value / scale) as f64);
+        (q as i64).clamp(-f.qmax(), f.qmax())
+    }
+
+    #[test]
+    fn code_matches_guarded_oracle() {
+        // Every value against every scale a tensor or a flipped scale
+        // register can hold: ±0, subnormal, negative, ±Inf and NaN.
+        let specials = [0.0, -0.0, 1e-45, -1e-45, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let values: Vec<f32> =
+            (0..2000).map(|i| ((i as f32) * 0.37).sin() * 300.0).chain(specials).collect();
+        let scales = specials.iter().copied().chain([0.01, -0.02, 1.0, 3.0e38, 1e-40]);
+        for f in [IntQuant::new(4), IntQuant::new(8), IntQuant::new(32)] {
+            for scale in scales.clone() {
+                for &x in &values {
+                    let (got, want) = (f.code_of(x, scale), code_oracle(&f, x, scale));
+                    assert_eq!(got, want, "int{} x = {x:e}, scale = {scale:e}", f.bits);
+                    assert_eq!(f.code(x, scale).to_bits(), (want as f64).to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tensor_path_matches_guarded_oracle() {
+        // Including tensors whose scale underflows to +0.0 (a subnormal
+        // max) or is +Inf (an Inf element).
+        let f = IntQuant::new(8);
+        let tensors: Vec<Vec<f32>> = vec![
+            (0..1000)
+                .map(|i| ((i as f32) * 0.37).sin() * 3.0)
+                .chain([0.0, -0.0, f32::NAN])
+                .collect(),
+            vec![1e-45, -1e-45, 0.0, -0.0, f32::NAN],
+            vec![f32::INFINITY, 2.5, -0.0, f32::NAN, -7.0, f32::NEG_INFINITY],
+        ];
+        for data in tensors {
+            let n = data.len();
+            let t = Tensor::from_vec(data, [n]);
+            let q = f.real_to_format_tensor(&t);
+            let scale = IntQuant::expect_scale(&q.meta);
+            for (&x, &v) in t.as_slice().iter().zip(q.values.as_slice()) {
+                let want = (code_oracle(&f, x, scale) as f64 * scale as f64) as f32;
+                assert_eq!(v.to_bits(), want.to_bits(), "x = {x:e}, scale = {scale:e}");
+            }
         }
     }
 

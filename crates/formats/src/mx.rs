@@ -19,7 +19,7 @@
 
 use crate::bitstring::Bitstring;
 use crate::format::{DynamicRange, NumberFormat, Quantized};
-use crate::fp::{exponent_of, f32_saturate, mul_pow2};
+use crate::fp::{exp2, exponent_of, f32_saturate, mul_pow2};
 use crate::metadata::Metadata;
 use crate::minifloat::{MiniFloat, SpecialRule};
 use tensor::Tensor;
@@ -147,17 +147,22 @@ impl MxFloat {
         code as i64 - SCALE_BIAS
     }
 
-    /// Quantises one element under a fixed scale code — the shared scalar
-    /// kernel of Method 1 and of Methods 3∘4, so the tensor and scalar
-    /// paths agree bitwise.
-    fn quantize_elem(&self, x: f32, code: u32) -> f32 {
+    /// Method 1 for one block under scale code `code`.
+    fn quantize_block(&self, code: u32, src: &[f32], out: &mut [f32]) {
+        let mini = self.elem.mini();
+        // E8M0 scales span 2^−127 … 2^128, so both 2^−s and 2^s are finite
+        // normal f64s: multiplying by them is exact, the same value as
+        // `mul_pow2(x, ∓s)` (and as dividing by the scale), with no
+        // per-element loop or division.
         let s = Self::scale_exp(code);
-        let v = self.elem.mini().quantize(mul_pow2(x as f64, -s));
-        if !v.is_finite() {
-            // NaN (for NaN-capable elements); quantize never returns Inf.
-            return v as f32;
+        let (down, up) = (exp2(-s), exp2(s));
+        debug_assert!(down.is_normal() && up.is_normal());
+        for (v, &x) in out.iter_mut().zip(src) {
+            let q = mini.quantize(x as f64 * down);
+            // A non-finite `q` is NaN (for NaN-capable elements); quantize
+            // never returns Inf.
+            *v = if q.is_finite() { f32_saturate(q * up) } else { q as f32 };
         }
-        f32_saturate(mul_pow2(v, s))
     }
 
     fn codes_of(meta: &Metadata) -> (&[u32], usize) {
@@ -183,36 +188,12 @@ impl NumberFormat for MxFloat {
     }
 
     fn real_to_format_tensor(&self, t: &Tensor) -> Quantized {
-        let n = t.numel();
-        let src = t.as_slice();
-        let nblocks = n.div_ceil(self.block_size);
-        let bs = self.block_size.min(n.max(1));
-        // Whole blocks per parallel task, exactly as in BFP: chunk
-        // boundaries align with scale blocks, so output is byte-identical
-        // for every thread count.
-        let blocks_per_task = (crate::chunk::QUANT_CHUNK / bs).max(1);
-        let mut codes = vec![0u32; nblocks];
-        tensor::parallel::par_chunks_mut(&mut codes, blocks_per_task, |ci, chunk| {
-            let b0 = ci * blocks_per_task;
-            for (bj, slot) in chunk.iter_mut().enumerate() {
-                let start = (b0 + bj) * bs;
-                let end = (start + bs).min(n);
-                let max_abs = src[start..end].iter().fold(0.0f64, |m, &x| m.max((x as f64).abs()));
-                *slot = self.code_for_block(max_abs);
-            }
-        });
-        let mut values = vec![0.0f32; n];
-        let codes_ref = &codes[..];
-        tensor::parallel::par_chunks_mut(&mut values, blocks_per_task * bs, |ci, out| {
-            let b0 = ci * blocks_per_task;
-            for (bj, block) in out.chunks_mut(bs).enumerate() {
-                let code = codes_ref[b0 + bj];
-                let start = (b0 + bj) * bs;
-                for (j, v) in block.iter_mut().enumerate() {
-                    *v = self.quantize_elem(src[start + j], code);
-                }
-            }
-        });
+        let (values, codes) = crate::chunk::quantize_blocks(
+            t,
+            self.block_size,
+            |max_abs| self.code_for_block(max_abs as f64),
+            |code, src, out| self.quantize_block(code, src, out),
+        );
         Quantized {
             values: Tensor::from_vec(values, t.shape().clone()),
             meta: Metadata::SharedExponents {
@@ -428,10 +409,11 @@ mod tests {
 
     #[test]
     fn chunk_parallel_quantise_is_thread_count_invariant() {
-        // Block sizes that do not divide QUANT_CHUNK (and a >4096-element
-        // tensor) must still give byte-identical output for every thread
-        // count — whole blocks never straddle task boundaries.
-        let n = 10_007;
+        // Block sizes that do not divide QUANT_CHUNK must still give
+        // byte-identical output for every thread count — whole blocks never
+        // straddle task boundaries. Above PAR_MIN_ELEMS so the parallel
+        // dispatch path really runs.
+        let n = crate::chunk::PAR_MIN_ELEMS + 10_007;
         let x = Tensor::from_vec((0..n).map(|i| ((i as f32) * 0.7331).sin() * 50.0).collect(), [n]);
         for block in [1usize, 3, 32, 48, 100] {
             let mx = MxFloat::new(MxElem::Fp8E5m2, block);
@@ -447,6 +429,34 @@ mod tests {
                     par.values.as_slice().iter().zip(serial.values.as_slice()).enumerate()
                 {
                     assert_eq!(a.to_bits(), b.to_bits(), "block {block}, element {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tensor_path_matches_mul_pow2_oracle_bitwise() {
+        // Method 1 as it was before the block loop was tightened (f64
+        // block max, `mul_pow2` per element) must agree bit for bit.
+        let x = crate::chunk::oracle_inputs();
+        let t = Tensor::from_vec(x.clone(), [x.len()]);
+        for elem in MxElem::ALL {
+            for block in [1usize, 32, 100] {
+                let mx = MxFloat::new(elem, block);
+                let q = mx.real_to_format_tensor(&t);
+                let Metadata::SharedExponents { codes, .. } = &q.meta else { panic!() };
+                for (b, xs) in x.chunks(block).enumerate() {
+                    let max_abs = xs.iter().fold(0.0f64, |m, &v| m.max((v as f64).abs()));
+                    let code = mx.code_for_block(max_abs);
+                    assert_eq!(codes[b], code, "{} block {b}", mx.name());
+                    let s = MxFloat::scale_exp(code);
+                    for (j, &xv) in xs.iter().enumerate() {
+                        let v = elem.mini().quantize(mul_pow2(xv as f64, -s));
+                        let want =
+                            if v.is_finite() { f32_saturate(mul_pow2(v, s)) } else { v as f32 };
+                        let got = q.values.as_slice()[b * block + j];
+                        assert_eq!(got.to_bits(), want.to_bits(), "{} x = {xv:e}", mx.name());
+                    }
                 }
             }
         }

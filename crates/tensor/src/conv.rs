@@ -469,6 +469,7 @@ mod tests {
     #[test]
     fn conv2d_bit_identical_across_threads_and_kernels() {
         use crate::parallel::with_threads;
+        let _lock = kernels::force_lock();
         let mut rng = StdRng::seed_from_u64(17);
         let spec = Conv2dSpec::new(3, 1, 1);
         let x = Tensor::randn([5, 3, 9, 9], &mut rng);

@@ -177,6 +177,16 @@ pub fn force(k: Option<Kernel>) {
     FORCED.store(v, Ordering::Relaxed);
 }
 
+/// Serialises the unit tests that install a [`force`] override. The
+/// override is process-global, so two forcing tests running on parallel
+/// test threads would otherwise observe (and reset) each other's kernel.
+/// A panicking holder does not poison the lock for the others.
+#[cfg(test)]
+pub(crate) fn force_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// The kernel the next GEMM dispatch will use: the [`force`] override if
 /// installed, else the cached startup selection.
 pub fn active() -> Kernel {
@@ -384,6 +394,7 @@ mod tests {
 
     #[test]
     fn force_overrides_and_restores_dispatch() {
+        let _lock = force_lock();
         let detected = active();
         force(Some(Kernel::Scalar));
         assert_eq!(active(), Kernel::Scalar);

@@ -325,6 +325,7 @@ mod tests {
 
     #[test]
     fn packed_bit_exact_vs_naive_for_every_kernel() {
+        let _lock = kernels::force_lock();
         let mut rng = StdRng::seed_from_u64(42);
         for &(m, k, n) in &[
             (1, 1, 1),
@@ -367,6 +368,7 @@ mod tests {
     /// under every dispatched micro-kernel.
     #[test]
     fn nan_inf_propagation_matches_naive() {
+        let _lock = kernels::force_lock();
         let a = Tensor::from_vec(vec![0.0, 1.0, 2.0, 0.0], [2, 2]);
         let b = Tensor::from_vec(vec![f32::INFINITY, 5.0, 6.0, f32::NEG_INFINITY], [2, 2]);
         let slow = matmul_naive(&a, &b);
