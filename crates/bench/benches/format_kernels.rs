@@ -5,7 +5,8 @@
 //! of magnitude slower per element but used only once per injection.
 //!
 //! Every tensor row converts 64Ki elements, so ns/element = time / 65536.
-//! `bfp:e5m5:b16` is the repository benchmark's BFP spec. The
+//! `bfp:e5m5:b16` is the repository benchmark's BFP spec; `p3109:e4m3`
+//! runs the same bit-twiddling float kernel as `fp:e5m10`. The
 //! `denormal_64k` group feeds FP8 inputs of magnitude around 2^−8, inside
 //! e4m3's denormal range, where the fused bit-twiddling quantiser falls
 //! back to the exact f64 path and its rounding helper.
@@ -30,6 +31,7 @@ fn conversion_benches(c: &mut Criterion) {
         "bfp:e5m5:b16",
         "mx:fp8e4m3:b32",
         "afp:e4m3",
+        "p3109:e4m3",
     ];
     for spec in specs {
         let format = spec.parse::<FormatSpec>().unwrap().build();

@@ -39,7 +39,7 @@ pub enum Law {
     /// FP32 scale register is exempt: scale flips to Inf/NaN are faithful
     /// hardware behaviour.
     MetaFlipFinite,
-    /// FP only: the fast bit-twiddle `quantize_f32` path agrees bitwise
+    /// FP only: the fast bit-twiddle `f32_quantizer` path agrees bitwise
     /// with the exact f64 reference for every input.
     FastSlowAgreement,
     /// Method 1 agrees element-wise (bitwise) with the Method 3 ∘ Method 4

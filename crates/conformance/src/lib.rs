@@ -13,7 +13,7 @@
 //!    subsumes single value-bit flips), and per-metadata-bit flip
 //!    invariants.
 //! 2. **Differential sweeps** (`tests/conformance.rs`): proptest-driven
-//!    comparisons of the fast `quantize_f32` path against the f64
+//!    comparisons of the fast `f32_quantizer` path against the f64
 //!    reference, and of `real_to_format_tensor` against the per-element
 //!    Method 3 ∘ Method 4 composition — covering the >16-bit formats the
 //!    oracle cannot enumerate.

@@ -66,7 +66,7 @@ proptest! {
 
     /// Law `fast-slow-agreement`, differentially over arbitrary f32 bit
     /// patterns (every exponent, denormals, ±Inf, NaNs): the bit-twiddle
-    /// `quantize_f32` path must match the f64 reference bitwise for every
+    /// `f32_quantizer` path must match the f64 reference bitwise for every
     /// FP parameterisation in the zoo — including FP32/TF32, which the
     /// exhaustive oracle skips.
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::bitstring::Bitstring;
 use crate::format::{DynamicRange, NumberFormat, Quantized};
-use crate::fp::{exp2, exponent_of, f32_saturate, mul_pow2, FpParams};
+use crate::fp::{exp2, exponent_of, f32_saturate, mul_pow2, FpParams, SpecialRule};
 use crate::metadata::Metadata;
 use tensor::Tensor;
 
@@ -48,7 +48,10 @@ impl AdaptivFloat {
     ///
     /// Panics if `exp_bits ∉ 2..=11` or `man_bits ∉ 1..=52`.
     pub fn new(exp_bits: u32, man_bits: u32) -> Self {
-        AdaptivFloat { params: FpParams::new(exp_bits, man_bits, false), bias_bits: 4 }
+        AdaptivFloat {
+            params: FpParams::new(exp_bits, man_bits, false, SpecialRule::Ieee),
+            bias_bits: 4,
+        }
     }
 
     /// Sets the width of the bias register.
@@ -139,12 +142,14 @@ impl NumberFormat for AdaptivFloat {
         let bias = Self::expect_bias(meta);
         // `mul_pow2` keeps the rescale finite even when a register flip has
         // driven |bias| far beyond f64's exponent range (law `meta-flip-finite`).
-        self.params.encode(mul_pow2(value as f64, -(bias as i64)))
+        let code = self.params.encode(mul_pow2(value as f64, -(bias as i64)));
+        Bitstring::from_u64(code, self.params.width())
     }
 
     fn format_to_real(&self, bits: &Bitstring, meta: &Metadata, _index: usize) -> f32 {
         let bias = Self::expect_bias(meta);
-        let decoded = self.params.decode(bits);
+        assert_eq!(bits.len(), self.params.width(), "bit width mismatch for {}", self.name());
+        let decoded = self.params.decode(bits.to_u64());
         if !decoded.is_finite() {
             // Explicit Inf/NaN codes stay Inf/NaN regardless of the bias.
             return decoded as f32;

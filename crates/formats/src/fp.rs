@@ -1,39 +1,63 @@
-//! Generic floating point: any `eXmY` split, IEEE-754 conventions
-//! (biased exponent, implicit leading one, reserved all-ones exponent for
-//! Inf/NaN, optional denormals).
+//! Generic floating point: any `eXmY` split over the `[s | e | m]` layout
+//! (biased exponent, implicit leading one, optional denormals).
 //!
 //! Covers the paper's named formats as parameterisations: FP32 = `e8m23`,
 //! FP16 = `e5m10`, bfloat16 = `e8m7`, TensorFloat = `e8m10`, DLFloat =
-//! `e6m9`, FP8 = `e4m3`.
+//! `e6m9`, FP8 = `e4m3`. The same kernel ([`FpParams`]) serves the
+//! post-paper narrow floats — P3109 profiles and the OCP MX elements —
+//! which differ from IEEE-754 only in what the top of the code space
+//! means ([`SpecialRule`]).
 
 use crate::bitstring::Bitstring;
 use crate::format::{DynamicRange, NumberFormat, Quantized};
 use crate::metadata::Metadata;
 use tensor::Tensor;
 
-/// Internal e/m arithmetic shared by [`FloatingPoint`] and AdaptivFloat.
+/// How a format treats the top of its code space.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SpecialRule {
+    /// IEEE-754: the all-ones exponent field is reserved for ±Inf / NaN.
+    Ieee,
+    /// OCP "fn" convention (FP8 e4m3): only all-ones exponent + all-ones
+    /// mantissa is NaN; the rest of the top binade is finite. No Inf.
+    NanOnly,
+    /// Every code is a finite number (OCP FP4/FP6). No Inf, no NaN.
+    Finite,
+    /// P3109-style: one NaN at the would-be −0 code (`1 << (e+m)`); every
+    /// other code is finite. No Inf and no −0.
+    SingleNan,
+}
+
+/// The one `[s | e | m]` float kernel: quantise, encode and decode for
+/// FloatingPoint, GoldenFloat, AdaptivFloat, P3109 and the MX elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FpParams {
     pub e: u32,
     pub m: u32,
     pub denormals: bool,
+    pub rule: SpecialRule,
 }
 
 impl FpParams {
-    pub(crate) fn new(e: u32, m: u32, denormals: bool) -> Self {
+    pub(crate) fn new(e: u32, m: u32, denormals: bool, rule: SpecialRule) -> Self {
         assert!((2..=11).contains(&e), "exponent width {e} out of range 2..=11");
         assert!((1..=52).contains(&m), "mantissa width {m} out of range 1..=52");
-        FpParams { e, m, denormals }
+        // An 11-bit exponent with its top binade reclaimed reaches 2^1024,
+        // past the f64 the reference arithmetic runs in.
+        assert!(e <= 10 || rule == SpecialRule::Ieee, "{rule:?} needs an exponent width ≤ 10");
+        FpParams { e, m, denormals, rule }
     }
 
-    /// IEEE exponent bias: `2^(e-1) - 1`.
+    /// Exponent bias: `2^(e-1) - 1`.
     pub(crate) fn bias(&self) -> i64 {
         (1i64 << (self.e - 1)) - 1
     }
 
-    /// Largest normal (unbiased) exponent; the all-ones field is reserved.
+    /// Largest exponent that holds finite values. Under [`SpecialRule::Ieee`]
+    /// the all-ones field is reserved; the other rules reclaim it.
     pub(crate) fn emax(&self) -> i64 {
-        (1i64 << self.e) - 2 - self.bias()
+        let reserved = (self.rule == SpecialRule::Ieee) as i64;
+        (1i64 << self.e) - 1 - reserved - self.bias()
     }
 
     /// Smallest normal (unbiased) exponent.
@@ -41,9 +65,13 @@ impl FpParams {
         1 - self.bias()
     }
 
-    /// Largest representable magnitude: `2^emax · (2 − 2^−m)`.
+    /// Largest finite magnitude: `2^emax · (1 + top·2^−m)`, where the top
+    /// binade's largest finite mantissa `top` is all-ones except under
+    /// [`SpecialRule::NanOnly`] (whose all-ones code is NaN). 240 for IEEE
+    /// e4m3, 448 for OCP e4m3fn, 480 for P3109 e4m3, 6 for OCP e2m1.
     pub(crate) fn max_value(&self) -> f64 {
-        exp2(self.emax()) * (2.0 - exp2(-(self.m as i64)))
+        let top = (1u64 << self.m) - 1 - (self.rule == SpecialRule::NanOnly) as u64;
+        exp2(self.emax()) * (1.0 + top as f64 * exp2(-(self.m as i64)))
     }
 
     /// Smallest normal magnitude: `2^emin`.
@@ -56,146 +84,172 @@ impl FpParams {
         exp2(self.emin() - self.m as i64)
     }
 
-    /// Rounds `x` to the nearest representable value (ties to even),
-    /// saturating at `±max_value` — including for ±Inf inputs (the
-    /// emulation clamps everything beyond the format's range; only bit
-    /// flips can *produce* the reserved Inf/NaN codes). NaN propagates.
-    pub(crate) fn quantize(&self, x: f64) -> f64 {
-        if x.is_nan() || x == 0.0 {
-            return x;
-        }
-        if x.is_infinite() {
-            return x.signum() * self.max_value();
-        }
-        let sign = if x < 0.0 { -1.0 } else { 1.0 };
-        let a = x.abs();
-        let e = exponent_of(a);
-        if e >= self.emin() {
-            // Normal range (or above): quantise the mantissa at 2^(e−m).
-            let scale = exp2(e - self.m as i64);
-            let q = round_ties_even(a / scale);
-            let val = q * scale;
-            if exponent_of(val) > self.emax() {
-                return sign * self.max_value();
-            }
-            sign * val
-        } else if self.denormals {
-            let step = self.min_denormal();
-            let q = round_ties_even(a / step);
-            sign * q * step
-        } else {
-            // Flush-to-zero hardware: round to nearest of {0, min_normal}.
-            if a >= self.min_normal() * 0.5 {
-                sign * self.min_normal()
-            } else {
-                sign * 0.0
-            }
-        }
-    }
-
     /// Total bit width: sign + exponent + mantissa.
     pub(crate) fn width(&self) -> usize {
         1 + self.e as usize + self.m as usize
     }
 
-    /// Fast tensor-path quantiser: pure bit manipulation on the f32
-    /// representation (the analogue of QPyTorch's C++/CUDA kernels, which
-    /// give the paper's FP/FxP/INT emulation its near-native speed).
-    ///
-    /// Round-to-nearest-even is performed by adding `half − 1 + lsb` to
-    /// the mantissa field; the carry propagates into the exponent, which
-    /// IEEE's layout makes exactly the right thing. Values below the
-    /// format's normal range fall back to the exact f64 slow path (they
-    /// are rare in practice and need denormal/FTZ handling).
-    pub(crate) fn quantize_f32(&self, x: f32) -> f32 {
-        let bits = x.to_bits();
-        let exp_field = (bits >> 23) & 0xff;
-        if exp_field == 0xff {
-            if x.is_nan() {
-                return x;
-            }
-            // ±Inf saturates like any other beyond-max value.
-            return x.signum() * self.max_value() as f32;
-        }
-        let rounded = if self.m < 23 {
-            let shift = 23 - self.m;
-            let lsb = (bits >> shift) & 1;
-            let add = (1u32 << (shift - 1)) - 1 + lsb;
-            (bits.wrapping_add(add)) & !((1u32 << shift) - 1)
-        } else {
-            bits
-        };
-        let e_unb = (((rounded >> 23) & 0xff) as i64) - 127;
-        if ((rounded >> 23) & 0xff) == 0 {
-            // Zero or f32-subnormal: below every format's normal range.
-            return self.quantize(x as f64) as f32;
-        }
-        if e_unb > self.emax() {
-            return if x < 0.0 { -(self.max_value() as f32) } else { self.max_value() as f32 };
-        }
-        if e_unb >= self.emin() {
-            f32::from_bits(rounded)
-        } else {
-            // Denormal range of the target format: exact slow path.
-            self.quantize(x as f64) as f32
+    /// The canonical NaN code: `0x80…` under [`SpecialRule::SingleNan`],
+    /// otherwise sign 0 with all-ones exponent and mantissa.
+    fn nan_code(&self) -> u64 {
+        match self.rule {
+            SpecialRule::SingleNan => 1u64 << (self.e + self.m),
+            _ => (1u64 << (self.e + self.m)) - 1,
         }
     }
 
-    /// Encodes a value into `[s | e | m]` bits. The value is quantised
-    /// first, so any f32 is accepted.
-    pub(crate) fn encode(&self, x: f64) -> Bitstring {
-        let (e, m) = (self.e as usize, self.m as usize);
-        let exp_ones = (1u64 << e) - 1;
+    /// Rounds `x` to the nearest representable value (ties to even),
+    /// saturating at `±max_value` — including for ±Inf inputs (the
+    /// emulation clamps everything beyond the format's range; only bit
+    /// flips can *produce* Inf codes). NaN returns `x` itself, or 0 under
+    /// [`SpecialRule::Finite`] (no NaN code). A zero result is `+0.0`
+    /// under [`SpecialRule::SingleNan`] (no −0 code) and keeps the sign of
+    /// `x` otherwise.
+    pub(crate) fn quantize(&self, x: f64) -> f64 {
         if x.is_nan() {
-            // Canonical NaN: sign 0, exponent all-ones, mantissa all-ones.
-            let word = (exp_ones << m) | ((1u64 << m) - 1);
-            return Bitstring::from_u64(word, 1 + e + m);
+            return if self.rule == SpecialRule::Finite { 0.0 } else { x };
         }
-        if x.is_infinite() {
-            // ±Inf is representable (reserved exponent) and must round-trip
-            // through Methods 3/4 even though Method 1 saturates it.
-            let word = ((x.is_sign_negative() as u64) << (e + m)) | (exp_ones << m);
-            return Bitstring::from_u64(word, 1 + e + m);
+        let a = x.abs();
+        let v = if a == 0.0 {
+            0.0
+        } else if a.is_infinite() {
+            self.max_value()
+        } else if exponent_of(a) >= self.emin() {
+            // Normal range (or above): quantise the mantissa at 2^(e−m).
+            let e = exponent_of(a);
+            let scale = exp2(e - self.m as i64);
+            let r = round_ties_even(a / scale) * scale;
+            // Below the top binade r ≤ 2^emax ≤ max_value. From it up,
+            // min() saturates both beyond-range inputs and in-range values
+            // whose mantissa rounds up past the top code (e.g. 460 → 480
+            // would be e4m3fn's NaN code; it must be 448).
+            if e < self.emax() {
+                r
+            } else {
+                r.min(self.max_value())
+            }
+        } else if self.denormals {
+            let step = self.min_denormal();
+            round_ties_even(a / step) * step
+        } else if a >= self.min_normal() * 0.5 {
+            // Flush-to-zero hardware: round to nearest of {0, min_normal}.
+            self.min_normal()
+        } else {
+            0.0
+        };
+        if v == 0.0 && self.rule == SpecialRule::SingleNan {
+            return 0.0;
+        }
+        v.copysign(x)
+    }
+
+    /// The tensor-path quantiser: bit manipulation on the f32
+    /// representation (the analogue of QPyTorch's C++/CUDA kernels, which
+    /// give the paper's FP/FxP/INT emulation its near-native speed),
+    /// bitwise equal to [`FpParams::quantize`] for every f32 input. The
+    /// per-format constants are computed once here, outside the loop the
+    /// returned closure runs in.
+    ///
+    /// Round-to-nearest-even is performed by adding `half − 1 + lsb` to
+    /// the mantissa field; the carry propagates into the exponent, which
+    /// IEEE's layout makes exactly the right thing. A rounded magnitude
+    /// above the largest finite value saturates — one test for every
+    /// [`SpecialRule`], since each rule only moves `max_value`. Non-finite
+    /// inputs, f32 denormals and values below the format's normal range
+    /// take the exact f64 path (they are rare in practice and need NaN,
+    /// denormal and FTZ handling).
+    pub(crate) fn f32_quantizer(&self) -> impl Fn(f32) -> f32 + Send + Sync {
+        let p = *self;
+        let max = p.max_value() as f32;
+        let max_bits = max.to_bits();
+        // Smallest biased f32 exponent of a normal of this format (0 when
+        // the format reaches below f32's normal range).
+        let min_field = (p.emin() + 127).max(0) as u32;
+        let shift = 23u32.saturating_sub(p.m);
+        move |x: f32| {
+            let bits = x.to_bits();
+            let rounded = if shift > 0 {
+                let lsb = (bits >> shift) & 1;
+                let add = (1u32 << (shift - 1)) - 1 + lsb;
+                bits.wrapping_add(add) & !((1u32 << shift) - 1)
+            } else {
+                bits
+            };
+            // f32 zeros and denormals (field 0) are not normalised, so the
+            // fixed-shift rounding above is on the wrong grid for them.
+            let field = (bits >> 23) & 0xff;
+            if field == 0 || field == 0xff || (rounded >> 23) & 0xff < min_field {
+                let q = p.quantize(x as f64);
+                // A NaN result is the input NaN: return `x` itself, whose
+                // f64 round trip would quiet a signalling NaN.
+                return if q.is_nan() { x } else { q as f32 };
+            }
+            if rounded & 0x7fff_ffff > max_bits {
+                return max.copysign(x);
+            }
+            f32::from_bits(rounded)
+        }
+    }
+
+    /// Encodes a value into the integer image of its `[s | e | m]` word.
+    /// The value is quantised first, so any f64 is accepted.
+    pub(crate) fn encode(&self, x: f64) -> u64 {
+        let (e, m) = (self.e, self.m);
+        if x.is_infinite() && self.rule == SpecialRule::Ieee {
+            // ±Inf codes exist only under IEEE rules, and they must
+            // round-trip through Methods 3/4 even though Method 1
+            // saturates them.
+            let exp_ones = (1u64 << e) - 1;
+            return ((x.is_sign_negative() as u64) << (e + m)) | (exp_ones << m);
         }
         let v = self.quantize(x);
+        if v.is_nan() {
+            return self.nan_code();
+        }
         let sign = v.is_sign_negative() as u64;
         let a = v.abs();
         if a == 0.0 {
-            return Bitstring::from_u64(sign << (e + m), 1 + e + m);
+            return sign << (e + m);
         }
         let ev = exponent_of(a);
         let (exp_field, mant_field) = if ev >= self.emin() {
-            let mant = round_ties_even((a / exp2(ev) - 1.0) * exp2(self.m as i64)) as u64;
+            let mant = round_ties_even((a / exp2(ev) - 1.0) * exp2(m as i64)) as u64;
             ((ev + self.bias()) as u64, mant)
         } else {
             // Denormal: exponent field 0.
             (0u64, round_ties_even(a / self.min_denormal()) as u64)
         };
-        let word = (sign << (e + m)) | (exp_field << m) | (mant_field & ((1 << m) - 1));
-        Bitstring::from_u64(word, 1 + e + m)
+        (sign << (e + m)) | (exp_field << m) | (mant_field & ((1u64 << m) - 1))
     }
 
-    /// Decodes `[s | e | m]` bits into a value. All-ones exponents decode
-    /// to ±Inf/NaN; denormal patterns decode to 0 when denormal support is
-    /// off (flush-to-zero hardware).
-    pub(crate) fn decode(&self, bits: &Bitstring) -> f64 {
-        let (e, m) = (self.e as usize, self.m as usize);
-        assert_eq!(bits.len(), 1 + e + m, "bit width mismatch for {:?}", self);
-        let sign = if bits.bit(0) { -1.0 } else { 1.0 };
-        let exp_field = bits.field(1, e).to_u64();
-        let mant_field = bits.field(1 + e, m).to_u64();
+    /// Decodes the integer image of an `[s | e | m]` word. The rule's
+    /// special codes decode to ±Inf/NaN; codes a rule reclaims decode as
+    /// ordinary finite numbers. Denormal patterns decode to 0 when
+    /// denormal support is off (flush-to-zero hardware).
+    pub(crate) fn decode(&self, code: u64) -> f64 {
+        let (e, m) = (self.e, self.m);
+        let sign = if (code >> (e + m)) & 1 == 1 { -1.0 } else { 1.0 };
+        let exp_field = (code >> m) & ((1u64 << e) - 1);
+        let mant = code & ((1u64 << m) - 1);
         let exp_ones = (1u64 << e) - 1;
-        if exp_field == exp_ones {
-            return if mant_field == 0 { sign * f64::INFINITY } else { f64::NAN };
+        match self.rule {
+            SpecialRule::Ieee if exp_field == exp_ones => {
+                return if mant == 0 { sign * f64::INFINITY } else { f64::NAN };
+            }
+            SpecialRule::NanOnly if exp_field == exp_ones && mant == (1u64 << m) - 1 => {
+                return f64::NAN;
+            }
+            SpecialRule::SingleNan if code == self.nan_code() => return f64::NAN,
+            _ => {}
         }
         if exp_field == 0 {
             if !self.denormals {
-                return sign * 0.0;
+                // Flush-to-zero hardware; SingleNan has no −0 to flush to.
+                return if self.rule == SpecialRule::SingleNan { 0.0 } else { sign * 0.0 };
             }
-            return sign * mant_field as f64 * self.min_denormal();
+            return sign * mant as f64 * self.min_denormal();
         }
-        let ev = exp_field as i64 - self.bias();
-        sign * exp2(ev) * (1.0 + mant_field as f64 / exp2(self.m as i64))
+        sign * exp2(exp_field as i64 - self.bias()) * (1.0 + mant as f64 * exp2(-(m as i64)))
     }
 }
 
@@ -310,7 +364,7 @@ impl FloatingPoint {
     ///
     /// Panics if `exp_bits ∉ 2..=11` or `man_bits ∉ 1..=52`.
     pub fn new(exp_bits: u32, man_bits: u32) -> Self {
-        FloatingPoint { params: FpParams::new(exp_bits, man_bits, true) }
+        FloatingPoint { params: FpParams::new(exp_bits, man_bits, true, SpecialRule::Ieee) }
     }
 
     /// Enables or disables denormal (subnormal) support.
@@ -371,7 +425,7 @@ impl FloatingPoint {
 
     /// Quantises a single value (exposed for tests and the DSE heuristic).
     pub fn quantize_scalar(&self, x: f32) -> f32 {
-        self.params.quantize_f32(x)
+        self.params.f32_quantizer()(x)
     }
 
     /// The exact f64 reference quantiser — the slow path the bit-twiddling
@@ -405,22 +459,23 @@ impl NumberFormat for FloatingPoint {
     }
 
     fn real_to_format_tensor(&self, t: &Tensor) -> Quantized {
-        let values = crate::chunk::map_chunked(t, |x| self.params.quantize_f32(x));
+        let values = crate::chunk::map_chunked(t, self.params.f32_quantizer());
         Quantized { values, meta: Metadata::None }
     }
 
     fn elementwise_quantizer(&self) -> Option<Box<dyn Fn(f32) -> f32 + Send + Sync + '_>> {
         // Same closure as `real_to_format_tensor`; dequantise is the
         // identity cast, so the round-trip is this single map.
-        Some(Box::new(|x| self.params.quantize_f32(x)))
+        Some(Box::new(self.params.f32_quantizer()))
     }
 
     fn real_to_format(&self, value: f32, _meta: &Metadata, _index: usize) -> Bitstring {
-        self.params.encode(value as f64)
+        Bitstring::from_u64(self.params.encode(value as f64), self.params.width())
     }
 
     fn format_to_real(&self, bits: &Bitstring, _meta: &Metadata, _index: usize) -> f32 {
-        self.params.decode(bits) as f32
+        assert_eq!(bits.len(), self.params.width(), "bit width mismatch for {}", self.name());
+        self.params.decode(bits.to_u64()) as f32
     }
 
     fn dynamic_range(&self) -> DynamicRange {
@@ -452,7 +507,7 @@ mod tests {
         assert!(exp2(-1074) > 0.0, "smallest f64 subnormal");
         assert_eq!(exp2(-1075), 0.0);
         assert_eq!(exp2(-2000), 0.0);
-        let gf32 = FpParams::new(11, 20, true);
+        let gf32 = FpParams::new(11, 20, true, SpecialRule::Ieee);
         assert!(gf32.min_denormal() > 0.0);
     }
 
@@ -682,59 +737,180 @@ mod tests {
         FloatingPoint::new(1, 3);
     }
 
-    /// The bit-twiddling fast path must agree exactly with the f64
-    /// reference on a dense sweep of values, including binade boundaries,
-    /// ties, saturation, and the denormal region.
+    const RULES: [SpecialRule; 4] =
+        [SpecialRule::Ieee, SpecialRule::NanOnly, SpecialRule::Finite, SpecialRule::SingleNan];
+
+    /// The bit-twiddling fast path must agree bitwise with the f64
+    /// reference for every f32 input. Probes: a strided sweep over all
+    /// 2^32 bit patterns (stride 4099, ~1M probes: every exponent, both
+    /// signs, f32 denormals, ±Inf, NaN) plus binade edges, ties and each
+    /// format's max and its f32 neighbours.
+    /// Splits: every rule with both denormal settings, e ≥ 9 included;
+    /// e11 and m ≥ 23 under IEEE only (reclaiming e11's top binade
+    /// overflows f64).
     #[test]
-    fn fast_path_matches_slow_path_exactly() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(99);
-        let formats = [
-            FpParams::new(4, 3, true),
-            FpParams::new(4, 3, false),
-            FpParams::new(5, 10, true),
-            FpParams::new(8, 7, true),
-            FpParams::new(2, 5, true),
-            FpParams::new(8, 23, true),
-            FpParams::new(3, 23, true),
-        ];
+    fn f32_quantizer_matches_reference_bitwise() {
         let mut cases: Vec<f32> = vec![
+            // An f32 denormal whose fixed-shift rounding would carry into
+            // the normal range; for e ≥ 9 it is a normal on a finer grid.
+            f32::from_bits(0x007f_fffc),
             0.0,
             -0.0,
             1.0,
-            -1.0,
             0.5,
             240.0,
             241.0,
+            448.0,
+            460.0,
+            480.0,
+            57344.0,
             1e30,
-            -1e30,
             1e-30,
-            -1e-30,
             f32::MIN_POSITIVE,
             f32::MIN_POSITIVE / 8.0,
+            f32::MAX,
             65504.0,
             1.0625,
             1.1875,
+            f32::INFINITY,
+            f32::NAN,
+            f32::from_bits(0x7f80_0001), // signalling NaN
         ];
-        for _ in 0..4000 {
-            let exp: i32 = rng.gen_range(-40..40);
-            let mant: f32 = rng.gen_range(1.0..2.0);
-            let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
-            cases.push(sign * mant * (2.0f32).powi(exp));
+        cases.extend(cases.clone().iter().map(|x| -x));
+        let sweep = (0..=u32::MAX / 4099).map(|i| f32::from_bits(i * 4099));
+        let probes: Vec<f32> = cases.into_iter().chain(sweep).collect();
+        let mut formats = vec![
+            FpParams::new(11, 20, true, SpecialRule::Ieee),
+            FpParams::new(8, 23, true, SpecialRule::Ieee),
+            FpParams::new(3, 23, false, SpecialRule::Ieee),
+            FpParams::new(4, 30, true, SpecialRule::Ieee),
+        ];
+        for rule in RULES {
+            for (e, m) in [(2, 1), (2, 5), (3, 4), (4, 3), (5, 2), (6, 1), (8, 7), (10, 5)] {
+                formats.extend([true, false].map(|dn| FpParams::new(e, m, dn, rule)));
+            }
         }
         for p in formats {
-            for &x in &cases {
-                let fast = p.quantize_f32(x);
-                let slow = p.quantize(x as f64) as f32;
-                assert!(
-                    fast == slow || (fast == 0.0 && slow == 0.0),
-                    "e{}m{} dn={}: fast({x:?}) = {fast:?}, slow = {slow:?}",
-                    p.e,
-                    p.m,
-                    p.denormals
-                );
+            let fast = p.f32_quantizer();
+            let max = p.max_value() as f32;
+            let edges = [max, max.next_up(), max.next_down()];
+            for &x in probes.iter().chain(&edges).chain(&edges.map(|x| -x)) {
+                let (got, want) = (fast(x), p.quantize(x as f64) as f32);
+                // NaN keeps the input's own bits (the f64 round trip in
+                // `want` would quiet a signalling NaN).
+                let want = if want.is_nan() { x } else { want };
+                assert_eq!(got.to_bits(), want.to_bits(), "{p:?} at {x:e} ({:#010x})", x.to_bits());
             }
+        }
+    }
+
+    /// Every split of at most 8 bits, e ≥ 2 and m ≥ 1.
+    fn narrow_splits() -> impl Iterator<Item = (u32, u32)> {
+        (2..=6u32).flat_map(|e| (1..=7 - e).map(move |m| (e, m)))
+    }
+
+    #[test]
+    fn decode_encode_is_a_fixpoint_for_every_code_and_rule() {
+        for rule in RULES {
+            for (e, m) in narrow_splits() {
+                for dn in [true, false] {
+                    let f = FpParams::new(e, m, dn, rule);
+                    for code in 0..(1u64 << f.width()) {
+                        let v = f.decode(code);
+                        let v2 = f.decode(f.encode(v));
+                        let ok = v.to_bits() == v2.to_bits() || (v.is_nan() && v2.is_nan());
+                        assert!(ok, "{f:?} code {code:#x}: {v} re-decodes as {v2}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_agrees_with_decode_encode() {
+        for rule in RULES {
+            let f = FpParams::new(4, 3, true, rule);
+            for i in -2000..2000 {
+                let x = i as f64 * 0.37;
+                let via_codes = f.decode(f.encode(x));
+                assert_eq!(f.quantize(x).to_bits(), via_codes.to_bits(), "{rule:?} at {x}");
+            }
+        }
+    }
+
+    #[test]
+    fn ocp_maxima() {
+        let max = |e, m, rule| FpParams::new(e, m, true, rule).max_value();
+        assert_eq!(max(2, 1, SpecialRule::Finite), 6.0);
+        assert_eq!(max(2, 3, SpecialRule::Finite), 7.5);
+        assert_eq!(max(3, 2, SpecialRule::Finite), 28.0);
+        assert_eq!(max(4, 3, SpecialRule::NanOnly), 448.0);
+        assert_eq!(max(5, 2, SpecialRule::Ieee), 57344.0);
+    }
+
+    #[test]
+    fn saturation_never_produces_special_codes() {
+        // 460 rounds up to 480 — the bit pattern that would be e4m3fn's
+        // NaN — so the quantiser must saturate to 448 instead.
+        let f = FpParams::new(4, 3, true, SpecialRule::NanOnly);
+        assert_eq!(f.quantize(460.0), 448.0);
+        assert_eq!(f.f32_quantizer()(460.0), 448.0);
+        assert_eq!(f.quantize(1e30), 448.0);
+        assert_eq!(f.quantize(f64::INFINITY), 448.0);
+        assert_eq!(f.quantize(f64::NEG_INFINITY), -448.0);
+        assert!(f.decode(f.encode(1e30)).is_finite());
+    }
+
+    #[test]
+    fn finite_rule_has_no_specials() {
+        let f = FpParams::new(2, 1, true, SpecialRule::Finite);
+        for code in 0..(1u64 << f.width()) {
+            assert!(f.decode(code).is_finite(), "code {code:#x}");
+        }
+        assert_eq!(f.quantize(f64::NAN).to_bits(), 0);
+        assert_eq!(f.f32_quantizer()(f32::NAN).to_bits(), 0);
+        assert_eq!(f.quantize(f64::INFINITY), 6.0);
+    }
+
+    #[test]
+    fn single_nan_lives_at_sign_zero() {
+        let f = FpParams::new(4, 3, true, SpecialRule::SingleNan);
+        assert!(f.decode(0x80).is_nan());
+        assert_eq!(f.encode(f64::NAN), 0x80);
+        for code in 0..256u64 {
+            if code != 0x80 {
+                assert!(f.decode(code).is_finite(), "code {code:#x}");
+            }
+        }
+        // No −0: the sign of zero cannot survive.
+        assert!(!f.quantize(-0.0).is_sign_negative());
+        assert!(!f.f32_quantizer()(-0.0).is_sign_negative());
+        assert_eq!(f.encode(-0.0), 0);
+        // Negative underflow rounds to +0, never −0.
+        assert!(!f.quantize(-f.min_denormal() / 8.0).is_sign_negative());
+    }
+
+    #[test]
+    fn signed_zero_survives_outside_single_nan() {
+        for rule in [SpecialRule::Ieee, SpecialRule::NanOnly, SpecialRule::Finite] {
+            let f = FpParams::new(4, 3, true, rule);
+            assert!(f.quantize(-0.0).is_sign_negative(), "{rule:?}");
+            let code = f.encode(-0.0);
+            assert_eq!(code, 1 << 7, "{rule:?}");
+            assert!(f.decode(code).is_sign_negative(), "{rule:?}");
+        }
+    }
+
+    #[test]
+    fn ieee_nan_is_returned_unchanged() {
+        // FP output stays bit-identical for NaN inputs, payload and sign
+        // included, on both the reference and the fast path.
+        let f = FpParams::new(4, 3, true, SpecialRule::Ieee);
+        for bits in [0x7fc0_0000u32, 0xffc0_0001, 0x7f80_0001] {
+            let x = f32::from_bits(bits);
+            assert_eq!(f.f32_quantizer()(x).to_bits(), bits);
+            let y = f64::from_bits(0xfff8_0000_0000_0123);
+            assert_eq!(f.quantize(y).to_bits(), y.to_bits());
         }
     }
 }

@@ -53,7 +53,6 @@ pub mod hash;
 mod int;
 pub mod lut;
 mod metadata;
-mod minifloat;
 mod mx;
 mod p3109;
 mod posit;

@@ -19,9 +19,8 @@
 
 use crate::bitstring::Bitstring;
 use crate::format::{DynamicRange, NumberFormat, Quantized};
-use crate::fp::{exp2, exponent_of, f32_saturate, mul_pow2};
+use crate::fp::{exp2, exponent_of, f32_saturate, mul_pow2, FpParams, SpecialRule};
 use crate::metadata::Metadata;
-use crate::minifloat::{MiniFloat, SpecialRule};
 use tensor::Tensor;
 
 /// E8M0 scale bias: `scale = 2^(code − 127)`.
@@ -50,14 +49,16 @@ impl MxElem {
     pub const ALL: [MxElem; 5] =
         [MxElem::Fp4E2m1, MxElem::Fp6E2m3, MxElem::Fp6E3m2, MxElem::Fp8E4m3, MxElem::Fp8E5m2];
 
-    pub(crate) fn mini(self) -> MiniFloat {
-        match self {
-            MxElem::Fp4E2m1 => MiniFloat::new(2, 1, SpecialRule::Finite),
-            MxElem::Fp6E2m3 => MiniFloat::new(2, 3, SpecialRule::Finite),
-            MxElem::Fp6E3m2 => MiniFloat::new(3, 2, SpecialRule::Finite),
-            MxElem::Fp8E4m3 => MiniFloat::new(4, 3, SpecialRule::NanOnly),
-            MxElem::Fp8E5m2 => MiniFloat::new(5, 2, SpecialRule::Ieee),
-        }
+    /// The element's `[s | e | m]` kernel; OCP MX mandates denormals.
+    pub(crate) fn params(self) -> FpParams {
+        let (e, m, rule) = match self {
+            MxElem::Fp4E2m1 => (2, 1, SpecialRule::Finite),
+            MxElem::Fp6E2m3 => (2, 3, SpecialRule::Finite),
+            MxElem::Fp6E3m2 => (3, 2, SpecialRule::Finite),
+            MxElem::Fp8E4m3 => (4, 3, SpecialRule::NanOnly),
+            MxElem::Fp8E5m2 => (5, 2, SpecialRule::Ieee),
+        };
+        FpParams::new(e, m, true, rule)
     }
 
     /// The spec-grammar token, e.g. `"fp4e2m1"`.
@@ -78,7 +79,7 @@ impl MxElem {
 
     /// Element data width in bits (4, 6, or 8).
     pub fn bit_width(self) -> u32 {
-        self.mini().width() as u32
+        self.params().width() as u32
     }
 }
 
@@ -138,7 +139,7 @@ impl MxFloat {
             // An Inf element pins the block at the top scale code.
             return (1 << SCALE_BITS) - 1;
         }
-        let e = exponent_of(max_abs) - self.elem.mini().emax();
+        let e = exponent_of(max_abs) - self.elem.params().emax();
         (e + SCALE_BIAS).clamp(0, (1 << SCALE_BITS) - 1) as u32
     }
 
@@ -149,7 +150,7 @@ impl MxFloat {
 
     /// Method 1 for one block under scale code `code`.
     fn quantize_block(&self, code: u32, src: &[f32], out: &mut [f32]) {
-        let mini = self.elem.mini();
+        let params = self.elem.params();
         // E8M0 scales span 2^−127 … 2^128, so both 2^−s and 2^s are finite
         // normal f64s: multiplying by them is exact, the same value as
         // `mul_pow2(x, ∓s)` (and as dividing by the scale), with no
@@ -158,7 +159,7 @@ impl MxFloat {
         let (down, up) = (exp2(-s), exp2(s));
         debug_assert!(down.is_normal() && up.is_normal());
         for (v, &x) in out.iter_mut().zip(src) {
-            let q = mini.quantize(x as f64 * down);
+            let q = params.quantize(x as f64 * down);
             // A non-finite `q` is NaN (for NaN-capable elements); quantize
             // never returns Inf.
             *v = if q.is_finite() { f32_saturate(q * up) } else { q as f32 };
@@ -207,15 +208,15 @@ impl NumberFormat for MxFloat {
     fn real_to_format(&self, value: f32, meta: &Metadata, index: usize) -> Bitstring {
         let (codes, bs) = Self::codes_of(meta);
         let s = Self::scale_exp(codes[index / bs]);
-        let code = self.elem.mini().encode(mul_pow2(value as f64, -s));
-        Bitstring::from_u64(code, self.elem.mini().width())
+        let code = self.elem.params().encode(mul_pow2(value as f64, -s));
+        Bitstring::from_u64(code, self.elem.params().width())
     }
 
     fn format_to_real(&self, bits: &Bitstring, meta: &Metadata, index: usize) -> f32 {
         let (codes, bs) = Self::codes_of(meta);
-        let mini = self.elem.mini();
-        assert_eq!(bits.len(), mini.width(), "MX element width mismatch");
-        let v = mini.decode(bits.to_u64());
+        let params = self.elem.params();
+        assert_eq!(bits.len(), params.width(), "MX element width mismatch");
+        let v = params.decode(bits.to_u64());
         if !v.is_finite() {
             // Explicit element Inf/NaN codes decode unscaled — only they
             // may produce non-finite values (and only for e4m3/e5m2).
@@ -225,12 +226,12 @@ impl NumberFormat for MxFloat {
     }
 
     fn dynamic_range(&self) -> DynamicRange {
-        let mini = self.elem.mini();
+        let params = self.elem.params();
         // Bounds over *all* scale codes (0..=255), so flipped scale
         // registers stay inside the declared range.
         DynamicRange {
-            max_abs: mul_pow2(mini.max_value(), (1 << SCALE_BITS) - 1 - SCALE_BIAS),
-            min_abs: mul_pow2(mini.min_denormal(), -SCALE_BIAS),
+            max_abs: mul_pow2(params.max_value(), (1 << SCALE_BITS) - 1 - SCALE_BIAS),
+            min_abs: mul_pow2(params.min_denormal(), -SCALE_BIAS),
         }
     }
 
@@ -239,15 +240,15 @@ impl NumberFormat for MxFloat {
     }
 
     fn exponent_field(&self) -> Option<std::ops::Range<usize>> {
-        Some(1..1 + self.elem.mini().e as usize)
+        Some(1..1 + self.elem.params().e as usize)
     }
 
     fn apply_metadata(&self, values: &Tensor, old: &Metadata, new: &Metadata) -> Tensor {
         let (old_codes, bs) = Self::codes_of(old);
         let (new_codes, _) = Self::codes_of(new);
         assert_eq!(old_codes.len(), new_codes.len(), "block count changed");
-        let mini = self.elem.mini();
-        let elem_max = mini.max_value();
+        let params = self.elem.params();
+        let elem_max = params.max_value();
         let n = values.numel();
         let mut out = values.clone();
         for (b, (&oc, &nc)) in old_codes.iter().zip(new_codes).enumerate() {
@@ -451,7 +452,7 @@ mod tests {
                     assert_eq!(codes[b], code, "{} block {b}", mx.name());
                     let s = MxFloat::scale_exp(code);
                     for (j, &xv) in xs.iter().enumerate() {
-                        let v = elem.mini().quantize(mul_pow2(xv as f64, -s));
+                        let v = elem.params().quantize(mul_pow2(xv as f64, -s));
                         let want =
                             if v.is_finite() { f32_saturate(mul_pow2(v, s)) } else { v as f32 };
                         let got = q.values.as_slice()[b * block + j];

@@ -11,8 +11,8 @@
 
 use crate::bitstring::Bitstring;
 use crate::format::{DynamicRange, NumberFormat, Quantized};
+use crate::fp::{FpParams, SpecialRule};
 use crate::metadata::Metadata;
-use crate::minifloat::{MiniFloat, SpecialRule};
 use tensor::Tensor;
 
 /// An 8-bit saturating P3109-style float (`p3109:eXmY`).
@@ -29,7 +29,7 @@ use tensor::Tensor;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct P3109 {
-    mini: MiniFloat,
+    params: FpParams,
 }
 
 impl P3109 {
@@ -43,27 +43,27 @@ impl P3109 {
             1 + exp_bits + man_bits == 8 && (2..=6).contains(&exp_bits),
             "P3109 profiles are 8-bit: need 1+e+m == 8 with e in 2..=6, got e{exp_bits}m{man_bits}"
         );
-        P3109 { mini: MiniFloat::new(exp_bits, man_bits, SpecialRule::SingleNan) }
+        P3109 { params: FpParams::new(exp_bits, man_bits, true, SpecialRule::SingleNan) }
     }
 
     /// Exponent width in bits.
     pub fn exp_bits(&self) -> u32 {
-        self.mini.e
+        self.params.e
     }
 
     /// Mantissa width in bits.
     pub fn man_bits(&self) -> u32 {
-        self.mini.m
+        self.params.m
     }
 }
 
 impl NumberFormat for P3109 {
     fn name(&self) -> String {
-        format!("p3109_e{}m{}", self.mini.e, self.mini.m)
+        format!("p3109_e{}m{}", self.params.e, self.params.m)
     }
 
     fn canonical_spec(&self) -> String {
-        format!("p3109:e{}m{}", self.mini.e, self.mini.m)
+        format!("p3109:e{}m{}", self.params.e, self.params.m)
     }
 
     fn bit_width(&self) -> u32 {
@@ -71,31 +71,29 @@ impl NumberFormat for P3109 {
     }
 
     fn real_to_format_tensor(&self, t: &Tensor) -> Quantized {
-        // Exact f64 quantise; the cast back is lossless (≤ m+1 significand
-        // bits, exponents well inside f32's range).
-        let values = crate::chunk::map_chunked(t, |x| self.mini.quantize(x as f64) as f32);
+        let values = crate::chunk::map_chunked(t, self.params.f32_quantizer());
         Quantized { values, meta: Metadata::None }
     }
 
     fn elementwise_quantizer(&self) -> Option<Box<dyn Fn(f32) -> f32 + Send + Sync + '_>> {
-        Some(Box::new(|x| self.mini.quantize(x as f64) as f32))
+        Some(Box::new(self.params.f32_quantizer()))
     }
 
     fn real_to_format(&self, value: f32, _meta: &Metadata, _index: usize) -> Bitstring {
-        Bitstring::from_u64(self.mini.encode(value as f64), 8)
+        Bitstring::from_u64(self.params.encode(value as f64), 8)
     }
 
     fn format_to_real(&self, bits: &Bitstring, _meta: &Metadata, _index: usize) -> f32 {
         assert_eq!(bits.len(), 8, "P3109 codes are 8-bit");
-        self.mini.decode(bits.to_u64()) as f32
+        self.params.decode(bits.to_u64()) as f32
     }
 
     fn dynamic_range(&self) -> DynamicRange {
-        DynamicRange { max_abs: self.mini.max_value(), min_abs: self.mini.min_denormal() }
+        DynamicRange { max_abs: self.params.max_value(), min_abs: self.params.min_denormal() }
     }
 
     fn exponent_field(&self) -> Option<std::ops::Range<usize>> {
-        Some(1..1 + self.mini.e as usize)
+        Some(1..1 + self.params.e as usize)
     }
 }
 

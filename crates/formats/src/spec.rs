@@ -29,17 +29,21 @@ impl fmt::Display for ParseFormatError {
 impl std::error::Error for ParseFormatError {}
 
 /// A parsed number-format specification, convertible into a boxed
-/// [`NumberFormat`].
+/// [`NumberFormat`]. Parsing checks every bound the format constructors
+/// assert, so [`FormatSpec::build`] never panics on a parsed spec.
 ///
 /// Grammar (case-insensitive):
 ///
 /// - `fp:eXmY[:nodn]` — floating point, optional denormal disable
+///   (X ∈ 2..=11, Y ∈ 1..=52)
 /// - `fxp:1:I:F` — fixed point with I integer / F fraction bits
-/// - `int:B` — B-bit symmetric integer quantisation
-/// - `bfp:eXmY:bN` — block floating point with block size N;
-///   `bfp:eXmY:tensor` shares one exponent across the whole tensor
-/// - `afp:eXmY` — AdaptivFloat
-/// - `posit:N:ES` — posit⟨N, ES⟩
+///   (1 + I + F ∈ 2..=63)
+/// - `int:B` — B-bit symmetric integer quantisation (B ∈ 2..=32)
+/// - `bfp:eXmY:bN` — block floating point with block size N > 0
+///   (X ∈ 2..=11, Y ∈ 1..=23); `bfp:eXmY:tensor` shares one exponent
+///   across the whole tensor
+/// - `afp:eXmY` — AdaptivFloat (X ∈ 2..=11, Y ∈ 1..=52)
+/// - `posit:N:ES` — posit⟨N, ES⟩ (N ∈ 3..=16, ES ∈ 0..=3)
 /// - `mx:<elem>:bN` — OCP microscaling with an E8M0 block scale; `<elem>`
 ///   is one of `fp4e2m1`, `fp6e2m3`, `fp6e3m2`, `fp8e4m3`, `fp8e5m2`
 /// - `p3109:eXmY` — saturating 8-bit P3109-style profile (`1+X+Y == 8`)
@@ -158,8 +162,15 @@ impl FromStr for FormatSpec {
     type Err = ParseFormatError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
+        // Every bound a constructor asserts is checked here too, so a spec
+        // that parses always builds.
         let err =
             |reason: &str| ParseFormatError { spec: s.to_string(), reason: reason.to_string() };
+        let float_em = |em: &str| {
+            parse_em(em)
+                .filter(|(e, m)| (2..=11).contains(e) && (1..=52).contains(m))
+                .ok_or_else(|| err("expected eXmY with X in 2..=11, Y in 1..=52"))
+        };
         let lower = s.to_ascii_lowercase();
         match lower.as_str() {
             "fp32" => return Ok(FormatSpec::Fp { exp: 8, man: 23, denormals: true }),
@@ -182,40 +193,52 @@ impl FromStr for FormatSpec {
         let parts: Vec<&str> = lower.split(':').collect();
         match parts.as_slice() {
             ["fp", em] => {
-                let (exp, man) = parse_em(em).ok_or_else(|| err("expected eXmY"))?;
+                let (exp, man) = float_em(em)?;
                 Ok(FormatSpec::Fp { exp, man, denormals: true })
             }
             ["fp", em, "nodn"] => {
-                let (exp, man) = parse_em(em).ok_or_else(|| err("expected eXmY"))?;
+                let (exp, man) = float_em(em)?;
                 Ok(FormatSpec::Fp { exp, man, denormals: false })
             }
             ["fxp", "1", i, f] => {
-                let int = i.parse().map_err(|_| err("bad integer-bit count"))?;
-                let frac = f.parse().map_err(|_| err("bad fraction-bit count"))?;
+                let int: u32 = i.parse().map_err(|_| err("bad integer-bit count"))?;
+                let frac: u32 = f.parse().map_err(|_| err("bad fraction-bit count"))?;
+                if !(1..=62).contains(&int.saturating_add(frac)) {
+                    return Err(err("fixed-point width 1+I+F must be in 2..=63"));
+                }
                 Ok(FormatSpec::Fxp { int, frac })
             }
             ["int", b] => {
                 let bits = b.parse().map_err(|_| err("bad bit count"))?;
+                if !(2..=32).contains(&bits) {
+                    return Err(err("INT width must be in 2..=32"));
+                }
                 Ok(FormatSpec::Int { bits })
             }
             ["bfp", em, blk] => {
-                let (exp, man) = parse_em(em).ok_or_else(|| err("expected eXmY"))?;
+                let (exp, man) = parse_em(em)
+                    .filter(|(e, m)| (2..=11).contains(e) && (1..=23).contains(m))
+                    .ok_or_else(|| err("expected eXmY with X in 2..=11, Y in 1..=23"))?;
                 let block = if *blk == "tensor" {
                     usize::MAX
                 } else {
                     blk.strip_prefix('b')
                         .and_then(|n| n.parse().ok())
-                        .ok_or_else(|| err("expected bN or `tensor` block size"))?
+                        .filter(|&b: &usize| b > 0)
+                        .ok_or_else(|| err("expected bN (N > 0) or `tensor` block size"))?
                 };
                 Ok(FormatSpec::Bfp { exp, man, block })
             }
             ["afp", em] => {
-                let (exp, man) = parse_em(em).ok_or_else(|| err("expected eXmY"))?;
+                let (exp, man) = float_em(em)?;
                 Ok(FormatSpec::Afp { exp, man })
             }
             ["posit", n, es] => {
                 let n = n.parse().map_err(|_| err("bad posit width"))?;
                 let es = es.parse().map_err(|_| err("bad posit es"))?;
+                if !(3..=16).contains(&n) || es > 3 {
+                    return Err(err("posit needs N in 3..=16 and ES in 0..=3"));
+                }
                 Ok(FormatSpec::Posit { n, es })
             }
             ["mx", elem, blk] => {
@@ -408,6 +431,27 @@ mod tests {
             let canon = spec.build().canonical_spec();
             assert_eq!(canon, fp, "{gf}");
             assert_eq!(canon, fp.parse::<FormatSpec>().unwrap().build().canonical_spec());
+        }
+    }
+
+    /// Well-formed specs outside a constructor's bounds: each must be a
+    /// typed parse error, not a panic in `build()`.
+    #[test]
+    fn out_of_bounds_specs_are_parse_errors() {
+        for s in [
+            "fp:e12m3",
+            "fp:e4m0",
+            "afp:e12m3",
+            "int:0",
+            "int:1",
+            "bfp:e5m5:b0",
+            "bfp:e12m3:b16",
+            "bfp:e5m24:b16",
+            "posit:2:0",
+            "posit:64:3",
+            "fxp:1:40:40",
+        ] {
+            assert!(s.parse::<FormatSpec>().is_err(), "`{s}` should not parse");
         }
     }
 

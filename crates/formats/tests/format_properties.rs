@@ -3,10 +3,11 @@
 //! BFP block size, and posit size must uphold the API contract.
 
 use formats::{
-    AdaptivFloat, BlockFloatingPoint, FixedPoint, FloatingPoint, GoldenFloat, IntQuant, Metadata,
-    MxElem, MxFloat, NumberFormat, Posit, P3109,
+    AdaptivFloat, BlockFloatingPoint, FixedPoint, FloatingPoint, FormatSpec, GoldenFloat, IntQuant,
+    Metadata, MxElem, MxFloat, NumberFormat, Posit, P3109,
 };
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use tensor::Tensor;
 
 /// Strategy over the five OCP MX element types.
@@ -247,5 +248,50 @@ proptest! {
                     "{}: element {i} {v} -> {roundtrip}", f.name());
             }
         }
+    }
+}
+
+/// Spec templates for every family; `{a}`, `{b}`, `{c}` take the numeric
+/// fields and `{elem}` an MX element token.
+const SPEC_TEMPLATES: [&str; 11] = [
+    "fp:e{a}m{b}",
+    "fp:e{a}m{b}:nodn",
+    "afp:e{a}m{b}",
+    "int:{a}",
+    "bfp:e{a}m{b}:b{c}",
+    "bfp:e{a}m{b}:tensor",
+    "posit:{a}:{b}",
+    "fxp:1:{a}:{b}",
+    "mx:{elem}:b{c}",
+    "p3109:e{a}m{b}",
+    "gf:{a}",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The spec grammar is total: every string either fails to parse
+    /// with a `ParseFormatError` or builds without panicking, and the
+    /// built format's `canonical_spec` parses back to the same format.
+    #[test]
+    fn parsed_specs_always_build(
+        template in proptest::sample::select(SPEC_TEMPLATES.to_vec()),
+        a in 0u32..=70,
+        b in 0u32..=70,
+        c in 0u32..=70,
+        elem in mx_elem(),
+    ) {
+        let s = template
+            .replace("{a}", &a.to_string())
+            .replace("{b}", &b.to_string())
+            .replace("{c}", &c.to_string())
+            .replace("{elem}", elem.token());
+        let Ok(spec) = s.parse::<FormatSpec>() else { return Ok(()) };
+        let built = catch_unwind(AssertUnwindSafe(|| spec.build()));
+        prop_assert!(built.is_ok(), "`{s}` parsed but build() panicked");
+        let canon = built.unwrap().canonical_spec();
+        let reparsed = canon.parse::<FormatSpec>();
+        prop_assert!(reparsed.is_ok(), "`{s}`: canonical spec `{canon}` does not parse");
+        prop_assert_eq!(reparsed.unwrap().build().canonical_spec(), canon);
     }
 }
