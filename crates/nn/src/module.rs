@@ -162,6 +162,10 @@ impl Param {
 
     /// A snapshot of the current value as seen by this thread: the
     /// thread-local override if one is installed, else the shared value.
+    ///
+    /// The snapshot shares the value's buffer; a later [`Param::set`] or
+    /// [`Param::update`] does not change it (`update` copies the buffer
+    /// first while a snapshot still holds it).
     pub fn get(&self) -> Tensor {
         let key = self.key();
         if let Some(t) = PARAM_OVERRIDES.with(|o| o.borrow().get(&key).cloned()) {
@@ -349,7 +353,8 @@ impl Ctx {
         let replicas = self.replicas;
         // Hooks run once, eagerly: they are stateful (injector draws,
         // discovery records), and observing-only hooks must not cost a
-        // tape node or a tensor clone.
+        // tape node or a tensor copy. `value()` shares the output's
+        // buffer, so every hook borrows the layer output itself.
         let x = out.value();
         let mut cur: Option<Tensor> = None;
         for h in &applicable {
@@ -476,6 +481,42 @@ mod tests {
         p.set(Tensor::ones([2]));
         assert_eq!(q.get().as_slice(), &[1.0, 1.0]);
         assert_eq!(p.key(), q.key());
+    }
+
+    #[test]
+    fn param_get_shares_the_buffer_and_survives_updates() {
+        let p = Param::new("w", Tensor::from_vec(vec![1.0, 2.0], [2]));
+        let snap = p.get();
+        assert_eq!(snap.as_slice().as_ptr(), p.get().as_slice().as_ptr());
+        p.update(|t| t.as_mut_slice()[0] = 9.0);
+        assert_eq!(snap.as_slice(), &[1.0, 2.0]);
+        assert_eq!(p.get().as_slice(), &[9.0, 2.0]);
+        let mut ctx = Ctx::inference();
+        let v = ctx.var_of(&p);
+        assert_eq!(v.value().as_slice().as_ptr(), p.get().as_slice().as_ptr());
+    }
+
+    /// Records the address of every output buffer it is shown.
+    struct BufferProbe(std::sync::Mutex<Vec<usize>>);
+    impl ForwardHook for BufferProbe {
+        fn on_output(&self, _l: &LayerInfo, out: &Tensor) -> Option<Tensor> {
+            self.0.lock().unwrap().push(out.as_slice().as_ptr() as usize);
+            None
+        }
+    }
+
+    #[test]
+    fn hook_sees_the_layer_output_buffer_itself() {
+        let probe = Arc::new(BufferProbe(std::sync::Mutex::new(Vec::new())));
+        let mut ctx = Ctx::inference();
+        ctx.add_hook(probe.clone());
+        let x = ctx.input(Tensor::ones([2, 3]));
+        let y = x.scale(2.0);
+        let own = y.value().as_slice().as_ptr() as usize;
+        let out = ctx.hook_output(LayerKind::Conv, "c", y);
+        assert_eq!(*probe.0.lock().unwrap(), vec![own]);
+        // An observing hook leaves the output in place too.
+        assert_eq!(out.value().as_slice().as_ptr() as usize, own);
     }
 
     #[test]

@@ -34,8 +34,12 @@ use std::rc::Rc;
 
 type BackwardFn = Box<dyn Fn(&Tensor, &mut GradStore)>;
 
+/// A tape records *how* values were computed, never the values: each
+/// [`Var`] owns its value, so an intermediate is freed as soon as its last
+/// `Var` drops. Only a recording tape's backward closures keep what their
+/// gradients need.
 struct TapeInner {
-    values: Vec<Tensor>,
+    nodes: usize,
     entries: Vec<Entry>,
     recording: bool,
 }
@@ -65,7 +69,7 @@ impl std::fmt::Debug for Tape {
         write!(
             f,
             "Tape(nodes={}, entries={}, recording={})",
-            inner.values.len(),
+            inner.nodes,
             inner.entries.len(),
             inner.recording
         )
@@ -77,7 +81,7 @@ impl Tape {
     pub fn new() -> Self {
         Tape {
             inner: Rc::new(RefCell::new(TapeInner {
-                values: Vec::new(),
+                nodes: 0,
                 entries: Vec::new(),
                 recording: true,
             })),
@@ -104,7 +108,7 @@ impl Tape {
 
     /// Number of nodes on the tape.
     pub fn len(&self) -> usize {
-        self.inner.borrow().values.len()
+        self.inner.borrow().nodes
     }
 
     /// True if the tape has no nodes.
@@ -114,27 +118,14 @@ impl Tape {
 
     /// Adds a leaf node (an input or parameter) and returns its handle.
     pub fn leaf(&self, value: Tensor) -> Var {
-        let id = self.push_value(value);
-        Var { tape: self.clone(), id }
+        let id = self.next_id();
+        Var { tape: self.clone(), id, value }
     }
 
-    fn push_value(&self, value: Tensor) -> usize {
+    fn next_id(&self) -> usize {
         let mut inner = self.inner.borrow_mut();
-        inner.values.push(value);
-        inner.values.len() - 1
-    }
-
-    fn push_op(&self, value: Tensor, backward: BackwardFn) -> usize {
-        let id = self.push_value(value);
-        let mut inner = self.inner.borrow_mut();
-        if inner.recording {
-            inner.entries.push(Entry { output: id, backward });
-        }
-        id
-    }
-
-    fn value(&self, id: usize) -> Tensor {
-        self.inner.borrow().values[id].clone()
+        inner.nodes += 1;
+        inner.nodes - 1
     }
 }
 
@@ -164,23 +155,27 @@ impl GradStore {
     }
 }
 
-/// A handle to a node on a [`Tape`].
+/// A handle to a node on a [`Tape`], owning the node's value.
+///
+/// Cloning a `Var` is cheap: clones share the value's buffer.
 #[derive(Clone)]
 pub struct Var {
     tape: Tape,
     id: usize,
+    value: Tensor,
 }
 
 impl std::fmt::Debug for Var {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Var(id={}, value={:?})", self.id, self.value())
+        write!(f, "Var(id={}, value={:?})", self.id, self.value)
     }
 }
 
 impl Var {
-    /// The current value of this node (cloned out of the tape).
+    /// The value of this node. O(1): the returned tensor shares the
+    /// node's buffer and copies it only if written to.
     pub fn value(&self) -> Tensor {
-        self.tape.value(self.id)
+        self.value.clone()
     }
 
     /// The tape this variable lives on.
@@ -190,20 +185,26 @@ impl Var {
 
     /// The shape of this node's value.
     pub fn shape(&self) -> Shape {
-        self.tape.inner.borrow().values[self.id].shape().clone()
+        self.value.shape().clone()
     }
 
+    /// Puts `value` on the tape as a new node; a recording tape also keeps
+    /// `backward`, an inference tape drops it here.
     fn unary(&self, value: Tensor, backward: impl Fn(&Tensor, &mut GradStore) + 'static) -> Var {
-        let id = self.tape.push_op(value, Box::new(backward));
-        Var { tape: self.tape.clone(), id }
+        let id = self.tape.next_id();
+        let mut inner = self.tape.inner.borrow_mut();
+        if inner.recording {
+            inner.entries.push(Entry { output: id, backward: Box::new(backward) });
+        }
+        Var { tape: self.tape.clone(), id, value }
     }
 
     /// Elementwise sum with broadcasting.
     pub fn add(&self, other: &Var) -> Var {
-        let (a, b) = (self.value(), other.value());
+        let (a, b) = (&self.value, &other.value);
         let (sa, sb) = (a.shape().clone(), b.shape().clone());
         let (ia, ib) = (self.id, other.id);
-        self.unary(ops::add(&a, &b), move |g, store| {
+        self.unary(ops::add(a, b), move |g, store| {
             store.accumulate(ia, ops::reduce_to_shape(g, &sa));
             store.accumulate(ib, ops::reduce_to_shape(g, &sb));
         })
@@ -211,10 +212,10 @@ impl Var {
 
     /// Elementwise difference with broadcasting.
     pub fn sub(&self, other: &Var) -> Var {
-        let (a, b) = (self.value(), other.value());
+        let (a, b) = (&self.value, &other.value);
         let (sa, sb) = (a.shape().clone(), b.shape().clone());
         let (ia, ib) = (self.id, other.id);
-        self.unary(ops::sub(&a, &b), move |g, store| {
+        self.unary(ops::sub(a, b), move |g, store| {
             store.accumulate(ia, ops::reduce_to_shape(g, &sa));
             store.accumulate(ib, ops::reduce_to_shape(&ops::scale(g, -1.0), &sb));
         })
@@ -222,11 +223,11 @@ impl Var {
 
     /// Elementwise product with broadcasting.
     pub fn mul(&self, other: &Var) -> Var {
-        let (a, b) = (self.value(), other.value());
+        let (a, b) = (&self.value, &other.value);
         let (sa, sb) = (a.shape().clone(), b.shape().clone());
         let (ia, ib) = (self.id, other.id);
         let (ac, bc) = (a.clone(), b.clone());
-        self.unary(ops::mul(&a, &b), move |g, store| {
+        self.unary(ops::mul(a, b), move |g, store| {
             store.accumulate(ia, ops::reduce_to_shape(&ops::mul(g, &bc), &sa));
             store.accumulate(ib, ops::reduce_to_shape(&ops::mul(g, &ac), &sb));
         })
@@ -234,25 +235,25 @@ impl Var {
 
     /// Multiplies by a scalar.
     pub fn scale(&self, s: f32) -> Var {
-        let a = self.value();
+        let a = &self.value;
         let ia = self.id;
-        self.unary(ops::scale(&a, s), move |g, store| {
+        self.unary(ops::scale(a, s), move |g, store| {
             store.accumulate(ia, ops::scale(g, s));
         })
     }
 
     /// Adds a scalar.
     pub fn add_scalar(&self, s: f32) -> Var {
-        let a = self.value();
+        let a = &self.value;
         let ia = self.id;
-        self.unary(ops::add_scalar(&a, s), move |g, store| {
+        self.unary(ops::add_scalar(a, s), move |g, store| {
             store.accumulate(ia, g.clone());
         })
     }
 
     /// Elementwise reciprocal.
     pub fn recip(&self) -> Var {
-        let a = self.value();
+        let a = &self.value;
         let ia = self.id;
         let ac = a.clone();
         self.unary(a.map(|x| 1.0 / x), move |g, store| {
@@ -263,7 +264,7 @@ impl Var {
 
     /// Elementwise square root.
     pub fn sqrt(&self) -> Var {
-        let a = self.value();
+        let a = &self.value;
         let out = a.map(f32::sqrt);
         let ia = self.id;
         let oc = out.clone();
@@ -275,10 +276,10 @@ impl Var {
 
     /// Rectified linear unit.
     pub fn relu(&self) -> Var {
-        let a = self.value();
+        let a = &self.value;
         let ia = self.id;
         let ac = a.clone();
-        self.unary(ops::relu(&a), move |g, store| {
+        self.unary(ops::relu(a), move |g, store| {
             let ga = ops::zip_broadcast(g, &ac, |gv, x| if x > 0.0 { gv } else { 0.0 });
             store.accumulate(ia, ga);
         })
@@ -286,10 +287,10 @@ impl Var {
 
     /// GELU activation (tanh approximation).
     pub fn gelu(&self) -> Var {
-        let a = self.value();
+        let a = &self.value;
         let ia = self.id;
         let ac = a.clone();
-        self.unary(ops::gelu(&a), move |g, store| {
+        self.unary(ops::gelu(a), move |g, store| {
             let ga = ops::zip_broadcast(g, &ac, |gv, x| gv * ops::gelu_grad_scalar(x));
             store.accumulate(ia, ga);
         })
@@ -297,10 +298,10 @@ impl Var {
 
     /// Matrix multiply `[m,k] × [k,n]`.
     pub fn matmul(&self, other: &Var) -> Var {
-        let (a, b) = (self.value(), other.value());
+        let (a, b) = (&self.value, &other.value);
         let (ia, ib) = (self.id, other.id);
         let (ac, bc) = (a.clone(), b.clone());
-        self.unary(matmul(&a, &b), move |g, store| {
+        self.unary(matmul(a, b), move |g, store| {
             store.accumulate(ia, matmul(g, &ops::transpose2(&bc)));
             store.accumulate(ib, matmul(&ops::transpose2(&ac), g));
         })
@@ -308,10 +309,10 @@ impl Var {
 
     /// Batched matrix multiply `[b,m,k] × [b,k,n]`.
     pub fn bmm(&self, other: &Var) -> Var {
-        let (a, b) = (self.value(), other.value());
+        let (a, b) = (&self.value, &other.value);
         let (ia, ib) = (self.id, other.id);
         let (ac, bc) = (a.clone(), b.clone());
-        self.unary(bmm(&a, &b), move |g, store| {
+        self.unary(bmm(a, b), move |g, store| {
             store.accumulate(ia, bmm(g, &ops::permute(&bc, &[0, 2, 1])));
             store.accumulate(ib, bmm(&ops::permute(&ac, &[0, 2, 1]), g));
         })
@@ -319,10 +320,10 @@ impl Var {
 
     /// 2-D convolution (see [`conv2d`]).
     pub fn conv2d(&self, weight: &Var, bias: Option<&Var>, spec: Conv2dSpec) -> Var {
-        let x = self.value();
-        let w = weight.value();
-        let b = bias.map(|b| b.value());
-        let out = conv2d(&x, &w, b.as_ref(), spec);
+        let x = &self.value;
+        let w = &weight.value;
+        let b = bias.map(|b| &b.value);
+        let out = conv2d(x, w, b, spec);
         let (ix, iw, ib) = (self.id, weight.id, bias.map(|b| b.id));
         let (xc, wc) = (x.clone(), w.clone());
         self.unary(out, move |g, store| {
@@ -337,8 +338,8 @@ impl Var {
 
     /// 2-D max pooling.
     pub fn maxpool2d(&self, kernel: usize, stride: usize) -> Var {
-        let x = self.value();
-        let (out, arg) = maxpool2d(&x, kernel, stride);
+        let x = &self.value;
+        let (out, arg) = maxpool2d(x, kernel, stride);
         let ix = self.id;
         let dims = x.dims().to_vec();
         let n = x.numel();
@@ -349,17 +350,17 @@ impl Var {
 
     /// 2-D average pooling.
     pub fn avgpool2d(&self, kernel: usize, stride: usize) -> Var {
-        let x = self.value();
+        let x = &self.value;
         let dims = x.dims().to_vec();
         let ix = self.id;
-        self.unary(crate::conv::avgpool2d(&x, kernel, stride), move |g, store| {
+        self.unary(crate::conv::avgpool2d(x, kernel, stride), move |g, store| {
             store.accumulate(ix, crate::conv::avgpool2d_backward(g, kernel, stride, &dims));
         })
     }
 
     /// Elementwise exponential.
     pub fn exp(&self) -> Var {
-        let x = self.value();
+        let x = &self.value;
         let out = x.map(f32::exp);
         let ix = self.id;
         let oc = out.clone();
@@ -370,7 +371,7 @@ impl Var {
 
     /// Elementwise natural logarithm.
     pub fn ln(&self) -> Var {
-        let x = self.value();
+        let x = &self.value;
         let ix = self.id;
         let xc = x.clone();
         self.unary(x.map(f32::ln), move |g, store| {
@@ -380,7 +381,7 @@ impl Var {
 
     /// Elementwise hyperbolic tangent.
     pub fn tanh(&self) -> Var {
-        let x = self.value();
+        let x = &self.value;
         let out = x.map(f32::tanh);
         let ix = self.id;
         let oc = out.clone();
@@ -392,7 +393,7 @@ impl Var {
 
     /// Elementwise logistic sigmoid.
     pub fn sigmoid(&self) -> Var {
-        let x = self.value();
+        let x = &self.value;
         let out = x.map(|v| 1.0 / (1.0 + (-v).exp()));
         let ix = self.id;
         let oc = out.clone();
@@ -414,17 +415,17 @@ impl Var {
 
     /// Global average pooling `[N,C,H,W] → [N,C]`.
     pub fn global_avg_pool(&self) -> Var {
-        let x = self.value();
+        let x = &self.value;
         let (h, w) = (x.dims()[2], x.dims()[3]);
         let ix = self.id;
-        self.unary(global_avg_pool(&x), move |g, store| {
+        self.unary(global_avg_pool(x), move |g, store| {
             store.accumulate(ix, global_avg_pool_backward(g, h, w));
         })
     }
 
     /// Reshape (free: gradients reshape back).
     pub fn reshape(&self, shape: impl Into<Shape>) -> Var {
-        let x = self.value();
+        let x = &self.value;
         let old = x.shape().clone();
         let ix = self.id;
         self.unary(x.reshape(shape.into()), move |g, store| {
@@ -434,22 +435,22 @@ impl Var {
 
     /// Dimension permutation (gradient applies the inverse permutation).
     pub fn permute(&self, perm: &[usize]) -> Var {
-        let x = self.value();
+        let x = &self.value;
         let ix = self.id;
         let perm_v = perm.to_vec();
         let mut inv = vec![0usize; perm.len()];
         for (i, &p) in perm.iter().enumerate() {
             inv[p] = i;
         }
-        self.unary(ops::permute(&x, &perm_v), move |g, store| {
+        self.unary(ops::permute(x, &perm_v), move |g, store| {
             store.accumulate(ix, ops::permute(g, &inv));
         })
     }
 
     /// Softmax over the last dimension.
     pub fn softmax_lastdim(&self) -> Var {
-        let x = self.value();
-        let s = ops::softmax_lastdim(&x);
+        let x = &self.value;
+        let s = ops::softmax_lastdim(x);
         let ix = self.id;
         let sc = s.clone();
         self.unary(s, move |g, store| {
@@ -470,7 +471,7 @@ impl Var {
     ///
     /// Panics if any axis is out of range.
     pub fn mean_axes_keepdim(&self, axes: &[usize]) -> Var {
-        let x = self.value();
+        let x = &self.value;
         let mut cur = x.clone();
         let mut count = 1usize;
         for &ax in axes {
@@ -490,7 +491,7 @@ impl Var {
 
     /// Sum of all elements, yielding a scalar.
     pub fn sum_all(&self) -> Var {
-        let x = self.value();
+        let x = &self.value;
         let ix = self.id;
         let shape = x.shape().clone();
         self.unary(Tensor::scalar(x.sum_all()), move |g, store| {
@@ -500,7 +501,7 @@ impl Var {
 
     /// Mean of all elements, yielding a scalar.
     pub fn mean_all(&self) -> Var {
-        let n = self.value().numel() as f32;
+        let n = self.value.numel() as f32;
         self.sum_all().scale(1.0 / n)
     }
 
@@ -511,8 +512,8 @@ impl Var {
     /// the quantiser runs in the forward pass, gradients flow through
     /// unchanged.
     pub fn apply_ste(&self, f: impl Fn(&Tensor) -> Tensor) -> Var {
-        let x = self.value();
-        let out = f(&x);
+        let x = &self.value;
+        let out = f(x);
         assert_eq!(out.shape(), x.shape(), "apply_ste function must preserve shape");
         let ix = self.id;
         self.unary(out, move |g, store| {
@@ -528,19 +529,19 @@ impl Var {
     ///
     /// Panics if shapes disagree or a target is out of range.
     pub fn cross_entropy(&self, targets: &[usize]) -> Var {
-        let x = self.value();
+        let x = &self.value;
         assert_eq!(x.ndim(), 2, "cross_entropy expects [N, C] logits");
         let (n, c) = (x.dims()[0], x.dims()[1]);
         assert_eq!(targets.len(), n, "target count mismatch");
         for &t in targets {
             assert!(t < c, "target {} out of range for {} classes", t, c);
         }
-        let logp = ops::log_softmax_lastdim(&x);
+        let logp = ops::log_softmax_lastdim(x);
         let loss =
             -targets.iter().enumerate().map(|(i, &t)| logp.as_slice()[i * c + t]).sum::<f32>()
                 / n as f32;
         let ix = self.id;
-        let probs = ops::softmax_lastdim(&x);
+        let probs = ops::softmax_lastdim(x);
         let tv = targets.to_vec();
         self.unary(Tensor::scalar(loss), move |g, store| {
             let gscale = g.item() / n as f32;
@@ -563,8 +564,8 @@ impl Var {
     pub fn backward(&self) -> GradStore {
         let inner = self.tape.inner.borrow();
         assert!(inner.recording || !inner.entries.is_empty(), "backward() on a non-recording tape");
-        let mut store = GradStore::new(inner.values.len());
-        store.accumulate(self.id, Tensor::ones(inner.values[self.id].shape().clone()));
+        let mut store = GradStore::new(inner.nodes);
+        store.accumulate(self.id, Tensor::ones(self.value.shape().clone()));
         for entry in inner.entries.iter().rev() {
             let gout = store.grads[entry.output].take();
             if let Some(g) = gout {
@@ -724,6 +725,31 @@ mod tests {
         let x = tape.leaf(Tensor::ones([4]));
         let _y = x.relu().scale(2.0);
         assert_eq!(tape.inner.borrow().entries.len(), 0);
+    }
+
+    #[test]
+    fn var_value_shares_the_node_buffer() {
+        let tape = Tape::inference();
+        let t = Tensor::arange(4);
+        let x = tape.leaf(t.clone());
+        assert_eq!(x.value().as_slice().as_ptr(), t.as_slice().as_ptr());
+        let y = x.reshape([2, 2]);
+        assert_eq!(y.value().as_slice().as_ptr(), t.as_slice().as_ptr());
+    }
+
+    #[test]
+    fn inference_tape_retains_no_values() {
+        let tape = Tape::inference();
+        let x = tape.leaf(Tensor::arange(8));
+        let y = x.relu();
+        let held = y.value();
+        let p = held.as_slice().as_ptr();
+        drop(y);
+        assert_eq!(tape.len(), 2);
+        // `into_vec` copies a shared buffer, so an unmoved pointer proves
+        // `held` was the last owner: neither the tape nor a closure kept it.
+        let v = held.into_vec();
+        assert_eq!(v.as_ptr(), p);
     }
 
     #[test]

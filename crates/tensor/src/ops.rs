@@ -5,6 +5,13 @@ use crate::tensor::Tensor;
 
 /// Applies a binary operation elementwise with NumPy-style broadcasting.
 ///
+/// The broadcast is walked as strided loops: each operand gets its strides
+/// in output space (0 along broadcast dimensions), extent-1 dimensions are
+/// dropped, and adjacent dimensions merge wherever both operands stay
+/// linear across them. The innermost loop then runs over one contiguous
+/// run with each operand either advancing by 1 or held fixed. `f` sees the
+/// same pairs in the same row-major order as a per-element walk would.
+///
 /// # Panics
 ///
 /// Panics if the shapes are not broadcast-compatible.
@@ -17,6 +24,89 @@ pub fn zip_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Ten
     let out_shape = Shape::broadcast(a.shape(), b.shape()).unwrap_or_else(|| {
         panic!("shapes {:?} and {:?} are not broadcast-compatible", a.shape(), b.shape())
     });
+    let n = out_shape.numel();
+    let mut out = Vec::with_capacity(n);
+    if n == 0 {
+        return Tensor::from_vec(out, out_shape);
+    }
+    let loops = broadcast_loops(out_shape.dims(), a, b);
+    let (x, y) = (a.as_slice(), b.as_slice());
+    let (inner, inner_a, inner_b) = *loops.last().expect("broadcast_loops yields a loop");
+    let outer = &loops[..loops.len() - 1];
+    let mut idx = vec![0usize; outer.len()];
+    let (mut ao, mut bo) = (0usize, 0usize);
+    for _ in 0..n / inner {
+        match (inner_a, inner_b) {
+            (1, 1) => out.extend(
+                x[ao..ao + inner].iter().zip(&y[bo..bo + inner]).map(|(&xv, &yv)| f(xv, yv)),
+            ),
+            (1, 0) => {
+                let yv = y[bo];
+                out.extend(x[ao..ao + inner].iter().map(|&xv| f(xv, yv)));
+            }
+            (0, 1) => {
+                let xv = x[ao];
+                out.extend(y[bo..bo + inner].iter().map(|&yv| f(xv, yv)));
+            }
+            (sa, sb) => out.extend((0..inner).map(|i| f(x[ao + i * sa], y[bo + i * sb]))),
+        }
+        // Advance the outer multi-index, carrying the operand offsets.
+        for (d, &(extent, sa, sb)) in outer.iter().enumerate().rev() {
+            idx[d] += 1;
+            ao += sa;
+            bo += sb;
+            if idx[d] < extent {
+                break;
+            }
+            idx[d] = 0;
+            ao -= sa * extent;
+            bo -= sb * extent;
+        }
+    }
+    Tensor::from_vec(out, out_shape)
+}
+
+/// The loop nest of a broadcast over `out_dims`, outermost first, as
+/// `(extent, a_stride, b_stride)`: strides in elements, 0 where the operand
+/// is broadcast. Extent-1 dimensions are dropped and adjacent dimensions
+/// that both operands traverse linearly are merged. Never empty: a
+/// one-element output yields the single loop `(1, 0, 0)`.
+fn broadcast_loops(out_dims: &[usize], a: &Tensor, b: &Tensor) -> Vec<(usize, usize, usize)> {
+    let nd = out_dims.len();
+    let (a_strides, b_strides) = (a.shape().strides(), b.shape().strides());
+    let stride_in_out = |t: &Tensor, strides: &[usize], d: usize| {
+        let lead = nd - t.ndim();
+        if d < lead || t.dims()[d - lead] == 1 {
+            0
+        } else {
+            strides[d - lead]
+        }
+    };
+    let mut loops: Vec<(usize, usize, usize)> = Vec::with_capacity(nd);
+    for (d, &extent) in out_dims.iter().enumerate() {
+        if extent == 1 {
+            continue;
+        }
+        let (sa, sb) = (stride_in_out(a, &a_strides, d), stride_in_out(b, &b_strides, d));
+        match loops.last_mut() {
+            Some(prev) if prev.1 == sa * extent && prev.2 == sb * extent => {
+                *prev = (prev.0 * extent, sa, sb);
+            }
+            _ => loops.push((extent, sa, sb)),
+        }
+    }
+    if loops.is_empty() {
+        loops.push((1, 0, 0));
+    }
+    loops
+}
+
+/// The per-element reference walk of a broadcast: rebuilds both operand
+/// offsets from the full multi-index of every output element.
+/// [`zip_broadcast`] must match it bit for bit.
+#[cfg(test)]
+fn zip_broadcast_oracle(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    let out_shape = Shape::broadcast(a.shape(), b.shape()).expect("broadcast-compatible");
     let n = out_shape.numel();
     let mut out = Vec::with_capacity(n);
     let a_dims = a.dims();
@@ -519,6 +609,91 @@ mod tests {
                 gelu_grad_scalar(x),
                 fd
             );
+        }
+    }
+
+    /// A tensor of `dims` holding distinct values, with -0.0, NaN and ±∞
+    /// mixed in so bitwise comparison covers the special encodings.
+    fn probe(dims: &[usize], salt: f32) -> Tensor {
+        let n: usize = dims.iter().product();
+        let data = (0..n)
+            .map(|i| match i % 11 {
+                3 => -0.0,
+                5 => f32::NAN,
+                7 => f32::INFINITY,
+                9 => f32::NEG_INFINITY,
+                _ => i as f32 * 0.37 - salt,
+            })
+            .collect();
+        Tensor::from_vec(data, dims.to_vec())
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Binary ops the oracle check runs: operand order matters for all
+    /// but the first two, so a swapped pair cannot pass.
+    const BINARY_OPS: [fn(f32, f32) -> f32; 5] =
+        [|x, y| x + y, |x, y| x * y, |x, y| x - y, |x, y| x / y, |x, y| x - 2.0 * y];
+
+    fn check_against_oracle(a: &Tensor, b: &Tensor) -> Result<(), String> {
+        for (k, f) in BINARY_OPS.iter().enumerate() {
+            let got = zip_broadcast(a, b, f);
+            let want = zip_broadcast_oracle(a, b, f);
+            if got.shape() != want.shape() || bits(&got) != bits(&want) {
+                return Err(format!(
+                    "op {k}: {:?} x {:?} gave {got:?}, oracle {want:?}",
+                    a.shape(),
+                    b.shape()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// An operand of rank `rank` aligned to the trailing dims of `full`,
+    /// with dim `d` set to extent 1 where bit `d` of `ones` is set.
+    fn operand_dims(full: &[usize], rank: usize, ones: u32) -> Vec<usize> {
+        let rank = rank.min(full.len());
+        full[full.len() - rank..]
+            .iter()
+            .enumerate()
+            .map(|(d, &e)| if ones >> d & 1 == 1 { 1 } else { e })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn zip_broadcast_matches_the_per_element_oracle(
+            full in proptest::collection::vec(0usize..=5, 0..=5),
+            a_rank in 0usize..=5,
+            b_rank in 0usize..=5,
+            a_ones in 0u32..32,
+            b_ones in 0u32..32,
+        ) {
+            let a = probe(&operand_dims(&full, a_rank, a_ones), 1.5);
+            let b = probe(&operand_dims(&full, b_rank, b_ones), -2.25);
+            if let Err(msg) = check_against_oracle(&a, &b) {
+                proptest::prop_assert!(false, "{}", msg);
+            }
+        }
+    }
+
+    #[test]
+    fn zip_broadcast_matches_the_oracle_on_model_shapes() {
+        let rows: [(&[usize], &[usize]); 4] = [
+            (&[4, 8, 6, 6], &[1, 8, 1, 1]), // batch-norm scale/shift
+            (&[2, 5, 16], &[2, 5, 1]),      // layer-norm row statistics
+            (&[2, 5, 16], &[16]),           // layer-norm affine, bias
+            (&[3, 1, 4], &[2, 1]),          // both sides broadcast
+        ];
+        for (x, y) in rows {
+            let (a, b) = (probe(x, 0.5), probe(y, -1.0));
+            check_against_oracle(&a, &b).unwrap();
+            check_against_oracle(&b, &a).unwrap();
         }
     }
 

@@ -4,10 +4,18 @@
 //! tensors. This keeps the semantics simple and matches the "compute fabric"
 //! role the tensor plays in the paper: a plain FP32 substrate on top of
 //! which number formats are emulated.
+//!
+//! The buffer is copy-on-write: [`Tensor::clone`] and [`Tensor::reshape`]
+//! share it, and the first write through [`Tensor::as_mut_slice`],
+//! [`Tensor::set`] or [`Tensor::map_inplace`] copies it only if another
+//! tensor still holds it. Value semantics are unchanged; a forward pass
+//! just stops paying for copies nobody writes to. The sharing is an
+//! [`Arc`], so tensors stay `Send + Sync` for the campaign workers.
 
 use crate::shape::Shape;
 use rand::Rng;
 use std::fmt;
+use std::sync::Arc;
 
 /// A dense, contiguous, row-major tensor of `f32` values.
 ///
@@ -22,7 +30,7 @@ use std::fmt;
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
 }
 
 impl Tensor {
@@ -40,19 +48,17 @@ impl Tensor {
             data.len(),
             shape
         );
-        Tensor { shape, data }
+        Tensor { shape, data: Arc::new(data) }
     }
 
     /// Creates a scalar (0-dimensional) tensor.
     pub fn scalar(value: f32) -> Self {
-        Tensor { shape: Shape::scalar(), data: vec![value] }
+        Tensor::from_vec(vec![value], Shape::scalar())
     }
 
     /// Creates a tensor filled with zeros.
     pub fn zeros(shape: impl Into<Shape>) -> Self {
-        let shape = shape.into();
-        let n = shape.numel();
-        Tensor { shape, data: vec![0.0; n] }
+        Self::full(shape, 0.0)
     }
 
     /// Creates a tensor filled with ones.
@@ -64,7 +70,7 @@ impl Tensor {
     pub fn full(shape: impl Into<Shape>, value: f32) -> Self {
         let shape = shape.into();
         let n = shape.numel();
-        Tensor { shape, data: vec![value; n] }
+        Tensor::from_vec(vec![value; n], shape)
     }
 
     /// Creates a tensor of iid standard-normal samples (Box–Muller).
@@ -82,7 +88,7 @@ impl Tensor {
                 data.push(r * theta.sin());
             }
         }
-        Tensor { shape, data }
+        Tensor::from_vec(data, shape)
     }
 
     /// Creates a tensor of iid uniform samples in `[lo, hi)`.
@@ -90,7 +96,7 @@ impl Tensor {
         let shape = shape.into();
         let n = shape.numel();
         let data = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
-        Tensor { shape, data }
+        Tensor::from_vec(data, shape)
     }
 
     /// Creates a 1-d tensor `[0, 1, ..., n-1]`.
@@ -123,14 +129,16 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable access to the underlying row-major buffer.
+    /// Mutable access to the underlying row-major buffer, copying it
+    /// first if another tensor shares it.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consumes the tensor, returning its buffer.
+    /// Consumes the tensor, returning its buffer (copied only if another
+    /// tensor shares it).
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        Arc::try_unwrap(self.data).unwrap_or_else(|shared| shared.as_ref().clone())
     }
 
     /// Value at a multi-dimensional index.
@@ -149,7 +157,7 @@ impl Tensor {
     /// Panics if the index is out of bounds or has wrong arity.
     pub fn set(&mut self, idx: &[usize], value: f32) {
         let off = self.shape.offset(idx);
-        self.data[off] = value;
+        self.as_mut_slice()[off] = value;
     }
 
     /// The single value of a scalar or one-element tensor.
@@ -162,7 +170,8 @@ impl Tensor {
         self.data[0]
     }
 
-    /// Returns a tensor with the same data and a new shape.
+    /// Returns a tensor with the same data and a new shape. The buffer is
+    /// shared, not copied.
     ///
     /// # Panics
     ///
@@ -175,12 +184,12 @@ impl Tensor {
 
     /// Applies `f` elementwise, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor { shape: self.shape.clone(), data: self.data.iter().map(|&x| f(x)).collect() }
+        Tensor::from_vec(self.data.iter().map(|&x| f(x)).collect(), self.shape.clone())
     }
 
     /// Applies `f` elementwise in place.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
+        for x in self.as_mut_slice() {
             *x = f(*x);
         }
     }
@@ -222,7 +231,11 @@ impl Tensor {
     /// True if `self` and `other` agree elementwise within `tol`.
     pub fn allclose(&self, other: &Tensor, tol: f32) -> bool {
         self.shape == other.shape
-            && self.data.iter().zip(&other.data).all(|(a, b)| (a - b).abs() <= tol + tol * b.abs())
+            && self
+                .data
+                .iter()
+                .zip(other.as_slice())
+                .all(|(a, b)| (a - b).abs() <= tol + tol * b.abs())
     }
 }
 
@@ -316,5 +329,58 @@ mod tests {
     #[test]
     fn item_scalar() {
         assert_eq!(Tensor::scalar(3.5).item(), 3.5);
+    }
+
+    fn buf(t: &Tensor) -> *const f32 {
+        t.as_slice().as_ptr()
+    }
+
+    #[test]
+    fn clone_and_reshape_share_the_buffer() {
+        let t = Tensor::arange(6);
+        assert_eq!(buf(&t.clone()), buf(&t));
+        assert_eq!(buf(&t.reshape([2, 3])), buf(&t));
+    }
+
+    #[test]
+    fn writes_to_a_clone_copy_first_and_leave_the_original() {
+        let t = Tensor::arange(4);
+        let mut a = t.clone();
+        a.as_mut_slice()[0] = 9.0;
+        let mut b = t.clone();
+        b.set(&[1], 9.0);
+        let mut c = t.reshape([2, 2]);
+        c.map_inplace(|x| x + 10.0);
+        assert_eq!(t.as_slice(), &[0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(a.as_slice(), &[9.0, 1.0, 2.0, 3.0]);
+        assert_eq!(b.as_slice(), &[0.0, 9.0, 2.0, 3.0]);
+        assert_eq!(c.as_slice(), &[10.0, 11.0, 12.0, 13.0]);
+        for written in [&a, &b, &c] {
+            assert_ne!(buf(written), buf(&t));
+        }
+    }
+
+    #[test]
+    fn a_unique_buffer_is_written_in_place() {
+        let mut t = Tensor::arange(4);
+        let before = buf(&t);
+        t.as_mut_slice()[0] = 5.0;
+        t.set(&[1], 6.0);
+        t.map_inplace(|x| x * 2.0);
+        assert_eq!(buf(&t), before);
+        assert_eq!(t.as_slice(), &[10.0, 12.0, 4.0, 6.0]);
+    }
+
+    #[test]
+    fn into_vec_reuses_a_unique_buffer_and_copies_a_shared_one() {
+        let t = Tensor::arange(4);
+        let p = buf(&t);
+        let v = t.into_vec();
+        assert_eq!(v.as_ptr(), p);
+        let t = Tensor::arange(4);
+        let keep = t.clone();
+        let v = t.into_vec();
+        assert_ne!(v.as_ptr(), buf(&keep));
+        assert_eq!(v, keep.as_slice());
     }
 }
