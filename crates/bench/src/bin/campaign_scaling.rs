@@ -1,10 +1,8 @@
 //! Campaign-executor scaling: wall-clock of the same fault-injection
 //! campaign at 1, 2, 4, … worker threads, verifying both the speedup and
 //! the bit-identical-results contract of `goldeneye::run_campaign` /
-//! `run_weight_campaign`; batched checkpoint/replay vs. replaying one
-//! trial at a time (byte-identical canonical records asserted) and the
-//! early-stopping trial savings at equal statistical power (DESIGN.md
-//! §11) — plus the tracing-overhead budget: the same serial campaign with
+//! `run_weight_campaign`; the early-stopping trial savings at equal
+//! statistical power (DESIGN.md §11) — plus the tracing-overhead budget: the same serial campaign with
 //! structured tracing on must stay within ~2% of the untraced wall-clock
 //! (DESIGN.md §9).
 //!
@@ -191,9 +189,7 @@ fn main() {
         println!();
     }
 
-    // Batched checkpoint/replay vs. a batch of one: same campaign, same
-    // canonical per-trial records (asserted byte-identical), but trials
-    // packed N to a replayed forward. Reported as end-to-end trials/sec.
+    // The serial baseline the early-stop section compares against.
     let base = CampaignConfig {
         injections_per_layer: n,
         kind: SiteKind::Value,
@@ -201,38 +197,9 @@ fn main() {
         jobs: 1,
         ..Default::default()
     };
-    let serial_result = run_campaign(&ge, model.as_ref(), &x, &y, &base);
-    let serial_jsonl = serial_result.canonical_trial_jsonl();
-    let trials = serial_result.trials.len();
-    let unbatched_s = best_time(2, &ge, model.as_ref(), &x, &y, &base);
-    let unbatched_tps = trials as f64 / unbatched_s;
-    println!(
-        "\nBatched replay vs batch of one (serial, {trials} trials): batch of one \
-         {unbatched_tps:.2} trials/s"
-    );
-    let mut batch_rows: Vec<Json> = Vec::new();
-    let mut best_batched_tps = unbatched_tps;
-    for batch in [4usize, 8, 16, 32] {
-        let cfg = base.clone().with_trials_per_batch(batch);
-        let result = run_campaign(&ge, model.as_ref(), &x, &y, &cfg);
-        assert!(
-            result.canonical_trial_jsonl() == serial_jsonl,
-            "batch {batch} diverged from the batch-of-one baseline"
-        );
-        let secs = best_time(2, &ge, model.as_ref(), &x, &y, &cfg);
-        let tps = trials as f64 / secs;
-        best_batched_tps = best_batched_tps.max(tps);
-        println!(
-            "  batch {batch:>3}: {tps:>8.2} trials/s ({:.2}x, byte-identical records)",
-            tps / unbatched_tps
-        );
-        batch_rows.push(Json::obj([
-            ("trials_per_batch", Json::from(batch)),
-            ("seconds", Json::Num(secs)),
-            ("trials_per_sec", Json::Num(tps)),
-            ("speedup_vs_batch_one", Json::Num(tps / unbatched_tps)),
-        ]));
-    }
+    let trials = run_campaign(&ge, model.as_ref(), &x, &y, &base).trials.len();
+    let serial_tps = trials as f64 / best_time(2, &ge, model.as_ref(), &x, &y, &base);
+    println!("Serial replay ({trials} trials): {serial_tps:.2} trials/s");
 
     // Early stopping: trial savings at equal statistical power. Stopping
     // decisions happen only at EARLY_STOP_WAVE boundaries (after >= 20
@@ -241,7 +208,7 @@ fn main() {
     // Each site gets `es_n` trials; the CI target is what that full
     // campaign achieves on its *worst* site, so the early-stopped run
     // reaches the same per-site precision everywhere while skipping the
-    // trials that already-converged sites don't need. The batch-of-one
+    // trials that already-converged sites don't need. The serial
     // trials/sec above is the baseline.
     let es_n = (8 * goldeneye::EARLY_STOP_WAVE).max(n);
     let es_base = CampaignConfig {
@@ -250,8 +217,7 @@ fn main() {
         seed: 17,
         jobs: 1,
         ..Default::default()
-    }
-    .with_trials_per_batch(16);
+    };
     let t = Instant::now();
     let es_full = run_campaign(&ge, model.as_ref(), &x, &y, &es_base);
     let es_full_secs = t.elapsed().as_secs_f64();
@@ -270,15 +236,15 @@ fn main() {
     // paper-level metric for "same power, less compute".
     let effective_tps = es_result.planned_trials as f64 / es_secs;
     println!(
-        "Early stop @ CI {target_ci:.4} ({es_n} planned/site, full batched run \
+        "Early stop @ CI {target_ci:.4} ({es_n} planned/site, full run \
          {es_full_secs:.1}s): {} of {} trials ({:.0}% saved), \
-         {:.2} executed trials/s, {:.2} effective trials/s ({:.1}x batch of one)",
+         {:.2} executed trials/s, {:.2} effective trials/s ({:.1}x serial)",
         es_result.trials.len(),
         es_result.planned_trials,
         es_result.early_stop_savings() * 100.0,
         es_tps,
         effective_tps,
-        effective_tps / unbatched_tps
+        effective_tps / serial_tps
     );
 
     // Cold vs. warm artifact store: the same end-to-end multi-format
@@ -333,10 +299,7 @@ fn main() {
         .with_extra("untraced_s", Json::Num(off))
         .with_extra("traced_s", Json::Num(on))
         .with_extra("serial_trials", Json::from(trials))
-        .with_extra("trials_per_sec_batch_one", Json::Num(unbatched_tps))
-        .with_extra("batched_engine", Json::Arr(batch_rows))
-        .with_extra("best_batched_trials_per_sec", Json::Num(best_batched_tps))
-        .with_extra("batched_speedup", Json::Num(best_batched_tps / unbatched_tps))
+        .with_extra("trials_per_sec_serial", Json::Num(serial_tps))
         .with_extra("early_stop_planned_per_site", Json::from(es_n))
         .with_extra("early_stop_full_run_s", Json::Num(es_full_secs))
         .with_extra("early_stop_ci_target", Json::Num(f64::from(target_ci)))
@@ -344,7 +307,7 @@ fn main() {
         .with_extra("early_stop_executed_trials", Json::from(es_result.trials.len()))
         .with_extra("early_stop_planned_trials", Json::from(es_result.planned_trials))
         .with_extra("effective_trials_per_sec", Json::Num(effective_tps))
-        .with_extra("effective_speedup_vs_batch_one", Json::Num(effective_tps / unbatched_tps))
+        .with_extra("effective_speedup_vs_serial", Json::Num(effective_tps / serial_tps))
         .with_extra("store_cold_s", Json::Num(cold_s))
         .with_extra("store_warm_s", Json::Num(warm_s))
         .with_extra("store_warm_speedup", Json::Num(warm_speedup))

@@ -185,8 +185,6 @@ fn print_usage() {
                     [--jobs N]\n\
            campaign --model cnn|vit --spec <spec>  per-layer delta-loss injection campaign\n\
                     [--site value|metadata] [--injections N] [--jobs N]\n\
-                    [--trials-per-batch N]  trials packed per batched forward\n\
-                                            (default 0 = auto-size, 1 = one at a time)\n\
                     [--early-stop CI]       stop a layer once its delta-loss 95% CI\n\
                                             half-width falls to CI\n\
                     [--sampler uniform|stratified]  bit-position sampling policy\n\
@@ -355,10 +353,6 @@ fn cmd_campaign(args: &[String], global: &GlobalFlags) -> Result<(), String> {
     let site = flag(args, "--site").unwrap_or_else(|| "value".into());
     let injections = flag(args, "--injections").and_then(|n| n.parse().ok()).unwrap_or(20);
     let jobs = jobs_flag(args)?;
-    let trials_per_batch = match flag(args, "--trials-per-batch") {
-        None => 0, // auto-size from the workspace pool budget
-        Some(v) => v.parse().map_err(|_| format!("bad --trials-per-batch value `{v}`"))?,
-    };
     let early_stop = match flag(args, "--early-stop") {
         None => None,
         Some(v) => {
@@ -393,9 +387,9 @@ fn cmd_campaign(args: &[String], global: &GlobalFlags) -> Result<(), String> {
         kind,
         seed: 0,
         jobs,
-        trials_per_batch,
         early_stop,
         sampler,
+        ..Default::default()
     };
     let t0 = Instant::now();
     let result = run_campaign(&ge, model.as_ref(), &x, &y, &cfg);

@@ -26,7 +26,7 @@ fn trials_counter() -> &'static trace::Metric {
 /// Early-stopping decisions are taken only at multiples of this many
 /// completed trials per injection site, in canonical trial order — so the
 /// set of executed trials is a function of the statistics alone, never of
-/// `trials_per_batch` or `jobs`. Batches are clipped to wave boundaries.
+/// `jobs`.
 pub const EARLY_STOP_WAVE: usize = 32;
 
 /// Campaign parameters.
@@ -44,12 +44,9 @@ pub struct CampaignConfig {
     /// runs `N` scoped threads, `0` uses the machine's available
     /// parallelism. Results are **bit-identical** for every value.
     pub jobs: usize,
-    /// Trials packed into one replayed forward: every batch of `N`
-    /// trials replays from the checkpoint preceding the injection layer
-    /// (`1` replays one trial at a time), and `0` auto-sizes the batch
-    /// from the kernel workspace pool's budget. Trial records are
-    /// **bit-identical** for every value — batching changes only the
-    /// execution schedule.
+    /// Ignored: every trial replays in its own forward. Kept only because
+    /// the benchmark package still sets it; it goes at the benchmark's
+    /// next change.
     pub trials_per_batch: usize,
     /// When set, stop injecting into a site once the 95% confidence
     /// interval of its ΔLoss mean has half-width ≤ this (checked every
@@ -85,14 +82,6 @@ impl CampaignConfig {
         self
     }
 
-    /// Returns the config with `n` trials per batched forward
-    /// (`0` = auto-size, `1` = one trial per replayed forward).
-    #[must_use]
-    pub fn with_trials_per_batch(mut self, n: usize) -> Self {
-        self.trials_per_batch = n;
-        self
-    }
-
     /// Returns the config with per-site ΔLoss early stopping at the given
     /// 95% CI half-width.
     #[must_use]
@@ -106,17 +95,6 @@ impl CampaignConfig {
     pub fn with_sampler(mut self, sampler: BitSampler) -> Self {
         self.sampler = sampler;
         self
-    }
-
-    /// Resolves `trials_per_batch` for an input of `x_numel` elements:
-    /// `0` auto-sizes so the batched activations stay within the kernel
-    /// workspace pool's per-buffer budget (assuming activations peak
-    /// around an order of magnitude over the input), clamped to `2..=32`.
-    pub fn effective_batch(&self, x_numel: usize) -> usize {
-        match self.trials_per_batch {
-            0 => (tensor::workspace::pooled_budget_elems() / (x_numel.max(1) * 9)).clamp(2, 32),
-            n => n,
-        }
     }
 }
 
@@ -306,7 +284,6 @@ impl CampaignResult {
             .with_config("injections_per_layer", cfg.injections_per_layer)
             .with_config("seed", cfg.seed)
             .with_config("jobs", cfg.jobs)
-            .with_config("trials_per_batch", cfg.trials_per_batch)
             .with_config("sampler", cfg.sampler.as_str())
             .with_extra("avg_delta_loss", self.avg_delta_loss())
             .with_extra("planned_trials", self.planned_trials)
@@ -467,35 +444,33 @@ struct ReplaySegments {
 /// The wave scheduler every campaign runs on.
 ///
 /// Each round gives every unstopped site one wave of trials (the whole
-/// site without early stopping, [`EARLY_STOP_WAVE`] trials with it),
-/// split into units of at most `batch` trials that never cross the wave
-/// boundary. `run_unit(site, seeds)` executes one unit — trial `t` of
-/// site `s` is seeded with [`trial_seed`]`(cfg.seed, s.index, t)` — and
-/// returns one [`TrialOutcome`] per seed. Units run on `cfg.jobs`
+/// site without early stopping, [`EARLY_STOP_WAVE`] trials with it), and
+/// every trial is one unit of work. `run_trial(site, seed)` executes one
+/// trial — trial `t` of site `s` is seeded with
+/// [`trial_seed`]`(cfg.seed, s.index, t)`. Trials run on `cfg.jobs`
 /// workers; their records fold in canonical `(site, trial)` order, and
 /// early-stop decisions happen only between rounds, so the executed trial
-/// set and every record are independent of `jobs` and `batch`.
+/// set and every record are independent of `jobs`.
 fn run_waves(
     cfg: &CampaignConfig,
     kind: SiteKind,
     phase: &'static str,
     mut sites: Vec<SiteState>,
-    batch: usize,
     replay: Option<ReplaySegments>,
-    run_unit: impl Fn(&SiteState, &[u64]) -> Vec<TrialOutcome> + Sync,
+    run_trial: impl Fn(&SiteState, u64) -> TrialOutcome + Sync,
 ) -> Vec<SiteState> {
     let n = cfg.injections_per_layer;
     let rule = cfg.early_stop.map(EarlyStop::new);
-    // Streaming progress: workers tick the live status line per unit;
+    // Streaming progress: workers tick the live status line per trial;
     // heartbeat *events* fire only at wave-round boundaries, which are
     // schedule-invariant, so heartbeat content is byte-deterministic
-    // across `jobs` and `trials_per_batch` (modulo the volatile timing
-    // fields listed in `trace::names::PROGRESS_VOLATILE_FIELDS`).
+    // across `jobs` (modulo the volatile timing fields listed in
+    // `trace::names::PROGRESS_VOLATILE_FIELDS`).
     let progress = Progress::new(phase, (sites.len() * n) as u64);
     let (mut seg_skipped, mut seg_total) = (0usize, 0usize);
     let mut round: u64 = 0;
     loop {
-        let mut units: Vec<(usize, usize, usize)> = Vec::new();
+        let mut units: Vec<(usize, usize)> = Vec::new();
         for (si, st) in sites.iter().enumerate() {
             if st.stopped || st.done >= n {
                 continue;
@@ -504,41 +479,26 @@ fn run_waves(
             // one wave covers the whole site (fewer scheduling barriers).
             let wave = if rule.is_some() { EARLY_STOP_WAVE } else { n };
             let wave_end = st.done + wave.min(n - st.done);
-            let mut t = st.done;
-            while t < wave_end {
-                let len = batch.min(wave_end - t);
-                units.push((si, t, len));
-                t += len;
-            }
+            units.extend((st.done..wave_end).map(|t| (si, t)));
         }
         if units.is_empty() {
             break;
         }
-        let results: Vec<Vec<TrialRecord>> = run_trials(cfg.jobs, units.len(), |worker, u| {
-            let (si, start, len) = units[u];
+        let results: Vec<TrialRecord> = run_trials(cfg.jobs, units.len(), |worker, u| {
+            let (si, t) = units[u];
             let site = &sites[si];
-            let _span = trace::span!("batch", layer = site.index, trials = len);
-            let seeds: Vec<u64> = (start..start + len)
-                .map(|t| trial_seed(cfg.seed, site.index as u64, t as u64))
-                .collect();
-            let outcomes = run_unit(site, &seeds);
-            progress.tick(outcomes.len() as u64);
-            outcomes
-                .into_iter()
-                .enumerate()
-                .map(|(i, (flip, outcome))| {
-                    trial_record(site, start + i, kind, flip, outcome.as_ref(), worker)
-                })
-                .collect()
+            let _span = trace::span!("batch", layer = site.index);
+            let (flip, outcome) =
+                run_trial(site, trial_seed(cfg.seed, site.index as u64, t as u64));
+            progress.tick(1);
+            trial_record(site, t, kind, flip, outcome.as_ref(), worker)
         });
-        for (&(si, _, _), recs) in units.iter().zip(results) {
+        for (&(si, _), rec) in units.iter().zip(results) {
             if let Some(r) = &replay {
                 seg_skipped += r.skipped[si];
                 seg_total += r.total;
             }
-            for rec in recs {
-                sites[si].fold(rec);
-            }
+            sites[si].fold(rec);
         }
         if let Some(rule) = &rule {
             for st in &mut sites {
@@ -555,7 +515,6 @@ fn run_waves(
             ("wave", Json::from(round)),
             ("stopped_sites", Json::from(stopped)),
             ("jobs", Json::from(cfg.jobs)),
-            ("batch", Json::from(batch)),
         ];
         if seg_total > 0 {
             extra.push(("cache_hit_rate", Json::Num(seg_skipped as f64 / seg_total as f64)));
@@ -599,17 +558,16 @@ fn campaign_result(
 /// **Execution schedule.** The clean run is captured once as per-segment
 /// checkpoints ([`GoldenEye::capture_clean_run`]), and trials replay only
 /// the network suffix from the checkpoint preceding their injection
-/// layer, packed `cfg.trials_per_batch` replicas to a forward
-/// ([`GoldenEye::run_replay_batch`]; a batch of one replays a single
-/// trial). With `cfg.early_stop` set, each site's trials run in canonical
+/// layer, one trial per forward ([`GoldenEye::run_replay_batch`]). With
+/// `cfg.early_stop` set, each site's trials run in canonical
 /// waves of [`EARLY_STOP_WAVE`] and stop once the site's ΔLoss confidence
 /// interval is tight enough.
 ///
-/// **Determinism.** Per-trial seeds come from [`trial_seed`], batched
-/// replicas reproduce single-trial runs draw-for-draw, outcomes fold in
+/// **Determinism.** Per-trial seeds come from [`trial_seed`], replayed
+/// trials reproduce full-forward runs draw-for-draw, outcomes fold in
 /// canonical `(layer, trial)` order, and early-stop decisions happen only
 /// at wave boundaries — so the executed trial set and every record are
-/// bit-identical across all `jobs` *and* `trials_per_batch` values.
+/// bit-identical across all `jobs` values.
 ///
 /// # Panics
 ///
@@ -629,13 +587,11 @@ pub fn run_campaign(
             ge.format().name()
         );
     }
-    let batch = cfg.effective_batch(x.numel()).max(1);
     let _campaign_span = trace::span!(
         "campaign",
         format = ge.format().name(),
         site = cfg.kind.as_str(),
-        jobs = cfg.jobs,
-        batch = batch
+        jobs = cfg.jobs
     );
     let layers = ge.discover_layers(model, x.clone());
     let clean = ge.capture_clean_run(model, x.clone());
@@ -650,18 +606,14 @@ pub fn run_campaign(
             SiteState::new(l.index, l.name.clone(), strata, cfg.kind, cfg)
         })
         .collect();
-    let sites = run_waves(cfg, cfg.kind, "campaign", sites, batch, Some(replay), |site, seeds| {
+    let sites = run_waves(cfg, cfg.kind, "campaign", sites, Some(replay), |site, seed| {
         let plan = InjectionPlan::single(site.index, cfg.kind);
-        ge.run_replay_batch(model, &clean, plan, cfg.sampler, seeds)
-            .iter()
-            .map(|(faulty, rec)| {
-                let flip = rec.as_ref().map(|r| match r {
-                    InjectionRecord::Value { flip, .. } => (flip.element, flip.bit),
-                    InjectionRecord::Metadata { flip, .. } => (flip.word, flip.bit),
-                });
-                (flip, rec.as_ref().map(|_| compare_outcomes(clean.golden(), faulty, targets)))
-            })
-            .collect()
+        let (faulty, rec) = ge.replay(model, &clean, plan, cfg.sampler, seed);
+        let flip = rec.as_ref().map(|r| match r {
+            InjectionRecord::Value { flip, .. } => (flip.element, flip.bit),
+            InjectionRecord::Metadata { flip, .. } => (flip.word, flip.bit),
+        });
+        (flip, rec.map(|_| compare_outcomes(clean.golden(), &faulty, targets)))
     });
     campaign_result(ge.format().name(), cfg.kind, sites, cfg.injections_per_layer)
 }
@@ -675,7 +627,7 @@ pub fn run_campaign(
 /// Weights are quantised into the format up front (the paper's offline
 /// conversion), and fully restored before returning. `cfg.kind` is
 /// ignored: stored weights are data values. Trials run on the same wave
-/// scheduler as [`run_campaign`], one trial per unit, so early stopping,
+/// scheduler as [`run_campaign`], so early stopping,
 /// stratified bit sampling and wave heartbeats apply here too.
 ///
 /// Each trial perturbs its weight through a **thread-local** parameter
@@ -715,26 +667,17 @@ pub fn run_weight_campaign(
             SiteState::new(i, p.name().to_string(), strata.clone(), SiteKind::Value, cfg)
         })
         .collect();
-    let sites =
-        run_waves(cfg, SiteKind::Value, "weight_campaign", sites, 1, None, |site, seeds| {
-            let (param, clean) = &weights[site.index];
-            seeds
-                .iter()
-                .map(|&seed| {
-                    let (fault, _) = inject::Injector::new(seed)
-                        .try_sample_value_fault_with(clean.values.numel(), &cfg.sampler, &strata)
-                        .unwrap_or_else(|e| panic!("{e}"));
-                    let mut q = clean.clone();
-                    inject::flip_value(ge.format(), &mut q, fault.index, fault.bit);
-                    let _guard = param.override_local(ge.format().format_to_real_tensor(&q));
-                    let faulty = ge.run(model, x.clone());
-                    (
-                        Some((fault.index, fault.bit)),
-                        Some(compare_outcomes(&golden, &faulty, targets)),
-                    )
-                })
-                .collect()
-        });
+    let sites = run_waves(cfg, SiteKind::Value, "weight_campaign", sites, None, |site, seed| {
+        let (param, clean) = &weights[site.index];
+        let (fault, _) = inject::Injector::new(seed)
+            .try_sample_value_fault_with(clean.values.numel(), &cfg.sampler, &strata)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let mut q = clean.clone();
+        inject::flip_value(ge.format(), &mut q, fault.index, fault.bit);
+        let _guard = param.override_local(ge.format().format_to_real_tensor(&q));
+        let faulty = ge.run(model, x.clone());
+        (Some((fault.index, fault.bit)), Some(compare_outcomes(&golden, &faulty, targets)))
+    });
     snapshot.restore(model);
     campaign_result(ge.format().name(), SiteKind::Value, sites, cfg.injections_per_layer)
 }
@@ -914,47 +857,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_campaign_is_byte_identical_to_per_trial() {
-        let (model, x, y) = setup();
-        for spec in ["fp:e4m3", "bfp:e5m5:b16"] {
-            let ge = GoldenEye::parse(spec).unwrap();
-            let base = CampaignConfig {
-                injections_per_layer: 7,
-                kind: SiteKind::Value,
-                seed: 13,
-                jobs: 1,
-                ..Default::default()
-            };
-            let serial = run_campaign(&ge, &model, &x, &y, &base);
-            for batch in [2, 3, 7, 16] {
-                let cfg = base.clone().with_trials_per_batch(batch);
-                let batched = run_campaign(&ge, &model, &x, &y, &cfg);
-                assert_eq!(
-                    serial.canonical_trial_jsonl(),
-                    batched.canonical_trial_jsonl(),
-                    "{spec}: batch {batch} diverged from per-trial"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_metadata_campaign_matches_per_trial() {
-        let (model, x, y) = setup();
-        let ge = GoldenEye::parse("bfp:e5m5:b16").unwrap();
-        let base = CampaignConfig {
-            injections_per_layer: 5,
-            kind: SiteKind::Metadata,
-            seed: 17,
-            jobs: 1,
-            ..Default::default()
-        };
-        let serial = run_campaign(&ge, &model, &x, &y, &base);
-        let batched = run_campaign(&ge, &model, &x, &y, &base.clone().with_trials_per_batch(5));
-        assert_eq!(serial.canonical_trial_jsonl(), batched.canonical_trial_jsonl());
-    }
-
-    #[test]
     fn early_stopping_skips_trials_and_is_schedule_invariant() {
         let (model, x, y) = setup();
         let ge = GoldenEye::parse("fp:e4m3").unwrap();
@@ -975,14 +877,13 @@ mod tests {
             a.planned_trials
         );
         assert!(a.early_stop_savings() > 0.0);
-        // The executed trial set is identical across batch sizes and jobs.
-        for (batch, jobs) in [(4, 1), (16, 2), (EARLY_STOP_WAVE, 3)] {
-            let cfg = base.clone().with_trials_per_batch(batch).with_jobs(jobs);
-            let b = run_campaign(&ge, &model, &x, &y, &cfg);
+        // The executed trial set is identical across jobs.
+        for jobs in [2, 3] {
+            let b = run_campaign(&ge, &model, &x, &y, &base.clone().with_jobs(jobs));
             assert_eq!(
                 a.canonical_trial_jsonl(),
                 b.canonical_trial_jsonl(),
-                "batch {batch} jobs {jobs} changed the early-stopped trial set"
+                "jobs {jobs} changed the early-stopped trial set"
             );
         }
     }
@@ -998,8 +899,7 @@ mod tests {
             jobs: 1,
             ..Default::default()
         }
-        .with_early_stop(0.8)
-        .with_trials_per_batch(8);
+        .with_early_stop(0.8);
         let result = run_campaign(&ge, &model, &x, &y, &cfg);
         for l in &result.layers {
             if l.delta_loss.count() < (4 * EARLY_STOP_WAVE) as u64 {
@@ -1024,8 +924,7 @@ mod tests {
             jobs: 1,
             ..Default::default()
         }
-        .with_sampler(BitSampler::Stratified { critical_mass: 0.75 })
-        .with_trials_per_batch(8);
+        .with_sampler(BitSampler::Stratified { critical_mass: 0.75 });
         let result = run_campaign(&ge, &model, &x, &y, &cfg);
         let mut critical_total = 0u64;
         for l in &result.layers {
@@ -1057,17 +956,5 @@ mod tests {
         assert!(result.layers.iter().all(|l| l.stratified.is_none()));
         assert_eq!(result.planned_trials, result.trials.len());
         assert_eq!(result.early_stop_savings(), 0.0);
-    }
-
-    #[test]
-    fn effective_batch_auto_sizes_from_pool_budget() {
-        let cfg = CampaignConfig::default().with_trials_per_batch(0);
-        // Tiny inputs hit the upper clamp…
-        assert_eq!(cfg.effective_batch(16), 32);
-        // …huge inputs the lower one.
-        assert_eq!(cfg.effective_batch(usize::MAX / 16), 2);
-        // Explicit batch sizes pass through.
-        assert_eq!(cfg.clone().with_trials_per_batch(6).effective_batch(16), 6);
-        assert_eq!(CampaignConfig::default().effective_batch(16), 1);
     }
 }

@@ -139,8 +139,6 @@ enum RangeMode {
 
 impl RangeMode {
     /// Applies this mode's range handling to a hooked layer output.
-    /// Element-wise per layer, so it commutes with replica slicing —
-    /// clamping a packed batch tensor equals clamping each replica slice.
     fn apply(self, range: &RangeProfile, layer: usize, values: Tensor) -> Tensor {
         match self {
             RangeMode::Off => values,
@@ -158,21 +156,16 @@ impl RangeMode {
 /// it lands in this layer) flips bits in the quantised codes, and the
 /// result is dequantised back to FP32.
 ///
-/// One forward pass carries `replicas` trials stacked along the batch
-/// dimension (replica `r` in rows `r·B..(r+1)·B`; a plain run is one
-/// replica), and every replica slice is quantised **independently**.
-/// Per-tensor formats derive tensor-wide state (BFP shared exponents, INT
-/// scales, AFP biases) during quantisation, so slicing is what keeps each
-/// replica's metadata layout — and therefore its fault's element/word
-/// addressing — bit-identical to a single-replica run over the same
-/// `[B, ...]` tensor.
+/// One forward pass carries one trial, so per-tensor formats derive their
+/// tensor-wide state (BFP shared exponents, INT scales, AFP biases) from
+/// exactly that trial's `[B, ...]` activation.
 struct EmulationHook {
     formats: Arc<FormatTable>,
     filter: LayerFilter,
     plan: Option<InjectionPlan>,
     sampler: BitSampler,
-    /// Per-replica injector and the record of what its fault did.
-    state: Mutex<Vec<(Injector, Option<InjectionRecord>)>>,
+    /// The trial's injector and the record of what its fault did.
+    state: Mutex<(Injector, Option<InjectionRecord>)>,
     range: Arc<RangeProfile>,
     range_mode: RangeMode,
 }
@@ -191,52 +184,21 @@ impl FormatTable {
 
 impl ForwardHook for EmulationHook {
     fn on_output(&self, layer: &LayerInfo, output: &Tensor) -> Option<Tensor> {
-        self.on_output_batched(layer, output, 1)
-    }
-
-    fn on_output_batched(
-        &self,
-        layer: &LayerInfo,
-        output: &Tensor,
-        replicas: usize,
-    ) -> Option<Tensor> {
         let format = self.formats.resolve(layer.index);
         let plan = self.plan.filter(|p| p.layer == layer.index);
         let timing = trace::recording().then(Instant::now);
         // Fused fast path: no fault lands in this layer, so the quantised
         // codes are never inspected and the round-trip collapses to one
-        // elementwise pass. It commutes with replica slicing, and is
-        // bit-identical to the two-pass route by the quantizer contract.
+        // elementwise pass, bit-identical to the two-pass route by the
+        // quantizer contract.
         let fused = plan.is_none().then(|| formats::fused_roundtrip(format, output)).flatten();
         let values = fused.unwrap_or_else(|| {
-            let rows = output.dims()[0];
-            assert_eq!(rows % replicas, 0, "{rows} rows do not split into {replicas} replicas");
-            let per = rows / replicas;
-            let mut state = plan.map(|_| lock(&self.state));
-            if let Some(state) = &state {
-                assert_eq!(state.len(), replicas, "one injector per replica");
+            let mut q = format.real_to_format_tensor(output);
+            if let Some(plan) = &plan {
+                let (inj, rec) = &mut *lock(&self.state);
+                *rec = Some(apply_fault(format, layer, plan, &self.sampler, inj, &mut q));
             }
-            let mut slices = Vec::with_capacity(replicas);
-            for r in 0..replicas {
-                let narrowed;
-                let slice = if replicas == 1 {
-                    output
-                } else {
-                    narrowed = tensor::ops::narrow(output, 0, r * per, per);
-                    &narrowed
-                };
-                let mut q = format.real_to_format_tensor(slice);
-                if let (Some(plan), Some(state)) = (&plan, state.as_mut()) {
-                    let (inj, rec) = &mut state[r];
-                    *rec = Some(apply_fault(format, layer, plan, &self.sampler, inj, &mut q));
-                }
-                slices.push(format.format_to_real_tensor(&q));
-            }
-            if replicas == 1 {
-                slices.pop().expect("one replica")
-            } else {
-                tensor::ops::concat(&slices.iter().collect::<Vec<_>>(), 0)
-            }
+            format.format_to_real_tensor(&q)
         });
         if let Some(t0) = timing {
             let m = hook_metrics();
@@ -252,8 +214,8 @@ impl ForwardHook for EmulationHook {
 }
 
 /// Samples and executes one planned fault on an already-quantised tensor,
-/// drawing locations from `inj`. Every replica consumes its own trial's
-/// RNG identically, which is what makes a replayed replica reproduce a
+/// drawing locations from `inj`. A replayed trial consumes its RNG exactly
+/// as a full forward does, which is what makes replay reproduce a
 /// single-trial run draw-for-draw.
 fn apply_fault(
     format: &dyn NumberFormat,
@@ -499,7 +461,7 @@ impl GoldenEye {
 
     /// Runs an emulated inference (no injection) and returns the logits.
     pub fn run(&self, model: &dyn Module, x: Tensor) -> Tensor {
-        let hook = self.hook(None, BitSampler::Uniform, &[], self.trial_range_mode());
+        let hook = self.hook(None, BitSampler::Uniform, 0, self.trial_range_mode());
         forward_hooked(model, x, hook)
     }
 
@@ -529,19 +491,19 @@ impl GoldenEye {
         seed: u64,
         sampler: BitSampler,
     ) -> (Tensor, Option<InjectionRecord>) {
-        let hook = self.hook(Some(plan), sampler, &[seed], self.trial_range_mode());
+        let hook = self.hook(Some(plan), sampler, seed, self.trial_range_mode());
         let logits = forward_hooked(model, x, hook.clone());
-        let record = lock(&hook.state)[0].1.clone();
+        let record = lock(&hook.state).1.take();
         (logits, record)
     }
 
-    /// The emulation hook for one forward pass, carrying one injector per
-    /// replica seed (`seeds` may be empty when `plan` is `None`).
+    /// The emulation hook for one forward pass, drawing its fault from
+    /// `Injector::new(seed)` (`seed` is unused when `plan` is `None`).
     fn hook(
         &self,
         plan: Option<InjectionPlan>,
         sampler: BitSampler,
-        seeds: &[u64],
+        seed: u64,
         range_mode: RangeMode,
     ) -> Arc<EmulationHook> {
         Arc::new(EmulationHook {
@@ -552,7 +514,7 @@ impl GoldenEye {
             filter: self.filter,
             plan,
             sampler,
-            state: Mutex::new(seeds.iter().map(|&s| (Injector::new(s), None)).collect()),
+            state: Mutex::new((Injector::new(seed), None)),
             range: self.range.clone(),
             range_mode,
         })
@@ -576,7 +538,7 @@ impl GoldenEye {
     /// returned golden logits are bit-identical to [`GoldenEye::run`].
     pub fn capture_clean_run(&self, model: &dyn Module, x: Tensor) -> CleanRun {
         let mut ctx = Ctx::inference();
-        ctx.add_hook(self.hook(None, BitSampler::Uniform, &[], self.trial_range_mode()));
+        ctx.add_hook(self.hook(None, BitSampler::Uniform, 0, self.trial_range_mode()));
         let segments = model.num_segments();
         let mut seg_inputs = Vec::with_capacity(segments);
         let mut seg_layer_offset = Vec::with_capacity(segments);
@@ -594,19 +556,13 @@ impl GoldenEye {
         }
     }
 
-    /// Replays a batch of fault trials from the checkpoint preceding the
-    /// injection layer: the cached clean activation is tiled into
-    /// `seeds.len()` contiguous replicas, the remaining segments run as
-    /// **one** batched forward, and replica `r`'s fault is drawn from
+    /// Replays fault trials from the checkpoint preceding the injection
+    /// layer, one forward per seed: the remaining segments run from the
+    /// cached clean activation, and trial `r`'s fault is drawn from
     /// `Injector::new(seeds[r])` at the injection site — so each returned
     /// `(logits, record)` pair is bit-identical to
-    /// [`GoldenEye::run_with_injection_sampled`] with that seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty (an empty batch has no trials to replay;
-    /// sample faults through `Injector::try_sample_value_fault_batch` to
-    /// get the typed empty-space errors instead).
+    /// [`GoldenEye::run_with_injection_sampled`] with that seed. An empty
+    /// `seeds` slice replays nothing.
     pub fn run_replay_batch(
         &self,
         model: &dyn Module,
@@ -615,30 +571,36 @@ impl GoldenEye {
         sampler: BitSampler,
         seeds: &[u64],
     ) -> Vec<(Tensor, Option<InjectionRecord>)> {
-        assert!(!seeds.is_empty(), "a replay batch needs at least one trial seed");
-        let n = seeds.len();
+        seeds.iter().map(|&seed| self.replay(model, clean, plan, sampler, seed)).collect()
+    }
+
+    /// Replays one fault trial from the checkpoint preceding its injection
+    /// layer (see [`GoldenEye::run_replay_batch`]).
+    pub(crate) fn replay(
+        &self,
+        model: &dyn Module,
+        clean: &CleanRun,
+        plan: InjectionPlan,
+        sampler: BitSampler,
+        seed: u64,
+    ) -> (Tensor, Option<InjectionRecord>) {
         let seg = clean.segment_for_layer(plan.layer);
         // Checkpoint-cache accounting: of the `num_segments` a full
-        // forward would run, this batch skips the `seg` before the
+        // forward would run, this replay skips the `seg` before the
         // checkpoint.
         trace::counter(trace::names::CAMPAIGN_REPLAY_BATCHES).add(1);
         trace::counter(trace::names::CAMPAIGN_REPLAY_SEG_SKIPPED).add(seg as u64);
         trace::counter(trace::names::CAMPAIGN_REPLAY_SEG_TOTAL).add(model.num_segments() as u64);
-        let hook = self.hook(Some(plan), sampler, seeds, self.trial_range_mode());
+        let hook = self.hook(Some(plan), sampler, seed, self.trial_range_mode());
         let mut ctx = Ctx::inference();
         ctx.add_hook(hook.clone());
         ctx.set_base_layer(clean.seg_layer_offset[seg]);
-        ctx.set_replicas(n);
-        let mut h = ctx.input(tensor::ops::tile_batch(&clean.seg_inputs[seg], n));
+        let mut h = ctx.input(clean.seg_inputs[seg].clone());
         for s in seg..model.num_segments() {
             h = model.forward_segment(s, &h, &mut ctx);
         }
-        let logits = h.value();
-        let per = logits.dims()[0] / n;
-        let state = lock(&hook.state);
-        (0..n)
-            .map(|r| (tensor::ops::narrow(&logits, 0, r * per, per), state[r].1.clone()))
-            .collect()
+        let record = lock(&hook.state).1.take();
+        (h.value(), record)
     }
 
     /// Profiles per-layer activation ranges on clean emulated runs, for
@@ -649,7 +611,7 @@ impl GoldenEye {
     pub fn profile_ranges(&self, model: &dyn Module, batches: &[Tensor]) {
         let _span = trace::span!("profile_ranges", batches = batches.len());
         for x in batches {
-            let hook = self.hook(None, BitSampler::Uniform, &[], RangeMode::Profile);
+            let hook = self.hook(None, BitSampler::Uniform, 0, RangeMode::Profile);
             forward_hooked(model, x.clone(), hook);
         }
         if trace::recording() {
@@ -1217,6 +1179,16 @@ mod tests {
         let (sl, sr) = ge.run_with_injection(&model, x, plan, 7);
         assert_bits_equal(&batch[0].0, &sl, "batch of one");
         assert_eq!(format!("{:?}", batch[0].1), format!("{sr:?}"));
+    }
+
+    #[test]
+    fn replay_batch_of_no_seeds_is_empty() {
+        let model = tiny_model(25);
+        let x = sample(26);
+        let ge = GoldenEye::parse("fp:e4m3").unwrap();
+        let clean = ge.capture_clean_run(&model, x);
+        let plan = InjectionPlan::single(0, SiteKind::Value);
+        assert!(ge.run_replay_batch(&model, &clean, plan, BitSampler::Uniform, &[]).is_empty());
     }
 
     #[test]

@@ -164,8 +164,7 @@ impl Injector {
 
     /// Samples one value fault per trial seed, each from its own fresh
     /// RNG — draw-for-draw identical to running the per-trial path once per
-    /// seed, which is what makes batched campaigns byte-identical to serial
-    /// ones.
+    /// seed.
     ///
     /// The fault space is validated up front, so an empty batch (or a batch
     /// of one) over an empty space reports the same typed

@@ -60,29 +60,6 @@ pub trait ForwardHook: Send + Sync {
     /// Observes (and optionally replaces) the output of `layer`.
     fn on_output(&self, layer: &LayerInfo, output: &Tensor) -> Option<Tensor>;
 
-    /// Batch-aware variant of [`ForwardHook::on_output`], called when the
-    /// forward pass carries `replicas` independent trials packed along the
-    /// leading (batch) dimension (see [`Ctx::set_replicas`]).
-    ///
-    /// `output`'s leading dimension is `replicas ×` the per-trial batch;
-    /// replica `r` occupies the contiguous row range
-    /// `r·(d0/replicas) .. (r+1)·(d0/replicas)`. Hooks whose transform is
-    /// *not* per-element (anything that derives tensor-wide state such as
-    /// quantisation scales or shared exponents) must override this and
-    /// process each replica slice independently, or packed trials would
-    /// observe each other through that shared state. The default ignores
-    /// the packing and treats the output as one tensor, which is correct
-    /// only for per-element transforms.
-    fn on_output_batched(
-        &self,
-        layer: &LayerInfo,
-        output: &Tensor,
-        replicas: usize,
-    ) -> Option<Tensor> {
-        let _ = replicas;
-        self.on_output(layer, output)
-    }
-
     /// Which layer kinds this hook applies to. Defaults to the paper's
     /// default instrumentation set: CONV and LINEAR.
     fn applies_to(&self, kind: LayerKind) -> bool {
@@ -238,7 +215,6 @@ pub struct Ctx {
     layer_index: usize,
     bindings: Vec<(Param, Var)>,
     training: bool,
-    replicas: usize,
 }
 
 impl Ctx {
@@ -250,7 +226,6 @@ impl Ctx {
             layer_index: 0,
             bindings: Vec::new(),
             training: false,
-            replicas: 1,
         }
     }
 
@@ -262,7 +237,6 @@ impl Ctx {
             layer_index: 0,
             bindings: Vec::new(),
             training: true,
-            replicas: 1,
         }
     }
 
@@ -275,22 +249,12 @@ impl Ctx {
         self.layer_index = index;
     }
 
-    /// Declares that the forward pass packs `n` independent trials along
-    /// the leading batch dimension. Hooks receive this via
-    /// [`ForwardHook::on_output_batched`] so per-tensor transforms can be
-    /// applied per replica slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn set_replicas(&mut self, n: usize) {
-        assert!(n >= 1, "a forward pass carries at least one replica");
-        self.replicas = n;
-    }
-
-    /// Number of packed trials in this pass (1 = a plain forward).
+    /// Number of trials this pass carries: always 1, since every trial
+    /// runs its own forward. Kept only because the benchmark package
+    /// still reads it; ignored until the benchmark's next change, after
+    /// which it goes.
     pub fn replicas(&self) -> usize {
-        self.replicas
+        1
     }
 
     /// Registers a forward hook.
@@ -350,7 +314,6 @@ impl Ctx {
         if applicable.is_empty() {
             return out;
         }
-        let replicas = self.replicas;
         // Hooks run once, eagerly: they are stateful (injector draws,
         // discovery records), and observing-only hooks must not cost a
         // tape node or a tensor copy. `value()` shares the output's
@@ -359,12 +322,7 @@ impl Ctx {
         let mut cur: Option<Tensor> = None;
         for h in &applicable {
             let view = cur.as_ref().unwrap_or(&x);
-            let replaced = if replicas > 1 {
-                h.on_output_batched(&info, view, replicas)
-            } else {
-                h.on_output(&info, view)
-            };
-            if let Some(replaced) = replaced {
+            if let Some(replaced) = h.on_output(&info, view) {
                 cur = Some(replaced);
             }
         }
@@ -579,56 +537,6 @@ mod tests {
         ctx.hook_output(LayerKind::Linear, "b", x.clone());
         ctx.hook_output(LayerKind::Conv, "c", x);
         assert_eq!(ctx.layers_seen(), 3);
-    }
-
-    /// Doubles each replica slice's values by `1 + replica index` — a
-    /// transform that depends on the packing, to verify dispatch.
-    struct ReplicaHook;
-    impl ForwardHook for ReplicaHook {
-        fn on_output(&self, _l: &LayerInfo, out: &Tensor) -> Option<Tensor> {
-            Some(out.map(|x| x * 10.0))
-        }
-        fn on_output_batched(
-            &self,
-            _l: &LayerInfo,
-            out: &Tensor,
-            replicas: usize,
-        ) -> Option<Tensor> {
-            let rows = out.numel() / replicas;
-            let mut t = out.clone();
-            for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
-                *v *= (1 + i / rows) as f32;
-            }
-            Some(t)
-        }
-    }
-
-    #[test]
-    fn batched_hook_dispatch_depends_on_replicas() {
-        // replicas = 1 → per-tensor path.
-        let mut ctx = Ctx::inference();
-        ctx.add_hook(Arc::new(ReplicaHook));
-        let x = ctx.input(Tensor::ones([4]));
-        let y = ctx.hook_output(LayerKind::Conv, "c", x);
-        assert_eq!(y.value().as_slice(), &[10.0; 4]);
-        // replicas = 2 → per-replica path (second replica scaled by 2).
-        let mut ctx = Ctx::inference();
-        ctx.set_replicas(2);
-        assert_eq!(ctx.replicas(), 2);
-        ctx.add_hook(Arc::new(ReplicaHook));
-        let x = ctx.input(Tensor::ones([4]));
-        let y = ctx.hook_output(LayerKind::Conv, "c", x);
-        assert_eq!(y.value().as_slice(), &[1.0, 1.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn default_batched_hook_falls_back_to_per_tensor() {
-        let mut ctx = Ctx::inference();
-        ctx.set_replicas(3);
-        ctx.add_hook(Arc::new(DoubleHook)); // no batched override
-        let x = ctx.input(Tensor::ones([6]));
-        let y = ctx.hook_output(LayerKind::Conv, "c", x);
-        assert_eq!(y.value().as_slice(), &[2.0; 6]);
     }
 
     #[test]

@@ -323,82 +323,6 @@ pub fn transpose2(x: &Tensor) -> Tensor {
     permute(x, &[1, 0])
 }
 
-/// Concatenates tensors along dimension `dim`.
-///
-/// # Panics
-///
-/// Panics if shapes disagree outside `dim`, or `parts` is empty.
-pub fn concat(parts: &[&Tensor], dim: usize) -> Tensor {
-    assert!(!parts.is_empty(), "concat of zero tensors");
-    let nd = parts[0].ndim();
-    assert!(dim < nd, "concat dim {} out of range", dim);
-    let outer: usize = parts[0].dims()[..dim].iter().product::<usize>().max(1);
-    let inner: usize = parts[0].dims()[dim + 1..].iter().product::<usize>().max(1);
-    let mut cat_dim = 0;
-    for p in parts {
-        assert_eq!(p.ndim(), nd, "concat rank mismatch");
-        for d in 0..nd {
-            if d != dim {
-                assert_eq!(p.dims()[d], parts[0].dims()[d], "concat shape mismatch at dim {d}");
-            }
-        }
-        cat_dim += p.dims()[dim];
-    }
-    let mut out_dims = parts[0].dims().to_vec();
-    out_dims[dim] = cat_dim;
-    let mut out = Vec::with_capacity(outer * cat_dim * inner);
-    for o in 0..outer {
-        for p in parts {
-            let rows = p.dims()[dim];
-            let start = o * rows * inner;
-            out.extend_from_slice(&p.as_slice()[start..start + rows * inner]);
-        }
-    }
-    Tensor::from_vec(out, out_dims)
-}
-
-/// Repeats `x` `n` times along dimension 0: `[B, ...] → [n·B, ...]`, with
-/// copy `r` occupying rows `r·B..(r+1)·B` — the contiguous replica layout
-/// batched fault trials pack into one forward pass.
-///
-/// # Panics
-///
-/// Panics if `n == 0` or `x` has no dimensions.
-pub fn tile_batch(x: &Tensor, n: usize) -> Tensor {
-    assert!(n >= 1, "tile_batch needs at least one copy");
-    assert!(x.ndim() >= 1, "tile_batch needs a batch dimension");
-    let src = x.as_slice();
-    let mut out = Vec::with_capacity(src.len() * n);
-    for _ in 0..n {
-        out.extend_from_slice(src);
-    }
-    let mut dims = x.dims().to_vec();
-    dims[0] *= n;
-    Tensor::from_vec(out, dims)
-}
-
-/// Extracts `x[.., start..start+len, ..]` along dimension `dim`.
-///
-/// # Panics
-///
-/// Panics if the slice is out of range.
-pub fn narrow(x: &Tensor, dim: usize, start: usize, len: usize) -> Tensor {
-    let nd = x.ndim();
-    assert!(dim < nd, "narrow dim {} out of range", dim);
-    assert!(start + len <= x.dims()[dim], "narrow out of range for {:?}", x.shape());
-    let outer: usize = x.dims()[..dim].iter().product::<usize>().max(1);
-    let inner: usize = x.dims()[dim + 1..].iter().product::<usize>().max(1);
-    let full = x.dims()[dim];
-    let mut out = Vec::with_capacity(outer * len * inner);
-    for o in 0..outer {
-        let base = o * full * inner + start * inner;
-        out.extend_from_slice(&x.as_slice()[base..base + len * inner]);
-    }
-    let mut dims = x.dims().to_vec();
-    dims[dim] = len;
-    Tensor::from_vec(out, dims)
-}
-
 /// Reduces `grad` (shaped like the broadcast output) back to `shape` by
 /// summing over broadcast dimensions. This is the adjoint of broadcasting.
 pub fn reduce_to_shape(grad: &Tensor, shape: &Shape) -> Tensor {
@@ -543,24 +467,6 @@ mod tests {
         let p = permute(&x, &[2, 0, 1]);
         assert_eq!(p.dims(), &[4, 2, 3]);
         assert_eq!(p.at(&[1, 0, 2]), x.at(&[0, 2, 1]));
-    }
-
-    #[test]
-    fn concat_and_narrow_roundtrip() {
-        let x = Tensor::arange(12).reshape([2, 6]);
-        let a = narrow(&x, 1, 0, 2);
-        let b = narrow(&x, 1, 2, 4);
-        let back = concat(&[&a, &b], 1);
-        assert_eq!(back, x);
-    }
-
-    #[test]
-    fn concat_dim0() {
-        let a = Tensor::arange(4).reshape([2, 2]);
-        let b = Tensor::arange(2).reshape([1, 2]);
-        let c = concat(&[&a, &b], 0);
-        assert_eq!(c.dims(), &[3, 2]);
-        assert_eq!(c.as_slice(), &[0., 1., 2., 3., 0., 1.]);
     }
 
     #[test]

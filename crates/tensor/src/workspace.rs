@@ -26,14 +26,6 @@ thread_local! {
     static POOL: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The pool's per-buffer element budget ([`MAX_POOLED_LEN`]) — the anchor
-/// batched campaigns use to auto-size how many trial replicas fit in one
-/// forward pass without spilling the kernels' scratch buffers out of the
-/// pool.
-pub const fn pooled_budget_elems() -> usize {
-    MAX_POOLED_LEN
-}
-
 /// A pooled scratch buffer; derefs to `[f32]` of exactly the requested
 /// length and returns its storage to the thread-local pool on drop.
 pub struct Scratch {

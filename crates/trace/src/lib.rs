@@ -331,7 +331,7 @@ impl Drop for Span {
 }
 
 /// Opens a [`Span`]: `span!("campaign")` or
-/// `span!("batch", layer = 3, trials = 8)`.
+/// `span!("batch", layer = 3)`.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {

@@ -16,11 +16,11 @@ pub const HOOK_CONVERT_ELEMS: &str = "hook.convert_elems";
 pub const HOOK_LOCK_WAIT_NS: &str = "hook.lock_wait_ns";
 /// Executed campaign trials.
 pub const CAMPAIGN_TRIALS: &str = "campaign.trials";
-/// Batched replay forwards executed by the checkpoint/replay engine.
+/// Replay forwards (one per trial) executed by the checkpoint/replay engine.
 pub const CAMPAIGN_REPLAY_BATCHES: &str = "campaign.replay.batches";
 /// Model segments skipped by replaying from a checkpoint (cache hits).
 pub const CAMPAIGN_REPLAY_SEG_SKIPPED: &str = "campaign.replay.segments_skipped";
-/// Total model segments a full forward of each replay batch would run.
+/// Total model segments a full forward of each replayed trial would run.
 pub const CAMPAIGN_REPLAY_SEG_TOTAL: &str = "campaign.replay.segments_total";
 /// Dequantise lookup tables built by the `formats` fast path.
 pub const FORMATS_LUT_BUILDS: &str = "formats.lut.builds";
@@ -128,12 +128,11 @@ pub fn is_known_kind(kind: &str) -> bool {
 }
 
 /// Fields of a `progress` event that carry wall-clock-derived or
-/// schedule-dependent values (throughput, ETA, batch geometry). The
+/// schedule-dependent values (throughput, ETA, worker count). The
 /// deterministic content of a heartbeat is everything else; comparisons
-/// across `--jobs`/`--trials-per-batch` strip these, exactly like
-/// timestamps.
+/// across `--jobs` strip these, exactly like timestamps.
 pub const PROGRESS_VOLATILE_FIELDS: &[&str] =
-    &["ts_ns", "elapsed_s", "per_sec", "eta_s", "jobs", "batch", "cache_hit_rate"];
+    &["ts_ns", "elapsed_s", "per_sec", "eta_s", "jobs", "cache_hit_rate"];
 
 #[cfg(test)]
 mod tests {

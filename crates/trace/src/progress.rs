@@ -5,10 +5,9 @@
 //! forward to clients, so their *content* is deterministic: callers emit
 //! them at schedule-invariant points (campaign wave-round boundaries, DSE
 //! nodes, evaluation batches), and every wall-clock- or schedule-derived
-//! field (`elapsed_s`, `per_sec`, `eta_s`, `jobs`, `batch`,
-//! `cache_hit_rate`) is registered in
-//! [`crate::names::PROGRESS_VOLATILE_FIELDS`] and stripped by
-//! [`canonical_progress`] — the same treatment timestamps get in the
+//! field (`elapsed_s`, `per_sec`, `eta_s`, `jobs`, `cache_hit_rate`) is
+//! registered in [`crate::names::PROGRESS_VOLATILE_FIELDS`] and stripped
+//! by [`canonical_progress`] — the same treatment timestamps get in the
 //! serial-vs-parallel byte-identity contract.
 
 use crate::json::Json;
@@ -223,7 +222,7 @@ mod tests {
     #[test]
     fn canonical_progress_strips_volatile_fields() {
         let raw = crate::parse(
-            r#"{"ts_ns":1,"level":"info","type":"progress","phase":"campaign","done":64,"planned":128,"wave":2,"jobs":4,"batch":8,"cache_hit_rate":0.5,"elapsed_s":0.1,"per_sec":640.0,"eta_s":0.1}"#,
+            r#"{"ts_ns":1,"level":"info","type":"progress","phase":"campaign","done":64,"planned":128,"wave":2,"jobs":4,"cache_hit_rate":0.5,"elapsed_s":0.1,"per_sec":640.0,"eta_s":0.1}"#,
         )
         .unwrap();
         let canon = canonical_progress(&raw);

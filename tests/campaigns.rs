@@ -221,18 +221,31 @@ fn batch_injector_edge_cases_match_per_trial_typed_errors() {
 
 #[test]
 fn batch_size_one_campaign_equals_per_trial_campaign() {
-    // A batch of one (each trial replayed alone) and a batch larger than
-    // the planned trials (clipped to the site, not a crash) must agree.
+    // Every replayed trial (one forward from its checkpoint) must record
+    // exactly what a full-forward run with the same seed produces: the
+    // flipped element and bit, and a bit-identical ΔLoss and mismatch.
     let (model, x, y) = setup();
     let ge = GoldenEye::parse("fp:e4m3").unwrap();
-    let base = CampaignConfig {
+    let cfg = CampaignConfig {
         injections_per_layer: 2,
         kind: SiteKind::Value,
         seed: 51,
         jobs: 1,
         ..Default::default()
     };
-    let per_trial = run_campaign(&ge, &model, &x, &y, &base.clone().with_trials_per_batch(1));
-    let oversized = run_campaign(&ge, &model, &x, &y, &base.clone().with_trials_per_batch(64));
-    assert!(per_trial.canonical_trial_jsonl() == oversized.canonical_trial_jsonl());
+    let result = run_campaign(&ge, &model, &x, &y, &cfg);
+    assert_eq!(result.trials.len(), result.planned_trials);
+    let golden = ge.run(&model, x.clone());
+    for t in &result.trials {
+        let seed = goldeneye::trial_seed(51, t.layer as u64, t.trial as u64);
+        let plan = InjectionPlan::single(t.layer, SiteKind::Value);
+        let (faulty, rec) = ge.run_with_injection(&model, x.clone(), plan, seed);
+        let Some(goldeneye::InjectionRecord::Value { flip, .. }) = rec else {
+            panic!("layer {} trial {}: the fault never fired", t.layer, t.trial);
+        };
+        let outcome = compare_outcomes(&golden, &faulty, &y);
+        assert_eq!((t.element, t.bit), (Some(flip.element), Some(flip.bit)));
+        assert_eq!(t.delta_loss.map(f32::to_bits), Some(outcome.delta_loss.to_bits()));
+        assert_eq!(t.mismatch.map(f32::to_bits), Some(outcome.mismatch_rate.to_bits()));
+    }
 }

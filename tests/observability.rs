@@ -141,7 +141,7 @@ fn canonical_heartbeats(
 }
 
 #[test]
-fn progress_heartbeats_are_byte_deterministic_across_jobs_and_batch() {
+fn progress_heartbeats_are_byte_deterministic_across_jobs() {
     let _gate = serialize_tests();
     let (model, x, y) = setup();
     let base = CampaignConfig {
@@ -151,15 +151,11 @@ fn progress_heartbeats_are_byte_deterministic_across_jobs_and_batch() {
         jobs: 1,
         ..Default::default()
     };
-    let reference = canonical_heartbeats(&model, &x, &y, &base.clone().with_trials_per_batch(1));
+    let reference = canonical_heartbeats(&model, &x, &y, &base);
     assert!(!reference.is_empty(), "campaign emitted no heartbeats");
-    for (jobs, batch) in [(2usize, 1usize), (1, 4), (4, 8)] {
-        let cfg = CampaignConfig { jobs, ..base.clone() }.with_trials_per_batch(batch);
-        let got = canonical_heartbeats(&model, &x, &y, &cfg);
-        assert_eq!(
-            got, reference,
-            "canonical heartbeat content diverged at jobs={jobs} batch={batch}"
-        );
+    for jobs in [2usize, 4] {
+        let got = canonical_heartbeats(&model, &x, &y, &base.clone().with_jobs(jobs));
+        assert_eq!(got, reference, "canonical heartbeat content diverged at jobs={jobs}");
     }
     // The canonical form keeps the deterministic fields and drops every
     // volatile one.
@@ -207,8 +203,7 @@ fn heartbeat_cache_hit_rate_is_per_campaign() {
         seed: 5,
         jobs: 1,
         ..Default::default()
-    }
-    .with_trials_per_batch(2);
+    };
     let ge = GoldenEye::parse("fp:e4m3").unwrap();
     // Hooking every layer kind changes which checkpoints trials replay
     // from, so this campaign's reuse differs from `ge`'s.

@@ -1,9 +1,9 @@
 //! The artifact store's bit-exactness contract: every entry point that
 //! can route offline work through the store — campaigns, weight
 //! campaigns, accuracy evaluation, DSE — must produce **byte-identical**
-//! results store-disabled, cold-cache, and warm-cache, at multiple
-//! `jobs` × `trials-per-batch` settings. The store may only change how
-//! fast an answer arrives, never the answer.
+//! results store-disabled, cold-cache, and warm-cache, at multiple `jobs`
+//! settings. The store may only change how fast an answer arrives, never
+//! the answer.
 
 use goldeneye::dse::{accuracy_eval_stored, search, DseFamily};
 use goldeneye::{
@@ -33,21 +33,20 @@ fn temp_store_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The pinned `jobs` × `trials_per_batch` grid every identity check runs
-/// over (serial per-trial, and parallel batched).
-const COMBOS: [(usize, usize); 2] = [(1, 0), (4, 2)];
+/// The pinned `jobs` settings every campaign identity check runs over
+/// (serial and parallel).
+const JOBS: [usize; 2] = [1, 4];
 
 #[test]
 fn campaign_jsonl_is_byte_identical_disabled_cold_warm() {
     let (model, _data, x, y) = setup();
     let dir = temp_store_dir("campaign");
-    for (jobs, batch) in COMBOS {
+    for jobs in JOBS {
         let cfg = CampaignConfig {
             injections_per_layer: 4,
             kind: SiteKind::Value,
             seed: 7,
             jobs,
-            trials_per_batch: batch,
             ..Default::default()
         };
         let disabled = {
@@ -66,8 +65,8 @@ fn campaign_jsonl_is_byte_identical_disabled_cold_warm() {
             run_campaign(&ge, &model, &x, &y, &cfg).canonical_trial_jsonl()
         };
         assert!(!disabled.is_empty());
-        assert!(disabled == cold, "jobs={jobs} batch={batch}: cold store changed campaign JSONL");
-        assert!(disabled == warm, "jobs={jobs} batch={batch}: warm store changed campaign JSONL");
+        assert!(disabled == cold, "jobs={jobs}: cold store changed campaign JSONL");
+        assert!(disabled == warm, "jobs={jobs}: warm store changed campaign JSONL");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -76,13 +75,12 @@ fn campaign_jsonl_is_byte_identical_disabled_cold_warm() {
 fn weight_campaign_jsonl_is_byte_identical_disabled_cold_warm() {
     let (model, _data, x, y) = setup();
     let dir = temp_store_dir("weight");
-    for (jobs, batch) in COMBOS {
+    for jobs in JOBS {
         let cfg = CampaignConfig {
             injections_per_layer: 3,
             kind: SiteKind::Value,
             seed: 11,
             jobs,
-            trials_per_batch: batch,
             ..Default::default()
         };
         let disabled = {
@@ -101,9 +99,9 @@ fn weight_campaign_jsonl_is_byte_identical_disabled_cold_warm() {
             (out, store.stats())
         };
         assert!(!disabled.is_empty());
-        assert!(disabled == cold, "jobs={jobs} batch={batch}: cold store changed weight JSONL");
-        assert!(disabled == warm, "jobs={jobs} batch={batch}: warm store changed weight JSONL");
-        assert!(stats.hits > 0, "jobs={jobs} batch={batch}: warm run never hit the store");
+        assert!(disabled == cold, "jobs={jobs}: cold store changed weight JSONL");
+        assert!(disabled == warm, "jobs={jobs}: warm store changed weight JSONL");
+        assert!(stats.hits > 0, "jobs={jobs}: warm run never hit the store");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
