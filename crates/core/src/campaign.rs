@@ -337,27 +337,7 @@ fn trial_record(
     };
     trials_counter().add(1);
     if trace::recording() {
-        let mut fields: Vec<(&'static str, Json)> = Vec::with_capacity(9);
-        if let Json::Obj(obj) = record.to_json() {
-            // Re-borrow the payload with static keys for the event API.
-            for (k, v) in obj {
-                let key: &'static str = match k.as_str() {
-                    "type" => continue,
-                    "layer" => "layer",
-                    "name" => "name",
-                    "trial" => "trial",
-                    "site" => "site",
-                    "element" => "element",
-                    "bit" => "bit",
-                    "delta_loss" => "delta_loss",
-                    "mismatch" => "mismatch",
-                    "worker" => "worker",
-                    _ => continue,
-                };
-                fields.push((key, v));
-            }
-        }
-        trace::emit(trace::Level::Info, "trial", fields);
+        trace::emit(trace::Level::Info, "trial", record.event_fields());
     }
     record
 }
@@ -556,8 +536,9 @@ fn campaign_result(
 /// error-free emulated run over `(x, targets)`.
 ///
 /// **Execution schedule.** The clean run is captured once as per-segment
-/// checkpoints ([`GoldenEye::capture_clean_run`]), and trials replay only
-/// the network suffix from the checkpoint preceding their injection
+/// checkpoints ([`GoldenEye::capture_clean_run`]); the same pass lists the
+/// instrumented layers that become the campaign's sites. Trials replay
+/// only the network suffix from the checkpoint preceding their injection
 /// layer, one trial per forward ([`GoldenEye::run_replay_batch`]). With
 /// `cfg.early_stop` set, each site's trials run in canonical
 /// waves of [`EARLY_STOP_WAVE`] and stop once the site's ΔLoss confidence
@@ -593,13 +574,13 @@ pub fn run_campaign(
         site = cfg.kind.as_str(),
         jobs = cfg.jobs
     );
-    let layers = ge.discover_layers(model, x.clone());
     let clean = ge.capture_clean_run(model, x.clone());
     let replay = ReplaySegments {
-        skipped: layers.iter().map(|l| clean.segment_for_layer(l.index)).collect(),
+        skipped: clean.layers().iter().map(|l| clean.segment_for_layer(l.index)).collect(),
         total: model.num_segments(),
     };
-    let sites = layers
+    let sites = clean
+        .layers()
         .iter()
         .map(|l| {
             let strata = BitStrata::for_format(ge.format_for_layer(l.index));
@@ -956,5 +937,60 @@ mod tests {
         assert!(result.layers.iter().all(|l| l.stratified.is_none()));
         assert_eq!(result.planned_trials, result.trials.len());
         assert_eq!(result.early_stop_savings(), 0.0);
+    }
+
+    /// A wrapper that counts how often its model's first segment runs.
+    struct CountingModel {
+        inner: ResNet,
+        first_segment_runs: AtomicUsize,
+    }
+
+    impl Module for CountingModel {
+        fn forward(&self, x: &tensor::Var, ctx: &mut nn::Ctx) -> tensor::Var {
+            let mut h = x.clone();
+            for s in 0..self.num_segments() {
+                h = self.forward_segment(s, &h, ctx);
+            }
+            h
+        }
+
+        fn num_segments(&self) -> usize {
+            self.inner.num_segments()
+        }
+
+        fn forward_segment(
+            &self,
+            segment: usize,
+            x: &tensor::Var,
+            ctx: &mut nn::Ctx,
+        ) -> tensor::Var {
+            if segment == 0 {
+                self.first_segment_runs.fetch_add(1, Ordering::Relaxed);
+            }
+            self.inner.forward_segment(segment, x, ctx)
+        }
+
+        fn visit_params(&self, f: &mut dyn FnMut(&nn::Param)) {
+            self.inner.visit_params(f);
+        }
+    }
+
+    #[test]
+    fn campaign_runs_the_first_segment_once_outside_its_trials() {
+        let (model, x, y) = setup();
+        let ge = GoldenEye::parse("fp:e4m3").unwrap();
+        let clean = ge.capture_clean_run(&model, x.clone());
+        let counting = CountingModel { inner: model, first_segment_runs: AtomicUsize::new(0) };
+        let cfg = CampaignConfig { injections_per_layer: 2, seed: 5, ..Default::default() };
+        let result = run_campaign(&ge, &counting, &x, &y, &cfg);
+        // Trials replaying from the first checkpoint run segment 0 too.
+        let in_trials =
+            result.trials.iter().filter(|t| clean.segment_for_layer(t.layer) == 0).count();
+        assert!(in_trials > 0 && in_trials < result.trials.len());
+        assert_eq!(
+            counting.first_segment_runs.load(Ordering::Relaxed),
+            1 + in_trials,
+            "one clean pass, then only the trials that replay from segment 0"
+        );
     }
 }

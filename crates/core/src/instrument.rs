@@ -26,8 +26,6 @@ struct HookMetrics {
     /// Elements converted (ratio `sum(ns) / sum(elements)` is the
     /// format-conversion cost in ns/element).
     convert_elems: &'static trace::Metric,
-    /// Time a hook spent blocked on contended internal locks.
-    lock_wait_ns: &'static trace::Metric,
 }
 
 fn hook_metrics() -> &'static HookMetrics {
@@ -35,30 +33,15 @@ fn hook_metrics() -> &'static HookMetrics {
     M.get_or_init(|| HookMetrics {
         quantize_ns: trace::histogram(trace::names::HOOK_QUANTIZE_NS),
         convert_elems: trace::counter(trace::names::HOOK_CONVERT_ELEMS),
-        lock_wait_ns: trace::histogram(trace::names::HOOK_LOCK_WAIT_NS),
     })
 }
 
 /// Locks a mutex, ignoring poisoning: hook state is only ever replaced
-/// wholesale, so a panicked trial cannot leave it torn.
-///
-/// When tracing is on, time spent blocked on a contended lock is recorded
-/// in the `hook.lock_wait_ns` histogram (the uncontended `try_lock`
-/// fast path costs nothing extra).
+/// wholesale, so a panicked trial cannot leave it torn. A hook lives for
+/// one forward and a forward runs on one thread, so the lock is never
+/// contended.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.try_lock() {
-        Ok(g) => return g,
-        Err(std::sync::TryLockError::Poisoned(p)) => return p.into_inner(),
-        Err(std::sync::TryLockError::WouldBlock) => {}
-    }
-    if trace::recording() {
-        let t0 = Instant::now();
-        let g = m.lock().unwrap_or_else(|p| p.into_inner());
-        hook_metrics().lock_wait_ns.record(t0.elapsed().as_nanos() as u64);
-        g
-    } else {
-        m.lock().unwrap_or_else(|p| p.into_inner())
-    }
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Which layer kinds get instrumented.
@@ -170,13 +153,17 @@ struct EmulationHook {
     range_mode: RangeMode,
 }
 
-/// Default format plus per-layer overrides (mixed precision).
+/// Default format plus per-layer overrides (mixed precision), shared by a
+/// [`GoldenEye`] and every hook it builds.
+#[derive(Clone)]
 struct FormatTable {
     default: Arc<dyn NumberFormat>,
     per_layer: std::collections::HashMap<usize, Arc<dyn NumberFormat>>,
 }
 
 impl FormatTable {
+    /// The format for instrumented layer `layer`: its override, or the
+    /// default.
     fn resolve(&self, layer: usize) -> &dyn NumberFormat {
         self.per_layer.get(&layer).map(Arc::as_ref).unwrap_or(self.default.as_ref())
     }
@@ -284,13 +271,15 @@ impl ForwardHook for DiscoveryHook {
 
 /// The cached state of one clean (fault-free) emulated inference, captured
 /// by [`GoldenEye::capture_clean_run`]: the activation entering each model
-/// segment, the hook-point count at each segment boundary, and the golden
-/// logits. [`GoldenEye::run_replay_batch`] replays faulty trials from the
-/// deepest checkpoint preceding the injection layer instead of re-running
-/// the whole network.
+/// segment, the hook-point count at each segment boundary, the
+/// instrumented layers and the golden logits.
+/// [`GoldenEye::run_replay_batch`] replays faulty trials from the deepest
+/// checkpoint preceding the injection layer instead of re-running the
+/// whole network.
 pub struct CleanRun {
-    seg_inputs: Vec<Tensor>,
-    seg_layer_offset: Vec<usize>,
+    /// Each segment's input activation and the hook point it starts at.
+    checkpoints: Vec<(Tensor, usize)>,
+    layers: Vec<LayerInfo>,
     total_layers: usize,
     golden: Tensor,
 }
@@ -302,6 +291,12 @@ impl CleanRun {
         &self.golden
     }
 
+    /// The instrumented layers of the clean forward, in execution order —
+    /// what [`GoldenEye::discover_layers`] reports for the same input.
+    pub fn layers(&self) -> &[LayerInfo] {
+        &self.layers
+    }
+
     /// Number of hook points (instrumented layers) in the clean forward.
     pub fn layers_seen(&self) -> usize {
         self.total_layers
@@ -310,7 +305,7 @@ impl CleanRun {
     /// The deepest segment whose first hook point is ≤ `layer` — i.e. the
     /// checkpoint a trial injecting at `layer` replays from.
     pub fn segment_for_layer(&self, layer: usize) -> usize {
-        match self.seg_layer_offset.binary_search(&layer) {
+        match self.checkpoints.binary_search_by_key(&layer, |&(_, offset)| offset) {
             Ok(s) => s,
             Err(0) => 0,
             Err(s) => s - 1,
@@ -335,8 +330,7 @@ impl CleanRun {
 /// assert_eq!(logits.dims(), &[1, 4]);
 /// ```
 pub struct GoldenEye {
-    format: Arc<dyn NumberFormat>,
-    layer_formats: std::collections::HashMap<usize, Arc<dyn NumberFormat>>,
+    formats: Arc<FormatTable>,
     filter: LayerFilter,
     range: Arc<RangeProfile>,
     detect: bool,
@@ -348,8 +342,8 @@ impl std::fmt::Debug for GoldenEye {
         write!(
             f,
             "GoldenEye(format={}, overrides={}, filter={:?}, detect={})",
-            self.format.name(),
-            self.layer_formats.len(),
+            self.format().name(),
+            self.formats.per_layer.len(),
             self.filter,
             self.detect
         )
@@ -361,8 +355,10 @@ impl GoldenEye {
     /// filter (CONV + LINEAR) and the range detector disabled.
     pub fn new(format: Box<dyn NumberFormat>) -> Self {
         GoldenEye {
-            format: Arc::from(format),
-            layer_formats: std::collections::HashMap::new(),
+            formats: Arc::new(FormatTable {
+                default: Arc::from(format),
+                per_layer: std::collections::HashMap::new(),
+            }),
             filter: LayerFilter::ConvLinear,
             range: Arc::new(RangeProfile::new()),
             detect: false,
@@ -398,14 +394,14 @@ impl GoldenEye {
     /// as future work in §V-C). Layer indices are those reported by
     /// [`GoldenEye::discover_layers`].
     pub fn with_layer_format(mut self, layer: usize, format: Box<dyn NumberFormat>) -> Self {
-        self.layer_formats.insert(layer, Arc::from(format));
+        Arc::make_mut(&mut self.formats).per_layer.insert(layer, Arc::from(format));
         self
     }
 
     /// The format used for a given instrumented layer (the default unless
     /// overridden).
     pub fn format_for_layer(&self, layer: usize) -> &dyn NumberFormat {
-        self.layer_formats.get(&layer).map(Arc::as_ref).unwrap_or(self.format.as_ref())
+        self.formats.resolve(layer)
     }
 
     /// Attaches a content-addressed artifact store: offline weight
@@ -418,7 +414,7 @@ impl GoldenEye {
     /// Results are bit-identical with and without a store; only the work
     /// is shared.
     pub fn with_store(mut self, store: Arc<store::Store>) -> Self {
-        store.ensure_lut(self.format.as_ref());
+        store.ensure_lut(self.format());
         self.store = Some(store);
         self
     }
@@ -432,37 +428,29 @@ impl GoldenEye {
     /// when one is attached (bit-identical either way).
     pub fn quantize_tensor_cached(&self, t: &Tensor) -> Quantized {
         match &self.store {
-            Some(store) => store.get_or_quantize(self.format.as_ref(), t),
-            None => self.format.real_to_format_tensor(t),
+            Some(store) => store.get_or_quantize(self.format(), t),
+            None => self.format().real_to_format_tensor(t),
         }
     }
 
     /// The emulated format.
     pub fn format(&self) -> &dyn NumberFormat {
-        self.format.as_ref()
-    }
-
-    /// Shared handle to the default format (for custom hooks).
-    pub(crate) fn format_arc(&self) -> Arc<dyn NumberFormat> {
-        self.format.clone()
+        self.formats.default.as_ref()
     }
 
     /// Lists the layers that will be instrumented for `model` (by running
     /// one discovery pass on `sample`).
     pub fn discover_layers(&self, model: &dyn Module, sample: Tensor) -> Vec<LayerInfo> {
-        let hook = Arc::new(DiscoveryHook { filter: self.filter, layers: Mutex::new(Vec::new()) });
-        let mut ctx = Ctx::inference();
-        ctx.add_hook(hook.clone());
-        let x = ctx.input(sample);
-        model.forward(&x, &mut ctx);
-        let layers = lock(&hook.layers).clone();
+        let hook = Arc::new(DiscoveryHook { filter: self.filter, layers: Mutex::default() });
+        forward_segments(model, [hook.clone()], 0, 0, sample, None);
+        let layers = std::mem::take(&mut *lock(&hook.layers));
         layers
     }
 
     /// Runs an emulated inference (no injection) and returns the logits.
     pub fn run(&self, model: &dyn Module, x: Tensor) -> Tensor {
         let hook = self.hook(None, BitSampler::Uniform, 0, self.trial_range_mode());
-        forward_hooked(model, x, hook)
+        forward_segments(model, [hook], 0, 0, x, None).0
     }
 
     /// Runs an emulated inference with one fault injected per `plan`,
@@ -492,7 +480,7 @@ impl GoldenEye {
         sampler: BitSampler,
     ) -> (Tensor, Option<InjectionRecord>) {
         let hook = self.hook(Some(plan), sampler, seed, self.trial_range_mode());
-        let logits = forward_hooked(model, x, hook.clone());
+        let (logits, _) = forward_segments(model, [hook.clone()], 0, 0, x, None);
         let record = lock(&hook.state).1.take();
         (logits, record)
     }
@@ -507,10 +495,7 @@ impl GoldenEye {
         range_mode: RangeMode,
     ) -> Arc<EmulationHook> {
         Arc::new(EmulationHook {
-            formats: Arc::new(FormatTable {
-                default: self.format.clone(),
-                per_layer: self.layer_formats.clone(),
-            }),
+            formats: self.formats.clone(),
             filter: self.filter,
             plan,
             sampler,
@@ -532,28 +517,20 @@ impl GoldenEye {
     /// caching the activation entering each [`Module`] segment and the
     /// hook-point count at each boundary. The cached activations are the
     /// checkpoints fault trials replay from: a trial injecting at layer
-    /// `L` re-executes only the segments from `L`'s onward.
+    /// `L` re-executes only the segments from `L`'s onward. The same pass
+    /// records the instrumented layers ([`CleanRun::layers`]), so a
+    /// campaign needs no separate [`GoldenEye::discover_layers`] forward.
     ///
-    /// Since `Module::forward` is contractually the segment chain, the
-    /// returned golden logits are bit-identical to [`GoldenEye::run`].
+    /// The golden logits are bit-identical to [`GoldenEye::run`].
     pub fn capture_clean_run(&self, model: &dyn Module, x: Tensor) -> CleanRun {
-        let mut ctx = Ctx::inference();
-        ctx.add_hook(self.hook(None, BitSampler::Uniform, 0, self.trial_range_mode()));
-        let segments = model.num_segments();
-        let mut seg_inputs = Vec::with_capacity(segments);
-        let mut seg_layer_offset = Vec::with_capacity(segments);
-        let mut h = ctx.input(x);
-        for s in 0..segments {
-            seg_inputs.push(h.value());
-            seg_layer_offset.push(ctx.layers_seen());
-            h = model.forward_segment(s, &h, &mut ctx);
-        }
-        CleanRun {
-            seg_inputs,
-            seg_layer_offset,
-            total_layers: ctx.layers_seen(),
-            golden: h.value(),
-        }
+        let emulation = self.hook(None, BitSampler::Uniform, 0, self.trial_range_mode());
+        let discovery = Arc::new(DiscoveryHook { filter: self.filter, layers: Mutex::default() });
+        let hooks: [Arc<dyn ForwardHook>; 2] = [emulation, discovery.clone()];
+        let mut checkpoints = Vec::new();
+        let (golden, total_layers) =
+            forward_segments(model, hooks, 0, 0, x, Some(&mut checkpoints));
+        let layers = std::mem::take(&mut *lock(&discovery.layers));
+        CleanRun { checkpoints, layers, total_layers, golden }
     }
 
     /// Replays fault trials from the checkpoint preceding the injection
@@ -592,15 +569,11 @@ impl GoldenEye {
         trace::counter(trace::names::CAMPAIGN_REPLAY_SEG_SKIPPED).add(seg as u64);
         trace::counter(trace::names::CAMPAIGN_REPLAY_SEG_TOTAL).add(model.num_segments() as u64);
         let hook = self.hook(Some(plan), sampler, seed, self.trial_range_mode());
-        let mut ctx = Ctx::inference();
-        ctx.add_hook(hook.clone());
-        ctx.set_base_layer(clean.seg_layer_offset[seg]);
-        let mut h = ctx.input(clean.seg_inputs[seg].clone());
-        for s in seg..model.num_segments() {
-            h = model.forward_segment(s, &h, &mut ctx);
-        }
+        let (input, offset) = &clean.checkpoints[seg];
+        let (logits, _) =
+            forward_segments(model, [hook.clone()], seg, *offset, input.clone(), None);
         let record = lock(&hook.state).1.take();
-        (h.value(), record)
+        (logits, record)
     }
 
     /// Profiles per-layer activation ranges on clean emulated runs, for
@@ -612,7 +585,7 @@ impl GoldenEye {
         let _span = trace::span!("profile_ranges", batches = batches.len());
         for x in batches {
             let hook = self.hook(None, BitSampler::Uniform, 0, RangeMode::Profile);
-            forward_hooked(model, x.clone(), hook);
+            forward_segments(model, [hook], 0, 0, x.clone(), None);
         }
         if trace::recording() {
             let ranges: Vec<trace::Json> = self
@@ -631,7 +604,7 @@ impl GoldenEye {
                 trace::Level::Debug,
                 "range_profile",
                 vec![
-                    ("format", trace::Json::from(self.format.name())),
+                    ("format", trace::Json::from(self.format().name())),
                     ("layers", trace::Json::from(ranges.len())),
                     ("ranges", trace::Json::Arr(ranges)),
                 ],
@@ -654,7 +627,7 @@ impl GoldenEye {
         model.visit_params(&mut |p: &Param| {
             if p.name().ends_with(".weight") {
                 let q = self.quantize_tensor_cached(&p.get());
-                p.set(self.format.format_to_real_tensor(&q));
+                p.set(self.format().format_to_real_tensor(&q));
                 touched += 1;
             }
         });
@@ -678,9 +651,10 @@ impl GoldenEye {
         let mut result = None;
         model.visit_params(&mut |p: &Param| {
             if p.name() == param_name && result.is_none() {
-                let mut q = self.format.real_to_format_tensor(&p.get());
-                let flip = flip_value(self.format.as_ref(), &mut q, element, bit);
-                p.set(self.format.format_to_real_tensor(&q));
+                let format = self.format();
+                let mut q = format.real_to_format_tensor(&p.get());
+                let flip = flip_value(format, &mut q, element, bit);
+                p.set(format.format_to_real_tensor(&q));
                 result = Some(flip);
             }
         });
@@ -688,12 +662,35 @@ impl GoldenEye {
     }
 }
 
-/// One inference forward of `model` over `x` with `hook` installed.
-fn forward_hooked(model: &dyn Module, x: Tensor, hook: Arc<EmulationHook>) -> Tensor {
+/// The one inference forward driver: runs `model`'s segments from `start`
+/// on over `x`, with `hooks` installed and hook points numbered from
+/// `base_layer`. With a `checkpoints` sink it records each segment's input
+/// activation and the hook point the segment starts at. Returns the
+/// logits and the hook-point count at the end of the pass.
+///
+/// `Module::forward` is contractually the segment chain, so a pass from
+/// segment 0 is bit-identical to a plain forward.
+fn forward_segments<const N: usize>(
+    model: &dyn Module,
+    hooks: [Arc<dyn ForwardHook>; N],
+    start: usize,
+    base_layer: usize,
+    x: Tensor,
+    mut checkpoints: Option<&mut Vec<(Tensor, usize)>>,
+) -> (Tensor, usize) {
     let mut ctx = Ctx::inference();
-    ctx.add_hook(hook);
-    let xv = ctx.input(x);
-    model.forward(&xv, &mut ctx).value()
+    for hook in hooks {
+        ctx.add_hook(hook);
+    }
+    ctx.set_base_layer(base_layer);
+    let mut h = ctx.input(x);
+    for s in start..model.num_segments() {
+        if let Some(sink) = checkpoints.as_deref_mut() {
+            sink.push((h.value(), ctx.layers_seen()));
+        }
+        h = model.forward_segment(s, &h, &mut ctx);
+    }
+    (h.value(), ctx.layers_seen())
 }
 
 /// A forward hook for **fault-aware training** (§V-D: GoldenEye "can
@@ -1137,11 +1134,13 @@ mod tests {
         let x = sample(22);
         let ge = GoldenEye::parse("fp:e4m3").unwrap();
         let clean = ge.capture_clean_run(&model, x.clone());
-        assert_bits_equal(clean.golden(), &ge.run(&model, x), "golden logits");
+        assert_bits_equal(clean.golden(), &ge.run(&model, x.clone()), "golden logits");
         assert!(clean.layers_seen() >= 7);
         // Offsets are sorted and start at 0, so layer→segment lookup works.
-        assert_eq!(clean.seg_layer_offset[0], 0);
-        assert!(clean.seg_layer_offset.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(clean.checkpoints[0].1, 0);
+        assert!(clean.checkpoints.windows(2).all(|w| w[0].1 <= w[1].1));
+        // The clean pass records the same layers as a discovery pass.
+        assert_eq!(clean.layers(), ge.discover_layers(&model, x).as_slice());
     }
 
     #[test]
@@ -1227,8 +1226,8 @@ mod tests {
     #[test]
     fn segment_for_layer_picks_deepest_checkpoint() {
         let clean = CleanRun {
-            seg_inputs: vec![],
-            seg_layer_offset: vec![0, 1, 3, 5],
+            checkpoints: [0, 1, 3, 5].map(|offset| (Tensor::zeros([1]), offset)).to_vec(),
+            layers: vec![],
             total_layers: 7,
             golden: Tensor::zeros([1, 1]),
         };

@@ -158,51 +158,16 @@ impl Injector {
                 };
                 strata.bit_at(s, self.rng.gen_range(0..strata.len(s)))
             }
+            BitSampler::Fixed(bit) => {
+                assert!(
+                    bit < strata.width,
+                    "fixed bit {bit} is outside a {}-bit word",
+                    strata.width
+                );
+                bit
+            }
         };
         Ok((Fault { kind: SiteKind::Value, index, bit }, strata.stratum_of(bit)))
-    }
-
-    /// Samples one value fault per trial seed, each from its own fresh
-    /// RNG — draw-for-draw identical to running the per-trial path once per
-    /// seed.
-    ///
-    /// The fault space is validated up front, so an empty batch (or a batch
-    /// of one) over an empty space reports the same typed
-    /// [`EmptyFaultSpace`] error the per-trial path would.
-    pub fn try_sample_value_fault_batch(
-        seeds: &[u64],
-        numel: usize,
-        sampler: &BitSampler,
-        strata: &BitStrata,
-    ) -> Result<Vec<(Fault, usize)>, EmptyFaultSpace> {
-        if numel == 0 {
-            return Err(EmptyFaultSpace::NoElements);
-        }
-        if strata.width == 0 {
-            return Err(EmptyFaultSpace::ZeroBitWidth);
-        }
-        seeds
-            .iter()
-            .map(|&s| Injector::new(s).try_sample_value_fault_with(numel, sampler, strata))
-            .collect()
-    }
-
-    /// Samples one metadata fault per trial seed, each from its own fresh
-    /// RNG (see [`Injector::try_sample_value_fault_batch`]). The word space
-    /// is validated up front so empty batches report the same typed error
-    /// as the per-trial path.
-    pub fn try_sample_metadata_fault_batch(
-        seeds: &[u64],
-        words: usize,
-        word_width: usize,
-    ) -> Result<Vec<Fault>, EmptyFaultSpace> {
-        if words == 0 || word_width == 0 {
-            return Err(EmptyFaultSpace::NoMetadataWords);
-        }
-        seeds
-            .iter()
-            .map(|&s| Injector::new(s).try_sample_metadata_fault(words, word_width))
-            .collect()
     }
 
     /// Samples a uniform metadata-bit fault given word count and width, or
@@ -404,38 +369,24 @@ mod tests {
     }
 
     #[test]
-    fn batch_of_one_matches_per_trial_path() {
-        let strata = BitStrata { critical: 1..4, width: 9 };
-        for seed in [3u64, 17, 92] {
-            let batch =
-                Injector::try_sample_value_fault_batch(&[seed], 23, &BitSampler::Uniform, &strata)
-                    .unwrap();
-            let solo = Injector::new(seed).sample_value_fault(23, 9);
-            assert_eq!(batch, vec![(solo, strata.stratum_of(solo.bit))]);
-            let mbatch = Injector::try_sample_metadata_fault_batch(&[seed], 4, 5).unwrap();
-            let msolo = Injector::new(seed).sample_metadata_fault(4, 5);
-            assert_eq!(mbatch, vec![msolo]);
+    fn fixed_sampler_draws_only_the_element() {
+        // The element draw is the uniform path's first draw; the bit is
+        // the pinned one, not a second draw.
+        let strata = BitStrata { critical: 1..5, width: 8 };
+        for seed in 0..20 {
+            let legacy = Injector::new(seed).sample_value_fault(37, 8);
+            let (f, s) = Injector::new(seed)
+                .try_sample_value_fault_with(37, &BitSampler::Fixed(6), &strata)
+                .unwrap();
+            assert_eq!((f.index, f.bit, s), (legacy.index, 6, 1));
         }
     }
 
     #[test]
-    fn empty_batches_report_typed_fault_space_errors() {
-        // An empty batch over an empty fault space must surface the same
-        // typed error the per-trial path reports — not silently succeed.
-        let strata = BitStrata { critical: 0..2, width: 8 };
-        let err = Injector::try_sample_value_fault_batch(&[], 0, &BitSampler::Uniform, &strata)
-            .unwrap_err();
-        assert_eq!(err, EmptyFaultSpace::NoElements);
-        let zero_width = BitStrata { critical: 0..0, width: 0 };
-        let err =
-            Injector::try_sample_value_fault_batch(&[1], 5, &BitSampler::Uniform, &zero_width)
-                .unwrap_err();
-        assert_eq!(err, EmptyFaultSpace::ZeroBitWidth);
-        let err = Injector::try_sample_metadata_fault_batch(&[], 0, 5).unwrap_err();
-        assert_eq!(err, EmptyFaultSpace::NoMetadataWords);
-        // A non-empty space with an empty batch is simply zero faults.
-        let ok = Injector::try_sample_value_fault_batch(&[], 5, &BitSampler::Uniform, &strata);
-        assert_eq!(ok.unwrap(), vec![]);
+    #[should_panic(expected = "fixed bit 8 is outside a 8-bit word")]
+    fn fixed_sampler_rejects_bits_beyond_the_word() {
+        let strata = BitStrata { critical: 1..5, width: 8 };
+        let _ = Injector::new(0).try_sample_value_fault_with(4, &BitSampler::Fixed(8), &strata);
     }
 
     #[test]

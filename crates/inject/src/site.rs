@@ -113,6 +113,10 @@ pub enum BitSampler {
         /// Probability that a trial lands in the critical stratum.
         critical_mass: f64,
     },
+    /// Always flip this bit position (0 = MSB); only the element is
+    /// drawn. Must be below the format's bit width. Used by per-bit
+    /// vulnerability analyses.
+    Fixed(usize),
 }
 
 impl BitSampler {
@@ -121,6 +125,7 @@ impl BitSampler {
         match self {
             BitSampler::Uniform => "uniform",
             BitSampler::Stratified { .. } => "stratified",
+            BitSampler::Fixed(_) => "fixed",
         }
     }
 }

@@ -141,25 +141,30 @@ pub struct TrialRecord {
 }
 
 impl TrialRecord {
-    fn payload(&self) -> Vec<(String, Json)> {
+    fn payload(&self) -> Vec<(&'static str, Json)> {
         vec![
-            ("layer".into(), Json::from(self.layer)),
-            ("name".into(), Json::from(self.layer_name.as_str())),
-            ("trial".into(), Json::from(self.trial)),
-            ("site".into(), Json::from(self.site.as_str())),
-            ("element".into(), Json::from(self.element)),
-            ("bit".into(), Json::from(self.bit)),
-            ("delta_loss".into(), Json::from(self.delta_loss)),
-            ("mismatch".into(), Json::from(self.mismatch)),
+            ("layer", Json::from(self.layer)),
+            ("name", Json::from(self.layer_name.as_str())),
+            ("trial", Json::from(self.trial)),
+            ("site", Json::from(self.site.as_str())),
+            ("element", Json::from(self.element)),
+            ("bit", Json::from(self.bit)),
+            ("delta_loss", Json::from(self.delta_loss)),
+            ("mismatch", Json::from(self.mismatch)),
         ]
+    }
+
+    /// The fields of the record's `trial` event: [`TrialRecord::to_json`]
+    /// without its `type` key, in the same order.
+    pub fn event_fields(&self) -> Vec<(&'static str, Json)> {
+        let mut fields = self.payload();
+        fields.push(("worker", Json::from(self.worker)));
+        fields
     }
 
     /// The full record as a JSON object (including `worker`).
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![("type".to_string(), Json::from("trial"))];
-        fields.extend(self.payload());
-        fields.push(("worker".into(), Json::from(self.worker)));
-        Json::Obj(fields)
+        Json::obj(std::iter::once(("type", Json::from("trial"))).chain(self.event_fields()))
     }
 
     /// The canonical single-line serialization: fixed field order,
@@ -167,7 +172,7 @@ impl TrialRecord {
     /// parallel run, sorted by `(layer, trial)`, are byte-identical to a
     /// serial run's.
     pub fn canonical_line(&self) -> String {
-        Json::Obj(self.payload()).to_compact()
+        Json::obj(self.payload()).to_compact()
     }
 
     /// Parses a trial record from its JSON object (accepts both the full

@@ -12,8 +12,6 @@
 pub const HOOK_QUANTIZE_NS: &str = "hook.quantize_ns";
 /// Elements converted by the emulation hook.
 pub const HOOK_CONVERT_ELEMS: &str = "hook.convert_elems";
-/// Time hooks spent blocked on contended internal locks.
-pub const HOOK_LOCK_WAIT_NS: &str = "hook.lock_wait_ns";
 /// Executed campaign trials.
 pub const CAMPAIGN_TRIALS: &str = "campaign.trials";
 /// Replay forwards (one per trial) executed by the checkpoint/replay engine.
@@ -67,7 +65,6 @@ pub const ALL_METRICS: &[&str] = &[
     FORMATS_QUANTIZE_CHUNKED_NS,
     GEMM_KERNEL,
     HOOK_CONVERT_ELEMS,
-    HOOK_LOCK_WAIT_NS,
     HOOK_QUANTIZE_NS,
     PACK_FUSED_QUANTIZE_NS,
     PACK_LUT_HITS,

@@ -187,36 +187,41 @@ fn campaign_stats_match_manual_replication() {
 }
 
 #[test]
-fn batch_injector_edge_cases_match_per_trial_typed_errors() {
-    // The batched sampling APIs must report the same typed
-    // `EmptyFaultSpace` errors as the per-trial path — for every batch
-    // size, including one — instead of panicking or silently yielding
-    // nothing.
+fn injector_edge_cases_report_typed_errors() {
+    // An empty fault space must surface a typed `EmptyFaultSpace` error
+    // under every bit sampler, instead of panicking inside the RNG.
     use inject::{BitSampler, BitStrata, EmptyFaultSpace, Injector};
     let fmt = formats::FloatingPoint::new(4, 3);
     let strata = BitStrata::for_format(&fmt);
-    for seeds in [&[1u64][..], &[1, 2, 3][..]] {
+    let zero_width = BitStrata { critical: 0..0, width: 0 };
+    let samplers =
+        [BitSampler::Uniform, BitSampler::Stratified { critical_mass: 0.5 }, BitSampler::Fixed(3)];
+    for (seed, sampler) in samplers.iter().enumerate() {
+        let mut inj = Injector::new(seed as u64);
         assert_eq!(
-            Injector::try_sample_value_fault_batch(seeds, 0, &BitSampler::Uniform, &strata),
+            inj.try_sample_value_fault_with(0, sampler, &strata),
             Err(EmptyFaultSpace::NoElements),
-            "batch of {} over an empty tensor",
-            seeds.len()
+            "{} sampler over an empty tensor",
+            sampler.as_str()
         );
         assert_eq!(
-            Injector::try_sample_metadata_fault_batch(seeds, 0, 8),
-            Err(EmptyFaultSpace::NoMetadataWords),
-            "metadata batch of {} with no words",
-            seeds.len()
+            inj.try_sample_value_fault_with(5, sampler, &zero_width),
+            Err(EmptyFaultSpace::ZeroBitWidth),
+            "{} sampler over a zero-width word",
+            sampler.as_str()
         );
     }
-    // Batch of one must agree with the serial sampler, error or not.
-    let serial = Injector::new(5).try_sample_value_fault(0, 8);
-    let batch = Injector::try_sample_value_fault_batch(&[5], 0, &BitSampler::Uniform, &strata);
-    assert_eq!(serial.unwrap_err(), batch.unwrap_err());
-    // An empty *batch* over a valid space is not an error — there is
-    // simply nothing to sample.
-    let empty = Injector::try_sample_value_fault_batch(&[], 100, &BitSampler::Uniform, &strata);
-    assert_eq!(empty.unwrap().len(), 0);
+    for (words, width) in [(0, 8), (4, 0)] {
+        assert_eq!(
+            Injector::new(1).try_sample_metadata_fault(words, width),
+            Err(EmptyFaultSpace::NoMetadataWords),
+            "{words} metadata words of {width} bits"
+        );
+    }
+    // The sampler-aware entry point agrees with the plain one, error or not.
+    let plain = Injector::new(5).try_sample_value_fault(0, 8);
+    let with = Injector::new(5).try_sample_value_fault_with(0, &BitSampler::Uniform, &strata);
+    assert_eq!(plain.unwrap_err(), with.unwrap_err());
 }
 
 #[test]

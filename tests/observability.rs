@@ -11,7 +11,7 @@ use models::{train, ResNet, ResNetConfig, SyntheticDataset, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Mutex, MutexGuard};
-use trace::Level;
+use trace::{Json, Level};
 
 fn serialize_tests() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
@@ -59,7 +59,17 @@ fn campaign_emits_validatable_trial_events_and_spans() {
         let v = e.to_json();
         let kind = trace::validate_event(&v).expect("every emitted event validates");
         match kind {
-            "trial" => trials += 1,
+            "trial" => {
+                // A serial campaign emits its trials in canonical order; each
+                // event carries its record's JSON, `type` aside, in order.
+                let Json::Obj(record) = result.trials[trials].to_json() else {
+                    panic!("a trial record serialises as an object")
+                };
+                let fields: Vec<(String, Json)> =
+                    e.fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+                assert_eq!(fields, record[1..], "trial event {trials} fields");
+                trials += 1;
+            }
             "span" if v.get("name").and_then(|n| n.as_str()) == Some("campaign") => {
                 campaign_spans += 1;
             }
