@@ -553,10 +553,11 @@ mod tests {
     }
 
     #[test]
-    fn conv_forward_reuses_im2col_workspace() {
-        // Repeated Conv2d forwards on one thread must serve their im2col
-        // scratch from the workspace pool instead of reallocating — the
-        // inference-loop guarantee the campaign executor relies on.
+    fn conv_forward_reuses_panel_workspace() {
+        // Repeated Conv2d forwards on one thread must serve their packed
+        // weight and B-panel scratch from the workspace pool instead of
+        // reallocating — the inference-loop guarantee the campaign
+        // executor relies on.
         let _serial = tensor::parallel::with_threads(1);
         let mut rng = StdRng::seed_from_u64(3);
         let conv = Conv2d::new("c", 2, 4, 3, 1, 1, true, &mut rng);

@@ -1,5 +1,18 @@
 //! Convolution and pooling kernels (NCHW layout) with explicit backward
-//! passes, built on im2col + GEMM.
+//! passes.
+//!
+//! The forward convolution is a GEMM of the packed weight matrix
+//! `[O, C·K·K]` against each image's im2col matrix `[C·K·K, OH·OW]`, but
+//! the im2col matrix never exists. A task packs one `C·K·K × NR` column
+//! panel of it straight from the image into a pooled scratch panel
+//! (`pack_panel`) and runs every packed weight row panel over that panel
+//! while it is still in cache, writing the panel's `NR`-column output
+//! strip. Its values are exactly those `pack_b(im2col(x))` produces, so
+//! the result is bit-identical to a per-image [`sgemm`] on the unfolded
+//! image. The backward pass (training only) still unfolds through
+//! `im2col`.
+
+use std::time::Instant;
 
 use crate::linalg::kernels::{self, MR, NR};
 use crate::linalg::{self, sgemm};
@@ -20,17 +33,59 @@ pub struct Conv2dSpec {
 
 impl Conv2dSpec {
     /// Creates a spec.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kernel` or `stride` is 0.
     pub fn new(kernel: usize, stride: usize, padding: usize) -> Self {
+        assert!(kernel >= 1, "conv kernel must be at least 1, got {kernel}");
+        assert!(stride >= 1, "conv stride must be at least 1, got {stride}");
         Conv2dSpec { kernel, stride, padding }
     }
 
     /// Output spatial extent for an input of extent `h`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel or stride is 0 or the kernel exceeds the
+    /// padded extent `h + 2·padding`.
     pub fn out_dim(&self, h: usize) -> usize {
-        (h + 2 * self.padding - self.kernel) / self.stride + 1
+        window_out_dims("conv", &[h, h], self.kernel, self.stride, self.padding).0
     }
 }
 
+/// `(OH, OW)` of a `kernel×kernel` window sliding at `stride` over the
+/// last two axes of `dims`, padded by `padding` on every side.
+///
+/// # Panics
+///
+/// Panics, naming `op` and `dims`, if the kernel or stride is 0 or the
+/// window exceeds the padded input.
+fn window_out_dims(
+    op: &str,
+    dims: &[usize],
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+) -> (usize, usize) {
+    assert!(
+        kernel >= 1 && stride >= 1,
+        "{op}: kernel and stride must be at least 1, got kernel {kernel}, stride {stride}"
+    );
+    let out = |len: usize| {
+        let padded = len + 2 * padding;
+        assert!(
+            kernel <= padded,
+            "{op}: {kernel}×{kernel} window with padding {padding} does not fit input {dims:?}"
+        );
+        (padded - kernel) / stride + 1
+    };
+    let [.., h, w] = dims else { panic!("{op} input needs two spatial axes, got {dims:?}") };
+    (out(*h), out(*w))
+}
+
 /// Unfolds one `[C, H, W]` image into a `[C*K*K, OH*OW]` column matrix.
+/// The backward pass's unfold, and the oracle of [`pack_panel`].
 fn im2col(x: &[f32], c: usize, h: usize, w: usize, spec: Conv2dSpec, cols: &mut [f32]) {
     let k = spec.kernel;
     let (oh, ow) = (spec.out_dim(h), spec.out_dim(w));
@@ -73,14 +128,13 @@ fn col2im(cols: &[f32], c: usize, h: usize, w: usize, spec: Conv2dSpec, x_grad: 
                 for oi in 0..oh {
                     let ii = (oi * spec.stride + ki) as isize - spec.padding as isize;
                     if ii < 0 || ii >= h as isize {
-                        row_skip();
-                    } else {
-                        for oj in 0..ow {
-                            let jj = (oj * spec.stride + kj) as isize - spec.padding as isize;
-                            if jj >= 0 && jj < w as isize {
-                                x_grad[ci * h * w + ii as usize * w + jj as usize] +=
-                                    cols[row * oh * ow + oi * ow + oj];
-                            }
+                        continue;
+                    }
+                    for oj in 0..ow {
+                        let jj = (oj * spec.stride + kj) as isize - spec.padding as isize;
+                        if jj >= 0 && jj < w as isize {
+                            x_grad[ci * h * w + ii as usize * w + jj as usize] +=
+                                cols[row * oh * ow + oi * ow + oj];
                         }
                     }
                 }
@@ -88,28 +142,105 @@ fn col2im(cols: &[f32], c: usize, h: usize, w: usize, spec: Conv2dSpec, x_grad: 
             }
         }
     }
-
-    fn row_skip() {}
 }
 
-/// Pooled-transient budget for the batched conv pack buffer (f32 elems,
-/// 64 MiB): the batch is blocked so `block · panel_elems` stays under it.
-const CONV_PACK_BUDGET: usize = 16 << 20;
+/// Column panels per conv task. A task packs its panels one after another
+/// into one scratch panel, so the pool's zeroing of that panel is paid
+/// once per this many packs. Fixed, so the task grid depends on the shape
+/// alone and never on the thread count.
+const PANELS_PER_TASK: usize = 8;
+
+/// Packs column panel `j0 / NR` of the im2col matrix of one `[C, H, W]`
+/// image (`OH×OW` output) straight into `dst`, `C·K·K` k-major rows of
+/// `NR` lanes: `dst[r·NR + l] = im2col(x)[r, j0 + l]`, zero past the last
+/// output column — exactly the panel `pack_b` makes of the im2col matrix.
+///
+/// For each kernel offset `(ki, kj)` the lanes whose input pixel lies
+/// inside the image are planned once, as runs of consecutive output
+/// columns, and the plan is replayed for every channel: a row is zeroed
+/// (unless one run fills it), then stride 1 copies each run contiguously
+/// from the input row (1×1 convs included) and other strides gather it
+/// with step `s`. Rows outside
+/// the image, padding columns and the lanes past the last output column
+/// keep their zeros. Every lane is written, so `dst` needs no zeroing.
+fn pack_panel(
+    x: &[f32],
+    (c, h, w): (usize, usize, usize),
+    spec: Conv2dSpec,
+    (oh, ow): (usize, usize),
+    j0: usize,
+    dst: &mut [f32],
+) {
+    let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
+    debug_assert_eq!(x.len(), c * h * w);
+    debug_assert_eq!(dst.len(), c * k * k * NR);
+    let end = (j0 + NR).min(oh * ow);
+    for ki in 0..k {
+        for kj in 0..k {
+            // Output columns `lo..hi` read input columns `oj·s + kj − p`
+            // inside `0..w`.
+            let lo = p.saturating_sub(kj).div_ceil(s);
+            let hi = (w + p).saturating_sub(kj).div_ceil(s);
+            // In-image runs: (first lane, lanes, offset in the plane).
+            let mut runs = [(0, 0, 0); NR];
+            let mut nruns = 0;
+            let mut q = j0;
+            while q < end {
+                let (oi, oj) = (q / ow, q % ow);
+                let row_end = (q - oj + ow).min(end);
+                let ii = oi * s + ki;
+                let (a, b) = (oj.max(lo), (row_end - q + oj).min(hi));
+                if ii >= p && ii - p < h && a < b {
+                    runs[nruns] = (q - j0 + a - oj, b - a, (ii - p) * w + a * s + kj - p);
+                    nruns += 1;
+                }
+                q = row_end;
+            }
+            for ci in 0..c {
+                let plane = &x[ci * h * w..(ci + 1) * h * w];
+                let r = (ci * k + ki) * k + kj;
+                let row: &mut [f32; NR] =
+                    (&mut dst[r * NR..(r + 1) * NR]).try_into().expect("NR lanes");
+                if s == 1 && nruns == 1 && runs[0].1 == NR {
+                    let off = runs[0].2;
+                    *row = plane[off..off + NR].try_into().expect("NR lanes");
+                    continue;
+                }
+                *row = [0.0; NR];
+                for &(l, len, off) in &runs[..nruns] {
+                    let run = &mut row[l..l + len];
+                    if s == 1 {
+                        run.copy_from_slice(&plane[off..off + len]);
+                    } else {
+                        for (d, &v) in run.iter_mut().zip(plane[off..].iter().step_by(s)) {
+                            *d = v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
 
 /// 2-D convolution forward: `x: [N,C,H,W]`, `w: [O,C,K,K]`, optional
 /// `bias: [O]` → `[N,O,OH,OW]`.
 ///
-/// Batch-parallel: the weight matrix is packed into `MR`-row panels once,
-/// each image's im2col matrix is packed in parallel, and every
-/// `(image, weight-panel)` pair becomes one row-panel task on the shared
-/// worker pool — the same tasks the SGEMM path uses, so a batch of images
-/// scales like one large GEMM. Per-element accumulation order is
-/// identical to per-image [`sgemm`] calls, so results are bit-exact for
-/// every thread count and dispatched micro-kernel.
+/// The weight matrix is packed into `MR`-row panels once. Each task then
+/// owns one image and a fixed range of its `NR`-column output panels: it
+/// packs each panel straight from the image into one pooled scratch panel
+/// (`pack_panel`) and runs every weight row panel over it, so neither
+/// an im2col matrix nor a batch-wide pack buffer is ever allocated. Every
+/// output element is one full-`k` accumulation chain in `k` order seeded
+/// from 0, with the bias added afterwards: bit-identical to a per-image
+/// [`sgemm`] on the unfolded image plus bias, for every thread count and
+/// dispatched micro-kernel. When tracing records, each call adds one
+/// `tensor.conv.ns` sample, its flops to `tensor.conv.flops` and its
+/// kernel ordinal to `gemm.kernel`.
 ///
 /// # Panics
 ///
-/// Panics on rank or channel mismatches.
+/// Panics on rank or channel mismatches, a zero kernel or stride, or a
+/// window larger than the padded input.
 pub fn conv2d(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -> Tensor {
     assert_eq!(x.ndim(), 4, "conv2d input must be NCHW, got {:?}", x.shape());
     assert_eq!(w.ndim(), 4, "conv2d weight must be OCKK, got {:?}", w.shape());
@@ -121,7 +252,7 @@ pub fn conv2d(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -
     if let Some(b) = bias {
         assert_eq!(b.dims(), &[o], "conv2d bias must be [{o}]");
     }
-    let (oh, ow) = (spec.out_dim(h), spec.out_dim(wd));
+    let (oh, ow) = window_out_dims("conv2d", x.dims(), k, spec.stride, spec.padding);
     let (ohow, ckk, chw) = (oh * ow, c * k * k, c * h * wd);
     let mut out = vec![0.0f32; n * o * ohow];
     if n == 0 || o == 0 || ohow == 0 || ckk == 0 {
@@ -129,90 +260,63 @@ pub fn conv2d(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -
     }
 
     let kern = kernels::active();
-    let npanels = ohow.div_ceil(NR);
+    let t0 = trace::recording().then(Instant::now);
     let mpanels = o.div_ceil(MR);
-    let panel_elems = npanels * ckk * NR;
-    let block = n.min((CONV_PACK_BUDGET / panel_elems).max(1));
-
-    // Pack the weight matrix's row panels once — shared by every image.
     let mut wpack = workspace::take(mpanels * ckk * MR);
     for pi in 0..mpanels {
         let i0 = pi * MR;
         linalg::pack_a(ckk, w.as_slice(), i0, MR.min(o - i0), &mut wpack[pi * ckk * MR..]);
     }
 
-    let mut bpack = workspace::take(block * panel_elems);
-    for n0 in (0..n).step_by(block) {
-        let bn = block.min(n - n0);
-        let flops = 2usize.saturating_mul(bn * o).saturating_mul(ckk * ohow);
-        let _serial = (flops < linalg::PAR_FLOP_THRESHOLD).then(|| parallel::with_threads(1));
-        {
-            // Parallel im2col + pack per image: each task owns one
-            // image's disjoint `panel_elems` region of the pack buffer.
-            let bp = SendPtr(bpack.as_mut_ptr());
-            let x_all = x.as_slice();
-            parallel::parallel_for(bn, |bi| {
-                let ni = n0 + bi;
-                let mut cols = workspace::take(ckk * ohow);
-                im2col(&x_all[ni * chw..(ni + 1) * chw], c, h, wd, spec, &mut cols);
-                // SAFETY: region `bi*panel_elems..(bi+1)*panel_elems` is
-                // owned by task bi alone, and `bpack` outlives the scope.
+    let ranges = ohow.div_ceil(NR).div_ceil(PANELS_PER_TASK);
+    let flops = 2usize.saturating_mul(n * o).saturating_mul(ckk * ohow);
+    let _serial = (flops < linalg::PAR_FLOP_THRESHOLD).then(|| parallel::with_threads(1));
+    let ob = SendPtr(out.as_mut_ptr());
+    let (x_all, wpack, bias) = (x.as_slice(), &wpack[..], bias.map(Tensor::as_slice));
+    parallel::parallel_for(n * ranges, |t| {
+        let (ni, ri) = (t / ranges, t % ranges);
+        let image = &x_all[ni * chw..(ni + 1) * chw];
+        let mut panel = workspace::take(ckk * NR);
+        let first = ri * PANELS_PER_TASK * NR;
+        for j0 in (first..ohow.min(first + PANELS_PER_TASK * NR)).step_by(NR) {
+            let cols = NR.min(ohow - j0);
+            pack_panel(image, (c, h, wd), spec, (oh, ow), j0, &mut panel);
+            linalg::col_panel(kern, ckk, o, wpack, &panel, |r, lanes| {
+                // SAFETY: output columns `j0..j0+cols` of image `ni` belong
+                // to task t alone (the (image, panel range) → task map is a
+                // bijection), each row's run is written once, and `out`
+                // outlives the thread scope.
                 let dst = unsafe {
-                    std::slice::from_raw_parts_mut(bp.get().add(bi * panel_elems), panel_elems)
+                    std::slice::from_raw_parts_mut(ob.get().add((ni * o + r) * ohow + j0), cols)
                 };
-                // Padding lanes of the ragged last panel are never written,
-                // so they stay zero from the pool's zeroed buffer.
-                linalg::pack_b(ckk, ohow, &cols, dst);
+                match bias {
+                    Some(b) => {
+                        let bv = b[r];
+                        for (d, &v) in dst.iter_mut().zip(lanes) {
+                            *d = v + bv;
+                        }
+                    }
+                    None => dst.copy_from_slice(&lanes[..cols]),
+                }
             });
         }
-        let ob = SendPtr(out.as_mut_ptr());
-        let (bpack_ref, wpack_ref, bias_ref) = (&bpack[..], &wpack[..], bias);
-        parallel::parallel_for(bn * mpanels, |t| {
-            let (bi, pi) = (t / mpanels, t % mpanels);
-            let ni = n0 + bi;
-            let i0 = pi * MR;
-            let rows = MR.min(o - i0);
-            // SAFETY: task t owns exactly output-channel rows
-            // `i0..i0+rows` of image `ni`; the (bi, pi) → task mapping is
-            // a bijection, so regions are disjoint, and `out` outlives
-            // the thread scope.
-            let orow = unsafe {
-                std::slice::from_raw_parts_mut(ob.get().add(ni * o * ohow + i0 * ohow), rows * ohow)
-            };
-            linalg::row_panel(
-                kern,
-                ckk,
-                ohow,
-                rows,
-                &wpack_ref[pi * ckk * MR..(pi + 1) * ckk * MR],
-                &bpack_ref[bi * panel_elems..(bi + 1) * panel_elems],
-                orow,
-            );
-            add_bias(orow, bias_ref, i0, rows, ohow);
-        });
+    });
+    if let Some(t0) = t0 {
+        linalg::record_conv(t0, kern, flops);
     }
     Tensor::from_vec(out, [n, o, oh, ow])
 }
 
-/// Adds `bias[o0 + r]` to each of `rows` output rows of length `ohow`
-/// (no-op without a bias), after the GEMM accumulation — the same order
-/// as a per-image `sgemm` followed by the bias, so results stay
-/// bit-identical.
-fn add_bias(orow: &mut [f32], bias: Option<&Tensor>, o0: usize, rows: usize, ohow: usize) {
-    if let Some(b) = bias {
-        for r in 0..rows {
-            let bv = b.as_slice()[o0 + r];
-            for v in &mut orow[r * ohow..(r + 1) * ohow] {
-                *v += bv;
-            }
-        }
-    }
-}
-
-/// Gradients of [`conv2d`] with respect to input, weight, and bias.
+/// Gradients of [`conv2d`] with respect to input, weight, and bias,
+/// through an `im2col` unfold of each image.
 ///
 /// Returns `(grad_x, grad_w, grad_bias)`; `grad_bias` is `None` iff
 /// `has_bias` is false.
+///
+/// # Panics
+///
+/// Panics on the shapes [`conv2d`] rejects, or if `grad_out` is not
+/// `[N, O, OH, OW]`.
 pub fn conv2d_backward(
     x: &Tensor,
     w: &Tensor,
@@ -222,7 +326,7 @@ pub fn conv2d_backward(
 ) -> (Tensor, Tensor, Option<Tensor>) {
     let (n, c, h, wd) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
     let (o, _, k, _) = (w.dims()[0], w.dims()[1], w.dims()[2], w.dims()[3]);
-    let (oh, ow) = (spec.out_dim(h), spec.out_dim(wd));
+    let (oh, ow) = window_out_dims("conv2d_backward", x.dims(), k, spec.stride, spec.padding);
     assert_eq!(grad_out.dims(), &[n, o, oh, ow], "grad_out shape mismatch");
     let ckk = c * k * k;
 
@@ -270,10 +374,14 @@ pub fn conv2d_backward(
 
 /// 2-D max pooling forward. Returns the pooled tensor and the flat argmax
 /// index (into the input) of each output element, for the backward pass.
+///
+/// # Panics
+///
+/// Panics if `x` is not 4-D, `kernel` or `stride` is 0, or the window
+/// exceeds the input.
 pub fn maxpool2d(x: &Tensor, kernel: usize, stride: usize) -> (Tensor, Vec<usize>) {
+    let (oh, ow) = window_out_dims("maxpool2d", x.dims(), kernel, stride, 0);
     let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-    let oh = (h - kernel) / stride + 1;
-    let ow = (w - kernel) / stride + 1;
     let mut out = Vec::with_capacity(n * c * oh * ow);
     let mut arg = Vec::with_capacity(n * c * oh * ow);
     for ni in 0..n {
@@ -319,10 +427,14 @@ pub fn maxpool2d_backward(
 
 /// 2-D average pooling forward (`[N,C,H,W]`, non-overlapping windows when
 /// `stride == kernel`).
+///
+/// # Panics
+///
+/// Panics if `x` is not 4-D, `kernel` or `stride` is 0, or the window
+/// exceeds the input.
 pub fn avgpool2d(x: &Tensor, kernel: usize, stride: usize) -> Tensor {
+    let (oh, ow) = window_out_dims("avgpool2d", x.dims(), kernel, stride, 0);
     let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-    let oh = (h - kernel) / stride + 1;
-    let ow = (w - kernel) / stride + 1;
     let norm = (kernel * kernel) as f32;
     let mut out = Vec::with_capacity(n * c * oh * ow);
     for ni in 0..n {
@@ -397,11 +509,11 @@ pub fn global_avg_pool_backward(grad_out: &Tensor, h: usize, w: usize) -> Tensor
     Tensor::from_vec(gx, [n, c, h, w])
 }
 
-/// Naive direct convolution used by tests to validate the im2col path.
+/// Naive direct convolution used by tests to validate [`conv2d`].
 pub fn conv2d_naive(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -> Tensor {
     let (n, c, h, wd) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
     let (o, _, k, _) = (w.dims()[0], w.dims()[1], w.dims()[2], w.dims()[3]);
-    let (oh, ow) = (spec.out_dim(h), spec.out_dim(wd));
+    let (oh, ow) = window_out_dims("conv2d_naive", x.dims(), k, spec.stride, spec.padding);
     let mut out = vec![0.0f32; n * o * oh * ow];
     for ni in 0..n {
         for oi in 0..o {
@@ -463,33 +575,207 @@ mod tests {
         }
     }
 
-    /// The batched (image × weight-panel) task grid must be bit-identical
-    /// to itself across thread counts and dispatched micro-kernels — same
-    /// contract as the SGEMM it reuses.
+    /// `pack_b(im2col(x))` for one `[C, H, W]` image: every column panel
+    /// of its im2col matrix, k-major, padding lanes zero.
+    fn packed_oracle(x: &[f32], (c, h, w): (usize, usize, usize), spec: Conv2dSpec) -> Vec<f32> {
+        let (ckk, ohow) = (c * spec.kernel * spec.kernel, spec.out_dim(h) * spec.out_dim(w));
+        let mut cols = vec![0.0; ckk * ohow];
+        im2col(x, c, h, w, spec, &mut cols);
+        let mut packed = vec![0.0; ohow.div_ceil(NR) * ckk * NR];
+        linalg::pack_b(ckk, ohow, &cols, &mut packed);
+        packed
+    }
+
+    /// Packs every panel of a `[C, H, W]` image of distinct non-zero
+    /// values into a NaN-poisoned buffer and compares it bitwise with
+    /// [`packed_oracle`], so a lane left unwritten or misplaced shows.
+    fn check_packer((c, h, w): (usize, usize, usize), spec: Conv2dSpec) -> Result<(), String> {
+        let x: Vec<f32> = (0..c * h * w).map(|i| i as f32 + 1.0).collect();
+        let (oh, ow) = (spec.out_dim(h), spec.out_dim(w));
+        let ckk = c * spec.kernel * spec.kernel;
+        let oracle = packed_oracle(&x, (c, h, w), spec);
+        let mut panel = vec![f32::NAN; ckk * NR];
+        for (pj, want) in oracle.chunks_exact(ckk * NR).enumerate() {
+            panel.fill(f32::NAN);
+            pack_panel(&x, (c, h, w), spec, (oh, ow), pj * NR, &mut panel);
+            if let Some(i) = (0..ckk * NR).find(|&i| panel[i].to_bits() != want[i].to_bits()) {
+                return Err(format!(
+                    "c={c} h={h} w={w} {spec:?} panel {pj}: row {} lane {}: {} vs oracle {}",
+                    i / NR,
+                    i % NR,
+                    panel[i],
+                    want[i]
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn pack_panel_matches_pack_b_of_im2col(
+            k in 1usize..=5,
+            s in 1usize..=3,
+            p in 0usize..=2,
+            c in 1usize..=4,
+            h in 1usize..=12,
+            w in 1usize..=12,
+        ) {
+            proptest::prop_assume!(k <= h.min(w) + 2 * p);
+            if let Err(msg) = check_packer((c, h, w), Conv2dSpec::new(k, s, p)) {
+                proptest::prop_assert!(false, "{}", msg);
+            }
+        }
+    }
+
+    /// The panel edge cases the proptest may miss: one panel narrower than
+    /// `NR`, a ragged last panel, panels crossing several output rows,
+    /// stride-2/3 gathers with padding, and exact multiples of `NR`.
     #[test]
-    fn conv2d_bit_identical_across_threads_and_kernels() {
+    fn pack_panel_matches_pack_b_of_im2col_at_panel_edges() {
+        for (chw, (k, s, p)) in [
+            ((1, 1, 1), (1, 1, 0)),  // OH·OW = 1
+            ((2, 3, 5), (3, 1, 1)),  // 15 < NR
+            ((3, 7, 5), (3, 1, 1)),  // 35 = 2·NR + 3
+            ((2, 12, 9), (3, 2, 1)), // stride 2, 6×5
+            ((4, 11, 12), (5, 3, 2)),
+            ((2, 8, 8), (1, 2, 0)), // 1×1 stride-2 downsample
+            ((3, 4, 4), (3, 1, 1)), // exactly one panel
+            ((1, 8, 8), (3, 1, 1)), // exactly four panels
+            ((2, 2, 6), (5, 1, 2)), // kernel wider than the input
+            ((2, 0, 3), (1, 1, 1)), // empty input, padding only
+        ] {
+            check_packer(chw, Conv2dSpec::new(k, s, p)).unwrap();
+        }
+    }
+
+    /// `conv2d` equals a per-image `sgemm(w, im2col(x))` plus bias bit for
+    /// bit under every supported micro-kernel and thread budget, on
+    /// ResNet-18's conv shapes (CIFAR input, base width 8) at batch 1 and
+    /// 32, plus one base-width-16 layer large enough to run in parallel.
+    #[test]
+    fn conv2d_equals_per_image_sgemm_of_im2col() {
         use crate::parallel::with_threads;
         let _lock = kernels::force_lock();
         let mut rng = StdRng::seed_from_u64(17);
-        let spec = Conv2dSpec::new(3, 1, 1);
-        let x = Tensor::randn([5, 3, 9, 9], &mut rng);
-        let w = Tensor::randn([6, 3, 3, 3], &mut rng);
-        let b = Tensor::randn([6], &mut rng);
-        let reference = {
-            let _g = with_threads(1);
-            conv2d(&x, &w, Some(&b), spec)
-        };
-        for kern in kernels::supported_kernels() {
-            kernels::force(Some(kern));
-            for threads in [1usize, 2, 8] {
-                let _g = with_threads(threads);
-                let got = conv2d(&x, &w, Some(&b), spec);
-                for (i, (a, r)) in got.as_slice().iter().zip(reference.as_slice()).enumerate() {
-                    assert_eq!(a.to_bits(), r.to_bits(), "conv {kern} t={threads} diverges at {i}");
+        let shapes = [
+            // (C, O, H, K, stride, padding)
+            (3, 8, 32, 3, 1, 1),  // stem
+            (8, 8, 32, 3, 1, 1),  // stage-0 3×3
+            (8, 16, 32, 3, 2, 1), // stage-1 entry 3×3 stride 2
+            (8, 16, 32, 1, 2, 0), // stage-1 1×1 stride-2 downsample
+            (64, 64, 4, 3, 1, 1), // stage-3 tail at 4×4
+        ];
+        let mut cases: Vec<_> =
+            shapes.iter().flat_map(|&shape| [(1, shape), (32, shape)]).collect();
+        cases.push((32, (32, 32, 16, 3, 1, 1)));
+        for (n, (c, o, hw, k, s, p)) in cases {
+            let spec = Conv2dSpec::new(k, s, p);
+            let x = Tensor::randn([n, c, hw, hw], &mut rng);
+            let w = Tensor::randn([o, c, k, k], &mut rng);
+            let b = Tensor::randn([o], &mut rng);
+            let bias = (n == 1).then_some(&b);
+            let (ckk, oh) = (c * k * k, spec.out_dim(hw));
+            let ohow = oh * oh;
+            let mut want = vec![0.0f32; n * o * ohow];
+            let mut cols = vec![0.0; ckk * ohow];
+            for (img, y) in
+                x.as_slice().chunks_exact(c * hw * hw).zip(want.chunks_exact_mut(o * ohow))
+            {
+                im2col(img, c, hw, hw, spec, &mut cols);
+                sgemm(o, ckk, ohow, w.as_slice(), &cols, y);
+                if let Some(b) = bias {
+                    for (row, &bv) in y.chunks_exact_mut(ohow).zip(b.as_slice()) {
+                        row.iter_mut().for_each(|v| *v += bv);
+                    }
                 }
             }
+            for kern in kernels::supported_kernels() {
+                kernels::force(Some(kern));
+                for threads in [1usize, 2, 8] {
+                    let _g = with_threads(threads);
+                    let got = conv2d(&x, &w, bias, spec);
+                    assert_eq!(got.dims(), &[n, o, oh, oh]);
+                    for (i, (a, r)) in got.as_slice().iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            r.to_bits(),
+                            "n={n} c={c} o={o} {hw}² {spec:?} {kern} t={threads} diverges at {i}"
+                        );
+                    }
+                }
+            }
+            kernels::force(None);
         }
-        kernels::force(None);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv kernel must be at least 1, got 0")]
+    fn spec_rejects_zero_kernel() {
+        Conv2dSpec::new(0, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv stride must be at least 1, got 0")]
+    fn spec_rejects_zero_stride() {
+        Conv2dSpec::new(3, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d: kernel and stride must be at least 1")]
+    fn conv2d_rejects_zero_stride_spec_literal() {
+        let spec = Conv2dSpec { kernel: 1, stride: 0, padding: 0 };
+        conv2d(&Tensor::ones([1, 1, 2, 2]), &Tensor::ones([1, 1, 1, 1]), None, spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d: 5×5 window with padding 1 does not fit input [1, 1, 2, 2]")]
+    fn conv2d_rejects_window_wider_than_padded_input() {
+        let spec = Conv2dSpec::new(5, 1, 1);
+        conv2d(&Tensor::ones([1, 1, 2, 2]), &Tensor::ones([1, 1, 5, 5]), None, spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d: 5×5 window with padding 1 does not fit input [1, 1, 2, 2]")]
+    fn conv2d_rejects_window_wider_than_padded_input_at_stride_2() {
+        let spec = Conv2dSpec::new(5, 2, 1);
+        conv2d(&Tensor::ones([1, 1, 2, 2]), &Tensor::ones([1, 1, 5, 5]), None, spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv: 5×5 window with padding 1 does not fit input [2, 2]")]
+    fn out_dim_rejects_window_wider_than_padded_input() {
+        Conv2dSpec::new(5, 3, 1).out_dim(2);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "maxpool2d: 3×3 window with padding 0 does not fit input [1, 1, 2, 2]"
+    )]
+    fn maxpool_rejects_window_wider_than_input() {
+        maxpool2d(&Tensor::ones([1, 1, 2, 2]), 3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "maxpool2d: kernel and stride must be at least 1")]
+    fn maxpool_rejects_zero_stride() {
+        maxpool2d(&Tensor::ones([1, 1, 2, 2]), 2, 0);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "avgpool2d: 3×3 window with padding 0 does not fit input [1, 1, 2, 2]"
+    )]
+    fn avgpool_rejects_window_wider_than_input() {
+        avgpool2d(&Tensor::ones([1, 1, 2, 2]), 3, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "avgpool2d: kernel and stride must be at least 1")]
+    fn avgpool_rejects_zero_kernel() {
+        avgpool2d(&Tensor::ones([1, 1, 2, 2]), 0, 1);
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //!   elementwise ops, reductions, and shape manipulation ([`ops`]);
 //! - [`linalg`]: packed-panel register-tiled SGEMM and batched matmul,
 //!   parallel over output row panels and bit-exact for every thread count;
-//! - [`conv`]: im2col convolution and pooling with explicit backward passes;
+//! - [`conv`]: convolution that streams packed B panels straight from the
+//!   image into the GEMM micro-kernel (no im2col matrix), and pooling,
+//!   with explicit backward passes;
 //! - [`parallel`]: the intra-op scoped-thread worker pool and its
 //!   thread-budget controls ([`parallel::with_threads`]);
 //! - [`workspace`]: a thread-local scratch-buffer pool that lets the
-//!   kernels reuse im2col/packing buffers across calls;
+//!   kernels reuse packing buffers across calls;
 //! - [`autograd`]: a tape ([`Tape`]/[`Var`]) for reverse-mode
 //!   differentiation, including a straight-through-estimator hook
 //!   ([`Var::apply_ste`]) so quantisers can participate in training.

@@ -41,6 +41,8 @@ struct GemmMetrics {
     kernel_ns: &'static trace::Metric,
     kernel_kind: &'static trace::Metric,
     flops: &'static trace::Metric,
+    conv_ns: &'static trace::Metric,
+    conv_flops: &'static trace::Metric,
 }
 
 fn gemm_metrics() -> &'static GemmMetrics {
@@ -50,7 +52,20 @@ fn gemm_metrics() -> &'static GemmMetrics {
         kernel_ns: trace::histogram(trace::names::TENSOR_GEMM_KERNEL_NS),
         kernel_kind: trace::histogram(trace::names::GEMM_KERNEL),
         flops: trace::counter(trace::names::TENSOR_GEMM_FLOPS),
+        conv_ns: trace::histogram(trace::names::TENSOR_CONV_NS),
+        conv_flops: trace::counter(trace::names::TENSOR_CONV_FLOPS),
     })
+}
+
+/// Records one forward convolution started at `t`: its wall time under
+/// `tensor.conv.ns`, its flops under `tensor.conv.flops` and the
+/// dispatched micro-kernel's ordinal under `gemm.kernel`. Convolutions
+/// stay out of `tensor.gemm.*`.
+pub(crate) fn record_conv(t: Instant, kern: Kernel, flops: usize) {
+    let m = gemm_metrics();
+    m.conv_ns.record(t.elapsed().as_nanos() as u64);
+    m.conv_flops.add(flops as u64);
+    m.kernel_kind.record(kern.ordinal());
 }
 
 impl GemmMetrics {
@@ -265,6 +280,36 @@ pub(crate) fn row_panel(
         kernels::run(kern, k, apack, bpanel, &mut acc);
         for r in 0..rows {
             orow[r * n + j0..r * n + j0 + cols].copy_from_slice(&acc[r][..cols]);
+        }
+    }
+}
+
+/// One packed `k×NR` column panel `bpanel` against every packed `MR`-row
+/// panel of an `m×k` matrix (`apack`, its row panels packed by [`pack_a`]
+/// one after another): the column-panel counterpart of [`row_panel`].
+/// Each register tile is seeded from 0.0 and runs the dispatched
+/// micro-kernel `kern` over the full `k`, then hands every real output row
+/// `i` to `store(i, lanes)`. Lanes past the panel's real columns carry
+/// products of padding and must be ignored.
+pub(crate) fn col_panel(
+    kern: Kernel,
+    k: usize,
+    m: usize,
+    apack: &[f32],
+    bpanel: &[f32],
+    mut store: impl FnMut(usize, &[f32; NR]),
+) {
+    // The SIMD micro-kernels read `k` rows of both panels unchecked.
+    assert!(
+        apack.len() >= m.div_ceil(MR) * k * MR && bpanel.len() >= k * NR,
+        "col_panel: packed operands shorter than m={m}, k={k}"
+    );
+    for (pi, apanel) in apack.chunks_exact(k * MR).take(m.div_ceil(MR)).enumerate() {
+        let i0 = pi * MR;
+        let mut acc = [[0.0f32; NR]; MR];
+        kernels::run(kern, k, apanel, bpanel, &mut acc);
+        for (r, lanes) in acc[..MR.min(m - i0)].iter().enumerate() {
+            store(i0 + r, lanes);
         }
     }
 }

@@ -1,8 +1,10 @@
 //! Reusable scratch buffers for the compute kernels.
 //!
-//! `conv2d` / `conv2d_backward` and the packed GEMM need large transient
-//! `Vec<f32>` buffers (im2col columns, packed A/B panels, transposed
-//! weights). Allocating them per call dominated small-batch inference, so
+//! The packed GEMM, `conv2d` and `conv2d_backward` need transient
+//! `Vec<f32>` buffers (packed A/B panels, conv's packed weights and its
+//! one `C·K²×NR` B panel per task, the backward pass's im2col columns and
+//! transposed weights). Allocating them per call dominated small-batch
+//! inference, so
 //! kernels now borrow from a **thread-local free-list pool**: [`take`]
 //! hands out a zero-initialised buffer (recycling the largest retired one
 //! that fits), and dropping the returned [`Scratch`] guard retires the

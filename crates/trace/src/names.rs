@@ -26,9 +26,9 @@ pub const FORMATS_LUT_BUILDS: &str = "formats.lut.builds";
 pub const FORMATS_QUANTIZE_CHUNKED_NS: &str = "formats.quantize.chunked_ns";
 /// Elements quantised by the chunk-parallel path.
 pub const FORMATS_QUANTIZE_CHUNKED_ELEMS: &str = "formats.quantize.chunked_elems";
-/// Ordinal of the GEMM micro-kernel dispatched per call (0 = scalar,
-/// 1 = AVX2, 2 = AVX-512); a histogram so `trace stats` shows which
-/// kernel a run actually used.
+/// Ordinal of the GEMM micro-kernel dispatched per GEMM or convolution
+/// call (0 = scalar, 1 = AVX2, 2 = AVX-512); a histogram so `trace stats`
+/// shows which kernel a run actually used.
 pub const GEMM_KERNEL: &str = "gemm.kernel";
 /// Wall time of the fused single-pass quantise→dequantise round-trip
 /// (`formats::fused_roundtrip`), which the emulation hook takes at every
@@ -45,11 +45,18 @@ pub const STORE_MISS: &str = "store.miss";
 pub const STORE_BYTES_REUSED: &str = "store.bytes_reused";
 /// Payload bytes written into the artifact store.
 pub const STORE_BYTES_WRITTEN: &str = "store.bytes_written";
-/// GEMM packing time.
+/// Wall time of one forward convolution (`tensor::conv::conv2d`), panel
+/// packing and micro-kernel together; one sample per call.
+pub const TENSOR_CONV_NS: &str = "tensor.conv.ns";
+/// Floating-point operations executed by forward convolutions
+/// (`2·N·O·C·K²·OH·OW` per call).
+pub const TENSOR_CONV_FLOPS: &str = "tensor.conv.flops";
+/// GEMM packing time (matmul, bmm and `sgemm`; convolutions excluded).
 pub const TENSOR_GEMM_PACK_NS: &str = "tensor.gemm.pack_ns";
-/// GEMM micro-kernel time.
+/// GEMM micro-kernel time (convolutions excluded).
 pub const TENSOR_GEMM_KERNEL_NS: &str = "tensor.gemm.kernel_ns";
-/// Floating-point operations executed by the GEMM kernels.
+/// Floating-point operations executed by the GEMM kernels (convolutions
+/// excluded).
 pub const TENSOR_GEMM_FLOPS: &str = "tensor.gemm.flops";
 /// Task batches dispatched by the intra-op worker pool.
 pub const TENSOR_PARALLEL_DISPATCHES: &str = "tensor.parallel.dispatches";
@@ -72,6 +79,8 @@ pub const ALL_METRICS: &[&str] = &[
     STORE_BYTES_WRITTEN,
     STORE_HIT,
     STORE_MISS,
+    TENSOR_CONV_FLOPS,
+    TENSOR_CONV_NS,
     TENSOR_GEMM_FLOPS,
     TENSOR_GEMM_KERNEL_NS,
     TENSOR_GEMM_PACK_NS,

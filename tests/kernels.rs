@@ -228,7 +228,8 @@ fn matmul_propagates_nan_and_inf_through_zeros() {
 }
 
 /// conv2d through the workspace scratch pool stays bit-identical across
-/// thread budgets too (the im2col GEMM inherits the sgemm contract).
+/// thread budgets too (its panel-streaming GEMM inherits the sgemm
+/// contract).
 #[test]
 fn conv2d_bit_identical_across_thread_budgets() {
     let mut rng = StdRng::seed_from_u64(7);

@@ -312,3 +312,49 @@ fn campaign_manifest_round_trips_through_json() {
     assert_eq!(back.layers.len(), result.layers.len());
     assert!(!back.convergence.is_empty(), "convergence trace embedded");
 }
+
+/// A traced ResNet-18 inference forward records every convolution: one
+/// `tensor.conv.ns` sample per conv layer and exactly `Σ 2·N·O·C·K²·OH·OW`
+/// under `tensor.conv.flops`.
+#[test]
+fn traced_resnet_forward_records_every_conv() {
+    use nn::{Ctx, Module};
+    let _gate = serialize_tests();
+    let mut rng = StdRng::seed_from_u64(5);
+    let model = ResNet::new(ResNetConfig::resnet18(8, 10), &mut rng);
+    let (n, mut hw) = (2usize, 16usize);
+    // `(C, O, K, OH)` of every conv: the stem, then per BasicBlock conv1
+    // (3×3, stride s), conv2 (3×3) and the 1×1 stride-s downsample when
+    // the block changes shape.
+    let mut convs = vec![(3, 8, 3, hw)];
+    let mut in_ch = 8;
+    for stage in 0..4 {
+        let width = 8 << stage;
+        for block in 0..2 {
+            let stride = if stage > 0 && block == 0 { 2 } else { 1 };
+            hw = (hw - 1) / stride + 1;
+            convs.push((in_ch, width, 3, hw));
+            convs.push((width, width, 3, hw));
+            if stride != 1 || in_ch != width {
+                convs.push((in_ch, width, 1, hw));
+            }
+            in_ch = width;
+        }
+    }
+    let flops: usize = convs.iter().map(|&(c, o, k, oh)| 2 * n * o * c * k * k * oh * oh).sum();
+
+    trace::capture_events(true);
+    trace::reset_metrics();
+    let mut ctx = Ctx::inference();
+    let x = ctx.input(tensor::Tensor::randn([n, 3, 16, 16], &mut rng));
+    let logits = model.forward(&x, &mut ctx);
+    trace::capture_events(false);
+    let _ = trace::take_events();
+
+    assert_eq!(logits.value().dims(), &[n, 10]);
+    assert_eq!(convs.len(), 20, "ResNet-18 has 20 convolutions");
+    let conv_ns = trace::histogram(trace::names::TENSOR_CONV_NS);
+    assert_eq!(conv_ns.count(), convs.len() as u64, "one tensor.conv.ns sample per conv layer");
+    let conv_flops = trace::counter(trace::names::TENSOR_CONV_FLOPS);
+    assert_eq!(conv_flops.count(), flops as u64, "tensor.conv.flops");
+}
