@@ -47,10 +47,6 @@ pub enum Law {
     /// deviates intentionally: Method 1 saturates, Methods 3/4 keep the
     /// reserved Inf codes.)
     TensorScalarAgreement,
-    /// Narrow metadata-free formats only: the cached dequantise LUT (the
-    /// error injector's decode fast path) agrees bitwise with the direct
-    /// Method 4 decode for every code.
-    LutAgreement,
 }
 
 impl Law {
@@ -66,7 +62,6 @@ impl Law {
             Law::MetaFlipFinite,
             Law::FastSlowAgreement,
             Law::TensorScalarAgreement,
-            Law::LutAgreement,
         ]
     }
 
@@ -82,7 +77,6 @@ impl Law {
             Law::MetaFlipFinite => "meta-flip-finite",
             Law::FastSlowAgreement => "fast-slow-agreement",
             Law::TensorScalarAgreement => "tensor-scalar-agreement",
-            Law::LutAgreement => "lut-agreement",
         }
     }
 
@@ -104,7 +98,6 @@ impl Law {
             Law::TensorScalarAgreement => {
                 "Method 1 matches Method 3∘4 element-wise under the same metadata"
             }
-            Law::LutAgreement => "the dequantise LUT matches the direct Method 4 decode per code",
         }
     }
 }

@@ -231,34 +231,7 @@ pub fn check_format(spec: &FormatSpec) -> FormatReport {
             check_fast_slow(&fp, &decoded, spec, &ctx, &mut report);
         }
     }
-    check_lut(format.as_ref(), spec, &mut report);
     report
-}
-
-/// Law `lut-agreement`: for narrow metadata-free formats, the cached
-/// dequantise LUT (the error injector's decode fast path) must agree
-/// bitwise with the direct Method 4 decode for **every** code. Formats the
-/// LUT declines (metadata-bearing or > 16-bit) are vacuously conformant.
-fn check_lut(format: &dyn NumberFormat, spec: &FormatSpec, report: &mut FormatReport) {
-    let Some(lut) = formats::lut::cached(format) else {
-        return;
-    };
-    let w = lut.width();
-    for code in 0..(1u64 << w) {
-        report.checks += 1;
-        let direct =
-            format.format_to_real(&formats::Bitstring::from_u64(code, w), &Metadata::None, 0);
-        let fast = lut.decode(code);
-        let agrees = direct.to_bits() == fast.to_bits() || (direct.is_nan() && fast.is_nan());
-        if !agrees {
-            report.violations.push(Violation {
-                law: Law::LutAgreement,
-                spec: spec.to_string(),
-                context: "none".to_string(),
-                detail: format!("code {code:#x}: LUT decodes {fast}, Method 4 decodes {direct}"),
-            });
-        }
-    }
 }
 
 /// Enumerates the full code space under one context: `round-trip` and

@@ -44,8 +44,8 @@ struct GlobalFlags {
     manifest: Option<std::path::PathBuf>,
     /// `--store <dir>`: content-addressed artifact store shared across
     /// runs (and across concurrent processes pointing at the same
-    /// directory). Caches trained demo checkpoints, quantised weights,
-    /// and dequantise LUTs; results stay bit-identical with or without it.
+    /// directory). Caches trained demo checkpoints and quantised weights;
+    /// results stay bit-identical with or without it.
     store: Option<Arc<store::Store>>,
 }
 
@@ -205,8 +205,8 @@ fn print_usage() {
            --trace-out <path>   append structured JSONL events (spans, trials, manifest)\n\
            --manifest <path>    write the run manifest as pretty JSON\n\
            --store <dir>        content-addressed artifact store: caches trained demo\n\
-                                checkpoints, quantised weights, and dequantise LUTs\n\
-                                across runs/processes (results stay bit-identical)\n\
+                                checkpoints and quantised weights across\n\
+                                runs/processes (results stay bit-identical)\n\
            --progress           live status line on stderr (heartbeats go to --trace-out)\n\
            --log-level <lvl>    error|warn|info|debug|trace (default info)\n\
            -v | --verbose       shorthand for --log-level debug\n\

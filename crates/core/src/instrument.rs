@@ -408,13 +408,11 @@ impl GoldenEye {
     /// conversions ([`GoldenEye::quantize_weights`] and the weight-campaign
     /// clean pass) are served from the store when the same
     /// `(weights × format)` pair was converted before — by this run, an
-    /// earlier one, or a concurrent process sharing the directory. Also
-    /// seeds the format's dequantise LUT from the store when one is cached.
+    /// earlier one, or a concurrent process sharing the directory.
     ///
     /// Results are bit-identical with and without a store; only the work
     /// is shared.
     pub fn with_store(mut self, store: Arc<store::Store>) -> Self {
-        store.ensure_lut(self.format());
         self.store = Some(store);
         self
     }

@@ -355,7 +355,8 @@ mod tests {
         let q = bfp.real_to_format_tensor(&x);
         for i in 0..4 {
             for bit in 0..6 {
-                let v = crate::format::flip_value_bit(&bfp, &q, i, bit);
+                let bits = bfp.real_to_format(q.values.as_slice()[i], &q.meta, i).with_flip(bit);
+                let v = bfp.format_to_real(&bits, &q.meta, i);
                 assert!(v.is_finite());
                 assert!(v.abs() <= 8.0, "flip({i},{bit}) gave {v}");
             }

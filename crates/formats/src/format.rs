@@ -78,7 +78,7 @@ pub trait NumberFormat: std::fmt::Debug + Send + Sync {
 
     /// The canonical [`FormatSpec`](crate::FormatSpec) string for this
     /// format — the stable identity the artifact store keys cached
-    /// quantisations and LUTs by.
+    /// quantisations by.
     ///
     /// Two instances that quantise identically must return the same
     /// string, and two that differ anywhere must not. For every built-in
@@ -173,30 +173,6 @@ pub trait NumberFormat: std::fmt::Debug + Send + Sync {
         let _ = (old, new);
         values.clone()
     }
-}
-
-/// Round-trips one element of a quantised tensor through its bitstring with
-/// a single bit flipped — the paper's value-injection routine (Method 3 →
-/// flip → Method 4).
-///
-/// Returns the corrupted value.
-///
-/// # Panics
-///
-/// Panics if `element` or `bit` is out of range.
-pub fn flip_value_bit(format: &dyn NumberFormat, q: &Quantized, element: usize, bit: usize) -> f32 {
-    let v = q.values.as_slice()[element];
-    let bits = format.real_to_format(v, &q.meta, element);
-    assert!(bit < bits.len(), "bit {} out of range for {}-bit format", bit, bits.len());
-    let flipped = bits.with_flip(bit);
-    // Metadata-free narrow formats decode flipped codes through the cached
-    // LUT (validated code-for-code by the conformance law `lut-agreement`).
-    if q.meta == Metadata::None {
-        if let Some(lut) = crate::lut::cached(format) {
-            return lut.decode(flipped.to_u64());
-        }
-    }
-    format.format_to_real(&flipped, &q.meta, element)
 }
 
 #[cfg(test)]

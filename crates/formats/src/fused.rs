@@ -15,20 +15,11 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::format::NumberFormat;
-use crate::lut;
 use tensor::Tensor;
 
-struct FusedMetrics {
-    ns: &'static trace::Metric,
-    lut_hits: &'static trace::Metric,
-}
-
-fn fused_metrics() -> &'static FusedMetrics {
-    static METRICS: OnceLock<FusedMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| FusedMetrics {
-        ns: trace::histogram(trace::names::PACK_FUSED_QUANTIZE_NS),
-        lut_hits: trace::counter(trace::names::PACK_LUT_HITS),
-    })
+fn fused_ns() -> &'static trace::Metric {
+    static METRIC: OnceLock<&'static trace::Metric> = OnceLock::new();
+    METRIC.get_or_init(|| trace::histogram(trace::names::PACK_FUSED_QUANTIZE_NS))
 }
 
 /// Runs `format`'s quantise→dequantise round-trip over `t` in one fused
@@ -40,20 +31,14 @@ fn fused_metrics() -> &'static FusedMetrics {
 /// Bit-identical to the two-pass route by the
 /// [`NumberFormat::elementwise_quantizer`] contract, and thread-count
 /// invariant like every chunked map. Records `pack.fused_quantize_ns`
-/// per pass and bumps `pack.lut_hits` when the format also has a
-/// validated cached dequantise LUT (the ≤16-bit fast-path population the
-/// conformance `lut-agreement` law covers).
+/// per pass.
 pub fn fused_roundtrip(format: &dyn NumberFormat, t: &Tensor) -> Option<Tensor> {
     let f = format.elementwise_quantizer()?;
     let timing = trace::recording();
     let t0 = timing.then(Instant::now);
     let out = crate::chunk::map_chunked(t, f);
     if let Some(t0) = t0 {
-        let metrics = fused_metrics();
-        metrics.ns.record(t0.elapsed().as_nanos() as u64);
-        if lut::cached(format).is_some() {
-            metrics.lut_hits.add(1);
-        }
+        fused_ns().record(t0.elapsed().as_nanos() as u64);
     }
     Some(out)
 }

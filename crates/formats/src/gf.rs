@@ -7,8 +7,8 @@
 //! GoldenFloat *is* the corresponding [`FloatingPoint`]; the wrapper
 //! exists so the `gf:N` spec is addressable from the CLI/DSE, and its
 //! [`NumberFormat::canonical_spec`] deliberately aliases to the `fp:eXmY`
-//! identity so the artifact store and dequantise-LUT cache share entries
-//! with the equivalent FP format instead of duplicating them.
+//! identity so the artifact store shares entries with the equivalent FP
+//! format instead of duplicating them.
 //!
 //! Intentional deviation: GF32's φ-split is e12m19, but our f32-fabric
 //! `FpParams` caps exponents at 11 bits (2^2047 overflows the f64 used
@@ -83,8 +83,8 @@ impl NumberFormat for GoldenFloat {
     }
 
     /// Aliases to the equivalent `fp:eXmY` — GoldenFloat quantises
-    /// identically to that FloatingPoint, so the store and LUT cache must
-    /// key them together.
+    /// identically to that FloatingPoint, so the store must key them
+    /// together.
     fn canonical_spec(&self) -> String {
         self.inner.canonical_spec()
     }

@@ -51,7 +51,6 @@ mod fxp;
 mod gf;
 pub mod hash;
 mod int;
-pub mod lut;
 mod metadata;
 mod mx;
 mod p3109;
@@ -62,7 +61,7 @@ mod spec;
 pub use afp::AdaptivFloat;
 pub use bfp::BlockFloatingPoint;
 pub use bitstring::Bitstring;
-pub use format::{flip_value_bit, DynamicRange, NumberFormat, Quantized};
+pub use format::{DynamicRange, NumberFormat, Quantized};
 pub use fp::{f32_saturate, mul_pow2, FloatingPoint};
 pub use fused::fused_roundtrip;
 pub use fxp::FixedPoint;

@@ -343,7 +343,8 @@ mod tests {
         let q = p.real_to_format_tensor(&x);
         for i in 0..3 {
             for bit in 0..8 {
-                let v = crate::format::flip_value_bit(&p, &q, i, bit);
+                let bits = p.real_to_format(q.values.as_slice()[i], &q.meta, i).with_flip(bit);
+                let v = p.format_to_real(&bits, &q.meta, i);
                 assert!(v.is_nan() || v.abs() <= 64.0, "flip({i},{bit}) gave {v}");
             }
         }

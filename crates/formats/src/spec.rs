@@ -425,7 +425,7 @@ mod tests {
     fn goldenfloat_canonical_spec_aliases_to_fp() {
         // `gf:N` deliberately does NOT canonicalise to itself: a GoldenFloat
         // quantises identically to its φ-split FloatingPoint, so the store
-        // and LUT cache must treat them as one format.
+        // must treat them as one format.
         for (gf, fp) in [("gf:8", "fp:e3m4"), ("gf:16", "fp:e6m9"), ("gf:32", "fp:e11m20")] {
             let spec: FormatSpec = gf.parse().unwrap();
             let canon = spec.build().canonical_spec();

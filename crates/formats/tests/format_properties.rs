@@ -155,10 +155,10 @@ proptest! {
     }
 
     /// Differential: the metadata-free narrow formats agree across all
-    /// three decode paths — direct quantise, encode→LUT decode, and the
+    /// three paths — direct quantise, encode → Method 4 decode, and the
     /// chunk-parallel tensor path — for random tensors.
     #[test]
-    fn narrow_formats_agree_quantise_vs_lut_vs_chunked(
+    fn narrow_formats_agree_quantise_vs_decode_vs_chunked(
         values in prop::collection::vec(-500.0f32..500.0, 1..24),
     ) {
         let formats: Vec<Box<dyn NumberFormat>> = vec![
@@ -169,16 +169,15 @@ proptest! {
         ];
         let x = Tensor::from_vec(values.clone(), [values.len()]);
         for f in formats {
-            let lut = formats::lut::cached(f.as_ref()).expect("narrow metadata-free");
             let q = f.real_to_format_tensor(&x);
             for (i, &v) in values.iter().enumerate() {
                 let direct = f.quantize_value(v);
-                let code = f.real_to_format(v, &Metadata::None, i).to_u64();
-                let fast = lut.decode(code);
+                let bits = f.real_to_format(v, &Metadata::None, i);
+                let decoded = f.format_to_real(&bits, &Metadata::None, i);
                 let chunked = q.values.as_slice()[i];
-                prop_assert!(direct.to_bits() == fast.to_bits()
-                        || (direct.is_nan() && fast.is_nan()),
-                    "{}: {v}: direct {direct} vs LUT {fast}", f.name());
+                prop_assert!(direct.to_bits() == decoded.to_bits()
+                        || (direct.is_nan() && decoded.is_nan()),
+                    "{}: {v}: direct {direct} vs decode {decoded}", f.name());
                 prop_assert!(direct.to_bits() == chunked.to_bits()
                         || (direct.is_nan() && chunked.is_nan()),
                     "{}: {v}: direct {direct} vs tensor {chunked}", f.name());

@@ -41,32 +41,12 @@ pub fn flip_value(
     element: usize,
     bit: usize,
 ) -> ValueFlip {
-    assert!(element < q.values.numel(), "element {element} out of range");
-    let old = q.values.as_slice()[element];
-    let bits = format.real_to_format(old, &q.meta, element);
-    assert!(bit < bits.len(), "bit {bit} out of range for {}-bit values", bits.len());
-    let new = decode(format, q, bits.with_flip(bit), element);
-    q.values.as_mut_slice()[element] = new;
-    ValueFlip { element, bit, old, new }
+    flip_value_multi(format, q, element, &[bit])
 }
 
-/// Decodes a (corrupted) bit image: the cached dequantise LUT when the
-/// format is metadata-free and narrow, the direct Method 4 otherwise.
-fn decode(
-    format: &dyn NumberFormat,
-    q: &Quantized,
-    bits: formats::Bitstring,
-    element: usize,
-) -> f32 {
-    if q.meta == Metadata::None {
-        if let Some(lut) = formats::lut::cached(format) {
-            return lut.decode(bits.to_u64());
-        }
-    }
-    format.format_to_real(&bits, &q.meta, element)
-}
-
-/// Flips several bits of one data value in-place (multi-bit upset).
+/// Flips several bits of one data value in-place (multi-bit upset):
+/// Method 3 encodes the value, the bits flip, and Method 4 decodes the
+/// corrupted code.
 ///
 /// # Panics
 ///
@@ -81,9 +61,10 @@ pub fn flip_value_multi(
     let old = q.values.as_slice()[element];
     let mut bits = format.real_to_format(old, &q.meta, element);
     for &b in bits_to_flip {
+        assert!(b < bits.len(), "bit {b} out of range for {}-bit values", bits.len());
         bits.flip(b);
     }
-    let new = decode(format, q, bits, element);
+    let new = format.format_to_real(&bits, &q.meta, element);
     q.values.as_mut_slice()[element] = new;
     ValueFlip { element, bit: bits_to_flip.first().copied().unwrap_or(0), old, new }
 }

@@ -3,7 +3,7 @@
 //!
 //! The layout is designed to be mmap-able by readers that want zero-copy
 //! access: every header field is fixed-width little-endian, and the
-//! payload (raw `f32` bit patterns for tensors and LUTs) starts on a
+//! payload (raw `f32` bit patterns for tensors) starts on a
 //! 64-byte boundary so an aligned view over the mapped file is valid.
 //! This crate itself reads through buffered I/O — `std` has no mmap — but
 //! the layout keeps that door open without a format change.
@@ -25,18 +25,20 @@ pub enum ArtifactKind {
     /// A weight tensor round-tripped through a number format (values +
     /// hardware metadata), keyed by `(input tensor hash × canonical spec)`.
     QWeights,
-    /// A per-format dequantise lookup table, keyed by the canonical spec.
-    Lut,
     /// A serialized model checkpoint, keyed by its logical name.
     Checkpoint,
 }
 
 impl ArtifactKind {
     /// Stable wire code.
+    ///
+    /// Code 2 belonged to the retired dequantise-table kind and is never
+    /// reused: an old `lut-*.art` object must keep decoding as an unknown
+    /// kind, which `verify` reports and `gc` sweeps, rather than be read
+    /// as some other artifact.
     pub fn code(self) -> u32 {
         match self {
             ArtifactKind::QWeights => 1,
-            ArtifactKind::Lut => 2,
             ArtifactKind::Checkpoint => 3,
         }
     }
@@ -45,7 +47,6 @@ impl ArtifactKind {
     pub fn from_code(code: u32) -> Option<ArtifactKind> {
         match code {
             1 => Some(ArtifactKind::QWeights),
-            2 => Some(ArtifactKind::Lut),
             3 => Some(ArtifactKind::Checkpoint),
             _ => None,
         }
@@ -55,7 +56,6 @@ impl ArtifactKind {
     pub fn as_str(self) -> &'static str {
         match self {
             ArtifactKind::QWeights => "qweights",
-            ArtifactKind::Lut => "lut",
             ArtifactKind::Checkpoint => "ckpt",
         }
     }
@@ -69,10 +69,10 @@ pub struct ArtifactKey {
     /// What the artifact caches.
     pub kind: ArtifactKind,
     /// FNV-1a hash of the source content (the input weight tensor for
-    /// quantisations; 0 for spec- or name-keyed artifacts).
+    /// quantisations; 0 for checkpoints).
     pub content: u64,
     /// Canonical format-spec string ([`formats::NumberFormat::canonical_spec`])
-    /// for quantisations and LUTs; the logical name for checkpoints.
+    /// for quantisations; the logical name for checkpoints.
     pub spec: String,
 }
 
@@ -84,11 +84,6 @@ impl ArtifactKey {
             content: formats::hash::tensor_hash(weights),
             spec: format.canonical_spec(),
         }
-    }
-
-    /// Key for `format`'s dequantise LUT.
-    pub fn lut(format: &dyn formats::NumberFormat) -> ArtifactKey {
-        ArtifactKey { kind: ArtifactKind::Lut, content: 0, spec: format.canonical_spec() }
     }
 
     /// Key for the checkpoint named `name`.
@@ -119,8 +114,7 @@ impl ArtifactKey {
 pub struct Artifact {
     /// The cache key.
     pub key: ArtifactKey,
-    /// Dimensions of the cached tensor (`[len]` for LUTs, empty for
-    /// checkpoints).
+    /// Dimensions of the cached tensor (empty for checkpoints).
     pub dims: Vec<usize>,
     /// Raw payload bytes (little-endian `f32`s for tensor artifacts).
     pub payload: Vec<u8>,
@@ -373,10 +367,10 @@ mod tests {
         let t = Tensor::from_vec(vec![1.0, 2.0], [2]);
         let fp: Box<dyn NumberFormat> = "fp:e4m3".parse::<formats::FormatSpec>().unwrap().build();
         let q = ArtifactKey::quantized(&t, fp.as_ref());
-        let l = ArtifactKey::lut(fp.as_ref());
         let c = ArtifactKey::checkpoint("fp:e4m3");
-        assert_ne!(q.id(), l.id());
-        assert_ne!(l.id(), c.id());
-        assert_eq!(l.spec, c.spec, "same spec string, different kind → different id");
+        let c0 = ArtifactKey { content: 0, ..q.clone() };
+        assert_ne!(q.id(), c.id());
+        assert_ne!(c0.id(), c.id());
+        assert_eq!(c0.spec, c.spec, "same spec string, different kind → different id");
     }
 }

@@ -6,13 +6,12 @@
 //! the same formats over and over: every `evaluate`/`campaign` entry point
 //! re-runs the offline weight conversion, and the binary-tree DSE
 //! heuristic revisits sibling nodes that share `(weights × format)` pairs.
-//! This crate decouples that work from campaign execution by caching three
+//! This crate decouples that work from campaign execution by caching two
 //! artifact kinds under stable, content-addressed keys:
 //!
 //! | kind | key | payload |
 //! |---|---|---|
 //! | `qweights` | FNV-1a(tensor bytes) × canonical spec | quantised values + metadata |
-//! | `lut` | canonical spec | dequantise table |
 //! | `ckpt` | logical name | serialized model parameters |
 //!
 //! A [`Store`] is an in-memory map optionally backed by a directory
@@ -289,32 +288,6 @@ impl Store {
         q
     }
 
-    /// Returns `format`'s dequantise LUT, loading a stored table into the
-    /// process-wide cache when available and persisting freshly built
-    /// tables. `None` when the format is LUT-ineligible (wider than
-    /// [`formats::lut::MAX_LUT_WIDTH`] or metadata-bearing).
-    pub fn ensure_lut(&self, format: &dyn NumberFormat) -> Option<Arc<formats::lut::DequantLut>> {
-        if format.bit_width() > formats::lut::MAX_LUT_WIDTH {
-            return None;
-        }
-        let key = ArtifactKey::lut(format);
-        if let Some(a) = self.get(&key) {
-            if let Ok(table) = decode_f32s(&a.payload) {
-                if let Some(lut) = formats::lut::install_cached(format, table) {
-                    return Some(lut);
-                }
-            }
-        }
-        let lut = formats::lut::cached(format)?;
-        let table = lut.table();
-        self.put(Artifact {
-            key: ArtifactKey::lut(format),
-            dims: vec![table.len()],
-            payload: encode_f32s(table),
-        });
-        Some(lut)
-    }
-
     /// Fetches the checkpoint named `name`, if stored.
     pub fn get_checkpoint(&self, name: &str) -> Option<Vec<u8>> {
         self.get(&ArtifactKey::checkpoint(name)).map(|a| a.payload.clone())
@@ -562,22 +535,48 @@ mod tests {
     }
 
     #[test]
-    fn ensure_lut_persists_and_reloads_tables() {
-        let dir = std::env::temp_dir().join("goldeneye_store_lut_test");
+    fn retired_lut_objects_are_reported_and_swept() {
+        // A store written while wire code 2 held dequantise tables: its
+        // `lut-*.art` objects must read as an unknown kind, never as a
+        // live artifact, and must not disturb the objects around them.
+        let dir = std::env::temp_dir().join("goldeneye_store_retired_lut_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let f = fmt("fp:e5m2");
-        {
-            let store = Store::open(&dir).unwrap();
-            let lut = store.ensure_lut(f.as_ref()).expect("fp8 is LUT-eligible");
-            assert_eq!(lut.len(), 256);
-        }
         let store = Store::open(&dir).unwrap();
-        let again = store.ensure_lut(f.as_ref()).unwrap();
-        assert_eq!(again.len(), 256);
-        assert!(store.stats().hits >= 1, "second handle must hit the stored table");
-        // Ineligible formats stay uncached.
-        assert!(store.ensure_lut(fmt("int:8").as_ref()).is_none());
-        assert!(store.ensure_lut(fmt("fp32").as_ref()).is_none());
+        let f = fmt("fp:e4m3");
+        let w = Tensor::from_vec(vec![0.5, -1.25, 3.0], [3]);
+        let q = store.get_or_quantize(f.as_ref(), &w);
+        store.put_checkpoint("demo:cnn:8", vec![5; 32]);
+        let table = Artifact {
+            key: ArtifactKey { kind: ArtifactKind::QWeights, content: 0, spec: f.canonical_spec() },
+            dims: vec![2],
+            payload: encode_f32s(&[0.0, 1.0]),
+        };
+        let mut old = table.encode();
+        // The footer hashes only the payload, so patching the kind code
+        // leaves an otherwise well-formed object.
+        old[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let old_name = format!("lut-{:016x}.art", table.key.id());
+        let objects = dir.join("objects");
+        std::fs::write(objects.join(&old_name), &old).unwrap();
+
+        let report = store.verify().unwrap();
+        assert_eq!(report.ok, 2);
+        assert_eq!(report.corrupt.len(), 1);
+        assert_eq!(report.corrupt[0].0, old_name);
+        assert_eq!(report.corrupt[0].1, "unknown artifact kind");
+        let kinds: Vec<ArtifactKind> = store.ls().unwrap().iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [ArtifactKind::Checkpoint, ArtifactKind::QWeights]);
+
+        let gc = store.gc().unwrap();
+        assert_eq!((gc.removed_corrupt, gc.kept), (1, 2));
+        assert!(!objects.join(&old_name).exists());
+        assert!(store.verify().unwrap().is_clean());
+
+        let reopened = Store::open(&dir).unwrap();
+        assert_eq!(reopened.get_or_quantize(f.as_ref(), &w), q);
+        assert_eq!(reopened.get_checkpoint("demo:cnn:8"), Some(vec![5; 32]));
+        assert_eq!(reopened.stats().hits, 2);
+        assert_eq!(reopened.stats().misses, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

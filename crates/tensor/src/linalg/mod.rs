@@ -121,51 +121,7 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(ba, bb, "bmm batch dims: {:?} × {:?}", a.shape(), b.shape());
     assert_eq!(k, k2, "bmm inner dims: {:?} × {:?}", a.shape(), b.shape());
     let mut out = vec![0.0f32; ba * m * n];
-    if ba == 0 || m == 0 || n == 0 {
-        return Tensor::from_vec(out, [ba, m, n]);
-    }
-
-    let kern = kernels::active();
-    let timing = trace::recording();
-    let t0 = timing.then(Instant::now);
-    let npanels = n.div_ceil(NR);
-    let mpanels = m.div_ceil(MR);
-    let panel_len = k * NR;
-    let mut bpack = workspace::take(ba * npanels * panel_len);
-    for bi in 0..ba {
-        pack_b(
-            k,
-            n,
-            &b.as_slice()[bi * k * n..(bi + 1) * k * n],
-            &mut bpack[bi * npanels * panel_len..(bi + 1) * npanels * panel_len],
-        );
-    }
-    if let Some(t0) = t0 {
-        gemm_metrics().pack_ns.record(t0.elapsed().as_nanos() as u64);
-    }
-
-    let t1 = timing.then(Instant::now);
-    let flops = 2usize.saturating_mul(ba).saturating_mul(m * k * n);
-    let _serial = (flops < PAR_FLOP_THRESHOLD).then(|| parallel::with_threads(1));
-    let base = SendPtr(out.as_mut_ptr());
-    let (a_all, bpack_all) = (a.as_slice(), &bpack[..]);
-    parallel::parallel_for(ba * mpanels, |t| {
-        let (bi, pi) = (t / mpanels, t % mpanels);
-        let i0 = pi * MR;
-        let rows = MR.min(m - i0);
-        let mut apack = workspace::take(k * MR);
-        pack_a(k, &a_all[bi * m * k..(bi + 1) * m * k], i0, rows, &mut apack);
-        // SAFETY: task t owns exactly rows `i0..i0+rows` of batch `bi`;
-        // the (bi, pi) → task mapping is a bijection, so regions are
-        // disjoint, and `out` outlives the thread scope.
-        let orow = unsafe {
-            std::slice::from_raw_parts_mut(base.get().add(bi * m * n + i0 * n), rows * n)
-        };
-        row_panel(kern, k, n, rows, &apack, &bpack_all[bi * npanels * panel_len..], orow);
-    });
-    if let Some(t1) = t1 {
-        gemm_metrics().record_dispatch(t1, kern, flops);
-    }
+    gemm_batched(ba, m, k, n, a.as_slice(), b.as_slice(), &mut out);
     Tensor::from_vec(out, [ba, m, n])
 }
 
@@ -177,39 +133,64 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
 /// the naive order — so the result is bit-identical to [`matmul_naive`]
 /// (on a zeroed `out`) and to itself under any thread count or dispatched
 /// micro-kernel.
+///
+/// # Panics
+///
+/// Panics if the slice lengths are not `m·k`, `k·n` and `m·n`.
 pub fn sgemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 {
+    gemm_batched(1, m, k, n, a, b, out);
+}
+
+/// The one GEMM loop nest: `out[bi] += a[bi] × b[bi]` for `ba` row-major
+/// matrices laid out back to back (`a: ba×m×k`, `b: ba×k×n`,
+/// `out: ba×m×n`). Packs every `b` into column panels, then runs each
+/// `(batch, MR-row panel)` pair as one task — on the caller's thread below
+/// [`PAR_FLOP_THRESHOLD`] — and records the dispatch.
+fn gemm_batched(ba: usize, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    // The row-panel tasks below write `out` through a raw pointer.
+    assert!(
+        a.len() == ba * m * k && b.len() == ba * k * n && out.len() == ba * m * n,
+        "gemm operand lengths {}/{}/{} do not match ba={ba}, m={m}, k={k}, n={n}",
+        a.len(),
+        b.len(),
+        out.len()
+    );
+    if ba == 0 || m == 0 || n == 0 {
         return;
     }
 
     let kern = kernels::active();
     let timing = trace::recording();
     let t0 = timing.then(Instant::now);
-    let npanels = n.div_ceil(NR);
-    let mut bpack = workspace::take(npanels * k * NR);
-    pack_b(k, n, b, &mut bpack);
+    let bpanels_len = n.div_ceil(NR) * k * NR;
+    let mut bpack = workspace::take(ba * bpanels_len);
+    for bi in 0..ba {
+        let dst = &mut bpack[bi * bpanels_len..(bi + 1) * bpanels_len];
+        pack_b(k, n, &b[bi * k * n..(bi + 1) * k * n], dst);
+    }
     if let Some(t0) = t0 {
         gemm_metrics().pack_ns.record(t0.elapsed().as_nanos() as u64);
     }
 
     let t1 = timing.then(Instant::now);
     let mpanels = m.div_ceil(MR);
-    let flops = 2usize.saturating_mul(m).saturating_mul(k * n);
+    let flops = 2usize.saturating_mul(ba).saturating_mul(m * k * n);
     let _serial = (flops < PAR_FLOP_THRESHOLD).then(|| parallel::with_threads(1));
     let base = SendPtr(out.as_mut_ptr());
-    let bpack_ref = &bpack[..];
-    parallel::parallel_for(mpanels, |pi| {
+    let bpack_all = &bpack[..];
+    parallel::parallel_for(ba * mpanels, |t| {
+        let (bi, pi) = (t / mpanels, t % mpanels);
         let i0 = pi * MR;
         let rows = MR.min(m - i0);
         let mut apack = workspace::take(k * MR);
-        pack_a(k, a, i0, rows, &mut apack);
-        // SAFETY: panel pi owns exactly output rows `i0..i0+rows`; panels
-        // partition `0..m` disjointly and `out` outlives the thread scope.
-        let orow = unsafe { std::slice::from_raw_parts_mut(base.get().add(i0 * n), rows * n) };
-        row_panel(kern, k, n, rows, &apack, bpack_ref, orow);
+        pack_a(k, &a[bi * m * k..(bi + 1) * m * k], i0, rows, &mut apack);
+        // SAFETY: task t owns exactly rows `i0..i0+rows` of batch `bi`;
+        // the (bi, pi) → task mapping is a bijection, so regions are
+        // disjoint, and `out` outlives the thread scope.
+        let orow = unsafe {
+            std::slice::from_raw_parts_mut(base.get().add(bi * m * n + i0 * n), rows * n)
+        };
+        row_panel(kern, k, n, rows, &apack, &bpack_all[bi * bpanels_len..], orow);
     });
     if let Some(t1) = t1 {
         gemm_metrics().record_dispatch(t1, kern, flops);

@@ -20,8 +20,6 @@ pub const CAMPAIGN_REPLAY_BATCHES: &str = "campaign.replay.batches";
 pub const CAMPAIGN_REPLAY_SEG_SKIPPED: &str = "campaign.replay.segments_skipped";
 /// Total model segments a full forward of each replayed trial would run.
 pub const CAMPAIGN_REPLAY_SEG_TOTAL: &str = "campaign.replay.segments_total";
-/// Dequantise lookup tables built by the `formats` fast path.
-pub const FORMATS_LUT_BUILDS: &str = "formats.lut.builds";
 /// Chunk-parallel quantise wall time.
 pub const FORMATS_QUANTIZE_CHUNKED_NS: &str = "formats.quantize.chunked_ns";
 /// Elements quantised by the chunk-parallel path.
@@ -34,9 +32,6 @@ pub const GEMM_KERNEL: &str = "gemm.kernel";
 /// (`formats::fused_roundtrip`), which the emulation hook takes at every
 /// layer without a fault when the format has an elementwise quantizer.
 pub const PACK_FUSED_QUANTIZE_NS: &str = "pack.fused_quantize_ns";
-/// Fused quantise round-trips whose format had a validated cached
-/// dequantise LUT available (the ≤16-bit fast-path population).
-pub const PACK_LUT_HITS: &str = "pack.lut_hits";
 /// Artifact-store lookups that found a cached artifact (memory or disk).
 pub const STORE_HIT: &str = "store.hit";
 /// Artifact-store lookups that missed and had to compute the artifact.
@@ -67,14 +62,12 @@ pub const ALL_METRICS: &[&str] = &[
     CAMPAIGN_REPLAY_SEG_SKIPPED,
     CAMPAIGN_REPLAY_SEG_TOTAL,
     CAMPAIGN_TRIALS,
-    FORMATS_LUT_BUILDS,
     FORMATS_QUANTIZE_CHUNKED_ELEMS,
     FORMATS_QUANTIZE_CHUNKED_NS,
     GEMM_KERNEL,
     HOOK_CONVERT_ELEMS,
     HOOK_QUANTIZE_NS,
     PACK_FUSED_QUANTIZE_NS,
-    PACK_LUT_HITS,
     STORE_BYTES_REUSED,
     STORE_BYTES_WRITTEN,
     STORE_HIT,
