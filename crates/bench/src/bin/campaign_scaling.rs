@@ -3,8 +3,8 @@
 //! the bit-identical-results contract of `goldeneye::run_campaign` /
 //! `run_weight_campaign`; the early-stopping trial savings at equal
 //! statistical power (DESIGN.md §11) — plus the tracing-overhead budget: the same serial campaign with
-//! structured tracing on must stay within ~2% of the untraced wall-clock
-//! (DESIGN.md §9).
+//! structured tracing on must stay within 5% of the untraced wall-clock,
+//! read as the median ratio of interleaved pairs (DESIGN.md §9).
 //!
 //! Trials are independent inferences, so the campaign is embarrassingly
 //! parallel; the executor's only serial parts are layer discovery, the
@@ -49,34 +49,58 @@ fn best_time(
         .fold(f64::INFINITY, f64::min)
 }
 
-/// The tracing-overhead measurement: `reps` interleaved (off, on) pairs
-/// of a serial campaign, keeping the pair with the smallest on/off
-/// ratio. Adjacent legs share whatever load burst hits the host, so a
-/// burst inflates a pair's *ratio* only mildly, and one quiet pair is
-/// enough for a clean estimate — sequential best-of-N windows (the old
-/// scheme) let a burst land entirely in one window and read as phantom
-/// overhead. Returns `(off_s, on_s, events)` for the winning pair.
+/// The tracing-overhead measurement: [`OVERHEAD_PAIRS`] interleaved (off, on) pairs
+/// of a serial campaign, alternating which leg runs first, summarised by
+/// the median on/off ratio. Adjacent legs share whatever load burst hits
+/// the host, so a burst moves one pair's ratio, not the median; the
+/// alternation keeps a warm-up or cool-down drift from always landing on
+/// the same leg. (Keeping the smallest ratio instead biases the gate
+/// towards "no overhead" and lets it pass or fail by chance.)
+struct Overhead {
+    /// Median of the pairs' on/off ratios.
+    ratio: f64,
+    /// Median untraced and traced wall-clock, seconds.
+    off: f64,
+    on: f64,
+    /// Events buffered over all traced legs.
+    events: usize,
+}
+
+/// Pairs [`measure_overhead`] runs; odd, so the median is one pair's.
+const OVERHEAD_PAIRS: usize = 5;
+
 fn measure_overhead(
-    reps: usize,
     ge: &GoldenEye,
     model: &dyn nn::Module,
     x: &tensor::Tensor,
     y: &[usize],
     cfg: &CampaignConfig,
-) -> (f64, f64, usize) {
-    let (mut off, mut on) = (1.0, f64::INFINITY);
-    for _ in 0..reps {
-        trace::capture_events(false);
-        let o = best_time(1, ge, model, x, y, cfg);
-        trace::capture_events(true);
-        let t = best_time(1, ge, model, x, y, cfg);
-        if t / o < on / off {
-            (off, on) = (o, t);
-        }
+) -> Overhead {
+    let leg = |traced: bool| {
+        trace::capture_events(traced);
+        best_time(1, ge, model, x, y, cfg)
+    };
+    let (mut offs, mut ons, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..OVERHEAD_PAIRS {
+        let (o, t) = if i % 2 == 0 {
+            let o = leg(false);
+            (o, leg(true))
+        } else {
+            let t = leg(true);
+            (leg(false), t)
+        };
+        offs.push(o);
+        ons.push(t);
+        ratios.push(t / o);
     }
     trace::capture_events(false);
     let events = trace::take_events().len();
-    (off, on, events)
+    Overhead { ratio: median(ratios), off: median(offs), on: median(ons), events }
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
 }
 
 /// The CI budget: traced wall-clock within 5% of untraced. Calibrated
@@ -110,12 +134,13 @@ fn main() {
             jobs: 1,
             ..Default::default()
         };
-        let (off, on, events) = measure_overhead(3, &ge, model.as_ref(), &x, &y, &cfg);
-        let overhead = on / off - 1.0;
+        let Overhead { ratio, off, on, events } =
+            measure_overhead(&ge, model.as_ref(), &x, &y, &cfg);
+        let overhead = ratio - 1.0;
         let over = overhead > OVERHEAD_BUDGET;
         println!(
-            "Tracing overhead (serial, {n} inj/layer): off {off:.3}s, on {on:.3}s \
-             ({:+.2}%, {events} buffered events) — budget {:.0}%{}",
+            "Tracing overhead (serial, {n} inj/layer, median of {OVERHEAD_PAIRS} pairs): \
+             off {off:.3}s, on {on:.3}s ({:+.2}%, {events} buffered events) — budget {:.0}%{}",
             overhead * 100.0,
             OVERHEAD_BUDGET * 100.0,
             if over { "  ** OVER BUDGET **" } else { "" }
@@ -272,8 +297,8 @@ fn main() {
 
     // Tracing-overhead budget: the same serial campaign with the event
     // layer recording (ring-buffer sink, Info level) vs. off. Per-trial
-    // cost with tracing off is one relaxed atomic load, so the overhead
-    // target is <= 2% of wall-clock (best-of-3 to damp scheduler noise).
+    // cost with tracing off is one relaxed atomic load; the gate reads the
+    // median ratio of interleaved pairs (see `measure_overhead`).
     let cfg = CampaignConfig {
         injections_per_layer: n,
         kind: SiteKind::Value,
@@ -281,11 +306,11 @@ fn main() {
         jobs: 1,
         ..Default::default()
     };
-    let (off, on, events) = measure_overhead(3, &ge, model.as_ref(), &x, &y, &cfg);
-    let overhead = on / off - 1.0;
+    let Overhead { ratio, off, on, events } = measure_overhead(&ge, model.as_ref(), &x, &y, &cfg);
+    let overhead = ratio - 1.0;
     println!(
-        "Tracing overhead (serial, {n} inj/layer): off {off:.3}s, on {on:.3}s \
-         ({:+.2}%, {events} buffered events) — budget {:.0}%{}",
+        "Tracing overhead (serial, {n} inj/layer, median of {OVERHEAD_PAIRS} pairs): \
+         off {off:.3}s, on {on:.3}s ({:+.2}%, {events} buffered events) — budget {:.0}%{}",
         overhead * 100.0,
         OVERHEAD_BUDGET * 100.0,
         if overhead <= OVERHEAD_BUDGET { "" } else { "  ** OVER BUDGET **" }

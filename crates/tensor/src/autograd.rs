@@ -291,8 +291,7 @@ impl Var {
         let ia = self.id;
         let ac = a.clone();
         self.unary(ops::gelu(a), move |g, store| {
-            let ga = ops::zip_broadcast(g, &ac, |gv, x| gv * ops::gelu_grad_scalar(x));
-            store.accumulate(ia, ga);
+            store.accumulate(ia, ops::mul(g, &ops::gelu_grad(&ac)));
         })
     }
 
@@ -361,7 +360,7 @@ impl Var {
     /// Elementwise exponential.
     pub fn exp(&self) -> Var {
         let x = &self.value;
-        let out = x.map(f32::exp);
+        let out = ops::exp(x);
         let ix = self.id;
         let oc = out.clone();
         self.unary(out, move |g, store| {
@@ -382,7 +381,7 @@ impl Var {
     /// Elementwise hyperbolic tangent.
     pub fn tanh(&self) -> Var {
         let x = &self.value;
-        let out = x.map(f32::tanh);
+        let out = ops::tanh(x);
         let ix = self.id;
         let oc = out.clone();
         self.unary(out, move |g, store| {
@@ -394,7 +393,7 @@ impl Var {
     /// Elementwise logistic sigmoid.
     pub fn sigmoid(&self) -> Var {
         let x = &self.value;
-        let out = x.map(|v| 1.0 / (1.0 + (-v).exp()));
+        let out = ops::sigmoid(x);
         let ix = self.id;
         let oc = out.clone();
         self.unary(out, move |g, store| {

@@ -11,6 +11,12 @@
 //!
 //! - [`Tensor`]: contiguous row-major `f32` tensors with broadcasting
 //!   elementwise ops, reductions, and shape manipulation ([`ops`]);
+//!   softmax and last-axis sums run row kernels, and permutations copy
+//!   coalesced runs and tiles;
+//! - [`math`]: lane-parallel ports of glibc 2.36's `tanhf`, `expm1f` and
+//!   `expf`, bit-identical to that libm on all 2^32 inputs and pinned by
+//!   checked-in digests, so GELU, tanh, sigmoid and softmax give the same
+//!   bits whatever libm a build links;
 //! - [`linalg`]: packed-panel register-tiled SGEMM and batched matmul,
 //!   parallel over output row panels and bit-exact for every thread count;
 //! - [`conv`]: convolution that streams packed B panels straight from the
@@ -36,6 +42,7 @@
 pub mod autograd;
 pub mod conv;
 pub mod linalg;
+pub mod math;
 pub mod ops;
 pub mod parallel;
 mod shape;

@@ -1,7 +1,46 @@
 //! Elementwise, broadcasting, reduction, and shape-manipulation operations.
 
+use std::sync::OnceLock;
+use std::time::Instant;
+
+use crate::math::{self, LaneMap, Lanes, LANES};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
+
+/// Wall-time histograms of the non-GEMM ops a transformer forward spends
+/// its time in, recorded only while [`trace::recording`].
+struct OpMetrics {
+    gelu_ns: &'static trace::Metric,
+    softmax_ns: &'static trace::Metric,
+    permute_ns: &'static trace::Metric,
+}
+
+fn op_metrics() -> &'static OpMetrics {
+    static METRICS: OnceLock<OpMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| OpMetrics {
+        gelu_ns: trace::histogram(trace::names::TENSOR_GELU_NS),
+        softmax_ns: trace::histogram(trace::names::TENSOR_SOFTMAX_NS),
+        permute_ns: trace::histogram(trace::names::TENSOR_PERMUTE_NS),
+    })
+}
+
+/// Runs `f`, recording its wall time under `metric` when tracing records.
+fn timed<T>(metric: fn(&OpMetrics) -> &'static trace::Metric, f: impl FnOnce() -> T) -> T {
+    if !trace::recording() {
+        return f();
+    }
+    let t = Instant::now();
+    let out = f();
+    metric(op_metrics()).record(t.elapsed().as_nanos() as u64);
+    out
+}
+
+/// `x` with the lane map `M` applied to every element.
+fn map_lanes<M: LaneMap>(x: &Tensor) -> Tensor {
+    let mut out = x.as_slice().to_vec();
+    math::map_in_place::<M>(&mut out);
+    Tensor::from_vec(out, x.shape().clone())
+}
 
 /// Applies a binary operation elementwise with NumPy-style broadcasting.
 ///
@@ -180,24 +219,82 @@ pub fn relu(a: &Tensor) -> Tensor {
     a.map(|x| x.max(0.0))
 }
 
-/// Gaussian error linear unit (tanh approximation, as used by DeiT/BERT).
+/// Gaussian error linear unit (tanh approximation, as used by DeiT/BERT):
+/// `0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`, with [`math::tanhf`].
 pub fn gelu(a: &Tensor) -> Tensor {
-    a.map(gelu_scalar)
+    timed(|m| m.gelu_ns, || map_lanes::<Gelu>(a))
 }
 
-pub(crate) fn gelu_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+/// Derivative of the tanh-approximated GELU at every element of `x`.
+pub(crate) fn gelu_grad(x: &Tensor) -> Tensor {
+    map_lanes::<GeluGrad>(x)
 }
 
-/// Derivative of the tanh-approximated GELU.
-pub(crate) fn gelu_grad_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let x3 = x * x * x;
-    let inner = C * (x + 0.044715 * x3);
-    let t = inner.tanh();
-    let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x)
+/// `√(2/π)` in the GELU approximation.
+const GELU_C: f32 = 0.797_884_6;
+
+struct Gelu;
+
+impl LaneMap for Gelu {
+    #[inline(always)]
+    fn lanes(x: &Lanes) -> Lanes {
+        let mut u = [0.0f32; LANES];
+        for i in 0..LANES {
+            u[i] = GELU_C * (x[i] + 0.044715 * x[i] * x[i] * x[i]);
+        }
+        let t = math::tanh_lanes(&u);
+        let mut out = [0.0f32; LANES];
+        for i in 0..LANES {
+            out[i] = 0.5 * x[i] * (1.0 + t[i]);
+        }
+        out
+    }
+}
+
+struct GeluGrad;
+
+impl LaneMap for GeluGrad {
+    #[inline(always)]
+    fn lanes(x: &Lanes) -> Lanes {
+        let mut u = [0.0f32; LANES];
+        for i in 0..LANES {
+            let x3 = x[i] * x[i] * x[i];
+            u[i] = GELU_C * (x[i] + 0.044715 * x3);
+        }
+        let t = math::tanh_lanes(&u);
+        let mut out = [0.0f32; LANES];
+        for i in 0..LANES {
+            let (x, t) = (x[i], t[i]);
+            let sech2 = 1.0 - t * t;
+            out[i] = 0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
+        }
+        out
+    }
+}
+
+/// Elementwise `exp(x)`, with [`math::expf`].
+pub(crate) fn exp(a: &Tensor) -> Tensor {
+    map_lanes::<math::Exp>(a)
+}
+
+/// Elementwise `tanh(x)`, with [`math::tanhf`].
+pub(crate) fn tanh(a: &Tensor) -> Tensor {
+    map_lanes::<math::Tanh>(a)
+}
+
+/// Elementwise logistic sigmoid `1 / (1 + exp(-x))`, with [`math::expf`].
+pub(crate) fn sigmoid(a: &Tensor) -> Tensor {
+    map_lanes::<Sigmoid>(a)
+}
+
+struct Sigmoid;
+
+impl LaneMap for Sigmoid {
+    #[inline(always)]
+    fn lanes(x: &Lanes) -> Lanes {
+        let e = math::exp_lanes(&x.map(|v| -v));
+        e.map(|e| 1.0 / (1.0 + e))
+    }
 }
 
 /// Sums over the last `k` dimensions, collapsing them.
@@ -226,33 +323,105 @@ pub fn mean_trailing(x: &Tensor, k: usize) -> Tensor {
     scale(&sum_trailing(x, k), 1.0 / red as f32)
 }
 
-/// Row-wise softmax over the last dimension, numerically stabilised.
+/// Row-wise softmax over the last dimension, numerically stabilised:
+/// `exp(x - max) / Σ exp(x - max)` per row, with [`math::expf`].
+///
+/// A zero-width last dimension gives an empty tensor of the input's shape.
 pub fn softmax_lastdim(x: &Tensor) -> Tensor {
-    let nd = x.ndim();
-    assert!(nd >= 1, "softmax requires at least one dimension");
-    let cols = x.dims()[nd - 1];
-    let mut out = Vec::with_capacity(x.numel());
-    for row in x.as_slice().chunks(cols) {
-        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = row.iter().map(|&v| (v - m).exp()).collect();
-        let s: f32 = exps.iter().sum();
-        out.extend(exps.iter().map(|e| e / s));
-    }
-    Tensor::from_vec(out, x.shape().clone())
+    timed(
+        |m| m.softmax_ns,
+        || {
+            let Some((cols, mut out, _)) = shifted_exps(x) else {
+                return Tensor::zeros(x.shape().clone());
+            };
+            let mut sums = vec![0.0f32; x.numel() / cols];
+            row_sums(&out, cols, &mut sums);
+            for (row, &s) in out.chunks_mut(cols).zip(&sums) {
+                for e in row {
+                    *e /= s;
+                }
+            }
+            Tensor::from_vec(out, x.shape().clone())
+        },
+    )
 }
 
-/// Row-wise log-softmax over the last dimension, numerically stabilised.
+/// Row-wise log-softmax over the last dimension, numerically stabilised:
+/// `x - (max + ln Σ exp(x - max))` per row.
+///
+/// A zero-width last dimension gives an empty tensor of the input's shape.
 pub fn log_softmax_lastdim(x: &Tensor) -> Tensor {
-    let nd = x.ndim();
-    let cols = x.dims()[nd - 1];
-    let mut out = Vec::with_capacity(x.numel());
-    for row in x.as_slice().chunks(cols) {
-        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let lse = m + row.iter().map(|&v| (v - m).exp()).sum::<f32>().ln();
-        out.extend(row.iter().map(|&v| v - lse));
-    }
-    Tensor::from_vec(out, x.shape().clone())
+    timed(
+        |m| m.softmax_ns,
+        || {
+            let Some((cols, mut out, maxes)) = shifted_exps(x) else {
+                return Tensor::zeros(x.shape().clone());
+            };
+            let mut sums = vec![0.0f32; maxes.len()];
+            row_sums(&out, cols, &mut sums);
+            for ((dst, row), (&m, &s)) in
+                out.chunks_mut(cols).zip(x.as_slice().chunks(cols)).zip(maxes.iter().zip(&sums))
+            {
+                let lse = m + s.ln();
+                for (d, &v) in dst.iter_mut().zip(row) {
+                    *d = v - lse;
+                }
+            }
+            Tensor::from_vec(out, x.shape().clone())
+        },
+    )
 }
+
+/// The shared first half of the softmax row kernels: the last-dimension
+/// width, `exp(x - max)` per element and each row's max. `None` for a
+/// zero-width last dimension.
+fn shifted_exps(x: &Tensor) -> Option<(usize, Vec<f32>, Vec<f32>)> {
+    assert!(x.ndim() >= 1, "softmax requires at least one dimension");
+    let cols = x.dims()[x.ndim() - 1];
+    if cols == 0 {
+        return None;
+    }
+    let mut out = vec![0.0f32; x.numel()];
+    let mut maxes = Vec::with_capacity(x.numel() / cols);
+    for (dst, row) in out.chunks_mut(cols).zip(x.as_slice().chunks(cols)) {
+        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        for (d, &v) in dst.iter_mut().zip(row) {
+            *d = v - m;
+        }
+        maxes.push(m);
+    }
+    math::map_in_place::<math::Exp>(&mut out);
+    Some((cols, out, maxes))
+}
+
+/// `out[r] = Σ x[r·cols .. (r+1)·cols]`, each row summed left to right
+/// from `0.0`, as a sequential loop would. Rows are summed [`ROW_BLOCK`]
+/// at a time so their independent addition chains overlap.
+#[allow(clippy::needless_range_loop)] // the block's rows advance column by column in lock step
+fn row_sums(x: &[f32], cols: usize, out: &mut [f32]) {
+    debug_assert_eq!(x.len(), cols * out.len());
+    let mut blocks = out.chunks_exact_mut(ROW_BLOCK);
+    let mut r0 = 0;
+    for block in &mut blocks {
+        let rows: [&[f32]; ROW_BLOCK] =
+            std::array::from_fn(|i| &x[(r0 + i) * cols..(r0 + i + 1) * cols]);
+        let mut acc = [0.0f32; ROW_BLOCK];
+        for c in 0..cols {
+            for i in 0..ROW_BLOCK {
+                acc[i] += rows[i][c];
+            }
+        }
+        block.copy_from_slice(&acc);
+        r0 += ROW_BLOCK;
+    }
+    for (i, o) in blocks.into_remainder().iter_mut().enumerate() {
+        let row = &x[(r0 + i) * cols..(r0 + i + 1) * cols];
+        *o = row.iter().fold(0.0, |acc, &v| acc + v);
+    }
+}
+
+/// Rows [`row_sums`] interleaves.
+const ROW_BLOCK: usize = 8;
 
 /// Index of the maximum element in each row of a `[N, C]` tensor.
 ///
@@ -278,10 +447,32 @@ pub fn argmax_rows(x: &Tensor) -> Vec<usize> {
 ///
 /// `permute(x, &[1, 0])` is the classic matrix transpose.
 ///
+/// The copy is walked as strided loops, as [`zip_broadcast`] walks a
+/// broadcast: extent-1 output dimensions are dropped and adjacent ones
+/// that stay adjacent in the source merge. When the innermost loop is
+/// contiguous in the source, whole runs are copied; otherwise the copy is
+/// a true transpose between the innermost loop and the loop that is
+/// contiguous in the source, done in [`TILE`]×[`TILE`] blocks.
+///
 /// # Panics
 ///
 /// Panics if `perm` is not a permutation of `0..ndim`.
 pub fn permute(x: &Tensor, perm: &[usize]) -> Tensor {
+    timed(
+        |m| m.permute_ns,
+        || {
+            let new_dims = permuted_dims(x, perm);
+            let mut out = vec![0.0f32; x.numel()];
+            if !out.is_empty() {
+                permute_into(x.as_slice(), &permute_loops(x, perm), &mut out);
+            }
+            Tensor::from_vec(out, new_dims)
+        },
+    )
+}
+
+/// The output extents of `permute(x, perm)`, after checking `perm`.
+fn permuted_dims(x: &Tensor, perm: &[usize]) -> Vec<usize> {
     let nd = x.ndim();
     assert_eq!(perm.len(), nd, "permutation arity mismatch for {:?}", x.shape());
     let mut seen = vec![false; nd];
@@ -289,10 +480,119 @@ pub fn permute(x: &Tensor, perm: &[usize]) -> Tensor {
         assert!(p < nd && !seen[p], "invalid permutation {:?}", perm);
         seen[p] = true;
     }
-    let old_dims = x.dims();
+    perm.iter().map(|&p| x.dims()[p]).collect()
+}
+
+/// The loop nest of a permuted copy, outermost first, as
+/// `(extent, source_stride)`: extent-1 dimensions dropped, adjacent ones
+/// merged where the source walks them as one. Never empty: a one-element
+/// tensor yields the single loop `(1, 1)`.
+fn permute_loops(x: &Tensor, perm: &[usize]) -> Vec<(usize, usize)> {
+    let strides = x.shape().strides();
+    let mut loops: Vec<(usize, usize)> = Vec::with_capacity(perm.len());
+    for &p in perm {
+        let (extent, stride) = (x.dims()[p], strides[p]);
+        if extent == 1 {
+            continue;
+        }
+        match loops.last_mut() {
+            Some(prev) if prev.1 == stride * extent => *prev = (prev.0 * extent, stride),
+            _ => loops.push((extent, stride)),
+        }
+    }
+    if loops.is_empty() {
+        loops.push((1, 1));
+    }
+    loops
+}
+
+/// Side of the square blocks a true transpose is copied in.
+const TILE: usize = 16;
+
+/// Copies `src` into the contiguous `out` along `loops` (see
+/// [`permute_loops`]).
+fn permute_into(src: &[f32], loops: &[(usize, usize)], out: &mut [f32]) {
+    let (inner, inner_stride) = *loops.last().expect("permute_loops yields a loop");
+    if inner_stride == 1 {
+        // Contiguous inner runs.
+        let mut idx = vec![0usize; loops.len() - 1];
+        let mut so = 0usize;
+        for run in out.chunks_exact_mut(inner) {
+            run.copy_from_slice(&src[so..so + inner]);
+            advance(&loops[..loops.len() - 1], &mut idx, &mut so);
+        }
+        return;
+    }
+    // The source's contiguous dimension is some outer loop `j`: transpose
+    // the (j, inner) plane in tiles, every other loop outside it.
+    let j = loops.iter().position(|&(_, s)| s == 1).expect("a source-contiguous loop");
+    let rows = loops[j].0;
+    let out_row_stride: usize = loops[j + 1..].iter().map(|l| l.0).product();
+    // Output strides of the loops outside the plane, with their sources.
+    let mut outer = Vec::with_capacity(loops.len() - 2);
+    let mut out_stride = 1usize;
+    let mut out_strides = vec![0usize; loops.len()];
+    for d in (0..loops.len()).rev() {
+        out_strides[d] = out_stride;
+        out_stride *= loops[d].0;
+    }
+    for (d, &(extent, stride)) in loops[..loops.len() - 1].iter().enumerate() {
+        if d != j {
+            outer.push((extent, stride, out_strides[d]));
+        }
+    }
+    let count: usize = outer.iter().map(|o| o.0).product();
+    let mut idx = vec![0usize; outer.len()];
+    let (mut so, mut oo) = (0usize, 0usize);
+    for _ in 0..count {
+        for r0 in (0..rows).step_by(TILE) {
+            let r1 = rows.min(r0 + TILE);
+            for c0 in (0..inner).step_by(TILE) {
+                let c1 = inner.min(c0 + TILE);
+                for r in r0..r1 {
+                    let dst = &mut out[oo + r * out_row_stride + c0..oo + r * out_row_stride + c1];
+                    for (c, d) in (c0..c1).zip(dst) {
+                        *d = src[so + r + c * inner_stride];
+                    }
+                }
+            }
+        }
+        for (d, &(extent, stride, ostride)) in outer.iter().enumerate().rev() {
+            idx[d] += 1;
+            so += stride;
+            oo += ostride;
+            if idx[d] < extent {
+                break;
+            }
+            idx[d] = 0;
+            so -= stride * extent;
+            oo -= ostride * extent;
+        }
+    }
+}
+
+/// Advances the row-major multi-index `idx` over `loops`, carrying the
+/// source offset `so`.
+fn advance(loops: &[(usize, usize)], idx: &mut [usize], so: &mut usize) {
+    for (d, &(extent, stride)) in loops.iter().enumerate().rev() {
+        idx[d] += 1;
+        *so += stride;
+        if idx[d] < extent {
+            return;
+        }
+        idx[d] = 0;
+        *so -= stride * extent;
+    }
+}
+
+/// The per-element reference walk of a permutation: rebuilds the source
+/// offset from the full multi-index of every output element. [`permute`]
+/// must match it bit for bit.
+#[cfg(test)]
+fn permute_oracle(x: &Tensor, perm: &[usize]) -> Tensor {
+    let nd = x.ndim();
     let old_strides = x.shape().strides();
-    let new_dims: Vec<usize> = perm.iter().map(|&p| old_dims[p]).collect();
-    let new_shape = Shape::new(new_dims.clone());
+    let new_dims = permuted_dims(x, perm);
     let n = x.numel();
     let mut out = vec![0.0f32; n];
     let mut idx = vec![0usize; nd];
@@ -310,7 +610,7 @@ pub fn permute(x: &Tensor, perm: &[usize]) -> Tensor {
             *id = 0;
         }
     }
-    Tensor::from_vec(out, new_shape)
+    Tensor::from_vec(out, new_dims)
 }
 
 /// 2-D matrix transpose. Shorthand for `permute(x, &[1, 0])`.
@@ -364,10 +664,25 @@ impl Tensor {
     }
 }
 
-/// Sums along axis `d`, keeping the dimension with extent 1.
+/// Sums along axis `d`, keeping the dimension with extent 1. Each output
+/// is summed in axis order from `0.0`; the last axis takes the
+/// row-interleaved [`row_sums`] kernel.
 pub fn sum_axis_keepdim(x: &Tensor, d: usize) -> Tensor {
     let nd = x.ndim();
     assert!(d < nd);
+    let mut dims = x.dims().to_vec();
+    dims[d] = 1;
+    if d == nd - 1 && x.dims()[d] > 0 {
+        let cols = x.dims()[d];
+        let mut out = vec![0.0f32; x.numel() / cols];
+        row_sums(x.as_slice(), cols, &mut out);
+        return Tensor::from_vec(out, dims);
+    }
+    Tensor::from_vec(sum_axis_loops(x, d), dims)
+}
+
+/// The general per-axis sum: `out[o, i] += x[o, a, i]` in `a` order.
+fn sum_axis_loops(x: &Tensor, d: usize) -> Vec<f32> {
     let outer: usize = x.dims()[..d].iter().product::<usize>().max(1);
     let axis = x.dims()[d];
     let inner: usize = x.dims()[d + 1..].iter().product::<usize>().max(1);
@@ -380,9 +695,7 @@ pub fn sum_axis_keepdim(x: &Tensor, d: usize) -> Tensor {
             }
         }
     }
-    let mut dims = x.dims().to_vec();
-    dims[d] = 1;
-    Tensor::from_vec(out, dims)
+    out
 }
 
 #[cfg(test)]
@@ -496,25 +809,158 @@ mod tests {
         assert_eq!(r3.item(), 6.0);
     }
 
+    fn gelu1(x: f32) -> f32 {
+        gelu(&Tensor::from_vec(vec![x], [1])).item()
+    }
+
     #[test]
     fn gelu_matches_reference_points() {
         // Reference values from the tanh approximation.
-        assert!((gelu_scalar(0.0)).abs() < 1e-7);
-        assert!((gelu_scalar(1.0) - 0.841_192).abs() < 1e-3);
-        assert!((gelu_scalar(-1.0) + 0.158_808).abs() < 1e-3);
+        assert!((gelu1(0.0)).abs() < 1e-7);
+        assert!((gelu1(1.0) - 0.841_192).abs() < 1e-3);
+        assert!((gelu1(-1.0) + 0.158_808).abs() < 1e-3);
     }
 
     #[test]
     fn gelu_grad_finite_difference() {
         for &x in &[-2.0f32, -0.5, 0.0, 0.3, 1.7] {
             let eps = 1e-3;
-            let fd = (gelu_scalar(x + eps) - gelu_scalar(x - eps)) / (2.0 * eps);
+            let fd = (gelu1(x + eps) - gelu1(x - eps)) / (2.0 * eps);
+            let d = gelu_grad(&Tensor::from_vec(vec![x], [1])).item();
+            assert!((d - fd).abs() < 1e-2, "gelu'({x}) = {d} vs fd {fd}");
+        }
+    }
+
+    /// The per-element GELU and its derivative as written before the
+    /// lane bodies, with `tanh` from [`math::tanhf`].
+    fn gelu_scalar(x: f32) -> f32 {
+        0.5 * x * (1.0 + math::tanhf(GELU_C * (x + 0.044715 * x * x * x)))
+    }
+
+    fn gelu_grad_scalar(x: f32) -> f32 {
+        let x3 = x * x * x;
+        let t = math::tanhf(GELU_C * (x + 0.044715 * x3));
+        let sech2 = 1.0 - t * t;
+        0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
+    }
+
+    #[test]
+    fn lane_maps_match_their_per_element_forms() {
+        let x = probe(&[3, 37], 9.0);
+        let want_gelu = x.map(gelu_scalar);
+        let want_grad = x.map(gelu_grad_scalar);
+        let want_sigmoid = x.map(|v| 1.0 / (1.0 + math::expf(-v)));
+        assert_eq!(bits(&gelu(&x)), bits(&want_gelu));
+        assert_eq!(bits(&gelu_grad(&x)), bits(&want_grad));
+        assert_eq!(bits(&sigmoid(&x)), bits(&want_sigmoid));
+        assert_eq!(bits(&exp(&x)), bits(&x.map(math::expf)));
+        assert_eq!(bits(&tanh(&x)), bits(&x.map(math::tanhf)));
+    }
+
+    /// The softmax and log-softmax rows as computed before the row
+    /// kernels: one allocation per row, a sequential sum. `exp` is
+    /// [`math::expf`] (bit-identical to the libm the old loops called),
+    /// so the check does not depend on the host's libm.
+    fn softmax_oracle(x: &Tensor) -> Tensor {
+        let cols = x.dims()[x.ndim() - 1];
+        let mut out = Vec::with_capacity(x.numel());
+        for row in x.as_slice().chunks(cols) {
+            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let exps: Vec<f32> = row.iter().map(|&v| math::expf(v - m)).collect();
+            let s: f32 = exps.iter().sum();
+            out.extend(exps.iter().map(|e| e / s));
+        }
+        Tensor::from_vec(out, x.shape().clone())
+    }
+
+    fn log_softmax_oracle(x: &Tensor) -> Tensor {
+        let cols = x.dims()[x.ndim() - 1];
+        let mut out = Vec::with_capacity(x.numel());
+        for row in x.as_slice().chunks(cols) {
+            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let lse = m + row.iter().map(|&v| math::expf(v - m)).sum::<f32>().ln();
+            out.extend(row.iter().map(|&v| v - lse));
+        }
+        Tensor::from_vec(out, x.shape().clone())
+    }
+
+    /// Rows covering -∞, NaN, all-equal values, a single column and
+    /// enough rows to fill several interleaved blocks plus a tail.
+    fn softmax_rows() -> Vec<Tensor> {
+        let ninf = f32::NEG_INFINITY;
+        vec![
+            t2(vec![1.0, ninf, 3.0, ninf, ninf, ninf], 2, 3),
+            t2(vec![0.5, f32::NAN, -1.0, f32::NAN, f32::NAN, f32::NAN], 2, 3),
+            t2(vec![2.0; 12], 3, 4),
+            t2(vec![-0.0, 0.0, -0.0, 0.0], 2, 2),
+            Tensor::from_vec(vec![1.0, ninf, f32::NAN, 7.5, -3.0], [5, 1]),
+            probe(&[19, 13], 4.0),
+            probe(&[2, 3, 17], -1.0),
+            Tensor::from_vec((0..64 * 65).map(|i| (i % 97) as f32 * 0.1 - 3.0).collect(), [64, 65]),
+        ]
+    }
+
+    #[test]
+    fn softmax_row_kernels_match_the_per_row_loops_bitwise() {
+        for x in softmax_rows() {
+            assert!(same_or_nan(&softmax_lastdim(&x), &softmax_oracle(&x)), "softmax {x:?}");
             assert!(
-                (gelu_grad_scalar(x) - fd).abs() < 1e-2,
-                "gelu'({x}) = {} vs fd {}",
-                gelu_grad_scalar(x),
-                fd
+                same_or_nan(&log_softmax_lastdim(&x), &log_softmax_oracle(&x)),
+                "log_softmax {x:?}"
             );
+        }
+    }
+
+    /// Bitwise equality with the NaN-payload carve-out of the GEMM
+    /// kernels: when both addends of a sum are NaN, which payload survives
+    /// depends on the operand order the compiler picks, so NaN matches any
+    /// NaN and everything else matches bit for bit.
+    fn same_or_nan(got: &Tensor, want: &Tensor) -> bool {
+        got.shape() == want.shape()
+            && got
+                .as_slice()
+                .iter()
+                .zip(want.as_slice())
+                .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+    }
+
+    #[test]
+    fn last_axis_sums_match_the_axis_loop_bitwise() {
+        for x in softmax_rows() {
+            let d = x.ndim() - 1;
+            let got = sum_axis_keepdim(&x, d);
+            let mut dims = x.dims().to_vec();
+            dims[d] = 1;
+            let want = Tensor::from_vec(sum_axis_loops(&x, d), dims);
+            assert!(same_or_nan(&got, &want), "{x:?}: {got:?} vs {want:?}");
+        }
+    }
+
+    #[test]
+    fn softmax_of_zero_width_or_zero_rows_is_empty() {
+        for dims in [[2usize, 0], [0, 3]] {
+            let x = Tensor::zeros(dims);
+            for y in [softmax_lastdim(&x), log_softmax_lastdim(&x)] {
+                assert_eq!(y.dims(), &dims);
+                assert_eq!(y.numel(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn permute_matches_the_oracle_on_attention_shapes() {
+        let cases: [(&[usize], &[usize]); 5] = [
+            (&[2, 65, 3, 64], &[0, 2, 1, 3]), // split heads
+            (&[6, 65, 64], &[0, 2, 1]),       // kᵀ
+            (&[2, 3, 65, 64], &[0, 2, 1, 3]), // merge heads
+            (&[2, 192, 64], &[0, 2, 1]),      // patch tokens
+            (&[33, 40], &[1, 0]),             // ragged tiles
+        ];
+        for (dims, perm) in cases {
+            let x = probe(dims, 0.25);
+            let (got, want) = (permute(&x, perm), permute_oracle(&x, perm));
+            assert_eq!(got.dims(), want.dims());
+            assert_eq!(bits(&got), bits(&want), "{dims:?} by {perm:?}");
         }
     }
 
@@ -600,6 +1046,35 @@ mod tests {
             let (a, b) = (probe(x, 0.5), probe(y, -1.0));
             check_against_oracle(&a, &b).unwrap();
             check_against_oracle(&b, &a).unwrap();
+        }
+    }
+
+    /// A permutation of `0..n` from a seed (Fisher–Yates over a tiny
+    /// xorshift).
+    fn perm_from_seed(n: usize, mut seed: u64) -> Vec<usize> {
+        let mut p: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            p.swap(i, (seed % (i as u64 + 1)) as usize);
+        }
+        p
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn permute_matches_the_per_element_oracle(
+            dims in proptest::collection::vec(0usize..=5, 0..=5),
+            seed in 1u64..u64::MAX,
+        ) {
+            let x = probe(&dims, 0.75);
+            let perm = perm_from_seed(dims.len(), seed);
+            let (got, want) = (permute(&x, &perm), permute_oracle(&x, &perm));
+            proptest::prop_assert_eq!(got.dims(), want.dims());
+            proptest::prop_assert_eq!(bits(&got), bits(&want), "{:?} by {:?}", dims, perm);
         }
     }
 

@@ -46,6 +46,9 @@ pub const TENSOR_CONV_NS: &str = "tensor.conv.ns";
 /// Floating-point operations executed by forward convolutions
 /// (`2·N·O·C·K²·OH·OW` per call).
 pub const TENSOR_CONV_FLOPS: &str = "tensor.conv.flops";
+/// Wall time of one GELU forward (`tensor::ops::gelu`); one sample per
+/// call.
+pub const TENSOR_GELU_NS: &str = "tensor.gelu.ns";
 /// GEMM packing time (matmul, bmm and `sgemm`; convolutions excluded).
 pub const TENSOR_GEMM_PACK_NS: &str = "tensor.gemm.pack_ns";
 /// GEMM micro-kernel time (convolutions excluded).
@@ -55,6 +58,13 @@ pub const TENSOR_GEMM_KERNEL_NS: &str = "tensor.gemm.kernel_ns";
 pub const TENSOR_GEMM_FLOPS: &str = "tensor.gemm.flops";
 /// Task batches dispatched by the intra-op worker pool.
 pub const TENSOR_PARALLEL_DISPATCHES: &str = "tensor.parallel.dispatches";
+/// Wall time of one dimension permutation (`tensor::ops::permute`); one
+/// sample per call.
+pub const TENSOR_PERMUTE_NS: &str = "tensor.permute.ns";
+/// Wall time of one row-wise softmax or log-softmax
+/// (`tensor::ops::softmax_lastdim`, `log_softmax_lastdim`); one sample
+/// per call.
+pub const TENSOR_SOFTMAX_NS: &str = "tensor.softmax.ns";
 
 /// Every registered metric name. Kept sorted for deterministic reporting.
 pub const ALL_METRICS: &[&str] = &[
@@ -74,10 +84,13 @@ pub const ALL_METRICS: &[&str] = &[
     STORE_MISS,
     TENSOR_CONV_FLOPS,
     TENSOR_CONV_NS,
+    TENSOR_GELU_NS,
     TENSOR_GEMM_FLOPS,
     TENSOR_GEMM_KERNEL_NS,
     TENSOR_GEMM_PACK_NS,
     TENSOR_PARALLEL_DISPATCHES,
+    TENSOR_PERMUTE_NS,
+    TENSOR_SOFTMAX_NS,
 ];
 
 /// Whether `name` is a registered metric name (`test.*` names are

@@ -358,3 +358,32 @@ fn traced_resnet_forward_records_every_conv() {
     let conv_flops = trace::counter(trace::names::TENSOR_CONV_FLOPS);
     assert_eq!(conv_flops.count(), flops as u64, "tensor.conv.flops");
 }
+
+/// A traced DeiT-tiny inference forward times its non-GEMM ops: one
+/// `tensor.gelu.ns` and one `tensor.softmax.ns` sample per encoder block,
+/// and one `tensor.permute.ns` sample per permutation — the patch
+/// tokens, then per block the q/k/v head splits, kᵀ and the head merge.
+#[test]
+fn traced_deit_forward_records_gelu_softmax_and_permutes() {
+    use models::{DeitConfig, VisionTransformer};
+    use nn::{Ctx, Module};
+    let _gate = serialize_tests();
+    let mut rng = StdRng::seed_from_u64(6);
+    let config = DeitConfig::deit_tiny(16, 10);
+    let depth = config.depth as u64;
+    let model = VisionTransformer::new(config, &mut rng);
+
+    trace::capture_events(true);
+    trace::reset_metrics();
+    let mut ctx = Ctx::inference();
+    let x = ctx.input(tensor::Tensor::randn([2, 3, 16, 16], &mut rng));
+    let logits = model.forward(&x, &mut ctx);
+    trace::capture_events(false);
+    let _ = trace::take_events();
+
+    assert_eq!(logits.value().dims(), &[2, 10]);
+    let count = |name| trace::histogram(name).count();
+    assert_eq!(count(trace::names::TENSOR_GELU_NS), depth, "one GELU per block");
+    assert_eq!(count(trace::names::TENSOR_SOFTMAX_NS), depth, "one softmax per block");
+    assert_eq!(count(trace::names::TENSOR_PERMUTE_NS), 1 + 5 * depth, "permutes");
+}
