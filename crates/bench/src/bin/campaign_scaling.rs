@@ -55,7 +55,10 @@ fn best_time(
 /// the host, so a burst moves one pair's ratio, not the median; the
 /// alternation keeps a warm-up or cool-down drift from always landing on
 /// the same leg. (Keeping the smallest ratio instead biases the gate
-/// towards "no overhead" and lets it pass or fail by chance.)
+/// towards "no overhead" and lets it pass or fail by chance.) Every leg
+/// runs on one intra-op thread, pinned to the core the measurement
+/// started on, so neither leg gains or loses a second core or a
+/// migration the other did not.
 struct Overhead {
     /// Median of the pairs' on/off ratios.
     ratio: f64,
@@ -64,6 +67,8 @@ struct Overhead {
     on: f64,
     /// Events buffered over all traced legs.
     events: usize,
+    /// The core the legs were pinned to, `None` if pinning failed.
+    cpu: Option<usize>,
 }
 
 /// Pairs [`measure_overhead`] runs; odd, so the median is one pair's.
@@ -76,6 +81,8 @@ fn measure_overhead(
     y: &[usize],
     cfg: &CampaignConfig,
 ) -> Overhead {
+    let cpu = pin_to_current_cpu();
+    let _one_thread = tensor::parallel::with_threads(1);
     let leg = |traced: bool| {
         trace::capture_events(traced);
         best_time(1, ge, model, x, y, cfg)
@@ -95,7 +102,40 @@ fn measure_overhead(
     }
     trace::capture_events(false);
     let events = trace::take_events().len();
-    Overhead { ratio: median(ratios), off: median(offs), on: median(ons), events }
+    Overhead { ratio: median(ratios), off: median(offs), on: median(ons), events, cpu }
+}
+
+/// Pins the calling thread, and only it, to the core it is running on;
+/// threads it spawns afterwards inherit the pin. Returns that core, or
+/// `None` where pinning is unsupported or refused (the thread then runs
+/// unpinned). Steadies A/B timings on a shared host: both legs run on one
+/// core instead of migrating between cores.
+#[cfg(target_os = "linux")]
+fn pin_to_current_cpu() -> Option<usize> {
+    // glibc's `cpu_set_t` is a 1024-bit mask.
+    const WORDS: usize = 1024 / 64;
+    extern "C" {
+        fn sched_getcpu() -> i32;
+        fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
+    }
+    // SAFETY: `sched_getcpu` takes no arguments and only returns a value.
+    let cpu = usize::try_from(unsafe { sched_getcpu() }).ok().filter(|&c| c < 1024)?;
+    let mut mask = [0u64; WORDS];
+    mask[cpu / 64] = 1 << (cpu % 64);
+    // SAFETY: `mask` is initialised and exactly `size` bytes long; the
+    // call only reads it. Pid 0 names the calling thread.
+    let ok = unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) } == 0;
+    ok.then_some(cpu)
+}
+
+#[cfg(not(target_os = "linux"))]
+fn pin_to_current_cpu() -> Option<usize> {
+    None
+}
+
+/// How the overhead legs ran, for the printed line.
+fn pinned(cpu: Option<usize>) -> String {
+    cpu.map_or_else(|| "unpinned".to_string(), |c| format!("pinned to cpu {c}"))
 }
 
 fn median(mut v: Vec<f64>) -> f64 {
@@ -134,13 +174,14 @@ fn main() {
             jobs: 1,
             ..Default::default()
         };
-        let Overhead { ratio, off, on, events } =
+        let Overhead { ratio, off, on, events, cpu } =
             measure_overhead(&ge, model.as_ref(), &x, &y, &cfg);
         let overhead = ratio - 1.0;
         let over = overhead > OVERHEAD_BUDGET;
         println!(
-            "Tracing overhead (serial, {n} inj/layer, median of {OVERHEAD_PAIRS} pairs): \
+            "Tracing overhead (serial, {n} inj/layer, median of {OVERHEAD_PAIRS} pairs, {}): \
              off {off:.3}s, on {on:.3}s ({:+.2}%, {events} buffered events) — budget {:.0}%{}",
+            pinned(cpu),
             overhead * 100.0,
             OVERHEAD_BUDGET * 100.0,
             if over { "  ** OVER BUDGET **" } else { "" }
@@ -306,11 +347,13 @@ fn main() {
         jobs: 1,
         ..Default::default()
     };
-    let Overhead { ratio, off, on, events } = measure_overhead(&ge, model.as_ref(), &x, &y, &cfg);
+    let Overhead { ratio, off, on, events, cpu } =
+        measure_overhead(&ge, model.as_ref(), &x, &y, &cfg);
     let overhead = ratio - 1.0;
     println!(
-        "Tracing overhead (serial, {n} inj/layer, median of {OVERHEAD_PAIRS} pairs): \
+        "Tracing overhead (serial, {n} inj/layer, median of {OVERHEAD_PAIRS} pairs, {}): \
          off {off:.3}s, on {on:.3}s ({:+.2}%, {events} buffered events) — budget {:.0}%{}",
+        pinned(cpu),
         overhead * 100.0,
         OVERHEAD_BUDGET * 100.0,
         if overhead <= OVERHEAD_BUDGET { "" } else { "  ** OVER BUDGET **" }

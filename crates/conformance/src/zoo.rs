@@ -74,6 +74,25 @@ mod tests {
         assert_eq!(families, ["afp", "bfp", "fp", "fxp", "gf", "int", "mx", "p3109", "posit"]);
     }
 
+    /// Method 2 of every zoo format is an `Arc` share of Method 1's
+    /// dequantised values: converting back copies nothing, so the hook's
+    /// round-trip is a single pass over the tensor.
+    #[test]
+    fn method2_shares_method1_values() {
+        let v: Vec<f32> = (0..300).map(|i| (i as f32 - 150.0) * 0.37).collect();
+        let t = tensor::Tensor::from_vec(v, [3, 100]);
+        for spec in standard_zoo() {
+            let format = spec.build();
+            let q = format.real_to_format_tensor(&t);
+            let back = format.format_to_real_tensor(&q);
+            assert_eq!(
+                back.as_slice().as_ptr(),
+                q.values.as_slice().as_ptr(),
+                "{spec}: format_to_real_tensor copied the values"
+            );
+        }
+    }
+
     #[test]
     fn zoo_has_both_exhaustive_and_wide_formats() {
         let zoo = standard_zoo();

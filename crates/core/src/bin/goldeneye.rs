@@ -225,12 +225,15 @@ fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
 }
 
+/// Parses flag `name`'s value, `None` when the flag is absent. A value
+/// that does not parse is an error, never a silent default.
+fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    flag(args, name).map(|v| v.parse().map_err(|_| format!("bad {name} value `{v}`"))).transpose()
+}
+
 /// Parses `--jobs N` (default 1 = serial; 0 = all cores).
 fn jobs_flag(args: &[String]) -> Result<usize, String> {
-    match flag(args, "--jobs") {
-        None => Ok(1),
-        Some(v) => v.parse().map_err(|_| format!("bad --jobs value `{v}`")),
-    }
+    Ok(parsed_flag(args, "--jobs")?.unwrap_or(1))
 }
 
 fn cmd_ranges() -> Result<(), String> {
@@ -325,7 +328,7 @@ fn demo_model(
 fn cmd_evaluate(args: &[String], global: &GlobalFlags) -> Result<(), String> {
     let model_kind = flag(args, "--model").unwrap_or_else(|| "cnn".into());
     let spec = flag(args, "--spec").ok_or("evaluate needs --spec")?;
-    let epochs = flag(args, "--epochs").and_then(|e| e.parse().ok()).unwrap_or(8);
+    let epochs = parsed_flag(args, "--epochs")?.unwrap_or(8);
     let jobs = jobs_flag(args)?;
     let mut ge = GoldenEye::parse(&spec).map_err(|e| e.to_string())?;
     if let Some(store) = &global.store {
@@ -351,7 +354,7 @@ fn cmd_campaign(args: &[String], global: &GlobalFlags) -> Result<(), String> {
     let model_kind = flag(args, "--model").unwrap_or_else(|| "cnn".into());
     let spec = flag(args, "--spec").ok_or("campaign needs --spec")?;
     let site = flag(args, "--site").unwrap_or_else(|| "value".into());
-    let injections = flag(args, "--injections").and_then(|n| n.parse().ok()).unwrap_or(20);
+    let injections = parsed_flag(args, "--injections")?.unwrap_or(20);
     let jobs = jobs_flag(args)?;
     let early_stop = match flag(args, "--early-stop") {
         None => None,
@@ -421,7 +424,10 @@ fn cmd_campaign(args: &[String], global: &GlobalFlags) -> Result<(), String> {
 fn cmd_dse(args: &[String], global: &GlobalFlags) -> Result<(), String> {
     let model_kind = flag(args, "--model").unwrap_or_else(|| "cnn".into());
     let family = flag(args, "--family").ok_or("dse needs --family")?;
-    let drop = flag(args, "--drop").and_then(|d| d.parse().ok()).unwrap_or(0.02);
+    let drop: f32 = parsed_flag(args, "--drop")?.unwrap_or(0.02);
+    if !(0.0..=1.0).contains(&drop) {
+        return Err(format!("--drop needs a fraction in [0, 1], got `{drop}`"));
+    }
     let jobs = jobs_flag(args)?;
     let family = match family.as_str() {
         "fp" => DseFamily::Fp,

@@ -20,8 +20,7 @@ use tensor::Tensor;
 /// below is gated on [`trace::recording`] — with tracing off the hook
 /// pays a single relaxed atomic load and no clock reads.
 struct HookMetrics {
-    /// Per-call format round-trip time (quantise, any fault, dequantise —
-    /// or the fused single pass).
+    /// Per-call format round-trip time (quantise, any fault, dequantise).
     quantize_ns: &'static trace::Metric,
     /// Elements converted (ratio `sum(ns) / sum(elements)` is the
     /// format-conversion cost in ns/element).
@@ -174,19 +173,12 @@ impl ForwardHook for EmulationHook {
         let format = self.formats.resolve(layer.index);
         let plan = self.plan.filter(|p| p.layer == layer.index);
         let timing = trace::recording().then(Instant::now);
-        // Fused fast path: no fault lands in this layer, so the quantised
-        // codes are never inspected and the round-trip collapses to one
-        // elementwise pass, bit-identical to the two-pass route by the
-        // quantizer contract.
-        let fused = plan.is_none().then(|| formats::fused_roundtrip(format, output)).flatten();
-        let values = fused.unwrap_or_else(|| {
-            let mut q = format.real_to_format_tensor(output);
-            if let Some(plan) = &plan {
-                let (inj, rec) = &mut *lock(&self.state);
-                *rec = Some(apply_fault(format, layer, plan, &self.sampler, inj, &mut q));
-            }
-            format.format_to_real_tensor(&q)
-        });
+        let mut q = format.real_to_format_tensor(output);
+        if let Some(plan) = &plan {
+            let (inj, rec) = &mut *lock(&self.state);
+            *rec = Some(apply_fault(format, layer, plan, &self.sampler, inj, &mut q));
+        }
+        let values = format.format_to_real_tensor(&q);
         if let Some(t0) = timing {
             let m = hook_metrics();
             m.quantize_ns.record(t0.elapsed().as_nanos() as u64);
@@ -856,8 +848,9 @@ mod tests {
         assert!(emulated.all_finite());
     }
 
-    /// The unfused reference: quantise every hooked output, then
-    /// dequantise it — the paper's two-pass round-trip, with no fast path.
+    /// The reference: quantise every hooked output, then dequantise it —
+    /// the paper's Method 1 then Method 2, with no timing, fault or range
+    /// handling.
     struct TwoPassHook(Box<dyn NumberFormat>);
 
     impl ForwardHook for TwoPassHook {
@@ -870,15 +863,12 @@ mod tests {
     fn emulation_hook_is_bit_identical_to_two_pass_oracle() {
         let model = tiny_model(1);
         let x = sample(2);
-        // One format of each family with an elementwise quantizer (the
-        // hook takes the fused path), plus one without (two-pass path).
-        for spec in ["fp:e4m3", "fxp:1:3:4", "posit:8:0", "p3109:e4m3", "gf:8", "bfp:e5m5:b16"] {
-            let format = spec.parse::<formats::FormatSpec>().unwrap().build();
+        for spec in conformance::standard_zoo() {
             let mut ctx = Ctx::inference();
-            ctx.add_hook(Arc::new(TwoPassHook(format)));
+            ctx.add_hook(Arc::new(TwoPassHook(spec.build())));
             let xv = ctx.input(x.clone());
             let oracle = model.forward(&xv, &mut ctx).value();
-            let got = GoldenEye::parse(spec).unwrap().run(&model, x.clone());
+            let got = GoldenEye::new(spec.build()).run(&model, x.clone());
             assert_eq!(got.dims(), oracle.dims(), "{spec}: shape mismatch");
             for (i, (a, b)) in got.as_slice().iter().zip(oracle.as_slice()).enumerate() {
                 assert!(

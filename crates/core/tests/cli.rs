@@ -72,3 +72,30 @@ fn unknown_subcommand_fails_cleanly() {
     assert!(!ok);
     assert!(stderr.contains("unknown subcommand"));
 }
+
+/// Malformed numeric flags are errors, not silent defaults. Each check
+/// runs before the demo model trains, so these stay fast.
+#[test]
+fn malformed_numeric_flags_fail_cleanly() {
+    for (sub, flag, value) in [
+        ("evaluate", "--epochs", "x"),
+        ("campaign", "--injections", "abc"),
+        ("dse", "--drop", "2%"),
+        ("dse", "--jobs", "two"),
+    ] {
+        let (ok, _, stderr) = run(&[sub, "--spec", "fp:e4m3", "--family", "fp", flag, value]);
+        assert!(!ok, "{sub} {flag} {value} should fail");
+        let needle = format!("bad {flag} value `{value}`");
+        assert!(stderr.contains(&needle), "{sub} {flag} {value}: stderr {stderr}");
+    }
+}
+
+#[test]
+fn drop_outside_unit_interval_is_rejected() {
+    for v in ["-0.1", "1.5", "NaN", "inf"] {
+        let (ok, _, stderr) = run(&["dse", "--family", "fp", "--drop", v]);
+        assert!(!ok, "--drop {v} should fail");
+        let needle = "--drop needs a fraction in [0, 1]";
+        assert!(stderr.contains(needle), "--drop {v}: stderr {stderr}");
+    }
+}

@@ -130,17 +130,11 @@ pub trait NumberFormat: std::fmt::Debug + Send + Sync {
         q.values.as_slice()[0]
     }
 
-    /// The format's quantise→dequantise round-trip as a pure elementwise
-    /// function, when one exists — what [`crate::fused_roundtrip`] runs in
-    /// a single pass.
-    ///
-    /// The contract: for every input tensor `t`,
-    /// `t.map(f)` must be bit-identical to
-    /// `format_to_real_tensor(&real_to_format_tensor(t))`. That holds
-    /// exactly when quantisation needs no tensor-level metadata (FP, FxP,
-    /// posit, P3109, GoldenFloat); metadata-bearing formats (INT, BFP,
-    /// AFP, MX) derive a scale from the whole tensor and must return
-    /// `None` (the default) so callers fall back to the two-pass path.
+    /// Unused: no format overrides it and the library never calls it.
+    /// Every conversion goes through [`Self::real_to_format_tensor`] then
+    /// [`Self::format_to_real_tensor`]. Kept only because the benchmark
+    /// package still forwards it in its timing wrapper; it goes at the
+    /// benchmark's next change.
     fn elementwise_quantizer(&self) -> Option<Box<dyn Fn(f32) -> f32 + Send + Sync + '_>> {
         None
     }

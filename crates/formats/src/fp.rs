@@ -463,12 +463,6 @@ impl NumberFormat for FloatingPoint {
         Quantized { values, meta: Metadata::None }
     }
 
-    fn elementwise_quantizer(&self) -> Option<Box<dyn Fn(f32) -> f32 + Send + Sync + '_>> {
-        // Same closure as `real_to_format_tensor`; dequantise is the
-        // identity cast, so the round-trip is this single map.
-        Some(Box::new(self.params.f32_quantizer()))
-    }
-
     fn real_to_format(&self, value: f32, _meta: &Metadata, _index: usize) -> Bitstring {
         Bitstring::from_u64(self.params.encode(value as f64), self.params.width())
     }

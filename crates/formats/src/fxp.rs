@@ -100,10 +100,6 @@ impl NumberFormat for FixedPoint {
         Quantized { values, meta: Metadata::None }
     }
 
-    fn elementwise_quantizer(&self) -> Option<Box<dyn Fn(f32) -> f32 + Send + Sync + '_>> {
-        Some(Box::new(|x| self.quantize_scalar(x)))
-    }
-
     fn real_to_format(&self, value: f32, _meta: &Metadata, _index: usize) -> Bitstring {
         let raw = self.to_raw(value as f64);
         let w = self.bit_width() as usize;

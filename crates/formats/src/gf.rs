@@ -97,10 +97,6 @@ impl NumberFormat for GoldenFloat {
         self.inner.real_to_format_tensor(t)
     }
 
-    fn elementwise_quantizer(&self) -> Option<Box<dyn Fn(f32) -> f32 + Send + Sync + '_>> {
-        self.inner.elementwise_quantizer()
-    }
-
     fn real_to_format(&self, value: f32, meta: &Metadata, index: usize) -> Bitstring {
         self.inner.real_to_format(value, meta, index)
     }

@@ -46,7 +46,6 @@ mod chunk;
 pub mod footprint;
 mod format;
 mod fp;
-mod fused;
 mod fxp;
 mod gf;
 pub mod hash;
@@ -63,7 +62,6 @@ pub use bfp::BlockFloatingPoint;
 pub use bitstring::Bitstring;
 pub use format::{DynamicRange, NumberFormat, Quantized};
 pub use fp::{f32_saturate, mul_pow2, FloatingPoint};
-pub use fused::fused_roundtrip;
 pub use fxp::FixedPoint;
 pub use gf::GoldenFloat;
 pub use int::IntQuant;

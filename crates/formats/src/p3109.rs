@@ -75,10 +75,6 @@ impl NumberFormat for P3109 {
         Quantized { values, meta: Metadata::None }
     }
 
-    fn elementwise_quantizer(&self) -> Option<Box<dyn Fn(f32) -> f32 + Send + Sync + '_>> {
-        Some(Box::new(self.params.f32_quantizer()))
-    }
-
     fn real_to_format(&self, value: f32, _meta: &Metadata, _index: usize) -> Bitstring {
         Bitstring::from_u64(self.params.encode(value as f64), 8)
     }

@@ -193,10 +193,6 @@ impl NumberFormat for Posit {
         Quantized { values, meta: Metadata::None }
     }
 
-    fn elementwise_quantizer(&self) -> Option<Box<dyn Fn(f32) -> f32 + Send + Sync + '_>> {
-        Some(Box::new(|x| self.quantize_scalar(x)))
-    }
-
     fn real_to_format(&self, value: f32, _meta: &Metadata, _index: usize) -> Bitstring {
         if value.is_nan() {
             return Bitstring::from_u64(1u64 << (self.n - 1), self.n as usize);

@@ -8,7 +8,7 @@
 //! in a recorded trace is registered here.
 
 /// Per-call format round-trip time in the emulation hook: FP32 → format,
-/// any fault, format → FP32 (or the fused single pass).
+/// any fault, format → FP32.
 pub const HOOK_QUANTIZE_NS: &str = "hook.quantize_ns";
 /// Elements converted by the emulation hook.
 pub const HOOK_CONVERT_ELEMS: &str = "hook.convert_elems";
@@ -28,9 +28,9 @@ pub const FORMATS_QUANTIZE_CHUNKED_ELEMS: &str = "formats.quantize.chunked_elems
 /// call (0 = scalar, 1 = AVX2, 2 = AVX-512); a histogram so `trace stats`
 /// shows which kernel a run actually used.
 pub const GEMM_KERNEL: &str = "gemm.kernel";
-/// Wall time of the fused single-pass quantise→dequantise round-trip
-/// (`formats::fused_roundtrip`), which the emulation hook takes at every
-/// layer without a fault when the format has an elementwise quantizer.
+/// Never recorded: the fused round-trip that recorded it is gone. Kept
+/// registered only because the benchmark package still reads it; it goes
+/// at the benchmark's next change.
 pub const PACK_FUSED_QUANTIZE_NS: &str = "pack.fused_quantize_ns";
 /// Artifact-store lookups that found a cached artifact (memory or disk).
 pub const STORE_HIT: &str = "store.hit";
