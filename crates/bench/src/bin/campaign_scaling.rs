@@ -152,8 +152,8 @@ fn median(mut v: Vec<f64>) -> f64 {
 const OVERHEAD_BUDGET: f64 = 0.05;
 
 fn main() {
-    let args = BenchArgs::parse();
-    let overhead_only = std::env::args().any(|a| a == "--overhead-only");
+    let args = BenchArgs::parse_with(&["--overhead-only"]);
+    let overhead_only = args.has("--overhead-only");
     let n = args.injections_per_layer(20);
     let max_jobs = if args.jobs <= 1 {
         std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4)

@@ -134,50 +134,94 @@ pub struct BenchArgs {
     pub jobs: usize,
     /// `--out <path>`: write the run manifest as pretty JSON.
     pub out: Option<PathBuf>,
+    /// The binary's own switches (see [`BenchArgs::parse_with`]) that were
+    /// given.
+    switches: Vec<String>,
 }
 
 impl BenchArgs {
-    /// Parses flags from `std::env::args`.
+    /// Parses the shared flags from `std::env::args`; see
+    /// [`BenchArgs::parse_with`].
+    pub fn parse() -> Self {
+        Self::parse_with(&[])
+    }
+
+    /// Parses flags from `std::env::args`: the shared ones, plus `own`,
+    /// switches the binary reads itself through [`BenchArgs::has`].
     ///
     /// Besides the experiment knobs, every bench binary understands the
     /// observability flags: `--out <path>` (run-manifest JSON),
     /// `--trace-out <path>` (structured JSONL events), `--log-level
     /// <lvl>` / `-v` / `-q` (verbosity gate).
-    pub fn parse() -> Self {
-        let mut args =
-            BenchArgs { full: false, quick: false, injections: None, jobs: 1, out: None };
-        let mut it = std::env::args().skip(1);
+    ///
+    /// A malformed or missing value (`--jobs abc`, `--log-level loud`, a
+    /// trailing `--injections`) prints `error: ...` and exits with status
+    /// 1, as the `goldeneye` CLI does; an unknown flag is reported and
+    /// ignored.
+    pub fn parse_with(own: &[&str]) -> Self {
+        Self::try_parse(std::env::args().skip(1), own).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        })
+    }
+
+    /// [`BenchArgs::parse_with`] over `argv` (program name excluded),
+    /// returning the error instead of exiting.
+    ///
+    /// # Errors
+    ///
+    /// Returns `bad --<flag> ...` for a value that does not parse,
+    /// `--<flag> needs a value` for a flag given last without one, and the
+    /// error opening a `--trace-out` file.
+    pub fn try_parse(argv: impl IntoIterator<Item = String>, own: &[&str]) -> Result<Self, String> {
+        fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+            it.next().ok_or_else(|| format!("{flag} needs a value"))
+        }
+        fn number(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, String> {
+            let v = value(it, flag)?;
+            v.parse().map_err(|_| format!("bad {flag} value `{v}`"))
+        }
+        let mut args = BenchArgs {
+            full: false,
+            quick: false,
+            injections: None,
+            jobs: 1,
+            out: None,
+            switches: Vec::new(),
+        };
+        let mut it = argv.into_iter();
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--full" => args.full = true,
                 "--quick" => args.quick = true,
-                "--injections" => {
-                    args.injections = it.next().and_then(|v| v.parse().ok());
-                }
-                "--jobs" => {
-                    args.jobs = it.next().and_then(|v| v.parse().ok()).unwrap_or(1);
-                }
-                "--out" => args.out = it.next().map(PathBuf::from),
+                "--injections" => args.injections = Some(number(&mut it, &a)?),
+                "--jobs" => args.jobs = number(&mut it, &a)?,
+                "--out" => args.out = Some(PathBuf::from(value(&mut it, &a)?)),
                 "--trace-out" => {
-                    if let Some(path) = it.next() {
-                        trace::open_jsonl(std::path::Path::new(&path))
-                            .unwrap_or_else(|e| panic!("cannot open --trace-out `{path}`: {e}"));
-                    }
+                    let path = value(&mut it, &a)?;
+                    trace::open_jsonl(std::path::Path::new(&path))
+                        .map_err(|e| format!("cannot open --trace-out `{path}`: {e}"))?;
                 }
                 "--log-level" => {
-                    if let Some(l) = it.next() {
-                        match trace::Level::parse(&l) {
-                            Some(level) => trace::set_level(level),
-                            None => eprintln!("[bench] ignoring bad --log-level `{l}`"),
-                        }
-                    }
+                    let l = value(&mut it, &a)?;
+                    let level = trace::Level::parse(&l).ok_or_else(|| {
+                        format!("bad --log-level `{l}` (error|warn|info|debug|trace)")
+                    })?;
+                    trace::set_level(level);
                 }
                 "-v" | "--verbose" => trace::set_level(trace::Level::Debug),
                 "-q" | "--quiet" => trace::set_level(trace::Level::Warn),
+                other if own.contains(&other) => args.switches.push(a),
                 other => eprintln!("[bench] ignoring unknown flag {other}"),
             }
         }
-        args
+        Ok(args)
+    }
+
+    /// Whether the binary's own switch `flag` (declared to
+    /// [`BenchArgs::parse_with`]) was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.switches.iter().any(|s| s == flag)
     }
 
     /// Injections per layer: explicit override > full (1000) > quick
@@ -216,6 +260,34 @@ mod tests {
             let m = kind.build();
             assert!(m.param_count() > 1000, "{} too small", kind.name());
         }
+    }
+
+    fn parse(args: &[&str], own: &[&str]) -> Result<BenchArgs, String> {
+        BenchArgs::try_parse(args.iter().map(|a| a.to_string()), own)
+    }
+
+    #[test]
+    fn malformed_numeric_flags_are_errors() {
+        assert_eq!(
+            parse(&["--injections", "abc"], &[]).unwrap_err(),
+            "bad --injections value `abc`"
+        );
+        assert_eq!(parse(&["--jobs", "-1"], &[]).unwrap_err(), "bad --jobs value `-1`");
+        assert_eq!(parse(&["--quick", "--jobs"], &[]).unwrap_err(), "--jobs needs a value");
+        assert!(parse(&["--log-level", "loud"], &[]).unwrap_err().starts_with("bad --log-level"));
+        let args = parse(&["--injections", "7", "--jobs", "0", "--full"], &[]).unwrap();
+        assert_eq!((args.injections, args.jobs, args.full), (Some(7), 0, true));
+        assert_eq!(parse(&[], &[]).unwrap().jobs, 1);
+    }
+
+    #[test]
+    fn binaries_declare_their_own_switches() {
+        let own = ["--overhead-only"];
+        let args = parse(&["--quick", "--overhead-only"], &own).unwrap();
+        assert!(args.quick && args.has("--overhead-only"));
+        assert!(!parse(&["--quick"], &own).unwrap().has("--overhead-only"));
+        // Undeclared, the switch is ignored rather than recorded.
+        assert!(!parse(&["--overhead-only"], &[]).unwrap().has("--overhead-only"));
     }
 
     #[test]

@@ -539,7 +539,10 @@ fn campaign_result(
 /// checkpoints ([`GoldenEye::capture_clean_run`]); the same pass lists the
 /// instrumented layers that become the campaign's sites. Trials replay
 /// only the network suffix from the checkpoint preceding their injection
-/// layer, one trial per forward ([`GoldenEye::run_replay_batch`]). With
+/// layer, one trial per forward ([`GoldenEye::run_replay_batch`]), and a
+/// trial whose activation equals the clean run's bit for bit at a later
+/// segment boundary stops there with the golden logits (the exact early
+/// exit of `GoldenEye::replay`; records are unchanged). With
 /// `cfg.early_stop` set, each site's trials run in canonical
 /// waves of [`EARLY_STOP_WAVE`] and stop once the site's ΔLoss confidence
 /// interval is tight enough.

