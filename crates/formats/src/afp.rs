@@ -134,7 +134,8 @@ impl NumberFormat for AdaptivFloat {
 
     fn real_to_format_tensor(&self, t: &Tensor) -> Quantized {
         let bias = self.bias_for(t);
-        let values = t.map(|x| self.quantize_with_bias(x, bias));
+        let this = *self;
+        let values = crate::chunk::map_chunked(t, move |x| this.quantize_with_bias(x, bias));
         Quantized { values, meta: Metadata::ExpBias { bias, bias_bits: self.bias_bits } }
     }
 

@@ -93,6 +93,7 @@ impl BlockFloatingPoint {
 
     /// The biased exponent code chosen for a block with maximum magnitude
     /// `max_abs`.
+    #[inline(always)]
     fn code_for_block(&self, max_abs: f64) -> u32 {
         if max_abs == 0.0 {
             return 0;
@@ -107,15 +108,19 @@ impl BlockFloatingPoint {
 
     /// Quantisation step for a block: `2^(shared − m + 1)`.
     fn step_for_code(&self, code: u32) -> f64 {
-        let shared = code as i64 - self.bias();
-        exp2(shared - self.man_bits as i64 + 1)
+        exp2(self.step_exp(code))
+    }
+
+    /// The step's exponent `shared − m + 1`.
+    fn step_exp(&self, code: u32) -> i64 {
+        code as i64 - self.bias() - self.man_bits as i64 + 1
     }
 
     fn mag_max(&self) -> i64 {
         (1i64 << self.man_bits) - 1
     }
 
-    /// Method 1 for one block at quantisation step `step`.
+    /// Method 1 for one block with register code `code`.
     ///
     /// `|x| / step` is computed as `|x| · (1 / step)`. The step is a power
     /// of two, so whenever its reciprocal is a finite normal f64 the
@@ -124,8 +129,18 @@ impl BlockFloatingPoint {
     /// `a / Inf` for every `a`; a step at or below 2^−1024 makes every
     /// `±mag · step` (`mag ≤ mag_max`) underflow to the same signed f32
     /// zero, whichever magnitude the quotient would have given.
-    #[inline]
-    fn quantize_block(&self, src: &[f32], out: &mut [f32], step: f64) {
+    ///
+    /// A block whose `step`, `1 / step` and `mag_max · step` are all
+    /// f32-normal runs in f32 ([`Self::quantize_block_f32`]), bit for bit
+    /// the same; this holds for every code of e5m5. The rest (e8/e11 codes
+    /// near their ends) take the f64 loop below.
+    #[inline(always)]
+    fn quantize_block(&self, code: u32, src: &[f32], out: &mut [f32]) {
+        let k = self.step_exp(code);
+        if self.runs_in_f32(k) {
+            return self.quantize_block_f32(src, out, k);
+        }
+        let step = exp2(k);
         let mag_max = self.mag_max() as f64;
         let inv = 1.0 / step;
         for (v, &x) in out.iter_mut().zip(src) {
@@ -138,6 +153,43 @@ impl BlockFloatingPoint {
                 if x.is_nan() { 0.0 } else { round_ties_even((x as f64).abs() * inv).min(mag_max) };
             *v = f32_saturate(sign * mag * step);
         }
+    }
+
+    /// Whether a block whose step is `2^k` runs in f32: `2^k` and `2^−k`
+    /// are f32-normal for `|k| ≤ 126`, and `mag_max · 2^k = (2^m − 1) · 2^k`
+    /// is at most `2^128 − 2^105`, under `f32::MAX`, exactly when
+    /// `m + k ≤ 128` (`m ≤ 23`).
+    #[inline]
+    fn runs_in_f32(&self, k: i64) -> bool {
+        (-126..=126).contains(&k) && k + self.man_bits as i64 <= 128
+    }
+
+    /// [`Self::quantize_block`]'s loop in f32, for a step `2^k` with `2^k`,
+    /// `2^−k` and `mag_max · 2^k` f32-normal ([`Self::runs_in_f32`]). Each
+    /// step gives the f64 loop's value:
+    /// - `|x| · inv` scales by a normal power of two. It is exact unless
+    ///   it leaves f32's normal range; below it the product is under 2^−126
+    ///   and rounds to magnitude 0 either way, above it (Inf included) it
+    ///   clamps to `mag_max` either way.
+    /// - Below 2^23 the add-and-subtract of 2^23 rounds ties-to-even; at
+    ///   or above it the sum exceeds `mag_max < 2^23` and clamps. NaN
+    ///   (only from a NaN element) maps to magnitude 0.
+    /// - `mag · step` has at most 23 significant bits, lies between `step`
+    ///   and `mag_max · step` or is zero, so it is exact, finite and
+    ///   normal: f64's product and its `f32_saturate` give the same value.
+    #[inline(always)]
+    fn quantize_block_f32(&self, src: &[f32], out: &mut [f32], k: i64) {
+        const TWO_23: f32 = 8_388_608.0;
+        let pow2 = |k: i64| f32::from_bits(((k + 127) as u32) << 23);
+        let (step, inv) = (pow2(k), pow2(-k));
+        let mag_max = self.mag_max() as f32;
+        let element = move |x: f32| {
+            let sign = if x.is_sign_negative() { -1.0 } else { 1.0 };
+            let a = x.abs() * inv;
+            let mag = if x.is_nan() { 0.0 } else { ((a + TWO_23) - TWO_23).min(mag_max) };
+            sign * mag * step
+        };
+        crate::chunk::map_lanes(element, src, out);
     }
 
     fn codes_of(meta: &Metadata) -> (&[u32], usize) {
@@ -175,8 +227,10 @@ impl NumberFormat for BlockFloatingPoint {
         let (values, codes) = crate::chunk::quantize_blocks(
             t,
             self.block_size,
+            #[inline(always)]
             |max_abs| self.code_for_block(max_abs as f64),
-            |code, src, out| self.quantize_block(src, out, self.step_for_code(code)),
+            #[inline(always)]
+            |code, src, out| self.quantize_block(code, src, out),
         );
         Quantized {
             values: Tensor::from_vec(values, t.shape().clone()),
@@ -519,15 +573,78 @@ mod tests {
         (values, codes)
     }
 
+    /// Blocks of 16 with their maximum in every f32 binade, subnormals
+    /// included, then blocks of ±Inf: each block holds its maximum, random
+    /// smaller values of both signs, and the ties `(2j + 1) · 2^(e − m)`
+    /// halfway between two steps of an e·m`man_bits` block at exponent
+    /// `e`. A format whose exponent reaches every binade meets each of its
+    /// block codes, on both sides of the f32 path's limits.
+    fn binade_blocks(man_bits: u32) -> Vec<f32> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xb1d);
+        let mut x = Vec::new();
+        for e in -149i64..=127 {
+            let max = (exp2(e) * (1.0 + rng.gen::<f64>())).min(f32::MAX as f64) as f32;
+            x.push(max);
+            for j in 0..5 {
+                x.push(((2 * j + 1) as f64 * exp2(e - man_bits as i64)) as f32);
+            }
+            for _ in 0..10 {
+                let v = max * rng.gen::<f32>();
+                x.push(if rng.gen::<bool>() { -v } else { v });
+            }
+        }
+        x.extend([f32::INFINITY; 16]);
+        x
+    }
+
+    #[test]
+    fn f32_path_covers_e5m5_and_leaves_the_extremes_of_e8_and_e11() {
+        let runs = |bfp: BlockFloatingPoint, code: u32| bfp.runs_in_f32(bfp.step_exp(code));
+        // The exponent test is the normality of step, 1/step and
+        // mag_max·step, for every code of every width.
+        let normal = |v: f64| (f32::MIN_POSITIVE as f64..=f32::MAX as f64).contains(&v);
+        for (e, m) in [(2, 1), (5, 5), (8, 7), (8, 23), (11, 1), (11, 23)] {
+            let bfp = BlockFloatingPoint::new(e, m, 4);
+            for code in 0..=bfp.max_code() as u32 {
+                let step = bfp.step_for_code(code);
+                let mag_max = bfp.mag_max() as f64;
+                let want = normal(step) && normal(1.0 / step) && normal(mag_max * step);
+                assert_eq!(runs(bfp, code), want, "e{e}m{m} code {code}");
+            }
+        }
+        let e5m5 = BlockFloatingPoint::new(5, 5, 16);
+        assert!((0..=e5m5.max_code() as u32).all(|c| runs(e5m5, c)));
+        // e8m7: step 2^(code − 133); code 7 has the first f32-normal step
+        // and 254 the last whose 127 · step fits f32.
+        let e8m7 = BlockFloatingPoint::new(8, 7, 16);
+        let f32_codes: Vec<u32> = (0..=255).filter(|&c| runs(e8m7, c)).collect();
+        assert_eq!((f32_codes[0], *f32_codes.last().unwrap()), (7, 254));
+        assert_eq!(f32_codes.len(), 248);
+        let e11m5 = BlockFloatingPoint::new(11, 5, 4);
+        assert!(!runs(e11m5, 0) && !runs(e11m5, 2047) && runs(e11m5, 1023));
+    }
+
     #[test]
     fn tensor_path_matches_division_oracle_bitwise() {
-        // The reciprocal multiply, the f32 block max and the shared
-        // `chunk::quantize_blocks` must not move a bit. e11 formats reach steps whose
-        // reciprocal is not a normal f64 (2^−1027 for all-zero blocks,
-        // +Inf at the top code of e11m1), where the product is not the
-        // quotient but the output still is (see `quantize_block`).
-        let x = crate::chunk::oracle_inputs();
-        let t = Tensor::from_vec(x.clone(), [x.len()]);
+        // The reciprocal multiply, the f32 block loop, the f32 block max and
+        // the shared `chunk::quantize_blocks` must not move a bit, under
+        // every kernel. e11 formats reach steps whose reciprocal is not a
+        // normal f64 (2^−1027 for all-zero blocks, +Inf at the top code of
+        // e11m1), where the product is not the quotient but the output
+        // still is (see `quantize_block`). The binade blocks put e8m7 and
+        // e11 blocks on both sides of the f32 path's limits.
+        crate::chunk::for_each_kernel(|kern| {
+            let mut x = crate::chunk::oracle_inputs();
+            x.extend(binade_blocks(7));
+            x.extend(binade_blocks(5));
+            check_against_oracle(&x, kern);
+        });
+    }
+
+    fn check_against_oracle(x: &[f32], kern: tensor::linalg::kernels::Kernel) {
+        let t = Tensor::from_vec(x.to_vec(), [x.len()]);
         let formats = [
             BlockFloatingPoint::new(5, 5, 16),
             BlockFloatingPoint::new(8, 7, 16),
@@ -540,11 +657,12 @@ mod tests {
         ];
         for bfp in formats {
             let q = bfp.real_to_format_tensor(&t);
-            let (values, codes) = oracle(&bfp, &x);
+            let (values, codes) = oracle(&bfp, x);
             let Metadata::SharedExponents { codes: got, .. } = &q.meta else { panic!() };
-            assert_eq!(got, &codes, "{}", bfp.name());
+            assert_eq!(got, &codes, "{} {kern}", bfp.name());
             for (i, (a, b)) in q.values.as_slice().iter().zip(&values).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "{} element {i} ({:e})", bfp.name(), x[i]);
+                let name = bfp.name();
+                assert_eq!(a.to_bits(), b.to_bits(), "{name} {kern} element {i} ({:e})", x[i]);
             }
         }
     }

@@ -158,7 +158,7 @@ impl FpParams {
     /// inputs, f32 denormals and values below the format's normal range
     /// take the exact f64 path (they are rare in practice and need NaN,
     /// denormal and FTZ handling).
-    pub(crate) fn f32_quantizer(&self) -> impl Fn(f32) -> f32 + Send + Sync {
+    pub(crate) fn f32_quantizer(&self) -> impl Fn(f32) -> f32 + Send + Sync + Copy {
         let p = *self;
         let max = p.max_value() as f32;
         let max_bits = max.to_bits();

@@ -96,7 +96,8 @@ impl NumberFormat for FixedPoint {
     }
 
     fn real_to_format_tensor(&self, t: &Tensor) -> Quantized {
-        let values = crate::chunk::map_chunked(t, |x| self.quantize_scalar(x));
+        let this = *self;
+        let values = crate::chunk::map_chunked(t, move |x| this.quantize_scalar(x));
         Quantized { values, meta: Metadata::None }
     }
 

@@ -8,6 +8,13 @@ use crate::format::{DynamicRange, NumberFormat, Quantized};
 use crate::metadata::Metadata;
 use tensor::Tensor;
 
+/// The widest INT whose Method 1 runs in f32 ([`IntQuant::code_f32`]):
+/// its codes have at most 23 magnitude bits, so `qmax` and every rounded
+/// code are exact in f32, and `code · scale` (≤ 23 by 24 significand bits)
+/// is exact in f64 — f32's one rounding of it gives the f64 path's value,
+/// subnormals included. int:25 to int:32 stay on the f64 path.
+const F32_EXACT_BITS: u32 = 24;
+
 /// Symmetric integer quantisation with `bits` total bits (sign included).
 ///
 /// `scale = max|x| / (2^(bits-1) − 1)` is computed per tensor; codes are
@@ -51,29 +58,17 @@ impl IntQuant {
         (1i64 << (self.bits - 1)) - 1
     }
 
-    /// Computes the symmetric per-tensor scale for `t`.
-    ///
-    /// A zero tensor maps to scale 1.0 so decoding stays well-defined.
-    pub fn scale_for(&self, t: &Tensor) -> f32 {
-        let m = t.max_abs();
-        if m == 0.0 {
-            1.0
-        } else {
-            m / self.qmax() as f32
-        }
-    }
-
     fn code_of(&self, value: f32, scale: f32) -> i64 {
-        self.code(value, scale) as i64
+        Self::code(value, scale, self.qmax() as f64) as i64
     }
 
     /// The integer code of `value` under `scale`, as an f64: `value /
     /// scale` rounded ties-to-even and clamped to `±qmax`. An infinite
     /// value, or any value over a zero scale, saturates by its sign, and
-    /// NaN maps to code 0. Branch-free, so the tensor map vectorises.
+    /// NaN maps to code 0. Branch-free, so the tensor map vectorises;
+    /// `qmax` is a parameter so the loop holds it in a register.
     #[inline]
-    fn code(&self, value: f32, scale: f32) -> f64 {
-        let qmax = self.qmax() as f64;
+    fn code(value: f32, scale: f32, qmax: f64) -> f64 {
         // `· Inf` gives ±Inf (clamped to ±qmax) or, for ±0 and NaN, NaN.
         let r =
             if value.is_infinite() || scale == 0.0 { value * f32::INFINITY } else { value / scale };
@@ -83,6 +78,28 @@ impl IntQuant {
             0.0
         } else {
             q.clamp(-qmax, qmax) + 0.0
+        }
+    }
+
+    /// [`code`](Self::code) in f32, for widths up to [`F32_EXACT_BITS`]
+    /// (`qmax < 2^23`); the same value, bit for bit. `value / scale`
+    /// already is an f32. Below 2^23 the add-and-subtract of 2^23 rounds
+    /// `|r|` ties-to-even
+    /// and both steps are exact; at or above it the sum is at least 2^23,
+    /// over every `qmax < 2^23`, so the clamp gives `qmax` as the f64 path
+    /// does (for int:25 and wider it would not). `qmax` is exact in f32.
+    #[inline]
+    fn code_f32(value: f32, scale: f32, qmax: f32) -> f32 {
+        const TWO_23: f32 = 8_388_608.0;
+        let r =
+            if value.is_infinite() || scale == 0.0 { value * f32::INFINITY } else { value / scale };
+        let q = ((r.abs() + TWO_23) - TWO_23).min(qmax).copysign(r);
+        // `f32::min` drops a NaN operand, so NaN is mapped here, not by
+        // the clamp; `+ 0.0` turns a −0.0 code into +0.0.
+        if r.is_nan() {
+            0.0
+        } else {
+            q + 0.0
         }
     }
 
@@ -108,12 +125,21 @@ impl NumberFormat for IntQuant {
     }
 
     fn real_to_format_tensor(&self, t: &Tensor) -> Quantized {
-        // Chunked max reduction (bit-identical to `scale_for`: f32 max is
-        // exact, so regrouping cannot change it), then a chunked map with
-        // the scale fixed.
+        // Chunked max reduction (bit-identical to `Tensor::max_abs`: f32
+        // max is exact, so regrouping cannot change it), then a chunked map
+        // with the scale fixed. A zero tensor gets scale 1.0 so decoding
+        // stays well-defined.
         let m = crate::chunk::max_abs_chunked(t);
         let scale = if m == 0.0 { 1.0 } else { m / self.qmax() as f32 };
-        let values = crate::chunk::map_chunked(t, |x| (self.code(x, scale) * scale as f64) as f32);
+        let qmax = self.qmax();
+        let values = if self.bits <= F32_EXACT_BITS {
+            let qmax = qmax as f32;
+            crate::chunk::map_chunked(t, move |x| Self::code_f32(x, scale, qmax) * scale)
+        } else {
+            let qmax = qmax as f64;
+            let f = move |x| (Self::code(x, scale, qmax) * scale as f64) as f32;
+            crate::chunk::map_chunked(t, f)
+        };
         Quantized { values, meta: Metadata::Scale(scale) }
     }
 
@@ -317,41 +343,78 @@ mod tests {
         let specials = [0.0, -0.0, 1e-45, -1e-45, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
         let values: Vec<f32> =
             (0..2000).map(|i| ((i as f32) * 0.37).sin() * 300.0).chain(specials).collect();
-        let scales = specials.iter().copied().chain([0.01, -0.02, 1.0, 3.0e38, 1e-40]);
-        for f in [IntQuant::new(4), IntQuant::new(8), IntQuant::new(32)] {
+        let scales = specials.iter().copied().chain([0.01, -0.02, 1.0, 3.0e38, 1e-40, 1e-7]);
+        for bits in [2, 4, 8, 16, 24, 25, 32] {
+            let f = IntQuant::new(bits);
             for scale in scales.clone() {
                 for &x in &values {
                     let (got, want) = (f.code_of(x, scale), code_oracle(&f, x, scale));
-                    assert_eq!(got, want, "int{} x = {x:e}, scale = {scale:e}", f.bits);
-                    assert_eq!(f.code(x, scale).to_bits(), (want as f64).to_bits());
+                    assert_eq!(got, want, "int{bits} x = {x:e}, scale = {scale:e}");
+                    let code = IntQuant::code(x, scale, f.qmax() as f64);
+                    assert_eq!(code.to_bits(), (want as f64).to_bits());
+                    if bits <= F32_EXACT_BITS {
+                        let got = IntQuant::code_f32(x, scale, f.qmax() as f32);
+                        assert_eq!(got.to_bits(), (want as f32).to_bits(), "int{bits} f32 code");
+                    }
                 }
             }
         }
     }
 
+    /// Random finite f32 bit patterns of either sign whose biased exponent
+    /// is at most `top`, plus one element at the top binade.
+    fn random_below(seed: u64, top: u32, n: usize) -> Vec<f32> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut x: Vec<f32> = (0..n)
+            .map(|_| {
+                let e = rng.gen_range(top.saturating_sub(30)..=top);
+                f32::from_bits((rng.gen::<u32>() & 0x807f_ffff) | (e << 23))
+            })
+            .collect();
+        x.push(f32::from_bits((top << 23) | 0x007f_ffff));
+        x
+    }
+
     #[test]
     fn tensor_path_matches_guarded_oracle() {
-        // Including tensors whose scale underflows to +0.0 (a subnormal
-        // max) or is +Inf (an Inf element).
-        let f = IntQuant::new(8);
-        let tensors: Vec<Vec<f32>> = vec![
-            (0..1000)
+        // Every width on both sides of the f32 path's limit (int:24 runs
+        // in f32, int:25 in f64), under every kernel. Including tensors
+        // whose scale underflows to +0.0 (a subnormal max) or is +Inf (an
+        // Inf element), tensors whose scale or products are subnormal, and
+        // one near f32::MAX. For int:25 the ramp's codes fill
+        // [2^23, 2^24), where f32's add-and-subtract of 2^23 would round
+        // odd codes away.
+        let mut tensors: Vec<Vec<f32>> = vec![
+            (0..4000)
                 .map(|i| ((i as f32) * 0.37).sin() * 3.0)
                 .chain([0.0, -0.0, f32::NAN])
                 .collect(),
             vec![1e-45, -1e-45, 0.0, -0.0, f32::NAN],
             vec![f32::INFINITY, 2.5, -0.0, f32::NAN, -7.0, f32::NEG_INFINITY],
         ];
-        for data in tensors {
-            let n = data.len();
-            let t = Tensor::from_vec(data, [n]);
-            let q = f.real_to_format_tensor(&t);
-            let scale = IntQuant::expect_scale(&q.meta);
-            for (&x, &v) in t.as_slice().iter().zip(q.values.as_slice()) {
-                let want = (code_oracle(&f, x, scale) as f64 * scale as f64) as f32;
-                assert_eq!(v.to_bits(), want.to_bits(), "x = {x:e}, scale = {scale:e}");
-            }
+        for (seed, top) in [(1, 0), (2, 1), (3, 30), (4, 127), (5, 160), (6, 254)] {
+            tensors.push(random_below(seed, top, 3000));
         }
+        crate::chunk::for_each_kernel(|kern| {
+            for bits in [2, 4, 8, 16, 24, 25, 32] {
+                let f = IntQuant::new(bits);
+                for data in &tensors {
+                    let t = Tensor::from_vec(data.clone(), [data.len()]);
+                    let q = f.real_to_format_tensor(&t);
+                    let scale = IntQuant::expect_scale(&q.meta);
+                    for (&x, &v) in t.as_slice().iter().zip(q.values.as_slice()) {
+                        let want = (code_oracle(&f, x, scale) as f64 * scale as f64) as f32;
+                        assert_eq!(
+                            v.to_bits(),
+                            want.to_bits(),
+                            "int{bits} {kern}: x = {x:e}, scale = {scale:e}"
+                        );
+                    }
+                }
+            }
+        });
     }
 
     #[test]

@@ -131,6 +131,7 @@ impl MxFloat {
     /// The E8M0 scale code chosen for a block of maximum magnitude
     /// `max_abs`: `clamp(floor(log2 max) − emax + 127, 0, 255)`, the OCP
     /// rule that puts the block max in the element's top binade.
+    #[inline(always)]
     fn code_for_block(&self, max_abs: f64) -> u32 {
         if max_abs == 0.0 {
             return 0;
@@ -192,7 +193,9 @@ impl NumberFormat for MxFloat {
         let (values, codes) = crate::chunk::quantize_blocks(
             t,
             self.block_size,
+            #[inline(always)]
             |max_abs| self.code_for_block(max_abs as f64),
+            #[inline(always)]
             |code, src, out| self.quantize_block(code, src, out),
         );
         Quantized {
@@ -438,29 +441,33 @@ mod tests {
     #[test]
     fn tensor_path_matches_mul_pow2_oracle_bitwise() {
         // Method 1 as it was before the block loop was tightened (f64
-        // block max, `mul_pow2` per element) must agree bit for bit.
+        // block max, `mul_pow2` per element) must agree bit for bit, under
+        // every kernel.
         let x = crate::chunk::oracle_inputs();
         let t = Tensor::from_vec(x.clone(), [x.len()]);
-        for elem in MxElem::ALL {
-            for block in [1usize, 32, 100] {
-                let mx = MxFloat::new(elem, block);
-                let q = mx.real_to_format_tensor(&t);
-                let Metadata::SharedExponents { codes, .. } = &q.meta else { panic!() };
-                for (b, xs) in x.chunks(block).enumerate() {
-                    let max_abs = xs.iter().fold(0.0f64, |m, &v| m.max((v as f64).abs()));
-                    let code = mx.code_for_block(max_abs);
-                    assert_eq!(codes[b], code, "{} block {b}", mx.name());
-                    let s = MxFloat::scale_exp(code);
-                    for (j, &xv) in xs.iter().enumerate() {
-                        let v = elem.params().quantize(mul_pow2(xv as f64, -s));
-                        let want =
-                            if v.is_finite() { f32_saturate(mul_pow2(v, s)) } else { v as f32 };
-                        let got = q.values.as_slice()[b * block + j];
-                        assert_eq!(got.to_bits(), want.to_bits(), "{} x = {xv:e}", mx.name());
+        crate::chunk::for_each_kernel(|kern| {
+            for elem in MxElem::ALL {
+                for block in [1usize, 32, 100] {
+                    let mx = MxFloat::new(elem, block);
+                    let name = mx.name();
+                    let q = mx.real_to_format_tensor(&t);
+                    let Metadata::SharedExponents { codes, .. } = &q.meta else { panic!() };
+                    for (b, xs) in x.chunks(block).enumerate() {
+                        let max_abs = xs.iter().fold(0.0f64, |m, &v| m.max((v as f64).abs()));
+                        let code = mx.code_for_block(max_abs);
+                        assert_eq!(codes[b], code, "{name} {kern} block {b}");
+                        let s = MxFloat::scale_exp(code);
+                        for (j, &xv) in xs.iter().enumerate() {
+                            let v = elem.params().quantize(mul_pow2(xv as f64, -s));
+                            let want =
+                                if v.is_finite() { f32_saturate(mul_pow2(v, s)) } else { v as f32 };
+                            let got = q.values.as_slice()[b * block + j];
+                            assert_eq!(got.to_bits(), want.to_bits(), "{name} {kern} x = {xv:e}");
+                        }
                     }
                 }
             }
-        }
+        });
     }
 
     #[test]

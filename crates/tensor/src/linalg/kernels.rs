@@ -201,6 +201,68 @@ pub fn active() -> Kernel {
     }
 }
 
+/// Runs `body` compiled for `kern`'s instruction set: inside an
+/// `avx2,fma` or `avx512f,fma` `#[target_feature]` wrapper when the host
+/// runs that kernel and has FMA, else as baseline code. This is the one
+/// ISA selection for elementwise loops (`math`'s lane bodies, the format
+/// crate's conversion drivers); pass [`active`] to honour
+/// `GOLDENEYE_KERNEL` and [`force`].
+///
+/// Only code inlined into the wrapper is compiled for its instruction
+/// set, so pass `body` as an `#[inline(always)]` closure (a large one is
+/// otherwise left as a call to baseline code) and inline what it calls
+/// per element. Rust never
+/// contracts `a·b + c` into an FMA, and IEEE-754 vector lanes round like
+/// scalar instructions, so the body gives the same bits in every wrapper;
+/// only an explicit `mul_add` becomes one instruction instead of a libm
+/// call, and both are exactly rounded.
+#[inline(always)]
+pub fn with_isa<R>(kern: Kernel, body: impl FnOnce() -> R) -> R {
+    match isa_kernel(kern) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `isa_kernel` yields Avx2 only when AVX2 and FMA are
+        // detected on this CPU.
+        Kernel::Avx2 => unsafe { with_avx2(body) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `isa_kernel` yields Avx512 only when AVX-512F and FMA
+        // are detected on this CPU.
+        Kernel::Avx512 => unsafe { with_avx512(body) },
+        _ => body(),
+    }
+}
+
+/// The wrapper `kern` selects: the kernel itself when the host runs it
+/// and has FMA, else the baseline build.
+fn isa_kernel(kern: Kernel) -> Kernel {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if kern > Kernel::Scalar && is_supported(kern) && std::arch::is_x86_feature_detected!("fma")
+        {
+            return kern;
+        }
+    }
+    let _ = kern;
+    Kernel::Scalar
+}
+
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn with_avx2<R>(body: impl FnOnce() -> R) -> R {
+    body()
+}
+
+/// # Safety
+///
+/// The CPU must support AVX-512F and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,fma")]
+unsafe fn with_avx512<R>(body: impl FnOnce() -> R) -> R {
+    body()
+}
+
 /// Runs the selected micro-kernel over one packed panel pair:
 /// `acc[r][c] += Σ_kk apack[kk,r]·bpack[kk,c]`, accumulating in `kk`
 /// order (the bit-exactness anchor shared by all implementations).

@@ -23,8 +23,9 @@
 //! vector lanes round exactly like scalar instructions, so the chunk body
 //! gives the same bits whether the compiler keeps it scalar or widens it.
 //! The body is compiled under one `#[target_feature]` wrapper per
-//! micro-kernel and dispatched by [`kernels::active`], which honours
-//! `GOLDENEYE_KERNEL`; there is no other runtime path.
+//! micro-kernel ([`kernels::with_isa`]) and dispatched by
+//! [`kernels::active`], which honours `GOLDENEYE_KERNEL`; there is no
+//! other runtime path.
 
 use crate::linalg::kernels::{self, Kernel};
 
@@ -51,33 +52,11 @@ pub(crate) fn map_in_place<M: LaneMap>(xs: &mut [f32]) {
 /// [`map_in_place`] under an explicit kernel (clamped to what the host
 /// supports: the SIMD wrappers also need FMA).
 pub(crate) fn map_with<M: LaneMap>(kern: Kernel, xs: &mut [f32]) {
-    match lane_kernel(kern) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `lane_kernel` yields Avx2 only when AVX2 and FMA are
-        // detected on this CPU.
-        Kernel::Avx2 => unsafe { map_avx2::<M>(xs) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `lane_kernel` yields Avx512 only when AVX-512F and FMA
-        // are detected on this CPU.
-        Kernel::Avx512 => unsafe { map_avx512::<M>(xs) },
-        _ => map_chunks::<M>(xs),
-    }
-}
-
-/// The wrapper `kern` selects: the kernel itself when the host runs it
-/// and has FMA, else the baseline build.
-fn lane_kernel(kern: Kernel) -> Kernel {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if kern > Kernel::Scalar
-            && kernels::is_supported(kern)
-            && std::arch::is_x86_feature_detected!("fma")
-        {
-            return kern;
-        }
-    }
-    let _ = kern;
-    Kernel::Scalar
+    kernels::with_isa(
+        kern,
+        #[inline(always)]
+        || map_chunks::<M>(xs),
+    )
 }
 
 #[inline(always)]
@@ -94,24 +73,6 @@ fn map_chunks<M: LaneMap>(xs: &mut [f32]) {
         let out = M::lanes(&pad);
         tail.copy_from_slice(&out[..tail.len()]);
     }
-}
-
-/// # Safety
-///
-/// The CPU must support AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn map_avx2<M: LaneMap>(xs: &mut [f32]) {
-    map_chunks::<M>(xs)
-}
-
-/// # Safety
-///
-/// The CPU must support AVX-512F and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,fma")]
-unsafe fn map_avx512<M: LaneMap>(xs: &mut [f32]) {
-    map_chunks::<M>(xs)
 }
 
 /// Runs one value through a lane body (padding the other lanes).
