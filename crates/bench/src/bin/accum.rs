@@ -7,12 +7,10 @@
 use bench::BenchArgs;
 use formats::{FixedPoint, FloatingPoint, NumberFormat, Posit};
 use goldeneye::accum::accumulation_error_study;
-use std::time::Instant;
 use trace::Json;
 
 fn main() {
     let args = BenchArgs::parse();
-    let t_all = Instant::now();
     let mut rows: Vec<Json> = Vec::new();
     let lengths = [16usize, 64, 256, 1024, 4096];
     let formats: Vec<(&str, Box<dyn NumberFormat>)> = vec![
@@ -47,11 +45,10 @@ fn main() {
     }
     println!("\nShape: error grows with reduction length and shrinks with mantissa");
     println!("width — the accumulator-sizing data mixed-precision MACs need.");
-    let mut m = trace::RunManifest::new("bench accum")
+    let m = trace::RunManifest::new("bench accum")
         .with_config("trials", 20u64)
         .with_config("seed", 11u64)
         .with_extra("lengths", Json::Arr(lengths.iter().map(|&l| Json::from(l)).collect()))
         .with_extra("rows", Json::Arr(rows));
-    m.wall_time_s = t_all.elapsed().as_secs_f64();
     args.finish_run(m, None);
 }

@@ -8,13 +8,11 @@
 use bench::{prepare_model, test_set, BenchArgs, ModelKind};
 use goldeneye::bitpos::bit_position_campaign;
 use goldeneye::GoldenEye;
-use std::time::Instant;
 use trace::Json;
 
 fn main() {
     let args = BenchArgs::parse();
     let trials = args.injections_per_layer(15);
-    let t_all = Instant::now();
     let mut rows: Vec<Json> = Vec::new();
     let (model, _) = prepare_model(ModelKind::Resnet18);
     let (x, y) = test_set().head_batch(8);
@@ -48,10 +46,9 @@ fn main() {
     println!("Expected shape (paper): FP damage concentrates in exponent bits;");
     println!("BFP's value has no exponent, so its sign bit carries a larger");
     println!("share of the damage than FP's.");
-    let mut m = trace::RunManifest::new("bench bitpos")
+    let m = trace::RunManifest::new("bench bitpos")
         .with_config("trials_per_bit", trials)
         .with_config("layer", target)
         .with_extra("rows", Json::Arr(rows));
-    m.wall_time_s = t_all.elapsed().as_secs_f64();
     args.finish_run(m, None);
 }

@@ -15,7 +15,6 @@
 use bench::{prepare_model, test_set, BenchArgs, ModelKind};
 use goldeneye::{evaluate_accuracy_jobs, run_campaign, CampaignConfig, GoldenEye};
 use inject::SiteKind;
-use std::time::Instant;
 use trace::Json;
 
 fn main() {
@@ -26,7 +25,6 @@ fn main() {
     let data = test_set();
     let (x, y) = data.head_batch(8);
     let (model, baseline) = prepare_model(ModelKind::Resnet18);
-    let t_all = Instant::now();
 
     println!(
         "Block-size sweep: MXFP8 (e4m3) vs BFP (e5m5), {n} injections/layer, \
@@ -82,14 +80,13 @@ fn main() {
     println!("as blocks widen; MXFP8's per-element mantissa holds accuracy better");
     println!("than BFP's shared-significand grid at the same block size.");
 
-    let mut m = trace::RunManifest::new("bench blocksize")
+    let m = trace::RunManifest::new("bench blocksize")
         .with_config("model", ModelKind::Resnet18.name())
         .with_config("injections_per_layer", n)
         .with_config("eval_samples", eval_k)
         .with_config("seed", 7u64)
         .with_extra("baseline_accuracy", baseline)
         .with_extra("rows", Json::Arr(rows));
-    m.wall_time_s = t_all.elapsed().as_secs_f64();
     let _ = std::fs::create_dir_all("results");
     args.finish_run(m, Some("results/BENCH_blocksize.json"));
 }

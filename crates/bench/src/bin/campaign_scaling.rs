@@ -30,50 +30,35 @@ fn layer_means(r: &CampaignResult) -> Vec<(f32, f32)> {
     r.layers.iter().map(|l| (l.delta_loss.mean(), l.mismatch.mean())).collect()
 }
 
-/// Best-of-`reps` wall-clock of one serial campaign (minimum is the
-/// noise-robust estimator for overhead comparisons).
-fn best_time(
-    reps: usize,
-    ge: &GoldenEye,
-    model: &dyn nn::Module,
-    x: &tensor::Tensor,
-    y: &[usize],
-    cfg: &CampaignConfig,
-) -> f64 {
-    (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            run_campaign(ge, model, x, y, cfg);
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// The tracing-overhead measurement: [`OVERHEAD_PAIRS`] interleaved (off, on) pairs
-/// of a serial campaign, alternating which leg runs first, summarised by
-/// the median on/off ratio. Adjacent legs share whatever load burst hits
-/// the host, so a burst moves one pair's ratio, not the median; the
-/// alternation keeps a warm-up or cool-down drift from always landing on
-/// the same leg. (Keeping the smallest ratio instead biases the gate
-/// towards "no overhead" and lets it pass or fail by chance.) Every leg
-/// runs on one intra-op thread, pinned to the core the measurement
-/// started on, so neither leg gains or loses a second core or a
-/// migration the other did not.
+/// The tracing-overhead measurement: [`OVERHEAD_PAIRS`] interleaved (off, on)
+/// pairs of a serial campaign ([`bench::time_pairs`]), summarised by the
+/// median on/off ratio. (Keeping the smallest ratio instead biases the
+/// gate towards "no overhead" and lets it pass or fail by chance.) Every
+/// leg runs on one intra-op thread, pinned to the core the measurement
+/// started on, so neither leg gains or loses a second core or a migration
+/// the other did not.
 struct Overhead {
-    /// Median of the pairs' on/off ratios.
-    ratio: f64,
+    /// Median on/off ratio minus one.
+    overhead: f64,
     /// Median untraced and traced wall-clock, seconds.
     off: f64,
     on: f64,
-    /// Events buffered over all traced legs.
-    events: usize,
-    /// The core the legs were pinned to, `None` if pinning failed.
-    cpu: Option<usize>,
+}
+
+impl Overhead {
+    /// Adds the measurement to `m`'s payload.
+    fn record(&self, m: trace::RunManifest) -> trace::RunManifest {
+        m.with_extra("trace_overhead", Json::Num(self.overhead))
+            .with_extra("trace_overhead_budget", Json::Num(OVERHEAD_BUDGET))
+            .with_extra("untraced_s", Json::Num(self.off))
+            .with_extra("traced_s", Json::Num(self.on))
+    }
 }
 
 /// Pairs [`measure_overhead`] runs; odd, so the median is one pair's.
 const OVERHEAD_PAIRS: usize = 5;
 
+/// Measures the tracing overhead of the campaign `cfg` and prints it.
 fn measure_overhead(
     ge: &GoldenEye,
     model: &dyn nn::Module,
@@ -85,24 +70,24 @@ fn measure_overhead(
     let _one_thread = tensor::parallel::with_threads(1);
     let leg = |traced: bool| {
         trace::capture_events(traced);
-        best_time(1, ge, model, x, y, cfg)
+        run_campaign(ge, model, x, y, cfg);
     };
-    let (mut offs, mut ons, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    for i in 0..OVERHEAD_PAIRS {
-        let (o, t) = if i % 2 == 0 {
-            let o = leg(false);
-            (o, leg(true))
-        } else {
-            let t = leg(true);
-            (leg(false), t)
-        };
-        offs.push(o);
-        ons.push(t);
-        ratios.push(t / o);
-    }
+    let p = bench::time_pairs(OVERHEAD_PAIRS, || leg(false), || leg(true));
     trace::capture_events(false);
     let events = trace::take_events().len();
-    Overhead { ratio: median(ratios), off: median(offs), on: median(ons), events, cpu }
+    let o = Overhead { overhead: p.ratio.median() - 1.0, off: p.a.median(), on: p.b.median() };
+    println!(
+        "Tracing overhead (serial, {} inj/layer, median of {OVERHEAD_PAIRS} pairs, {}): \
+         off {:.3}s, on {:.3}s ({:+.2}%, {events} buffered events) — budget {:.0}%{}",
+        cfg.injections_per_layer,
+        cpu.map_or_else(|| "unpinned".to_string(), |c| format!("pinned to cpu {c}")),
+        o.off,
+        o.on,
+        o.overhead * 100.0,
+        OVERHEAD_BUDGET * 100.0,
+        if o.overhead > OVERHEAD_BUDGET { "  ** OVER BUDGET **" } else { "" }
+    );
+    o
 }
 
 /// Pins the calling thread, and only it, to the core it is running on;
@@ -133,16 +118,6 @@ fn pin_to_current_cpu() -> Option<usize> {
     None
 }
 
-/// How the overhead legs ran, for the printed line.
-fn pinned(cpu: Option<usize>) -> String {
-    cpu.map_or_else(|| "unpinned".to_string(), |c| format!("pinned to cpu {c}"))
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
-}
-
 /// The CI budget: traced wall-clock within 5% of untraced. Calibrated
 /// when the serial engine was ~4× slower as "within 2%"; the absolute
 /// per-trial tracing cost is unchanged, but the untraced denominator
@@ -164,37 +139,23 @@ fn main() {
     let (x, y) = test_set().head_batch(8);
     let ge = GoldenEye::parse("fp:e4m3").expect("valid spec");
 
+    // The serial campaign every section below runs, varies or times.
+    let base = CampaignConfig {
+        injections_per_layer: n,
+        kind: SiteKind::Value,
+        seed: 17,
+        jobs: 1,
+        ..Default::default()
+    };
+
     if overhead_only {
         // CI enforcement mode (`trace-overhead` job): measure only the
         // tracing overhead and fail the process when it blows the budget.
-        let cfg = CampaignConfig {
-            injections_per_layer: n,
-            kind: SiteKind::Value,
-            seed: 17,
-            jobs: 1,
-            ..Default::default()
-        };
-        let Overhead { ratio, off, on, events, cpu } =
-            measure_overhead(&ge, model.as_ref(), &x, &y, &cfg);
-        let overhead = ratio - 1.0;
-        let over = overhead > OVERHEAD_BUDGET;
-        println!(
-            "Tracing overhead (serial, {n} inj/layer, median of {OVERHEAD_PAIRS} pairs, {}): \
-             off {off:.3}s, on {on:.3}s ({:+.2}%, {events} buffered events) — budget {:.0}%{}",
-            pinned(cpu),
-            overhead * 100.0,
-            OVERHEAD_BUDGET * 100.0,
-            if over { "  ** OVER BUDGET **" } else { "" }
-        );
-        let mut m = trace::RunManifest::new("bench campaign_scaling --overhead-only")
-            .with_config("injections_per_layer", n)
-            .with_extra("trace_overhead", Json::Num(overhead))
-            .with_extra("trace_overhead_budget", Json::Num(OVERHEAD_BUDGET))
-            .with_extra("untraced_s", Json::Num(off))
-            .with_extra("traced_s", Json::Num(on));
-        m.wall_time_s = off + on;
-        args.finish_run(m, None);
-        if over {
+        let o = measure_overhead(&ge, model.as_ref(), &x, &y, &base);
+        let m = trace::RunManifest::new("bench campaign_scaling --overhead-only")
+            .with_config("injections_per_layer", n);
+        args.finish_run(o.record(m), None);
+        if o.overhead > OVERHEAD_BUDGET {
             std::process::exit(1);
         }
         return;
@@ -205,7 +166,6 @@ fn main() {
         .with_config("format", "fp_e4m3")
         .with_config("injections_per_layer", n)
         .with_config("max_jobs", max_jobs);
-    let t_all = Instant::now();
     let mut timing_rows: Vec<Json> = Vec::new();
 
     println!("Campaign scaling ({n} injections/layer, resnet18, fp:e4m3)\n");
@@ -217,13 +177,7 @@ fn main() {
         let mut reference: Option<(Vec<(f32, f32)>, f64)> = None;
         let mut jobs = 1usize;
         while jobs <= max_jobs {
-            let cfg = CampaignConfig {
-                injections_per_layer: n,
-                kind: SiteKind::Value,
-                seed: 17,
-                jobs,
-                ..Default::default()
-            };
+            let cfg = CampaignConfig { jobs, ..base.clone() };
             let t = Instant::now();
             let result = if weight {
                 run_weight_campaign(&ge, model.as_ref(), &x, &y, &cfg)
@@ -255,16 +209,14 @@ fn main() {
         println!();
     }
 
-    // The serial baseline the early-stop section compares against.
-    let base = CampaignConfig {
-        injections_per_layer: n,
-        kind: SiteKind::Value,
-        seed: 17,
-        jobs: 1,
-        ..Default::default()
-    };
-    let trials = run_campaign(&ge, model.as_ref(), &x, &y, &base).trials.len();
-    let serial_tps = trials as f64 / best_time(2, &ge, model.as_ref(), &x, &y, &base);
+    // The serial baseline the early-stop section compares against. The
+    // warm-up run counts the trials; the best of two timed runs is the
+    // noise-robust baseline.
+    let mut trials = 0;
+    let serial = bench::time(2, 1, || {
+        trials = run_campaign(&ge, model.as_ref(), &x, &y, &base).trials.len();
+    });
+    let serial_tps = trials as f64 / serial.min();
     println!("Serial replay ({trials} trials): {serial_tps:.2} trials/s");
 
     // Early stopping: trial savings at equal statistical power. Stopping
@@ -277,13 +229,7 @@ fn main() {
     // trials that already-converged sites don't need. The serial
     // trials/sec above is the baseline.
     let es_n = (8 * goldeneye::EARLY_STOP_WAVE).max(n);
-    let es_base = CampaignConfig {
-        injections_per_layer: es_n,
-        kind: SiteKind::Value,
-        seed: 17,
-        jobs: 1,
-        ..Default::default()
-    };
+    let es_base = CampaignConfig { injections_per_layer: es_n, ..base.clone() };
     let t = Instant::now();
     let es_full = run_campaign(&ge, model.as_ref(), &x, &y, &es_base);
     let es_full_secs = t.elapsed().as_secs_f64();
@@ -340,32 +286,10 @@ fn main() {
     // layer recording (ring-buffer sink, Info level) vs. off. Per-trial
     // cost with tracing off is one relaxed atomic load; the gate reads the
     // median ratio of interleaved pairs (see `measure_overhead`).
-    let cfg = CampaignConfig {
-        injections_per_layer: n,
-        kind: SiteKind::Value,
-        seed: 17,
-        jobs: 1,
-        ..Default::default()
-    };
-    let Overhead { ratio, off, on, events, cpu } =
-        measure_overhead(&ge, model.as_ref(), &x, &y, &cfg);
-    let overhead = ratio - 1.0;
-    println!(
-        "Tracing overhead (serial, {n} inj/layer, median of {OVERHEAD_PAIRS} pairs, {}): \
-         off {off:.3}s, on {on:.3}s ({:+.2}%, {events} buffered events) — budget {:.0}%{}",
-        pinned(cpu),
-        overhead * 100.0,
-        OVERHEAD_BUDGET * 100.0,
-        if overhead <= OVERHEAD_BUDGET { "" } else { "  ** OVER BUDGET **" }
-    );
+    let o = measure_overhead(&ge, model.as_ref(), &x, &y, &base);
 
-    manifest.wall_time_s = t_all.elapsed().as_secs_f64();
-    manifest = manifest
-        .with_extra("timings", Json::Arr(timing_rows))
-        .with_extra("trace_overhead", Json::Num(overhead))
-        .with_extra("trace_overhead_budget", Json::Num(OVERHEAD_BUDGET))
-        .with_extra("untraced_s", Json::Num(off))
-        .with_extra("traced_s", Json::Num(on))
+    manifest = o
+        .record(manifest.with_extra("timings", Json::Arr(timing_rows)))
         .with_extra("serial_trials", Json::from(trials))
         .with_extra("trials_per_sec_serial", Json::Num(serial_tps))
         .with_extra("early_stop_planned_per_site", Json::from(es_n))

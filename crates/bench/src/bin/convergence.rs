@@ -12,12 +12,10 @@ use bench::{prepare_model, test_set, BenchArgs, ModelKind};
 use goldeneye::{GoldenEye, InjectionPlan};
 use inject::SiteKind;
 use metrics::{compare_outcomes, ConvergenceTrace};
-use std::time::Instant;
 
 fn main() {
     let args = BenchArgs::parse();
     let n = args.injections_per_layer(300);
-    let t_all = Instant::now();
     let (model, _) = prepare_model(ModelKind::Resnet18);
     let (x, y) = test_set().head_batch(8);
     let ge = GoldenEye::parse("fp:e4m3").expect("bad spec");
@@ -65,6 +63,5 @@ fn main() {
         .with_extra("delta_loss_mean", trace::Json::from_f32(delta.stats().mean()))
         .with_extra("delta_loss_converged_after", cd);
     m.convergence = delta.running_means().to_vec();
-    m.wall_time_s = t_all.elapsed().as_secs_f64();
     args.finish_run(m, None);
 }

@@ -10,11 +10,10 @@
 //!
 //! Run with: `cargo run --release -p bench --bin fig3 [--full]`
 
-use bench::{prepare_model, test_set, BenchArgs, ModelKind};
+use bench::{prepare_model, test_set, BenchArgs, ModelKind, Timing};
 use goldeneye::{run_campaign, CampaignConfig, GoldenEye, InjectionPlan};
 use inject::SiteKind;
 use nn::Module;
-use std::time::Instant;
 use tensor::Tensor;
 
 struct Config {
@@ -55,24 +54,6 @@ const CONFIGS: &[Config] = &[
     },
 ];
 
-fn time_config(model: &dyn Module, x: &Tensor, cfg: &Config, runs: usize) -> (f64, f64, f64) {
-    let mut samples = Vec::with_capacity(runs);
-    let ge = cfg.spec.map(|s| GoldenEye::parse(s).expect("bad spec"));
-    // Warm-up runs (first-touch allocations, caches).
-    run_once(model, x, &ge, cfg, 0);
-    run_once(model, x, &ge, cfg, 1);
-    for i in 0..runs {
-        let t = Instant::now();
-        run_once(model, x, &ge, cfg, i as u64);
-        samples.push(t.elapsed().as_secs_f64() * 1e3);
-    }
-    let mean = samples.iter().sum::<f64>() / runs as f64;
-    let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / runs as f64;
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let median = samples[samples.len() / 2];
-    (median, mean, var.sqrt())
-}
-
 fn run_once(model: &dyn Module, x: &Tensor, ge: &Option<GoldenEye>, cfg: &Config, seed: u64) {
     match ge {
         None => {
@@ -94,23 +75,34 @@ fn main() {
     let args = BenchArgs::parse();
     let runs = if args.full { 100 } else { 10 };
     let batch = 32;
-    let t_all = Instant::now();
     let mut rows: Vec<trace::Json> = Vec::new();
     println!("Figure 3: runtime per inference batch (batch={batch}, {runs} timed runs)\n");
     for kind in [ModelKind::Resnet18, ModelKind::DeitTiny] {
         let (model, _) = prepare_model(kind);
         let (x, _) = test_set().head_batch(batch);
-        // Measure everything first; report ratios against the native row
-        // from the same pass (median is robust to scheduler noise).
-        let measured: Vec<(f64, f64, f64)> =
-            CONFIGS.iter().map(|cfg| time_config(model.as_ref(), &x, cfg, runs)).collect();
-        let native_ms = measured[0].0;
+        // Measure everything first, in milliseconds; report ratios against
+        // the native row from the same pass (median is robust to scheduler
+        // noise). Each run injects with a fresh seed.
+        let measured: Vec<Timing> = CONFIGS
+            .iter()
+            .map(|cfg| {
+                let ge = cfg.spec.map(|s| GoldenEye::parse(s).expect("bad spec"));
+                let mut seed = 0;
+                bench::time(runs, 1, || {
+                    run_once(model.as_ref(), &x, &ge, cfg, seed);
+                    seed += 1;
+                })
+                .scaled(1e3)
+            })
+            .collect();
+        let native_ms = measured[0].median();
         println!("== {} ==", kind.name());
         println!(
             "{:<28} {:>11} {:>10} {:>8} {:>10}",
             "config", "median ms", "mean ms", "std %", "vs native"
         );
-        for (cfg, (median, mean, std)) in CONFIGS.iter().zip(&measured) {
+        for (cfg, t) in CONFIGS.iter().zip(&measured) {
+            let (median, mean, std) = (t.median(), t.mean(), t.std_dev());
             println!(
                 "{:<28} {:>11.2} {:>10.2} {:>7.1}% {:>9.2}x",
                 cfg.label,
@@ -122,9 +114,9 @@ fn main() {
             rows.push(trace::Json::obj([
                 ("model", trace::Json::from(kind.name())),
                 ("config", trace::Json::from(cfg.label)),
-                ("median_ms", trace::Json::Num(*median)),
-                ("mean_ms", trace::Json::Num(*mean)),
-                ("std_ms", trace::Json::Num(*std)),
+                ("median_ms", trace::Json::Num(median)),
+                ("mean_ms", trace::Json::Num(mean)),
+                ("std_ms", trace::Json::Num(std)),
                 ("vs_native", trace::Json::Num(median / native_ms)),
             ]));
         }
@@ -141,31 +133,29 @@ fn main() {
         let (x, y) = test_set().head_batch(8);
         let ge = GoldenEye::parse("fp:e4m3").expect("valid spec");
         let n = args.injections_per_layer(10);
-        let mut cfg = CampaignConfig {
+        let serial = CampaignConfig {
             injections_per_layer: n,
             kind: SiteKind::Value,
             seed: 3,
             jobs: 1,
             ..Default::default()
         };
+        let parallel = CampaignConfig { jobs: args.jobs, ..serial.clone() };
         println!("\nCampaign throughput ({n} injections/layer, resnet18):");
-        let t = Instant::now();
-        run_campaign(&ge, model.as_ref(), &x, &y, &cfg);
-        let serial = t.elapsed().as_secs_f64();
-        cfg.jobs = args.jobs;
-        let t = Instant::now();
-        run_campaign(&ge, model.as_ref(), &x, &y, &cfg);
-        let parallel = t.elapsed().as_secs_f64();
+        let campaign = |cfg: &CampaignConfig| {
+            run_campaign(&ge, model.as_ref(), &x, &y, cfg);
+        };
+        let p = bench::time_pairs(1, || campaign(&serial), || campaign(&parallel));
+        let (serial, parallel) = (p.a.median(), p.b.median());
         println!(
             "  jobs=1: {serial:.2}s   jobs={}: {parallel:.2}s   speedup {:.2}x",
             args.jobs,
             serial / parallel
         );
     }
-    let mut m = trace::RunManifest::new("bench fig3")
+    let m = trace::RunManifest::new("bench fig3")
         .with_config("batch", batch)
         .with_config("runs", runs)
         .with_extra("rows", trace::Json::Arr(rows));
-    m.wall_time_s = t_all.elapsed().as_secs_f64();
     args.finish_run(m, None);
 }

@@ -11,7 +11,6 @@
 
 use bench::{prepare_model, test_set, BenchArgs, ModelKind, TEST_N};
 use goldeneye::accuracy_sweep;
-use std::time::Instant;
 use trace::Json;
 
 /// The format ladder per family, highest to lowest width (the paper's 32,
@@ -30,7 +29,6 @@ const LADDERS: &[(&str, &[&str])] = &[
 fn main() {
     let args = BenchArgs::parse();
     let data = test_set();
-    let t_all = Instant::now();
     let mut rows: Vec<Json> = Vec::new();
     println!("Figure 4: accuracy vs bit width (eval on {TEST_N} held-out samples)\n");
     for kind in [ModelKind::Resnet18, ModelKind::DeitTiny] {
@@ -61,9 +59,8 @@ fn main() {
     println!("Expected shape (paper): wide formats match native; low-width FP");
     println!("hurts the CNN before the transformer; AFP holds accuracy at");
     println!("widths where FP has collapsed.");
-    let mut m = trace::RunManifest::new("bench fig4")
+    let m = trace::RunManifest::new("bench fig4")
         .with_config("eval_samples", TEST_N)
         .with_extra("rows", Json::Arr(rows));
-    m.wall_time_s = t_all.elapsed().as_secs_f64();
     args.finish_run(m, None);
 }

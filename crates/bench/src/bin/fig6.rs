@@ -10,14 +10,12 @@
 use bench::{prepare_model, test_set, BenchArgs, ModelKind, TEST_N};
 use goldeneye::dse::{search, DseFamily};
 use goldeneye::{evaluate_accuracy, GoldenEye};
-use std::time::Instant;
 use trace::Json;
 
 fn main() {
     let args = BenchArgs::parse();
     let data = test_set();
     let threshold_drop = 0.02; // 2% of absolute accuracy
-    let t_all = Instant::now();
     let mut rows: Vec<Json> = Vec::new();
     println!("Figure 6: DSE node traversal (threshold: baseline − {threshold_drop})\n");
     for kind in [ModelKind::Resnet50, ModelKind::DeitTiny] {
@@ -66,10 +64,9 @@ fn main() {
     }
     println!("Expected shape (paper): ≤16 nodes per family; more than half accepted;");
     println!("optimal configs differ between the CNN and the transformer.");
-    let mut m = trace::RunManifest::new("bench fig6")
+    let m = trace::RunManifest::new("bench fig6")
         .with_config("threshold_drop", threshold_drop)
         .with_config("eval_samples", TEST_N)
         .with_extra("nodes", Json::Arr(rows));
-    m.wall_time_s = t_all.elapsed().as_secs_f64();
     args.finish_run(m, None);
 }

@@ -14,14 +14,12 @@
 use bench::{prepare_model, test_set, BenchArgs, ModelKind};
 use goldeneye::{run_campaign, CampaignConfig, GoldenEye};
 use inject::SiteKind;
-use std::time::Instant;
 use trace::Json;
 
 fn main() {
     let args = BenchArgs::parse();
     let n = args.injections_per_layer(20);
     let (x, y) = test_set().head_batch(8);
-    let t_all = Instant::now();
     let mut rows: Vec<Json> = Vec::new();
     println!("Figure 7: per-layer delta-loss, {n} injections/layer, batch 8\n");
     for kind in [ModelKind::Resnet50, ModelKind::DeitBase] {
@@ -87,10 +85,9 @@ fn main() {
     }
     println!("Expected shape (paper): metadata >> value for BFP; AFP lower on");
     println!("average than BFP except its last layer.");
-    let mut m = trace::RunManifest::new("bench fig7")
+    let m = trace::RunManifest::new("bench fig7")
         .with_config("injections_per_layer", n)
         .with_config("seed", 7u64)
         .with_extra("rows", Json::Arr(rows));
-    m.wall_time_s = t_all.elapsed().as_secs_f64();
     args.finish_run(m, None);
 }

@@ -13,7 +13,6 @@ use bench::{prepare_model, test_set, BenchArgs, ModelKind, TEST_N};
 use goldeneye::dse::{accuracy_eval, search, DseFamily};
 use goldeneye::{run_campaign, CampaignConfig, GoldenEye};
 use inject::SiteKind;
-use std::time::Instant;
 use trace::Json;
 
 fn main() {
@@ -23,7 +22,6 @@ fn main() {
     let data = test_set();
     let (model, baseline) = prepare_model(ModelKind::Resnet50);
     let (x, y) = data.head_batch(8);
-    let t_all = Instant::now();
     let mut rows: Vec<Json> = Vec::new();
     println!(
         "Figure 9: accuracy vs avg delta-loss for DSE-suggested BFP/AFP points\n\
@@ -85,12 +83,11 @@ fn main() {
     }
     println!("\nExpected shape (paper): design points with high accuracy and low");
     println!("delta-loss exist at reduced precision; AFP reaches them with fewer bits.");
-    let mut m = trace::RunManifest::new("bench fig9")
+    let m = trace::RunManifest::new("bench fig9")
         .with_config("injections_per_layer", n)
         .with_config("jobs", jobs)
         .with_config("seed", 9u64)
         .with_extra("baseline_accuracy", baseline)
         .with_extra("points", Json::Arr(rows));
-    m.wall_time_s = t_all.elapsed().as_secs_f64();
     args.finish_run(m, None);
 }

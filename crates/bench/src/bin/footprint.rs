@@ -9,7 +9,6 @@ use formats::footprint::footprint;
 use formats::FormatSpec;
 use nn::{Ctx, ForwardHook, LayerInfo, LayerKind};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 use tensor::Tensor;
 use trace::Json;
 
@@ -28,7 +27,6 @@ impl ForwardHook for Capture {
 
 fn main() {
     let args = BenchArgs::parse();
-    let t_all = Instant::now();
     let mut rows: Vec<Json> = Vec::new();
     let (model, _) = prepare_model(ModelKind::Resnet18);
     let (x, _) = test_set().head_batch(8);
@@ -87,10 +85,9 @@ fn main() {
     println!("\nShape (paper §II-A): BFP stores one exponent per block/tensor,");
     println!("so its bits/element approaches 1 + mantissa; AFP pays 4 bits per");
     println!("tensor; INT pays one 32-bit scale per tensor.");
-    let mut m = trace::RunManifest::new("bench footprint")
+    let m = trace::RunManifest::new("bench footprint")
         .with_config("model", "resnet18")
         .with_extra("elements", elements)
         .with_extra("rows", Json::Arr(rows));
-    m.wall_time_s = t_all.elapsed().as_secs_f64();
     args.finish_run(m, None);
 }

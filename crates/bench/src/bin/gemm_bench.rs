@@ -18,24 +18,10 @@
 use bench::BenchArgs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 use tensor::linalg::kernels::{self, Kernel};
 use tensor::linalg::{matmul_naive, sgemm};
 use tensor::Tensor;
 use trace::Json;
-
-/// Smallest wall-clock for one kernel invocation over `reps` repetitions
-/// (minimum damps scheduler noise), after one untimed warm-up.
-fn best_secs(reps: usize, mut run: impl FnMut()) -> f64 {
-    run();
-    (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            run();
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
 
 fn random_vec(n: usize, rng: &mut StdRng) -> Vec<f32> {
     (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
@@ -74,7 +60,6 @@ fn main() {
             "kernels_supported",
             Json::Arr(supported.iter().map(|k| Json::from(k.name())).collect()),
         );
-    let t_all = Instant::now();
     let mut rows: Vec<Json> = Vec::new();
     // (size -> GFLOP/s) cells feeding the summary ratios.
     let mut dispatch1 = std::collections::BTreeMap::new();
@@ -132,10 +117,12 @@ fn main() {
                 out.iter().zip(&scalar_out).all(|(x, y)| x.to_bits() == y.to_bits()),
                 "{label} kernel diverged from forced scalar at {m}³ ({threads} threads)"
             );
-            let secs = best_secs(reps(m), || {
+            // The minimum over repetitions damps scheduler noise.
+            let secs = bench::time(reps(m), 1, || {
                 out.fill(0.0);
                 sgemm(m, k, n, &a, &b, &mut out);
-            });
+            })
+            .min();
             kernels::force(None);
             let gflops = flops / secs / 1e9;
             println!("{m:<8} {label:<18} {threads:>8} {secs:>10.4} {gflops:>10.2}");
@@ -182,7 +169,6 @@ fn main() {
         println!("  {name:<12} {g:>8.2} GFLOP/s (1 thread, {pivot}³)");
     }
 
-    manifest.wall_time_s = t_all.elapsed().as_secs_f64();
     manifest = manifest
         .with_extra("cells", Json::Arr(rows))
         .with_extra("pivot_size", Json::from(pivot))

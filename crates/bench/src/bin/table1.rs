@@ -3,11 +3,9 @@
 //! Run with: `cargo run --release -p bench --bin table1`
 
 use bench::BenchArgs;
-use std::time::Instant;
 
 fn main() {
     let args = BenchArgs::parse();
-    let t_all = Instant::now();
     let table = formats::ranges::table1_text();
     println!("Table I: Dynamic Range of Data Types (paper vs computed)\n");
     print!("{table}");
@@ -16,7 +14,6 @@ fn main() {
     println!("- paper prints FxP(1,15,16) max as 3.2768; 2^15 = 32768 (typo in the paper).");
     println!("- paper prints INT16 dB as 98.31; 20*log10(32767/1) = 90.31 (typo in the paper).");
     println!("- AFP8's window is movable via its exponent-bias metadata; the dB width matches FP8 w/o DN.");
-    let mut m = trace::RunManifest::new("bench table1").with_extra("table", table.as_str());
-    m.wall_time_s = t_all.elapsed().as_secs_f64();
+    let m = trace::RunManifest::new("bench table1").with_extra("table", table.as_str());
     args.finish_run(m, None);
 }

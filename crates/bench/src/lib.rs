@@ -4,12 +4,17 @@
 //! Models are trained once on the synthetic dataset and cached under
 //! `target/goldeneye_cache/`, so repeated `cargo run -p bench --bin figN`
 //! invocations reuse the same "pretrained" weights.
+//!
+//! Every binary that times something uses [`time`] or [`time_pairs`] and
+//! reads its statistics off the returned [`Timing`]; [`BenchArgs`] times
+//! the whole run for the manifest's `wall_time_s`.
 
 use models::{DeitConfig, ResNet, ResNetConfig, SyntheticDataset, TrainConfig, VisionTransformer};
 use nn::Module;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
+use std::time::Instant;
 
 /// Canonical image side length shared by every experiment.
 pub const IMG_SIZE: usize = 32;
@@ -120,6 +125,142 @@ pub fn prepare_model(kind: ModelKind) -> (Box<dyn Module>, f32) {
     (model, acc)
 }
 
+/// Wall-clock statistics of a repeated call, in seconds per call.
+///
+/// Quantiles follow the exclusive rule (Hyndman–Fan type 6, Python's
+/// `statistics.quantiles`), as the repository benchmark's reports do:
+/// the `p`-quantile sits at position `p·(n+1)` of the sorted samples,
+/// clamped to their range and linearly interpolated.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Timing {
+    /// Ascending.
+    samples: Vec<f64>,
+}
+
+impl Timing {
+    /// The statistics of `samples`, in any order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty or holds a NaN.
+    pub fn from_samples(mut samples: Vec<f64>) -> Self {
+        assert!(!samples.is_empty(), "a timing needs at least one sample");
+        assert!(!samples.iter().any(|s| s.is_nan()), "NaN timing sample");
+        samples.sort_by(f64::total_cmp);
+        Timing { samples }
+    }
+
+    /// Number of samples.
+    pub fn count(&self) -> usize {
+        self.samples.len()
+    }
+
+    /// The smallest sample.
+    pub fn min(&self) -> f64 {
+        self.samples[0]
+    }
+
+    /// The `p`-quantile, `0 ≤ p ≤ 1`.
+    fn quantile(&self, p: f64) -> f64 {
+        let s = &self.samples;
+        let n = s.len();
+        let h = (p * (n + 1) as f64).clamp(1.0, n as f64);
+        let lo = h.floor() as usize;
+        if lo == n {
+            return s[n - 1];
+        }
+        s[lo - 1] + (h - lo as f64) * (s[lo] - s[lo - 1])
+    }
+
+    /// The median (the mean of the middle two for an even count).
+    pub fn median(&self) -> f64 {
+        self.quantile(0.5)
+    }
+
+    /// First and third quartiles.
+    pub fn quartiles(&self) -> (f64, f64) {
+        (self.quantile(0.25), self.quantile(0.75))
+    }
+
+    /// The arithmetic mean.
+    pub fn mean(&self) -> f64 {
+        self.samples.iter().sum::<f64>() / self.count() as f64
+    }
+
+    /// The population standard deviation (divided by the count).
+    pub fn std_dev(&self) -> f64 {
+        let mean = self.mean();
+        let var = self.samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>();
+        (var / self.count() as f64).sqrt()
+    }
+
+    /// The same timing in other units: every sample times `factor` (`1e3`
+    /// for milliseconds, `1e9 / n` for nanoseconds per element of `n`).
+    pub fn scaled(&self, factor: f64) -> Timing {
+        Timing::from_samples(self.samples.iter().map(|s| s * factor).collect())
+    }
+}
+
+/// Wall time of `calls` back-to-back calls of `f`, divided by `calls`.
+fn sample(calls: usize, f: &mut impl FnMut()) -> f64 {
+    let t = Instant::now();
+    for _ in 0..calls {
+        f();
+    }
+    t.elapsed().as_secs_f64() / calls as f64
+}
+
+/// Times `f`: one untimed warm-up call, then `samples` samples of `calls`
+/// back-to-back calls each. Batching calls lets a sample of a
+/// sub-microsecond call run long enough for the clock to resolve it.
+///
+/// # Panics
+///
+/// Panics if `samples` or `calls` is zero.
+pub fn time(samples: usize, calls: usize, mut f: impl FnMut()) -> Timing {
+    assert!(samples > 0 && calls > 0, "time needs at least one sample of one call");
+    f();
+    Timing::from_samples((0..samples).map(|_| sample(calls, &mut f)).collect())
+}
+
+/// An interleaved A/B measurement from [`time_pairs`].
+#[derive(Debug, Clone)]
+pub struct Pairs {
+    /// Side A, one sample per pair.
+    pub a: Timing,
+    /// Side B, one sample per pair.
+    pub b: Timing,
+    /// Each pair's B/A ratio.
+    pub ratio: Timing,
+}
+
+/// Times `b` against `a`: one untimed warm-up call of each, then `pairs`
+/// adjacent pairs of one call each. Even pairs run A first, odd pairs B
+/// first, so a warm-up or cool-down drift does not always land on the
+/// same side. Adjacent calls share whatever load burst hits the host, so a
+/// burst moves one pair's ratio, not the median ratio.
+///
+/// # Panics
+///
+/// Panics if `pairs` is zero.
+pub fn time_pairs(pairs: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> Pairs {
+    assert!(pairs > 0, "time_pairs needs at least one pair");
+    a();
+    b();
+    let (mut ta, mut tb) = (Vec::with_capacity(pairs), Vec::with_capacity(pairs));
+    for i in 0..pairs {
+        if i % 2 == 0 {
+            ta.push(sample(1, &mut a));
+            tb.push(sample(1, &mut b));
+        } else {
+            tb.push(sample(1, &mut b));
+            ta.push(sample(1, &mut a));
+        }
+    }
+    let ratio = Timing::from_samples(ta.iter().zip(&tb).map(|(a, b)| b / a).collect());
+    Pairs { a: Timing::from_samples(ta), b: Timing::from_samples(tb), ratio }
+}
+
 /// Simple CLI flags shared by the figure binaries.
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
@@ -137,6 +278,8 @@ pub struct BenchArgs {
     /// The binary's own switches (see [`BenchArgs::parse_with`]) that were
     /// given.
     switches: Vec<String>,
+    /// When the flags were parsed: the start of the run's `wall_time_s`.
+    start: Instant,
 }
 
 impl BenchArgs {
@@ -188,6 +331,7 @@ impl BenchArgs {
             jobs: 1,
             out: None,
             switches: Vec::new(),
+            start: Instant::now(),
         };
         let mut it = argv.into_iter();
         while let Some(a) = it.next() {
@@ -230,10 +374,12 @@ impl BenchArgs {
         self.injections.unwrap_or(if self.full { 1000 } else { quick_default })
     }
 
-    /// Finishes a bench run: snapshots the trace counters into `m`, emits
-    /// it on any active trace sinks, and writes it to `--out` (or
+    /// Finishes a bench run: sets `m.wall_time_s` to the time since the
+    /// flags were parsed, snapshots the trace counters into `m`, emits it
+    /// on any active trace sinks, and writes it to `--out` (or
     /// `default_out`, when given) as pretty JSON.
     pub fn finish_run(&self, mut m: trace::RunManifest, default_out: Option<&str>) {
+        m.wall_time_s = self.start.elapsed().as_secs_f64();
         m.snapshot_counters();
         m.snapshot_profile();
         m.emit();
@@ -288,6 +434,51 @@ mod tests {
         assert!(!parse(&["--quick"], &own).unwrap().has("--overhead-only"));
         // Undeclared, the switch is ignored rather than recorded.
         assert!(!parse(&["--overhead-only"], &[]).unwrap().has("--overhead-only"));
+    }
+
+    #[test]
+    fn timing_order_statistics_odd_count() {
+        // statistics.quantiles([1, 2, 3, 4, 5], n=4) == [1.5, 3.0, 4.5]
+        let t = Timing::from_samples(vec![5.0, 1.0, 4.0, 2.0, 3.0]);
+        assert_eq!((t.count(), t.min(), t.median()), (5, 1.0, 3.0));
+        assert_eq!(t.quartiles(), (1.5, 4.5));
+        assert_eq!((t.mean(), t.std_dev()), (3.0, 2f64.sqrt()));
+    }
+
+    #[test]
+    fn timing_order_statistics_even_count() {
+        // statistics.quantiles([1..=10], n=4) == [2.75, 5.5, 8.25]
+        let t = Timing::from_samples((1..=10).rev().map(f64::from).collect());
+        assert_eq!((t.min(), t.median()), (1.0, 5.5));
+        assert_eq!(t.quartiles(), (2.75, 8.25));
+        // Two samples clamp the quartiles to the extremes.
+        let t = Timing::from_samples(vec![3.0, 1.0]);
+        assert_eq!((t.min(), t.median(), t.quartiles()), (1.0, 2.0, (1.0, 3.0)));
+        let one = Timing::from_samples(vec![7.0]);
+        assert_eq!((one.median(), one.quartiles(), one.std_dev()), (7.0, (7.0, 7.0), 0.0));
+        assert_eq!(t.scaled(1e3), Timing::from_samples(vec![1e3, 3e3]));
+    }
+
+    #[test]
+    fn time_divides_each_sample_by_its_calls() {
+        const CALLS: usize = 8;
+        let mut n = 0;
+        let t = time(3, CALLS, || {
+            n += 1;
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        });
+        assert_eq!((n, t.count()), (1 + 3 * CALLS, 3));
+        // Per call, not per sample: a sample of 8 calls takes at least 16 ms.
+        assert!(t.min() >= 0.002 && t.min() < 0.008, "{t:?}");
+    }
+
+    #[test]
+    fn time_pairs_alternates_which_side_runs_first() {
+        let order = std::cell::RefCell::new(String::new());
+        let p = time_pairs(4, || order.borrow_mut().push('a'), || order.borrow_mut().push('b'));
+        // Warm-up, then pairs ab, ba, ab, ba.
+        assert_eq!(order.into_inner(), "ab".to_owned() + "ab" + "ba" + "ab" + "ba");
+        assert_eq!((p.a.count(), p.b.count(), p.ratio.count()), (4, 4, 4));
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Random fault sampling for injection campaigns: where to flip, seeded and
 //! reproducible (the role PyTorchFI plays for the paper's tool).
 
-use crate::flip::{flip_metadata, flip_value, MetadataFlip, ValueFlip};
 use crate::site::{BitSampler, BitStrata, SiteKind};
-use formats::{NumberFormat, Quantized};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -21,19 +19,17 @@ pub struct Fault {
 /// Why a fault could not be sampled: the requested fault space is empty.
 ///
 /// Returned by the `try_*` sampling methods; the panicking variants use
-/// its [`Display`](std::fmt::Display) text as their panic message, so an
-/// empty tensor is no longer misreported as "format has no metadata words".
+/// its [`Display`](std::fmt::Display) text as their panic message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EmptyFaultSpace {
     /// The tensor has zero elements, so there are no value bits to flip.
     NoElements,
     /// The data word width is zero bits.
     ZeroBitWidth,
-    /// The format carries no hardware metadata (e.g. plain FP or FxP).
+    /// There are no metadata bits to flip: the format carries no hardware
+    /// metadata (e.g. plain FP or FxP), or its metadata words are 0 bits
+    /// wide.
     NoMetadataWords,
-    /// The format does carry metadata, but quantising a 0-element tensor
-    /// produced zero metadata words, so there is nothing to flip.
-    EmptyTensorMetadata,
 }
 
 impl std::fmt::Display for EmptyFaultSpace {
@@ -48,13 +44,6 @@ impl std::fmt::Display for EmptyFaultSpace {
             EmptyFaultSpace::NoMetadataWords => {
                 write!(f, "empty fault space: format has no metadata words")
             }
-            EmptyFaultSpace::EmptyTensorMetadata => {
-                write!(
-                    f,
-                    "empty fault space: 0-element tensor produced no metadata words \
-                     (the format does carry metadata; quantise a non-empty tensor)"
-                )
-            }
         }
     }
 }
@@ -66,14 +55,15 @@ impl std::error::Error for EmptyFaultSpace {}
 /// # Examples
 ///
 /// ```
-/// use inject::Injector;
+/// use inject::{flip_value, Injector};
 /// use formats::{FloatingPoint, NumberFormat};
 /// use tensor::Tensor;
 ///
 /// let fp = FloatingPoint::fp16();
 /// let mut q = fp.real_to_format_tensor(&Tensor::ones([16]));
 /// let mut inj = Injector::new(42);
-/// let record = inj.inject_random_value(&fp, &mut q);
+/// let fault = inj.sample_value_fault(q.values.numel(), fp.bit_width() as usize);
+/// let record = flip_value(&fp, &mut q, fault.index, fault.bit);
 /// assert!(record.element < 16);
 /// ```
 #[derive(Debug)]
@@ -199,74 +189,6 @@ impl Injector {
         }
     }
 
-    /// Samples and executes a random single-bit value flip on `q`, or
-    /// reports an empty fault space (0-element tensor).
-    pub fn try_inject_random_value(
-        &mut self,
-        format: &dyn NumberFormat,
-        q: &mut Quantized,
-    ) -> Result<ValueFlip, EmptyFaultSpace> {
-        let f = self.try_sample_value_fault(q.values.numel(), format.bit_width() as usize)?;
-        Ok(flip_value(format, q, f.index, f.bit))
-    }
-
-    /// Samples and executes a random single-bit value flip on `q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor has 0 elements.
-    pub fn inject_random_value(
-        &mut self,
-        format: &dyn NumberFormat,
-        q: &mut Quantized,
-    ) -> ValueFlip {
-        match self.try_inject_random_value(format, q) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Samples and executes a random single-bit metadata flip on `q`, or
-    /// reports an empty fault space — distinguishing a format with no
-    /// metadata from a metadata-carrying format handed a 0-element tensor
-    /// (which quantises to zero metadata words).
-    pub fn try_inject_random_metadata(
-        &mut self,
-        format: &dyn NumberFormat,
-        q: &mut Quantized,
-    ) -> Result<MetadataFlip, EmptyFaultSpace> {
-        let f = self.try_sample_metadata_fault(q.meta.word_count(), q.meta.word_width()).map_err(
-            |e| {
-                if e == EmptyFaultSpace::NoMetadataWords
-                    && format.supports_metadata_injection()
-                    && q.values.numel() == 0
-                {
-                    EmptyFaultSpace::EmptyTensorMetadata
-                } else {
-                    e
-                }
-            },
-        )?;
-        Ok(flip_metadata(format, q, f.index, f.bit))
-    }
-
-    /// Samples and executes a random single-bit metadata flip on `q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the format carries no metadata, or if the tensor is empty
-    /// (zero metadata words).
-    pub fn inject_random_metadata(
-        &mut self,
-        format: &dyn NumberFormat,
-        q: &mut Quantized,
-    ) -> MetadataFlip {
-        match self.try_inject_random_metadata(format, q) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Access to the underlying RNG (for campaign-level sampling such as
     /// choosing a layer).
     pub fn rng(&mut self) -> &mut StdRng {
@@ -277,7 +199,8 @@ impl Injector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use formats::{BlockFloatingPoint, FloatingPoint};
+    use crate::flip::{flip_metadata, flip_value};
+    use formats::{BlockFloatingPoint, FloatingPoint, NumberFormat};
     use tensor::Tensor;
 
     #[test]
@@ -315,7 +238,8 @@ mod tests {
         let mut inj = Injector::new(7);
         for _ in 0..20 {
             let mut q = fp.real_to_format_tensor(&x);
-            let rec = inj.inject_random_value(&fp, &mut q);
+            let f = inj.sample_value_fault(q.values.numel(), fp.bit_width() as usize);
+            let rec = flip_value(&fp, &mut q, f.index, f.bit);
             let changed = q
                 .values
                 .as_slice()
@@ -391,23 +315,19 @@ mod tests {
 
     #[test]
     fn law_empty_fault_space_clear_errors() {
-        // A 0-element tensor must report an empty fault space explicitly —
-        // not the misleading "format has no metadata words" (the format
-        // *does* carry metadata; the tensor just produced zero words).
-        let bfp = BlockFloatingPoint::new(5, 5, 4);
+        // An empty space is a typed error naming why, never a draw.
         let mut inj = Injector::new(1);
-        let mut q = bfp.real_to_format_tensor(&Tensor::zeros([0]));
-        let err = inj.try_inject_random_metadata(&bfp, &mut q).unwrap_err();
-        assert_eq!(err, EmptyFaultSpace::EmptyTensorMetadata);
-        assert!(err.to_string().contains("0-element tensor"), "{err}");
-        let err = inj.try_inject_random_value(&bfp, &mut q).unwrap_err();
+        let err = inj.try_sample_value_fault(0, 8).unwrap_err();
         assert_eq!(err, EmptyFaultSpace::NoElements);
-        // A format with no metadata at all reports that, even on a
-        // non-empty tensor.
+        assert!(err.to_string().contains("0 elements"), "{err}");
+        assert_eq!(inj.try_sample_value_fault(4, 0), Err(EmptyFaultSpace::ZeroBitWidth));
+        // A format with no metadata quantises to zero metadata words.
         let fp = FloatingPoint::fp16();
-        let mut q = fp.real_to_format_tensor(&Tensor::ones([4]));
-        let err = inj.try_inject_random_metadata(&fp, &mut q).unwrap_err();
+        let q = fp.real_to_format_tensor(&Tensor::ones([4]));
+        let (words, width) = (q.meta.word_count(), q.meta.word_width());
+        let err = inj.try_sample_metadata_fault(words, width).unwrap_err();
         assert_eq!(err, EmptyFaultSpace::NoMetadataWords);
+        assert_eq!(inj.try_sample_metadata_fault(4, 0), Err(EmptyFaultSpace::NoMetadataWords));
     }
 
     #[test]
@@ -417,7 +337,8 @@ mod tests {
         let mut inj = Injector::new(9);
         for _ in 0..20 {
             let mut q = bfp.real_to_format_tensor(&x);
-            let rec = inj.inject_random_metadata(&bfp, &mut q);
+            let f = inj.sample_metadata_fault(q.meta.word_count(), q.meta.word_width());
+            let rec = flip_metadata(&bfp, &mut q, f.index, f.bit);
             assert!(rec.word < 4);
             assert!(rec.bit < 5);
         }
