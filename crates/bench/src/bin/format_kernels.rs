@@ -4,11 +4,17 @@
 //! BFP/MX/AFP pay a metadata pass; scalar ops are orders of magnitude
 //! slower per element but used only once per injection.
 //!
-//! Every tensor row converts 64Ki elements. `bfp:e5m5:b16` is the
-//! repository benchmark's BFP spec; `p3109:e4m3` runs the same float
-//! kernel as `fp:e5m10`. The `denormal_64k` row feeds FP8 inputs of
-//! magnitude around 2^−8, inside e4m3's denormal range. A `scalar` row
-//! converts one value to its bitstring, flips a bit and converts back.
+//! Every tensor row converts 64Ki elements. The `tensor_64k` rows feed
+//! randn, which holds no zeros. `bfp:e5m5:b16` is the repository
+//! benchmark's BFP spec; `p3109:e4m3` runs the same float kernel as
+//! `fp:e5m10`; `fp:e3m9` and `fp:e2m8` are on the DSE's FP ladder, whose
+//! normal ranges start at 2^−2 and 2^0, so most of randn lies in their
+//! denormal range. The `relu_64k` rows feed the same randn with its
+//! negatives set to `+0.0`, shaped like post-ReLU activations: half the
+//! elements are zeros, which an FP quantiser must handle as cheaply as
+//! normal values. The `denormal_64k` row feeds FP8 inputs of magnitude
+//! around 2^−8, inside e4m3's denormal range. A `scalar` row converts one
+//! value to its bitstring, flips a bit and converts back.
 //!
 //! Each row is timed by `bench::time` in samples of back-to-back calls,
 //! batched to run for at least 1 ms, 25 samples with `--quick` and 100
@@ -30,8 +36,10 @@ use trace::Json;
 const SAMPLE_SECS: f64 = 1e-3;
 
 /// The Method 1 rows, converting the same 64Ki-element tensor.
-const TENSOR_SPECS: [&str; 8] = [
+const TENSOR_SPECS: [&str; 10] = [
     "fp:e5m10",
+    "fp:e3m9",
+    "fp:e2m8",
     "fxp:1:7:8",
     "int:8",
     "bfp:e8m7:b16",
@@ -40,6 +48,9 @@ const TENSOR_SPECS: [&str; 8] = [
     "afp:e4m3",
     "p3109:e4m3",
 ];
+
+/// The float rows repeated on post-ReLU input (half `+0.0`).
+const RELU_SPECS: [&str; 4] = ["fp:e8m23", "fp:e5m10", "fp:e3m9", "fp:e2m8"];
 
 /// Times `f`, which converts `elements` elements per call, in samples of
 /// at least [`SAMPLE_SECS`]: the calls per sample double until the fastest
@@ -60,8 +71,10 @@ fn main() {
     let x = Tensor::randn([64 * 1024], &mut rng);
     // |x| spread over [2^−9, 2^−7): below e4m3's smallest normal 2^−6.
     let denormal = x.map(|v| v.signum() * (2.0f32).powf(-8.0 + v.tanh()));
+    let relu = x.map(|v| if v > 0.0 { v } else { 0.0 });
 
     let mut planned: Vec<(&str, &str)> = TENSOR_SPECS.iter().map(|&s| ("tensor_64k", s)).collect();
+    planned.extend(RELU_SPECS.iter().map(|&s| ("relu_64k", s)));
     planned.push(("denormal_64k", "fp:e4m3"));
     planned.extend([("scalar", "fp:e5m10"), ("scalar", "int:8")]);
 
@@ -86,7 +99,11 @@ fn main() {
                 })
             }
             _ => {
-                let input = if group == "denormal_64k" { &denormal } else { &x };
+                let input = match group {
+                    "denormal_64k" => &denormal,
+                    "relu_64k" => &relu,
+                    _ => &x,
+                };
                 ns_per_elem(samples, input.numel(), || {
                     std::hint::black_box(format.real_to_format_tensor(std::hint::black_box(input)));
                 })

@@ -150,44 +150,86 @@ impl FpParams {
     /// per-format constants are computed once here, outside the loop the
     /// returned closure runs in.
     ///
-    /// Round-to-nearest-even is performed by adding `half − 1 + lsb` to
-    /// the mantissa field; the carry propagates into the exponent, which
-    /// IEEE's layout makes exactly the right thing. A rounded magnitude
-    /// above the largest finite value saturates — one test for every
-    /// [`SpecialRule`], since each rule only moves `max_value`. Non-finite
-    /// inputs, f32 denormals and values below the format's normal range
-    /// take the exact f64 path (they are rare in practice and need NaN,
-    /// denormal and FTZ handling).
+    /// One straight-line body for every input, zeros, f32 denormals,
+    /// values below the format's normal range and non-finite values
+    /// included: each case is computed on the magnitude and picked by a
+    /// select, so the loop it runs in vectorises. Zero-inflated and tiny
+    /// inputs are the common case (post-ReLU activations, and narrow
+    /// exponents such as e3m9 or e2m8 whose normal range starts at 2^−2 or
+    /// 2^0), so they must not leave the vector path. Every select is exact:
+    ///
+    /// - *Normal grid* (`|x| ≥ 2^emin`). Round-to-nearest-even adds
+    ///   `half − 1 + lsb` to the mantissa field; a carry moves into the
+    ///   exponent, which IEEE's layout makes exactly the right thing.
+    /// - *Saturation.* `min(rounded bits, max bits)`: one test for every
+    ///   [`SpecialRule`], since each rule only moves `max_value`, and ±Inf
+    ///   (whose rounding leaves it Inf) saturates through it too. For
+    ///   e ≥ 9, `max_value` is beyond f32, its f32 is +Inf, and so is the
+    ///   f64 result's.
+    /// - *Denormal grid* (`|x| < 2^emin`, denormals on). The grid step is
+    ///   `2^(emin−m)`; `M = 2^(emin−m+23)` is the f32 whose ulp is that
+    ///   step. For `|x| < M`, `|x| + M` lies in `[M, 2M]` and rounds to the
+    ///   grid ties-to-even (M's own significand is even), and subtracting
+    ///   `M` back is exact (Sterbenz). An `|x| ≥ M` (only when m > 23) has
+    ///   an ulp of at least the step, so it is already on the grid. When
+    ///   `M` is below f32's normals, so is the step below 2^−149: every f32
+    ///   is on the grid, and the add and subtract are exact (or `M` is 0).
+    /// - *Flush to zero* (`|x| < 2^emin`, denormals off). `|x| ≥ 2^(emin−1)`
+    ///   gives `2^emin`, else 0; both thresholds are f32 numbers when
+    ///   `emin ≥ −126`, and magnitude bits order like the values.
+    /// - *e ≥ 9* (`emin < −126`). Every non-zero f32 is a normal of the
+    ///   format, but f32 denormals are not normalised, so the fixed-shift
+    ///   rounding is on the wrong grid for them. Scaled by 2^64 (exact)
+    ///   they are f32 normals; the rounded value keeps the input's lowest
+    ///   bit position or a coarser one, so scaling back by 2^−64 is exact.
+    /// - *Specials.* NaN returns `x` itself (its f64 round trip would quiet
+    ///   a signalling NaN), or +0 under [`SpecialRule::Finite`]. A zero
+    ///   result is `+0` under [`SpecialRule::SingleNan`] and keeps the
+    ///   sign of `x` otherwise.
     pub(crate) fn f32_quantizer(&self) -> impl Fn(f32) -> f32 + Send + Sync + Copy {
+        const SIGN: u32 = 0x8000_0000;
+        const INF: u32 = f32::INFINITY.to_bits();
+        const TINY: u32 = f32::MIN_POSITIVE.to_bits();
         let p = *self;
-        let max = p.max_value() as f32;
-        let max_bits = max.to_bits();
-        // Smallest biased f32 exponent of a normal of this format (0 when
-        // the format reaches below f32's normal range).
-        let min_field = (p.emin() + 127).max(0) as u32;
+        let max_bits = (p.max_value() as f32).to_bits();
         let shift = 23u32.saturating_sub(p.m);
+        // Ties-to-even: add `half − 1 + lsb` under the `shift` dropped bits.
+        let (bias, lsb_mask, keep) = match shift {
+            0 => (0, 0, !0),
+            s => ((1u32 << (s - 1)) - 1, 1, !((1u32 << s) - 1)),
+        };
+        // 2^k as an f32, or 0 below f32's range. Below `min_normal` is the
+        // denormal/FTZ range; for e ≥ 9 it is empty.
+        let pow2 = |k: i64| if k >= -149 { exp2(k) as f32 } else { 0.0 };
+        let min_normal = pow2(p.emin()).to_bits();
+        let ftz_half = pow2(p.emin() - 1).to_bits();
+        let magic = pow2(p.emin() - p.m as i64 + 23);
+        let (up, down) = (exp2(64) as f32, exp2(-64) as f32);
+        let (denormals, finite, single_nan) =
+            (p.denormals, p.rule == SpecialRule::Finite, p.rule == SpecialRule::SingleNan);
+        #[inline(always)]
         move |x: f32| {
             let bits = x.to_bits();
-            let rounded = if shift > 0 {
-                let lsb = (bits >> shift) & 1;
-                let add = (1u32 << (shift - 1)) - 1 + lsb;
-                bits.wrapping_add(add) & !((1u32 << shift) - 1)
-            } else {
-                bits
-            };
-            // f32 zeros and denormals (field 0) are not normalised, so the
-            // fixed-shift rounding above is on the wrong grid for them.
-            let field = (bits >> 23) & 0xff;
-            if field == 0 || field == 0xff || (rounded >> 23) & 0xff < min_field {
-                let q = p.quantize(x as f64);
-                // A NaN result is the input NaN: return `x` itself, whose
-                // f64 round trip would quiet a signalling NaN.
-                return if q.is_nan() { x } else { q as f32 };
-            }
-            if rounded & 0x7fff_ffff > max_bits {
-                return max.copysign(x);
-            }
-            f32::from_bits(rounded)
+            let (sign, abs) = (bits & SIGN, bits & !SIGN);
+            let a = f32::from_bits(abs);
+
+            // f32 zeros and denormals, prescaled for e ≥ 9; for e ≤ 8 they
+            // are below 2^emin and the `mag` select drops this result.
+            let tiny = abs < TINY;
+            let scaled = (a * if tiny { up } else { 1.0 }).to_bits();
+            let lsb = (scaled >> shift) & lsb_mask;
+            let rounded = scaled.wrapping_add(bias + lsb) & keep;
+            let normal = (f32::from_bits(rounded) * if tiny { down } else { 1.0 }).to_bits();
+            let normal = normal.min(max_bits);
+
+            let on_grid = if a < magic { (a + magic) - magic } else { a };
+            let flushed = if abs >= ftz_half { min_normal } else { 0 };
+            let sub = if denormals { on_grid.to_bits() } else { flushed };
+
+            let mag = if abs < min_normal { sub } else { normal };
+            let sign = if single_nan && mag == 0 { 0 } else { sign };
+            let nan = if finite { 0 } else { bits };
+            f32::from_bits(if abs > INF { nan } else { mag | sign })
         }
     }
 
@@ -734,16 +776,72 @@ mod tests {
     const RULES: [SpecialRule; 4] =
         [SpecialRule::Ieee, SpecialRule::NanOnly, SpecialRule::Finite, SpecialRule::SingleNan];
 
-    /// The bit-twiddling fast path must agree bitwise with the f64
-    /// reference for every f32 input. Probes: a strided sweep over all
-    /// 2^32 bit patterns (stride 4099, ~1M probes: every exponent, both
-    /// signs, f32 denormals, ±Inf, NaN) plus binade edges, ties and each
-    /// format's max and its f32 neighbours.
+    /// The DSE's FP ladder (`fp:e8m23` down to `fp:e3m8`).
+    const LADDER: [(u32, u32); 6] = [(8, 23), (4, 13), (2, 8), (3, 11), (3, 9), (3, 8)];
+
+    /// What `f32_quantizer` must return for `x`: the f64 reference's bits,
+    /// except that a NaN result keeps the input's own bits (the f64 round
+    /// trip would quiet a signalling NaN).
+    fn reference_bits(p: &FpParams, x: f32) -> u32 {
+        let want = p.quantize(x as f64) as f32;
+        if want.is_nan() {
+            x.to_bits()
+        } else {
+            want.to_bits()
+        }
+    }
+
+    /// Post-ReLU-shaped input: randn with its negatives set to zero (`+0.0`,
+    /// and `−0.0` below −1), as the hooked layer outputs mostly are.
+    fn relu_probes(rng: &mut rand::rngs::StdRng, n: usize) -> Vec<f32> {
+        let x = Tensor::randn([n], rng);
+        let relu = |v: f32| match v {
+            v if v > 0.0 => v,
+            v if v < -1.0 => -0.0,
+            _ => 0.0,
+        };
+        x.as_slice().iter().map(|&v| relu(v)).collect()
+    }
+
+    /// Probes at `p`'s small end, both signs: ties and their neighbours on
+    /// the denormal grid, the magic constant `2^(emin−m+23)`, 2^emin and
+    /// the flush-to-zero threshold 2^(emin−1) with their neighbours,
+    /// random magnitudes below 2^emin, and post-ReLU input scaled under it.
+    fn small_end_probes(p: &FpParams, rng: &mut rand::rngs::StdRng) -> Vec<f32> {
+        use rand::Rng;
+        let (emin, step) = (p.emin(), p.min_denormal());
+        let mut x: Vec<f32> = (0..48)
+            .flat_map(|k| [k as f64 * step, (k as f64 + 0.5) * step])
+            .chain([exp2(emin - p.m as i64 + 23), exp2(emin), exp2(emin - 1)])
+            .chain([exp2(emin) - step * 0.5, exp2(emin) - step * 0.25])
+            .map(|v| v as f32)
+            .flat_map(|v| [v, v.next_up(), v.next_down()])
+            .collect();
+        let below = exp2(emin) as f32;
+        x.extend((0..512).map(|_| below * rng.gen::<f32>()));
+        x.extend(
+            (0..512)
+                .map(|_| (exp2(emin - rng.gen_range(1i64..40)) * rng.gen_range(1.0..2.0)) as f32),
+        );
+        x.extend(relu_probes(rng, 512).iter().map(|v| v * below * 0.25));
+        x.extend(x.clone().iter().map(|v| -v));
+        x
+    }
+
+    /// The f32 quantiser must agree bitwise with the f64 reference for
+    /// every f32 input, as scalar code and vectorised inside Method 1
+    /// (`real_to_format_tensor`) under every kernel the host supports.
+    /// Probes: a strided sweep over all 2^32 bit patterns (stride 4099,
+    /// ~1M probes: every exponent, both signs, f32 denormals, ±Inf, NaN),
+    /// post-ReLU input (zero-inflated), binade edges, ties, each format's
+    /// max and its f32 neighbours, and its small end (`small_end_probes`).
     /// Splits: every rule with both denormal settings, e ≥ 9 included;
-    /// e11 and m ≥ 23 under IEEE only (reclaiming e11's top binade
-    /// overflows f64).
+    /// the DSE ladder with both denormal settings; e11 and m > 23 under
+    /// IEEE only (reclaiming e11's top binade overflows f64).
     #[test]
     fn f32_quantizer_matches_reference_bitwise() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xf32_7a11);
         let mut cases: Vec<f32> = vec![
             // An f32 denormal whose fixed-shift rounding would carry into
             // the normal range; for e ≥ 9 it is a normal on a finer grid.
@@ -771,31 +869,95 @@ mod tests {
             f32::from_bits(0x7f80_0001), // signalling NaN
         ];
         cases.extend(cases.clone().iter().map(|x| -x));
+        cases.extend(relu_probes(&mut rng, 4096));
         let sweep = (0..=u32::MAX / 4099).map(|i| f32::from_bits(i * 4099));
         let probes: Vec<f32> = cases.into_iter().chain(sweep).collect();
         let mut formats = vec![
             FpParams::new(11, 20, true, SpecialRule::Ieee),
-            FpParams::new(8, 23, true, SpecialRule::Ieee),
             FpParams::new(3, 23, false, SpecialRule::Ieee),
             FpParams::new(4, 30, true, SpecialRule::Ieee),
+            // The denormal-grid constant 2^(emin−m+23) is an f32 denormal.
+            FpParams::new(8, 30, true, SpecialRule::Ieee),
         ];
+        for (e, m) in LADDER {
+            formats.extend([true, false].map(|dn| FpParams::new(e, m, dn, SpecialRule::Ieee)));
+        }
         for rule in RULES {
             for (e, m) in [(2, 1), (2, 5), (3, 4), (4, 3), (5, 2), (6, 1), (8, 7), (10, 5)] {
                 formats.extend([true, false].map(|dn| FpParams::new(e, m, dn, rule)));
             }
         }
         for p in formats {
-            let fast = p.f32_quantizer();
             let max = p.max_value() as f32;
             let edges = [max, max.next_up(), max.next_down()];
-            for &x in probes.iter().chain(&edges).chain(&edges.map(|x| -x)) {
-                let (got, want) = (fast(x), p.quantize(x as f64) as f32);
-                // NaN keeps the input's own bits (the f64 round trip in
-                // `want` would quiet a signalling NaN).
-                let want = if want.is_nan() { x } else { want };
-                assert_eq!(got.to_bits(), want.to_bits(), "{p:?} at {x:e} ({:#010x})", x.to_bits());
+            let mut xs = probes.clone();
+            xs.extend(edges.iter().chain(&edges.map(|x| -x)));
+            xs.extend(small_end_probes(&p, &mut rng));
+            let want: Vec<u32> = xs.iter().map(|&x| reference_bits(&p, x)).collect();
+            let fast = p.f32_quantizer();
+            for (&x, &w) in xs.iter().zip(&want) {
+                assert_eq!(fast(x).to_bits(), w, "scalar {p:?} at {x:e} ({:#010x})", x.to_bits());
             }
+            let t = Tensor::from_vec(xs.clone(), [xs.len()]);
+            crate::chunk::for_each_kernel(|kern| {
+                let q = FloatingPoint { params: p }.real_to_format_tensor(&t);
+                for ((&x, &w), v) in xs.iter().zip(&want).zip(q.values.as_slice()) {
+                    assert_eq!(v.to_bits(), w, "{kern} {p:?} at {x:e} ({:#010x})", x.to_bits());
+                }
+            });
         }
+    }
+
+    /// Every one of the 2^32 f32 inputs against the f64 reference, through
+    /// Method 1's vectorised loop under the dispatched kernel: the DSE
+    /// ladder, one format per [`SpecialRule`], flush-to-zero, e ≥ 9 and
+    /// m > 23. About 75 s of one core per format in release, so it is
+    /// ignored by default: `cargo test --release -p formats -- --ignored`
+    /// (the formats are shared out over up to 4 threads).
+    #[test]
+    #[ignore]
+    fn f32_quantizer_matches_reference_exhaustively() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let mut formats: Vec<FpParams> =
+            LADDER.iter().map(|&(e, m)| FpParams::new(e, m, true, SpecialRule::Ieee)).collect();
+        formats.extend([
+            FpParams::new(4, 3, false, SpecialRule::NanOnly),
+            FpParams::new(4, 3, true, SpecialRule::SingleNan),
+            FpParams::new(2, 1, true, SpecialRule::Finite),
+            FpParams::new(11, 20, true, SpecialRule::Ieee),
+            FpParams::new(9, 5, false, SpecialRule::Ieee),
+            FpParams::new(4, 30, true, SpecialRule::Ieee),
+        ]);
+        const CHUNK: u64 = 1 << 16;
+        let next = AtomicUsize::new(0);
+        let sweep = || {
+            let mut mismatches = Vec::new();
+            while let Some(&p) = formats.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let format = FloatingPoint { params: p };
+                let mut count = 0u64;
+                let mut first = None;
+                for lo in (0..1u64 << 32).step_by(CHUNK as usize) {
+                    let xs: Vec<f32> = (lo..lo + CHUNK).map(|b| f32::from_bits(b as u32)).collect();
+                    let q = format.real_to_format_tensor(&Tensor::from_vec(xs.clone(), [xs.len()]));
+                    for (&x, v) in xs.iter().zip(q.values.as_slice()) {
+                        if v.to_bits() != reference_bits(&p, x) {
+                            count += 1;
+                            first.get_or_insert(x.to_bits());
+                        }
+                    }
+                }
+                mismatches.push((p, count, first));
+            }
+            mismatches
+        };
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+        let results: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads).map(|_| s.spawn(sweep)).collect();
+            handles.into_iter().flat_map(|h| h.join().expect("sweep thread")).collect()
+        });
+        assert_eq!(results.len(), formats.len());
+        let bad: Vec<_> = results.iter().filter(|r| r.1 > 0).collect();
+        assert!(bad.is_empty(), "mismatches (format, count, first input bits): {bad:x?}");
     }
 
     /// Every split of at most 8 bits, e ≥ 2 and m ≥ 1.
