@@ -259,24 +259,23 @@ fn main() {
         effective_tps / serial_tps
     );
 
-    // Cold vs. warm artifact store: the same end-to-end multi-format
-    // evaluation campaign — prepare a model, then per format quantise the
-    // weights, measure accuracy, and run a small weight campaign —
-    // against one `--store` directory, twice. The cold pass trains the
-    // model and converts every weight tensor; the warm pass (a fresh
-    // handle, like a second process) loads the trained checkpoint and the
-    // cached conversions. Per-trial records are asserted byte-identical.
+    // Checkpoint reuse: the same end-to-end multi-format evaluation
+    // campaign — prepare a model, then per format measure accuracy and
+    // run a small weight campaign — against one `--store` directory,
+    // twice. The cold pass trains the model and stores its checkpoint;
+    // the warm pass (a fresh handle, like a second process) loads it.
+    // Per-trial records are asserted byte-identical.
     let store_dir =
         std::env::temp_dir().join(format!("goldeneye_store_bench_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
     let (cold_s, cold_stats, cold_jsonl) = store_end_to_end(&store_dir);
     let (warm_s, warm_stats, warm_jsonl) = store_end_to_end(&store_dir);
     let _ = std::fs::remove_dir_all(&store_dir);
-    assert!(cold_jsonl == warm_jsonl, "warm store changed per-trial campaign records");
+    assert!(cold_jsonl == warm_jsonl, "a loaded checkpoint changed per-trial campaign records");
     let warm_speedup = cold_s / warm_s;
     println!(
-        "\nArtifact store (end-to-end multi-format campaign): cold {cold_s:.2}s, warm \
-         {warm_s:.2}s ({warm_speedup:.2}x, warm hit rate {:.0}%, {} bytes reused, \
+        "\nCheckpoint reuse (end-to-end multi-format campaign): trained {cold_s:.2}s, loaded \
+         {warm_s:.2}s ({warm_speedup:.2}x, warm hit rate {:.0}%, {} checkpoint bytes reused, \
          byte-identical records)",
         warm_stats.hit_rate() * 100.0,
         warm_stats.bytes_reused
@@ -342,7 +341,7 @@ fn store_end_to_end(dir: &std::path::Path) -> (f64, store::StoreStats, String) {
     };
     let mut jsonl = String::new();
     for spec in ["fp:e4m3", "fp:e5m2", "int:8", "posit:8:0", "bfp:e5m5:b16"] {
-        let ge = GoldenEye::parse(spec).expect("valid spec").with_store(store.clone());
+        let ge = GoldenEye::parse(spec).expect("valid spec");
         evaluate_accuracy_jobs(&ge, &model, &data, 32, 16, 1);
         jsonl.push_str(&run_weight_campaign(&ge, &model, &x, &y, &cfg).canonical_trial_jsonl());
     }

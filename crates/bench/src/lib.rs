@@ -1,9 +1,11 @@
 //! Shared harness for the benchmark binaries that regenerate the paper's
 //! tables and figures (see DESIGN.md §4 for the experiment index).
 //!
-//! Models are trained once on the synthetic dataset and cached under
-//! `target/goldeneye_cache/`, so repeated `cargo run -p bench --bin figN`
-//! invocations reuse the same "pretrained" weights.
+//! Models are trained once on the synthetic dataset and kept as store
+//! checkpoints under `target/goldeneye_cache/` (`GOLDENEYE_CACHE`
+//! overrides), named by [`ModelKind::checkpoint_name`]. After a change to
+//! the training *code*, which the name does not capture, clear that
+//! directory.
 //!
 //! Every binary that times something uses [`time`] or [`time_pairs`] and
 //! reads its statistics off the returned [`Timing`]; [`BenchArgs`] times
@@ -14,7 +16,9 @@ use nn::Module;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
+use store::Store;
 
 /// Canonical image side length shared by every experiment.
 pub const IMG_SIZE: usize = 32;
@@ -24,6 +28,10 @@ pub const NUM_CLASSES: usize = 10;
 pub const TRAIN_N: usize = 512;
 /// Evaluation-set size.
 pub const TEST_N: usize = 128;
+/// Seed of the training split.
+const TRAIN_SEED: u64 = 2022;
+/// Seed of the random initialisation every model starts from.
+const BUILD_SEED: u64 = 0xC0FFEE;
 
 /// The evaluation models of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,7 +47,7 @@ pub enum ModelKind {
 }
 
 impl ModelKind {
-    /// Stable name used for cache files and table rows.
+    /// Stable name used in checkpoint names and table rows.
     pub fn name(&self) -> &'static str {
         match self {
             ModelKind::Resnet18 => "resnet18",
@@ -49,24 +57,34 @@ impl ModelKind {
         }
     }
 
-    fn build(&self) -> Box<dyn Module> {
-        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+    fn arch(&self) -> Arch {
         match self {
-            ModelKind::Resnet18 => {
-                Box::new(ResNet::new(ResNetConfig::resnet18(8, NUM_CLASSES), &mut rng))
-            }
-            ModelKind::Resnet50 => {
-                Box::new(ResNet::new(ResNetConfig::resnet50(4, NUM_CLASSES), &mut rng))
-            }
-            ModelKind::DeitTiny => Box::new(VisionTransformer::new(
-                DeitConfig::deit_tiny(IMG_SIZE, NUM_CLASSES),
-                &mut rng,
-            )),
-            ModelKind::DeitBase => Box::new(VisionTransformer::new(
-                DeitConfig::deit_base(IMG_SIZE, NUM_CLASSES),
-                &mut rng,
-            )),
+            ModelKind::Resnet18 => Arch::ResNet(ResNetConfig::resnet18(8, NUM_CLASSES)),
+            ModelKind::Resnet50 => Arch::ResNet(ResNetConfig::resnet50(4, NUM_CLASSES)),
+            ModelKind::DeitTiny => Arch::Deit(DeitConfig::deit_tiny(IMG_SIZE, NUM_CLASSES)),
+            ModelKind::DeitBase => Arch::Deit(DeitConfig::deit_base(IMG_SIZE, NUM_CLASSES)),
         }
+    }
+
+    fn build(&self) -> Box<dyn Module> {
+        let mut rng = StdRng::seed_from_u64(BUILD_SEED);
+        match self.arch() {
+            Arch::ResNet(c) => Box::new(ResNet::new(c, &mut rng)),
+            Arch::Deit(c) => Box::new(VisionTransformer::new(c, &mut rng)),
+        }
+    }
+
+    /// The trained checkpoint's name in the cache store. It hashes the
+    /// architecture, the training hyperparameters, the training data and
+    /// the seeds, so changing any of them trains afresh.
+    pub fn checkpoint_name(&self) -> String {
+        let identity = format!(
+            "{:?}|{:?}|train_n={TRAIN_N} img={IMG_SIZE} classes={NUM_CLASSES} \
+             data_seed={TRAIN_SEED}|init={BUILD_SEED}",
+            self.arch(),
+            self.train_config()
+        );
+        format!("bench:{}:{:016x}", self.name(), formats::hash::fnv1a(identity.as_bytes()))
     }
 
     fn train_config(&self) -> TrainConfig {
@@ -87,9 +105,16 @@ impl ModelKind {
     }
 }
 
+/// A model architecture.
+#[derive(Debug)]
+enum Arch {
+    ResNet(ResNetConfig),
+    Deit(DeitConfig),
+}
+
 /// The shared training split.
 pub fn train_set() -> SyntheticDataset {
-    SyntheticDataset::generate(TRAIN_N, IMG_SIZE, NUM_CLASSES, 2022)
+    SyntheticDataset::generate(TRAIN_N, IMG_SIZE, NUM_CLASSES, TRAIN_SEED)
 }
 
 /// The shared held-out evaluation split.
@@ -104,22 +129,25 @@ fn cache_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/goldeneye_cache")
 }
 
-/// Builds (and trains, or loads from cache) a model, returning it plus its
-/// held-out accuracy.
+/// Builds (and trains, or loads from the cache store) a model, returning
+/// it plus its held-out accuracy.
 pub fn prepare_model(kind: ModelKind) -> (Box<dyn Module>, f32) {
-    let model = kind.build();
-    let dir = cache_dir();
-    std::fs::create_dir_all(&dir).expect("cannot create cache dir");
-    let path = dir.join(format!("{}.weights", kind.name()));
-    if path.exists() && models::load_params(model.as_ref(), &path).is_ok() {
+    let store = Arc::new(Store::open(cache_dir()).expect("cannot open the cache store"));
+    let name = kind.checkpoint_name();
+    let cached = kind.build();
+    let model = if let Ok(true) = models::load_params_from_store(cached.as_ref(), &store, &name) {
         eprintln!("[bench] loaded cached weights for {}", kind.name());
+        cached
     } else {
         eprintln!("[bench] training {} (one-time, cached afterwards)...", kind.name());
+        // A fresh build: a failed load may have set some parameters.
+        let model = kind.build();
         let mut cfg = kind.train_config();
         cfg.verbose = true;
         models::train(model.as_ref(), &train_set(), &cfg);
-        models::save_params(model.as_ref(), &path).expect("cannot cache weights");
-    }
+        models::save_params_to_store(model.as_ref(), &store, &name);
+        model
+    };
     let acc = models::evaluate(model.as_ref(), &test_set(), TEST_N, 32);
     eprintln!("[bench] {} held-out accuracy: {:.1}%", kind.name(), acc * 100.0);
     (model, acc)
@@ -406,6 +434,20 @@ mod tests {
             let m = kind.build();
             assert!(m.param_count() > 1000, "{} too small", kind.name());
         }
+    }
+
+    #[test]
+    fn checkpoint_names_tell_models_apart() {
+        let names: Vec<String> =
+            [ModelKind::Resnet18, ModelKind::Resnet50, ModelKind::DeitTiny, ModelKind::DeitBase]
+                .iter()
+                .map(ModelKind::checkpoint_name)
+                .collect();
+        for (i, a) in names.iter().enumerate() {
+            assert!(names[i + 1..].iter().all(|b| a != b), "{a} is not unique");
+        }
+        assert!(names[0].starts_with("bench:resnet18:"), "{}", names[0]);
+        assert_eq!(names[0], ModelKind::Resnet18.checkpoint_name(), "names must be stable");
     }
 
     fn parse(args: &[&str], own: &[&str]) -> Result<BenchArgs, String> {

@@ -100,4 +100,20 @@ mod tests {
         assert!(widths.iter().any(|&w| w <= 16));
         assert!(widths.iter().any(|&w| w > 16));
     }
+
+    /// `NumberFormat::canonical_spec` names a format by what it computes:
+    /// over the zoo, two formats share one only where the zoo holds an
+    /// intended alias (`gf:16` quantises identically to `fp:e6m9`).
+    #[test]
+    fn canonical_specs_alias_only_where_intended() {
+        let mut specs: Vec<String> =
+            standard_zoo().iter().map(|s| s.build().canonical_spec()).collect();
+        let n = specs.len();
+        specs.sort();
+        let dupes: Vec<&String> =
+            specs.windows(2).filter(|w| w[0] == w[1]).map(|w| &w[0]).collect();
+        assert_eq!(dupes, ["fp:e6m9"], "unexpected canonical-spec duplicates in the zoo");
+        specs.dedup();
+        assert_eq!(specs.len(), n - 1);
+    }
 }

@@ -23,7 +23,7 @@
 //! `--log-level <error|warn|info|debug|trace>`, `-v` (debug), and
 //! `--quiet` (warn) gate both terminal output and event verbosity.
 
-use goldeneye::dse::{accuracy_eval_stored, search, DseFamily};
+use goldeneye::dse::{accuracy_eval, search, DseFamily};
 use goldeneye::{evaluate_accuracy_jobs, run_campaign, CampaignConfig, GoldenEye};
 use inject::{BitSampler, SiteKind};
 use models::{
@@ -42,10 +42,10 @@ use trace::{logln, outln, Level, RunManifest};
 struct GlobalFlags {
     /// `--manifest <path>`: write the run manifest as pretty JSON.
     manifest: Option<std::path::PathBuf>,
-    /// `--store <dir>`: content-addressed artifact store shared across
-    /// runs (and across concurrent processes pointing at the same
-    /// directory). Caches trained demo checkpoints and quantised weights;
-    /// results stay bit-identical with or without it.
+    /// `--store <dir>`: artifact store shared across runs (and across
+    /// concurrent processes pointing at the same directory). Caches the
+    /// trained demo checkpoint; results stay bit-identical with or without
+    /// it.
     store: Option<Arc<store::Store>>,
 }
 
@@ -204,9 +204,8 @@ fn print_usage() {
          OBSERVABILITY (any subcommand):\n\
            --trace-out <path>   append structured JSONL events (spans, trials, manifest)\n\
            --manifest <path>    write the run manifest as pretty JSON\n\
-           --store <dir>        content-addressed artifact store: caches trained demo\n\
-                                checkpoints and quantised weights across\n\
-                                runs/processes (results stay bit-identical)\n\
+           --store <dir>        artifact store: caches the trained demo checkpoint\n\
+                                across runs/processes (results stay bit-identical)\n\
            --progress           live status line on stderr (heartbeats go to --trace-out)\n\
            --log-level <lvl>    error|warn|info|debug|trace (default info)\n\
            -v | --verbose       shorthand for --log-level debug\n\
@@ -330,10 +329,7 @@ fn cmd_evaluate(args: &[String], global: &GlobalFlags) -> Result<(), String> {
     let spec = flag(args, "--spec").ok_or("evaluate needs --spec")?;
     let epochs = parsed_flag(args, "--epochs")?.unwrap_or(8);
     let jobs = jobs_flag(args)?;
-    let mut ge = GoldenEye::parse(&spec).map_err(|e| e.to_string())?;
-    if let Some(store) = &global.store {
-        ge = ge.with_store(store.clone());
-    }
+    let ge = GoldenEye::parse(&spec).map_err(|e| e.to_string())?;
     let (model, data, baseline) = demo_model(&model_kind, epochs, global.store.as_ref())?;
     let t0 = Instant::now();
     let acc = evaluate_accuracy_jobs(&ge, model.as_ref(), &data, 64, 32, jobs);
@@ -376,10 +372,7 @@ fn cmd_campaign(args: &[String], global: &GlobalFlags) -> Result<(), String> {
         "metadata" => SiteKind::Metadata,
         other => return Err(format!("unknown site `{other}` (value|metadata)")),
     };
-    let mut ge = GoldenEye::parse(&spec).map_err(|e| e.to_string())?;
-    if let Some(store) = &global.store {
-        ge = ge.with_store(store.clone());
-    }
+    let ge = GoldenEye::parse(&spec).map_err(|e| e.to_string())?;
     if kind == SiteKind::Metadata && !ge.format().supports_metadata_injection() {
         return Err(format!("{} has no injectable metadata", ge.format().name()));
     }
@@ -441,12 +434,7 @@ fn cmd_dse(args: &[String], global: &GlobalFlags) -> Result<(), String> {
     let (model, data, baseline) = demo_model(&model_kind, 8, global.store.as_ref())?;
     outln!("baseline accuracy: {:.1}%, allowed drop {:.1}%", baseline * 100.0, drop * 100.0);
     let t0 = Instant::now();
-    let result = search(
-        family,
-        accuracy_eval_stored(model.as_ref(), &data, 64, 32, jobs, global.store.clone()),
-        baseline,
-        drop,
-    );
+    let result = search(family, accuracy_eval(model.as_ref(), &data, 64, 32, jobs), baseline, drop);
     let wall = t0.elapsed().as_secs_f64();
     for n in &result.nodes {
         outln!(

@@ -609,9 +609,9 @@ pub fn run_campaign(
 /// error-free run over quantised weights.
 ///
 /// Weights are quantised into the format up front (the paper's offline
-/// conversion), and fully restored before returning. `cfg.kind` is
-/// ignored: stored weights are data values. Trials run on the same wave
-/// scheduler as [`run_campaign`], so early stopping,
+/// conversion), and fully restored before returning or unwinding.
+/// `cfg.kind` is ignored: stored weights are data values. Trials run on
+/// the same wave scheduler as [`run_campaign`], so early stopping,
 /// stratified bit sampling and wave heartbeats apply here too.
 ///
 /// Each trial perturbs its weight through a **thread-local** parameter
@@ -628,17 +628,14 @@ pub fn run_weight_campaign(
     targets: &[usize],
     cfg: &CampaignConfig,
 ) -> CampaignResult {
-    use crate::instrument::ParamSnapshot;
-    let snapshot = ParamSnapshot::capture(model);
-    ge.quantize_weights(model);
+    let _restore = ge.quantized_weights(model);
     let golden = ge.run(model, x.clone());
     // Clean weights quantise to the same codes every trial: convert each
-    // once (through the artifact store when attached) and hand trials a
-    // private clone to flip.
+    // once and hand trials a private clone to flip.
     let mut weights: Vec<(nn::Param, formats::Quantized)> = Vec::new();
     model.visit_params(&mut |p| {
         if p.name().ends_with(".weight") {
-            weights.push((p.clone(), ge.quantize_tensor_cached(&p.get())));
+            weights.push((p.clone(), ge.format().real_to_format_tensor(&p.get())));
         }
     });
     let _campaign_span =
@@ -662,7 +659,6 @@ pub fn run_weight_campaign(
         let faulty = ge.run(model, x.clone());
         (Some((fault.index, fault.bit)), Some(compare_outcomes(&golden, &faulty, targets)))
     });
-    snapshot.restore(model);
     campaign_result(ge.format().name(), SiteKind::Value, sites, cfg.injections_per_layer)
 }
 

@@ -27,29 +27,24 @@ pub fn accuracy_eval<'a>(
     batch_size: usize,
     jobs: usize,
 ) -> impl FnMut(&FormatSpec) -> f32 + 'a {
-    accuracy_eval_stored(model, data, k, batch_size, jobs, None)
+    move |spec| {
+        let ge = crate::GoldenEye::new(spec.build());
+        crate::evaluate_accuracy_jobs(&ge, model, data, k, batch_size, jobs)
+    }
 }
 
-/// [`accuracy_eval`] backed by an artifact store: every candidate's
-/// offline weight conversion goes through `store`, so tree nodes that
-/// revisit a `(weights × format)` pair — and whole repeated searches —
-/// reuse the cached conversion instead of recomputing it. Accuracies are
-/// bit-identical to the store-less evaluator.
+/// [`accuracy_eval`]; `store` is not used. The argument stays only
+/// because the repository benchmark passes it, and goes at that
+/// benchmark's next change.
 pub fn accuracy_eval_stored<'a>(
     model: &'a dyn nn::Module,
     data: &'a models::SyntheticDataset,
     k: usize,
     batch_size: usize,
     jobs: usize,
-    store: Option<std::sync::Arc<store::Store>>,
+    _store: Option<std::sync::Arc<store::Store>>,
 ) -> impl FnMut(&FormatSpec) -> f32 + 'a {
-    move |spec| {
-        let mut ge = crate::GoldenEye::new(spec.build());
-        if let Some(store) = &store {
-            ge = ge.with_store(store.clone());
-        }
-        crate::evaluate_accuracy_jobs(&ge, model, data, k, batch_size, jobs)
-    }
+    accuracy_eval(model, data, k, batch_size, jobs)
 }
 
 /// The format family being explored.

@@ -11,7 +11,8 @@ use tensor::ops;
 /// samples of `data` in batches of `batch_size`.
 ///
 /// Weights are quantised for the duration of the evaluation and restored
-/// afterwards, so the measurement covers both weights and neurons (§V-B).
+/// afterwards, also when a forward panics, so the measurement covers both
+/// weights and neurons (§V-B).
 pub fn evaluate_accuracy(
     ge: &GoldenEye,
     model: &dyn Module,
@@ -35,8 +36,7 @@ pub fn evaluate_accuracy_jobs(
     batch_size: usize,
     jobs: usize,
 ) -> f32 {
-    let snap = crate::instrument::ParamSnapshot::capture(model);
-    ge.quantize_weights(model);
+    let _restore = ge.quantized_weights(model);
     let k = k.min(data.len());
     let batches = k.div_ceil(batch_size);
     let _span = trace::span!("evaluate", format = ge.format().name(), jobs = jobs);
@@ -55,7 +55,6 @@ pub fn evaluate_accuracy_jobs(
     });
     progress.heartbeat(vec![("jobs", trace::Json::from(jobs))]);
     progress.finish();
-    snap.restore(model);
     per_batch.iter().sum::<usize>() as f32 / k as f32
 }
 

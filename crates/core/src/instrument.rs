@@ -345,7 +345,6 @@ pub struct GoldenEye {
     filter: LayerFilter,
     range: Arc<RangeProfile>,
     detect: bool,
-    store: Option<Arc<store::Store>>,
 }
 
 impl std::fmt::Debug for GoldenEye {
@@ -373,7 +372,6 @@ impl GoldenEye {
             filter: LayerFilter::ConvLinear,
             range: Arc::new(RangeProfile::new()),
             detect: false,
-            store: None,
         }
     }
 
@@ -415,31 +413,11 @@ impl GoldenEye {
         self.formats.resolve(layer)
     }
 
-    /// Attaches a content-addressed artifact store: offline weight
-    /// conversions ([`GoldenEye::quantize_weights`] and the weight-campaign
-    /// clean pass) are served from the store when the same
-    /// `(weights × format)` pair was converted before — by this run, an
-    /// earlier one, or a concurrent process sharing the directory.
-    ///
-    /// Results are bit-identical with and without a store; only the work
-    /// is shared.
-    pub fn with_store(mut self, store: Arc<store::Store>) -> Self {
-        self.store = Some(store);
+    /// Returns the simulator unchanged: weight conversion costs less than
+    /// a store lookup. Kept only because the repository benchmark calls
+    /// it; it goes at that benchmark's next change.
+    pub fn with_store(self, _store: Arc<store::Store>) -> Self {
         self
-    }
-
-    /// The attached artifact store, if any.
-    pub fn store(&self) -> Option<&Arc<store::Store>> {
-        self.store.as_ref()
-    }
-
-    /// Quantises one tensor under the default format, through the store
-    /// when one is attached (bit-identical either way).
-    pub fn quantize_tensor_cached(&self, t: &Tensor) -> Quantized {
-        match &self.store {
-            Some(store) => store.get_or_quantize(self.format(), t),
-            None => self.format().real_to_format_tensor(t),
-        }
     }
 
     /// The emulated format.
@@ -658,12 +636,20 @@ impl GoldenEye {
         let mut touched = 0;
         model.visit_params(&mut |p: &Param| {
             if p.name().ends_with(".weight") {
-                let q = self.quantize_tensor_cached(&p.get());
+                let q = self.format().real_to_format_tensor(&p.get());
                 p.set(self.format().format_to_real_tensor(&q));
                 touched += 1;
             }
         });
         touched
+    }
+
+    /// [`GoldenEye::quantize_weights`] until the returned guard drops and
+    /// restores every parameter, also while a panicking trial unwinds.
+    pub(crate) fn quantized_weights<'m>(&self, model: &'m dyn Module) -> RestoreOnDrop<'m> {
+        let guard = RestoreOnDrop(ParamSnapshot::capture(model), model);
+        self.quantize_weights(model);
+        guard
     }
 
     /// Injects one bit flip into a stored weight (offline weight
@@ -891,6 +877,15 @@ impl ParamSnapshot {
             i += 1;
         });
         assert_eq!(i, self.values.len(), "parameter count changed since snapshot");
+    }
+}
+
+/// Restores a model's parameters when dropped ([`GoldenEye::quantized_weights`]).
+pub(crate) struct RestoreOnDrop<'m>(ParamSnapshot, &'m dyn Module);
+
+impl Drop for RestoreOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.restore(self.1);
     }
 }
 

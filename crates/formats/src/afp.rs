@@ -119,7 +119,7 @@ impl NumberFormat for AdaptivFloat {
 
     fn canonical_spec(&self) -> String {
         // The spec grammar has no bias-register knob; a widened register
-        // changes quantisation, so it must fork the cache key even though
+        // changes quantisation, so it must fork the identity even though
         // the resulting string no longer parses.
         if self.bias_bits == 4 {
             format!("afp:e{}m{}", self.params.e, self.params.m)

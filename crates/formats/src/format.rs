@@ -77,19 +77,18 @@ pub trait NumberFormat: std::fmt::Debug + Send + Sync {
     fn name(&self) -> String;
 
     /// The canonical [`FormatSpec`](crate::FormatSpec) string for this
-    /// format — the stable identity the artifact store keys cached
-    /// quantisations by.
+    /// format — its stable identity.
     ///
     /// Two instances that quantise identically must return the same
     /// string, and two that differ anywhere must not. For every built-in
     /// family the returned string parses back (`spec.parse::<FormatSpec>()`)
     /// to a spec that rebuilds an equivalent format, so shorthand
     /// constructions (`"fp8"`, `"bfloat16"`) and explicit ones
-    /// (`"fp:e4m3"`, `"fp:e8m7"`) share cache entries.
+    /// (`"fp:e4m3"`, `"fp:e8m7"`) share one identity.
     ///
     /// The default falls back to [`NumberFormat::name`], which also
     /// encodes every parameter — custom formats outside the spec grammar
-    /// stay uniquely keyed, just not spec-parseable.
+    /// stay unique, just not spec-parseable.
     fn canonical_spec(&self) -> String {
         self.name()
     }

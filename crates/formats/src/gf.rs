@@ -7,8 +7,8 @@
 //! GoldenFloat *is* the corresponding [`FloatingPoint`]; the wrapper
 //! exists so the `gf:N` spec is addressable from the CLI/DSE, and its
 //! [`NumberFormat::canonical_spec`] deliberately aliases to the `fp:eXmY`
-//! identity so the artifact store shares entries with the equivalent FP
-//! format instead of duplicating them.
+//! identity: it names the format by what it computes, and that is the
+//! equivalent FP format.
 //!
 //! Intentional deviation: GF32's φ-split is e12m19, but our f32-fabric
 //! `FpParams` caps exponents at 11 bits (2^2047 overflows the f64 used
@@ -30,7 +30,7 @@ use tensor::Tensor;
 /// use formats::{GoldenFloat, NumberFormat};
 /// let gf16 = GoldenFloat::new(16);
 /// assert_eq!(gf16.name(), "gf16_e6m9");
-/// // Same arithmetic identity as DLFloat16 — shared cache entries.
+/// // Same arithmetic identity as DLFloat16 — one canonical spec.
 /// assert_eq!(gf16.canonical_spec(), "fp:e6m9");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,8 +83,7 @@ impl NumberFormat for GoldenFloat {
     }
 
     /// Aliases to the equivalent `fp:eXmY` — GoldenFloat quantises
-    /// identically to that FloatingPoint, so the store must key them
-    /// together.
+    /// identically to that FloatingPoint, so they share one identity.
     fn canonical_spec(&self) -> String {
         self.inner.canonical_spec()
     }

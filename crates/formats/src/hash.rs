@@ -1,15 +1,8 @@
-//! Stable FNV-1a hashing of tensor contents — the content half of the
-//! artifact-store cache key `(tensor hash × canonical format spec)`.
+//! Stable FNV-1a hashing: artifact-store ids and payload footers,
+//! checkpoint footers, conformance golden vectors and run digests.
 //!
-//! FNV-1a is used for the same reason the conformance golden vectors use
-//! it: the hash must be identical across processes, platforms, and
-//! sessions, so Rust's randomized `DefaultHasher` is out. Tensor bytes are
-//! hashed as little-endian `f32` bit patterns, so two tensors hash equal
-//! exactly when they are bit-identical (distinct NaN payloads differ,
-//! `-0.0 != 0.0`) — the granularity the bit-exactness contract of cached
-//! quantisations needs.
-
-use tensor::Tensor;
+//! The hash must be identical across processes, platforms, and sessions,
+//! so Rust's randomized `DefaultHasher` is out.
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -31,19 +24,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_update(FNV_OFFSET, bytes)
 }
 
-/// Content hash of a tensor: rank, dimensions, then every element as its
-/// little-endian `f32` bit pattern.
-pub fn tensor_hash(t: &Tensor) -> u64 {
-    let mut h = fnv1a_update(FNV_OFFSET, &(t.ndim() as u64).to_le_bytes());
-    for &d in t.dims() {
-        h = fnv1a_update(h, &(d as u64).to_le_bytes());
-    }
-    for &v in t.as_slice() {
-        h = fnv1a_update(h, &v.to_le_bytes());
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,20 +34,5 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn tensor_hash_is_shape_and_bit_sensitive() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [4]);
-        let b = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
-        assert_ne!(tensor_hash(&a), tensor_hash(&b), "shape must feed the hash");
-        let c = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [4]);
-        assert_eq!(tensor_hash(&a), tensor_hash(&c));
-        let d = Tensor::from_vec(vec![1.0, 2.0, 3.0, -4.0], [4]);
-        assert_ne!(tensor_hash(&a), tensor_hash(&d));
-        // Signed zero is a distinct bit pattern.
-        let z = Tensor::from_vec(vec![0.0], [1]);
-        let nz = Tensor::from_vec(vec![-0.0], [1]);
-        assert_ne!(tensor_hash(&z), tensor_hash(&nz));
     }
 }

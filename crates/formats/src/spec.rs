@@ -392,10 +392,10 @@ mod tests {
 
     #[test]
     fn canonical_spec_roundtrips_through_the_grammar() {
-        // The store keys artifacts by `NumberFormat::canonical_spec`; for
+        // `NumberFormat::canonical_spec` is a format's identity; for
         // every spec-constructible format that string must parse back to
         // the spec that built it, so shorthand and explicit constructions
-        // share cache entries.
+        // share one identity.
         for s in [
             "fp:e4m3",
             "fp:e5m2:nodn",
@@ -424,8 +424,8 @@ mod tests {
     #[test]
     fn goldenfloat_canonical_spec_aliases_to_fp() {
         // `gf:N` deliberately does NOT canonicalise to itself: a GoldenFloat
-        // quantises identically to its φ-split FloatingPoint, so the store
-        // must treat them as one format.
+        // quantises identically to its φ-split FloatingPoint, so the two
+        // are one format.
         for (gf, fp) in [("gf:8", "fp:e3m4"), ("gf:16", "fp:e6m9"), ("gf:32", "fp:e11m20")] {
             let spec: FormatSpec = gf.parse().unwrap();
             let canon = spec.build().canonical_spec();

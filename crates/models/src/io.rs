@@ -1,22 +1,20 @@
-//! Weight serialisation so benchmark harnesses can train a model once and
-//! reuse it.
+//! Weight serialisation so the CLI and the benchmark harnesses can train a
+//! model once and reuse it.
 //!
 //! Format (`GERSWTS2`): magic, then per-parameter name + shape +
 //! little-endian f32 payload, then an FNV-1a 64-bit hash of everything
 //! after the magic. The hash footer turns silent corruption (truncated
 //! copies, flipped bits on disk) into a load error instead of a
-//! garbage-initialised model. `GERSWTS1` files (no footer) still load for
+//! garbage-initialised model. `GERSWTS1` data (no footer) still loads for
 //! backwards compatibility.
 //!
-//! Serialisation is split into byte-level codecs ([`params_to_bytes`],
-//! [`params_from_bytes`]) so checkpoints can round-trip through the
-//! content-addressed artifact store ([`save_params_to_store`],
-//! [`load_params_from_store`]) as well as loose files.
+//! Checkpoints live in the artifact store ([`save_params_to_store`],
+//! [`load_params_from_store`]) over the byte-level codecs
+//! ([`params_to_bytes`], [`params_from_bytes`]).
 
 use formats::hash::fnv1a;
 use nn::Module;
 use std::io::{self, Read};
-use std::path::Path;
 use std::sync::Arc;
 use tensor::Tensor;
 
@@ -117,27 +115,6 @@ pub fn params_from_bytes(model: &dyn Module, bytes: &[u8]) -> io::Result<()> {
     }
 }
 
-/// Saves all parameters of `model` to `path` (with the `GERSWTS2` hash
-/// footer).
-///
-/// # Errors
-///
-/// Returns any underlying I/O error.
-pub fn save_params(model: &dyn Module, path: impl AsRef<Path>) -> io::Result<()> {
-    std::fs::write(path, params_to_bytes(model))
-}
-
-/// Loads parameters saved by [`save_params`] into `model`, verifying the
-/// content-hash footer first.
-///
-/// # Errors
-///
-/// Returns an error if the file is corrupt or malformed, a parameter is
-/// missing, or a shape disagrees.
-pub fn load_params(model: &dyn Module, path: impl AsRef<Path>) -> io::Result<()> {
-    params_from_bytes(model, &std::fs::read(path)?)
-}
-
 /// Stores `model`'s parameters in the artifact store as the checkpoint
 /// named `name`.
 pub fn save_params_to_store(model: &dyn Module, store: &Arc<store::Store>, name: &str) {
@@ -180,20 +157,15 @@ mod tests {
 
     #[test]
     fn save_load_roundtrip() {
-        let dir = std::env::temp_dir().join("goldeneye_rs_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("weights.bin");
         let mut rng = StdRng::seed_from_u64(1);
         let a = ResNet::new(ResNetConfig::tiny(3), &mut rng);
-        save_params(&a, &path).unwrap();
         let mut rng2 = StdRng::seed_from_u64(999);
         let b = ResNet::new(ResNetConfig::tiny(3), &mut rng2);
         // Different init → different params; after load they must match.
-        load_params(&b, &path).unwrap();
+        params_from_bytes(&b, &params_to_bytes(&a)).unwrap();
         for (pa, pb) in a.params().iter().zip(b.params()) {
             assert_eq!(pa.get(), pb.get(), "param {} differs", pa.name());
         }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -203,9 +175,6 @@ mod tests {
         // inference accuracy for CNNs.
         use crate::data::SyntheticDataset;
         use crate::trainer::{evaluate, train, TrainConfig};
-        let dir = std::env::temp_dir().join("goldeneye_rs_io_test3");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("weights.bin");
         let mut rng = StdRng::seed_from_u64(2);
         let a = ResNet::new(ResNetConfig::tiny(4), &mut rng);
         let data = SyntheticDataset::generate(64, 16, 4, 3);
@@ -215,26 +184,23 @@ mod tests {
             &TrainConfig { epochs: 6, batch_size: 16, lr: 3e-3, ..Default::default() },
         );
         let acc_before = evaluate(&a, &data, 32, 16);
-        save_params(&a, &path).unwrap();
+        let store = Arc::new(store::Store::in_memory());
+        save_params_to_store(&a, &store, "ck");
         let mut rng2 = StdRng::seed_from_u64(555);
         let b = ResNet::new(ResNetConfig::tiny(4), &mut rng2);
-        load_params(&b, &path).unwrap();
+        assert!(load_params_from_store(&b, &store, "ck").unwrap());
         let acc_after = evaluate(&b, &data, 32, 16);
         assert_eq!(acc_before, acc_after, "reload changed accuracy");
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn load_into_wrong_architecture_errors() {
-        let dir = std::env::temp_dir().join("goldeneye_rs_io_test2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("weights.bin");
         let mut rng = StdRng::seed_from_u64(1);
         let a = ResNet::new(ResNetConfig::tiny(3), &mut rng);
-        save_params(&a, &path).unwrap();
+        let store = Arc::new(store::Store::in_memory());
+        save_params_to_store(&a, &store, "ck");
         let b = ResNet::new(ResNetConfig::resnet18(4, 3), &mut rng);
-        assert!(load_params(&b, &path).is_err());
-        std::fs::remove_file(path).ok();
+        assert!(load_params_from_store(&b, &store, "ck").is_err());
     }
 
     #[test]

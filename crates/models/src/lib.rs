@@ -28,9 +28,6 @@ mod trainer;
 
 pub use data::SyntheticDataset;
 pub use deit::{DeitConfig, VisionTransformer};
-pub use io::{
-    load_params, load_params_from_store, params_from_bytes, params_to_bytes, save_params,
-    save_params_to_store,
-};
+pub use io::{load_params_from_store, params_from_bytes, params_to_bytes, save_params_to_store};
 pub use resnet::{BlockKind, ResNet, ResNetConfig};
 pub use trainer::{evaluate, forward_logits, train, EpochLog, TrainConfig};

@@ -3,15 +3,13 @@
 //!
 //! The layout is designed to be mmap-able by readers that want zero-copy
 //! access: every header field is fixed-width little-endian, and the
-//! payload (raw `f32` bit patterns for tensors) starts on a
-//! 64-byte boundary so an aligned view over the mapped file is valid.
+//! payload starts on a 64-byte boundary so an aligned view over the
+//! mapped file is valid.
 //! This crate itself reads through buffered I/O — `std` has no mmap — but
 //! the layout keeps that door open without a format change.
 
 use formats::hash::{fnv1a, fnv1a_update, FNV_OFFSET};
-use formats::{Metadata, Quantized};
 use std::io;
-use tensor::Tensor;
 
 /// File magic: "GoldenEye ARTifact", layout version 1.
 pub const MAGIC: &[u8; 8] = b"GEART001";
@@ -22,9 +20,6 @@ pub const PAYLOAD_ALIGN: usize = 64;
 /// What an artifact caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArtifactKind {
-    /// A weight tensor round-tripped through a number format (values +
-    /// hardware metadata), keyed by `(input tensor hash × canonical spec)`.
-    QWeights,
     /// A serialized model checkpoint, keyed by its logical name.
     Checkpoint,
 }
@@ -32,13 +27,13 @@ pub enum ArtifactKind {
 impl ArtifactKind {
     /// Stable wire code.
     ///
-    /// Code 2 belonged to the retired dequantise-table kind and is never
-    /// reused: an old `lut-*.art` object must keep decoding as an unknown
-    /// kind, which `verify` reports and `gc` sweeps, rather than be read
-    /// as some other artifact.
+    /// Codes 1 (quantised weights) and 2 (dequantise tables) belonged to
+    /// retired kinds and are never reused: an old `qweights-*.art` or
+    /// `lut-*.art` object must keep decoding as an unknown kind, which
+    /// `verify` reports and `gc` sweeps, rather than be read as some other
+    /// artifact.
     pub fn code(self) -> u32 {
         match self {
-            ArtifactKind::QWeights => 1,
             ArtifactKind::Checkpoint => 3,
         }
     }
@@ -46,46 +41,32 @@ impl ArtifactKind {
     /// Inverse of [`ArtifactKind::code`].
     pub fn from_code(code: u32) -> Option<ArtifactKind> {
         match code {
-            1 => Some(ArtifactKind::QWeights),
             3 => Some(ArtifactKind::Checkpoint),
             _ => None,
         }
     }
 
-    /// Short name, used as the object-file prefix (`qweights-….art`).
+    /// Short name, used as the object-file prefix (`ckpt-….art`).
     pub fn as_str(self) -> &'static str {
         match self {
-            ArtifactKind::QWeights => "qweights",
             ArtifactKind::Checkpoint => "ckpt",
         }
     }
 }
 
-/// The content-addressed cache key: artifact kind, FNV-1a hash of the
-/// source content, and the canonical format-spec string (or logical
-/// checkpoint name).
+/// The cache key: artifact kind, a content hash, and the logical
+/// checkpoint name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArtifactKey {
     /// What the artifact caches.
     pub kind: ArtifactKind,
-    /// FNV-1a hash of the source content (the input weight tensor for
-    /// quantisations; 0 for checkpoints).
+    /// Content hash component; 0 for checkpoints, the only live kind.
     pub content: u64,
-    /// Canonical format-spec string ([`formats::NumberFormat::canonical_spec`])
-    /// for quantisations; the logical name for checkpoints.
+    /// The logical checkpoint name.
     pub spec: String,
 }
 
 impl ArtifactKey {
-    /// Key for `weights` quantised under `format`.
-    pub fn quantized(weights: &Tensor, format: &dyn formats::NumberFormat) -> ArtifactKey {
-        ArtifactKey {
-            kind: ArtifactKind::QWeights,
-            content: formats::hash::tensor_hash(weights),
-            spec: format.canonical_spec(),
-        }
-    }
-
     /// Key for the checkpoint named `name`.
     pub fn checkpoint(name: &str) -> ArtifactKey {
         ArtifactKey { kind: ArtifactKind::Checkpoint, content: 0, spec: name.to_string() }
@@ -108,15 +89,15 @@ impl ArtifactKey {
     }
 }
 
-/// One stored artifact: key, tensor dimensions (empty for raw blobs), and
-/// the payload bytes.
+/// One stored artifact: key, dimensions (empty for raw blobs), and the
+/// payload bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Artifact {
     /// The cache key.
     pub key: ArtifactKey,
-    /// Dimensions of the cached tensor (empty for checkpoints).
+    /// Dimensions field of the layout (empty for checkpoints).
     pub dims: Vec<usize>,
-    /// Raw payload bytes (little-endian `f32`s for tensor artifacts).
+    /// Raw payload bytes.
     pub payload: Vec<u8>,
 }
 
@@ -196,124 +177,22 @@ impl Artifact {
     }
 }
 
-/// Encodes an `f32` slice as little-endian payload bytes.
-pub fn encode_f32s(values: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
-    for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes a little-endian `f32` payload.
-///
-/// # Errors
-///
-/// Returns `InvalidData` if the byte count is not a multiple of 4.
-pub fn decode_f32s(bytes: &[u8]) -> io::Result<Vec<f32>> {
-    if !bytes.len().is_multiple_of(4) {
-        return Err(bad("f32 payload length not a multiple of 4"));
-    }
-    Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect())
-}
-
-// Metadata wire tags.
-const META_NONE: u8 = 0;
-const META_SCALE: u8 = 1;
-const META_SHARED: u8 = 2;
-const META_BIAS: u8 = 3;
-
-/// Serializes a quantised tensor — values then hardware metadata — into
-/// `(dims, payload)` for a [`ArtifactKind::QWeights`] artifact.
-pub fn encode_quantized(q: &Quantized) -> (Vec<usize>, Vec<u8>) {
-    let mut payload = encode_f32s(q.values.as_slice());
-    match &q.meta {
-        Metadata::None => payload.push(META_NONE),
-        Metadata::Scale(s) => {
-            payload.push(META_SCALE);
-            payload.extend_from_slice(&s.to_le_bytes());
-        }
-        Metadata::SharedExponents { codes, block_size, exp_bits } => {
-            payload.push(META_SHARED);
-            payload.extend_from_slice(&(codes.len() as u64).to_le_bytes());
-            payload.extend_from_slice(&(*block_size as u64).to_le_bytes());
-            payload.extend_from_slice(&exp_bits.to_le_bytes());
-            for c in codes {
-                payload.extend_from_slice(&c.to_le_bytes());
-            }
-        }
-        Metadata::ExpBias { bias, bias_bits } => {
-            payload.push(META_BIAS);
-            payload.extend_from_slice(&bias.to_le_bytes());
-            payload.extend_from_slice(&bias_bits.to_le_bytes());
-        }
-    }
-    (q.values.dims().to_vec(), payload)
-}
-
-/// Inverse of [`encode_quantized`]. Values come back with bit-identical
-/// `f32` patterns, so a cached quantisation is indistinguishable from a
-/// fresh one.
-///
-/// # Errors
-///
-/// Returns `InvalidData` on any malformation.
-pub fn decode_quantized(dims: &[usize], payload: &[u8]) -> io::Result<Quantized> {
-    let n: usize = dims.iter().product();
-    let values_len = n * 4;
-    if payload.len() < values_len + 1 {
-        return Err(bad("quantized payload too short"));
-    }
-    let values = decode_f32s(&payload[..values_len])?;
-    let rest = &payload[values_len..];
-    let take = |off: usize, len: usize| -> io::Result<&[u8]> {
-        rest.get(off..off + len).ok_or_else(|| bad("truncated quantized metadata"))
-    };
-    let meta = match rest[0] {
-        META_NONE => {
-            if rest.len() != 1 {
-                return Err(bad("trailing bytes after Metadata::None"));
-            }
-            Metadata::None
-        }
-        META_SCALE => Metadata::Scale(f32::from_le_bytes(take(1, 4)?.try_into().unwrap())),
-        META_SHARED => {
-            let ncodes = u64::from_le_bytes(take(1, 8)?.try_into().unwrap()) as usize;
-            let block_size = u64::from_le_bytes(take(9, 8)?.try_into().unwrap()) as usize;
-            let exp_bits = u32::from_le_bytes(take(17, 4)?.try_into().unwrap());
-            if ncodes > rest.len() {
-                return Err(bad("shared-exponent count out of bounds"));
-            }
-            let mut codes = Vec::with_capacity(ncodes);
-            for i in 0..ncodes {
-                codes.push(u32::from_le_bytes(take(21 + 4 * i, 4)?.try_into().unwrap()));
-            }
-            Metadata::SharedExponents { codes, block_size, exp_bits }
-        }
-        META_BIAS => Metadata::ExpBias {
-            bias: i32::from_le_bytes(take(1, 4)?.try_into().unwrap()),
-            bias_bits: u32::from_le_bytes(take(5, 4)?.try_into().unwrap()),
-        },
-        other => return Err(bad(format!("unknown metadata tag {other}"))),
-    };
-    Ok(Quantized { values: Tensor::from_vec(values, dims.to_vec()), meta })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use formats::NumberFormat;
 
     #[test]
     fn artifact_roundtrip() {
+        let payload: Vec<u8> =
+            [1.0f32, 2.5, -3.0, 0.0, -0.0, f32::NAN].iter().flat_map(|v| v.to_le_bytes()).collect();
         let a = Artifact {
             key: ArtifactKey {
-                kind: ArtifactKind::QWeights,
+                kind: ArtifactKind::Checkpoint,
                 content: 0xdead_beef,
-                spec: "fp:e4m3".into(),
+                spec: "m".into(),
             },
             dims: vec![2, 3],
-            payload: encode_f32s(&[1.0, 2.5, -3.0, 0.0, -0.0, f32::NAN]),
+            payload,
         };
         let bytes = a.encode();
         let b = Artifact::decode(&bytes).unwrap();
@@ -321,7 +200,7 @@ mod tests {
         assert_eq!(a.dims, b.dims);
         assert_eq!(a.payload, b.payload, "NaN and -0.0 bit patterns must survive");
         // Payload is 64-byte aligned in the encoding.
-        let header_len = 8 + 4 + 4 + 8 + 4 + 4 + 8 + 16 + "fp:e4m3".len();
+        let header_len = 8 + 4 + 4 + 8 + 4 + 4 + 8 + 16 + "m".len();
         let off = header_len.div_ceil(PAYLOAD_ALIGN) * PAYLOAD_ALIGN;
         assert_eq!(&bytes[off..off + a.payload.len()], &a.payload[..]);
     }
@@ -351,26 +230,20 @@ mod tests {
     }
 
     #[test]
-    fn quantized_roundtrip_all_metadata_kinds() {
-        let x = Tensor::from_vec((0..64).map(|i| (i as f32 - 31.5) / 7.0).collect(), [4, 16]);
-        for spec in ["fp:e4m3", "int:8", "bfp:e5m5:b16", "afp:e3m4", "posit:8:0"] {
-            let format = spec.parse::<formats::FormatSpec>().unwrap().build();
-            let q = format.real_to_format_tensor(&x);
-            let (dims, payload) = encode_quantized(&q);
-            let back = decode_quantized(&dims, &payload).unwrap();
-            assert_eq!(q, back, "{spec}");
-        }
-    }
-
-    #[test]
-    fn key_ids_are_distinct_across_kinds_and_specs() {
-        let t = Tensor::from_vec(vec![1.0, 2.0], [2]);
-        let fp: Box<dyn NumberFormat> = "fp:e4m3".parse::<formats::FormatSpec>().unwrap().build();
-        let q = ArtifactKey::quantized(&t, fp.as_ref());
-        let c = ArtifactKey::checkpoint("fp:e4m3");
-        let c0 = ArtifactKey { content: 0, ..q.clone() };
-        assert_ne!(q.id(), c.id());
-        assert_ne!(c0.id(), c.id());
-        assert_eq!(c0.spec, c.spec, "same spec string, different kind → different id");
+    fn checkpoint_layout_is_pinned() {
+        // Stored checkpoints outlive the code that wrote them: the file
+        // name and the encoded bytes must never drift, or every store on
+        // disk stops loading. The literals were written by the store as
+        // it stood when quantised weights were still a live kind.
+        let key = ArtifactKey::checkpoint("demo:cnn:8");
+        assert_eq!(key.file_name(), "ckpt-1c8dca2b02a736d6.art");
+        let a = Artifact { key, dims: vec![], payload: vec![1, 2, 3, 4, 5] };
+        let hex: String = a.encode().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "4745415254303031030000000a000000000000000000000000000000000000000500000000000000\
+             64656d6f3a636e6e3a3800000000000000000000000000000102030405887d6b4fbfdc660f"
+        );
+        assert_eq!(Artifact::decode(&a.encode()).unwrap(), a);
     }
 }

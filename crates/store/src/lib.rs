@@ -2,43 +2,35 @@
 
 //! # store — the content-addressed artifact store
 //!
-//! DSE and multi-format campaigns quantise the same weight tensors under
-//! the same formats over and over: every `evaluate`/`campaign` entry point
-//! re-runs the offline weight conversion, and the binary-tree DSE
-//! heuristic revisits sibling nodes that share `(weights × format)` pairs.
-//! This crate decouples that work from campaign execution by caching two
-//! artifact kinds under stable, content-addressed keys:
+//! Training a model takes seconds in the CLI and minutes in the bench
+//! binaries, and its result is pure: the same architecture, data and
+//! seed give the same weights. This crate keeps trained checkpoints
+//! under stable names so later runs load them instead of training:
 //!
 //! | kind | key | payload |
 //! |---|---|---|
-//! | `qweights` | FNV-1a(tensor bytes) × canonical spec | quantised values + metadata |
 //! | `ckpt` | logical name | serialized model parameters |
 //!
 //! A [`Store`] is an in-memory map optionally backed by a directory
 //! (`--store DIR`): every object is one file in `DIR/objects/`, written
-//! atomically (temp file + rename) so concurrent campaign processes can
-//! share one store without locks — at worst two processes compute the
-//! same artifact and the second rename wins with identical bytes.
+//! atomically (temp file + rename) so concurrent processes can share one
+//! store without locks — at worst two processes compute the same
+//! artifact and the second rename wins with identical bytes.
 //!
-//! The bit-exactness contract: a cache hit returns byte-identical values
-//! to a fresh computation (payloads are raw `f32` bit patterns, verified
-//! by an FNV-1a footer on every read), so campaign results are identical
-//! cold-cache, warm-cache, and store-disabled.
+//! The bit-exactness contract: a hit returns the bytes that were stored
+//! (verified by an FNV-1a footer on every read), so a loaded checkpoint
+//! is bit-identical to the trained one and every result computed from it
+//! is identical whether the model was trained or loaded.
 
 mod artifact;
 
-pub use artifact::{
-    decode_f32s, decode_quantized, encode_f32s, encode_quantized, Artifact, ArtifactKey,
-    ArtifactKind,
-};
+pub use artifact::{Artifact, ArtifactKey, ArtifactKind};
 
-use formats::{NumberFormat, Quantized};
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use tensor::Tensor;
 
 /// Hit/miss accounting for one [`Store`] handle (process-wide totals are
 /// also mirrored into the `store.*` trace counters).
@@ -46,9 +38,9 @@ use tensor::Tensor;
 pub struct StoreStats {
     /// Lookups served from memory or disk.
     pub hits: u64,
-    /// Lookups that had to compute the artifact.
+    /// Lookups that found nothing stored.
     pub misses: u64,
-    /// Payload bytes served from the store instead of recomputed.
+    /// Payload bytes served from the store.
     pub bytes_reused: u64,
     /// Payload bytes written into the store.
     pub bytes_written: u64,
@@ -73,7 +65,7 @@ pub struct EntryInfo {
     pub file: String,
     /// Artifact kind.
     pub kind: ArtifactKind,
-    /// Canonical spec string / checkpoint name.
+    /// Checkpoint name.
     pub spec: String,
     /// Content hash component of the key.
     pub content: u64,
@@ -117,15 +109,12 @@ pub struct GcReport {
 ///
 /// ```
 /// use store::Store;
-/// use tensor::Tensor;
 ///
 /// let store = Store::in_memory();
-/// let fp8 = "fp:e4m3".parse::<formats::FormatSpec>().unwrap().build();
-/// let w = Tensor::from_vec(vec![0.1, -1.5, 3.0], [3]);
-/// let cold = store.get_or_quantize(fp8.as_ref(), &w);
-/// let warm = store.get_or_quantize(fp8.as_ref(), &w);
-/// assert_eq!(cold, warm);
-/// assert_eq!(store.stats().hits, 1);
+/// assert_eq!(store.get_checkpoint("demo:cnn:8"), None);
+/// store.put_checkpoint("demo:cnn:8", vec![1, 2, 3]);
+/// assert_eq!(store.get_checkpoint("demo:cnn:8"), Some(vec![1, 2, 3]));
+/// assert_eq!((store.stats().hits, store.stats().misses), (1, 1));
 /// ```
 pub struct Store {
     dir: Option<PathBuf>,
@@ -271,23 +260,6 @@ impl Store {
         }
     }
 
-    /// Returns `weights` quantised under `format`, from cache when the
-    /// `(tensor hash × canonical spec)` pair was converted before — by
-    /// this process, an earlier run, or a concurrent one sharing the
-    /// directory. Cache hits are bit-identical to fresh conversions.
-    pub fn get_or_quantize(&self, format: &dyn NumberFormat, weights: &Tensor) -> Quantized {
-        let key = ArtifactKey::quantized(weights, format);
-        if let Some(a) = self.get(&key) {
-            if let Ok(q) = decode_quantized(&a.dims, &a.payload) {
-                return q;
-            }
-        }
-        let q = format.real_to_format_tensor(weights);
-        let (dims, payload) = encode_quantized(&q);
-        self.put(Artifact { key, dims, payload });
-        q
-    }
-
     /// Fetches the checkpoint named `name`, if stored.
     pub fn get_checkpoint(&self, name: &str) -> Option<Vec<u8>> {
         self.get(&ArtifactKey::checkpoint(name)).map(|a| a.payload.clone())
@@ -430,66 +402,33 @@ impl Store {
 mod tests {
     use super::*;
 
-    fn fmt(spec: &str) -> Box<dyn NumberFormat> {
-        spec.parse::<formats::FormatSpec>().unwrap().build()
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("goldeneye_store_{tag}_test"));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
-    #[test]
-    fn memory_store_hits_after_first_quantize() {
-        let store = Store::in_memory();
-        let f = fmt("bfp:e5m5:b16");
-        let w = Tensor::from_vec((0..48).map(|i| i as f32 * 0.3 - 7.0).collect(), [3, 16]);
-        let cold = store.get_or_quantize(f.as_ref(), &w);
-        assert_eq!(
-            store.stats(),
-            StoreStats { hits: 0, misses: 1, bytes_reused: 0, bytes_written: cold_bytes(&cold) }
-        );
-        let warm = store.get_or_quantize(f.as_ref(), &w);
-        assert_eq!(cold, warm);
-        assert_eq!(store.stats().hits, 1);
-        assert!(store.stats().bytes_reused > 0);
-    }
-
-    fn cold_bytes(q: &Quantized) -> u64 {
-        encode_quantized(q).1.len() as u64
-    }
-
-    #[test]
-    fn different_formats_do_not_share_entries() {
-        let store = Store::in_memory();
-        let w = Tensor::from_vec(vec![0.1, 0.7, -2.0, 5.5], [4]);
-        let a = store.get_or_quantize(fmt("fp:e4m3").as_ref(), &w);
-        let b = store.get_or_quantize(fmt("fp:e5m2").as_ref(), &w);
-        assert_ne!(a.values.as_slice(), b.values.as_slice());
-        assert_eq!(store.stats().misses, 2);
-        assert_eq!(store.stats().hits, 0);
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
     }
 
     #[test]
     fn disk_store_survives_reopen() {
-        let dir = std::env::temp_dir().join("goldeneye_store_reopen_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let w = Tensor::from_vec((0..32).map(|i| (i as f32).sin()).collect(), [32]);
-        let f = fmt("int:8");
-        let cold = {
-            let store = Store::open(&dir).unwrap();
-            store.get_or_quantize(f.as_ref(), &w)
-        };
+        let dir = temp_dir("reopen");
+        Store::open(&dir).unwrap().put_checkpoint("demo:cnn:8", vec![7; 40]);
         // A fresh handle (≈ a second process) must hit on disk.
         let store = Store::open(&dir).unwrap();
-        let warm = store.get_or_quantize(f.as_ref(), &w);
-        assert_eq!(cold, warm);
+        assert_eq!(store.get_checkpoint("demo:cnn:8"), Some(vec![7; 40]));
         assert_eq!(
             store.stats(),
-            StoreStats { hits: 1, misses: 0, bytes_reused: cold_bytes(&cold), bytes_written: 0 }
+            StoreStats { hits: 1, misses: 0, bytes_reused: 40, bytes_written: 0 }
         );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn checkpoint_roundtrip_and_ls() {
-        let dir = std::env::temp_dir().join("goldeneye_store_ckpt_test");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("ckpt");
         let store = Store::open(&dir).unwrap();
         assert!(store.get_checkpoint("demo:cnn:8").is_none());
         store.put_checkpoint("demo:cnn:8", vec![1, 2, 3, 4]);
@@ -504,11 +443,9 @@ mod tests {
 
     #[test]
     fn verify_flags_and_gc_removes_corruption() {
-        let dir = std::env::temp_dir().join("goldeneye_store_gc_test");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("gc");
         let store = Store::open(&dir).unwrap();
-        let w = Tensor::from_vec(vec![1.0, -2.0, 3.5, 0.25], [4]);
-        store.get_or_quantize(fmt("fp:e4m3").as_ref(), &w);
+        store.put_checkpoint("a", vec![3; 16]);
         store.put_checkpoint("m", vec![9; 64]);
         assert!(store.verify().unwrap().is_clean());
         assert_eq!(store.verify().unwrap().ok, 2);
@@ -534,49 +471,61 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A quantised-weight object as stores of the retired `qweights`
+    /// kind (wire code 1) wrote it: `[0.5, -1.25, 3.0]` under `fp:e4m3`,
+    /// byte for byte.
+    const RETIRED_QWEIGHTS: (&str, &str) = (
+        "qweights-303e80dadfff6245.art",
+        "47454152543030310100000007000000e77fd76f06da236801000000000000000d000000000000000300\
+         00000000000066703a65346d330000000000000000000000003f0000a0bf00004040005fba7c0c443360\
+         31",
+    );
+
     #[test]
-    fn retired_lut_objects_are_reported_and_swept() {
-        // A store written while wire code 2 held dequantise tables: its
-        // `lut-*.art` objects must read as an unknown kind, never as a
-        // live artifact, and must not disturb the objects around them.
-        let dir = std::env::temp_dir().join("goldeneye_store_retired_lut_test");
-        let _ = std::fs::remove_dir_all(&dir);
+    fn retired_kinds_are_reported_and_swept() {
+        // A store written while wire code 1 held quantised weights and
+        // code 2 dequantise tables: their objects must read as an unknown
+        // kind, never as a live artifact, and must not disturb the
+        // checkpoints around them.
+        let dir = temp_dir("retired");
         let store = Store::open(&dir).unwrap();
-        let f = fmt("fp:e4m3");
-        let w = Tensor::from_vec(vec![0.5, -1.25, 3.0], [3]);
-        let q = store.get_or_quantize(f.as_ref(), &w);
         store.put_checkpoint("demo:cnn:8", vec![5; 32]);
+        let objects = dir.join("objects");
+        let (qweights, bytes) = RETIRED_QWEIGHTS;
+        std::fs::write(objects.join(qweights), unhex(bytes)).unwrap();
         let table = Artifact {
-            key: ArtifactKey { kind: ArtifactKind::QWeights, content: 0, spec: f.canonical_spec() },
+            key: ArtifactKey { kind: ArtifactKind::Checkpoint, content: 0, spec: "fp:e4m3".into() },
             dims: vec![2],
-            payload: encode_f32s(&[0.0, 1.0]),
+            payload: vec![0; 8],
         };
-        let mut old = table.encode();
+        let mut lut = table.encode();
         // The footer hashes only the payload, so patching the kind code
         // leaves an otherwise well-formed object.
-        old[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let old_name = format!("lut-{:016x}.art", table.key.id());
-        let objects = dir.join("objects");
-        std::fs::write(objects.join(&old_name), &old).unwrap();
+        lut[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let lut_name = format!("lut-{:016x}.art", table.key.id());
+        std::fs::write(objects.join(&lut_name), &lut).unwrap();
 
         let report = store.verify().unwrap();
-        assert_eq!(report.ok, 2);
-        assert_eq!(report.corrupt.len(), 1);
-        assert_eq!(report.corrupt[0].0, old_name);
-        assert_eq!(report.corrupt[0].1, "unknown artifact kind");
+        assert_eq!(report.ok, 1);
+        assert_eq!(
+            report.corrupt,
+            [
+                (lut_name.clone(), "unknown artifact kind".to_string()),
+                (qweights.to_string(), "unknown artifact kind".to_string()),
+            ]
+        );
         let kinds: Vec<ArtifactKind> = store.ls().unwrap().iter().map(|e| e.kind).collect();
-        assert_eq!(kinds, [ArtifactKind::Checkpoint, ArtifactKind::QWeights]);
+        assert_eq!(kinds, [ArtifactKind::Checkpoint]);
 
         let gc = store.gc().unwrap();
-        assert_eq!((gc.removed_corrupt, gc.kept), (1, 2));
-        assert!(!objects.join(&old_name).exists());
+        assert_eq!((gc.removed_corrupt, gc.kept), (2, 1));
+        assert!(!objects.join(qweights).exists());
+        assert!(!objects.join(&lut_name).exists());
         assert!(store.verify().unwrap().is_clean());
 
         let reopened = Store::open(&dir).unwrap();
-        assert_eq!(reopened.get_or_quantize(f.as_ref(), &w), q);
         assert_eq!(reopened.get_checkpoint("demo:cnn:8"), Some(vec![5; 32]));
-        assert_eq!(reopened.stats().hits, 2);
-        assert_eq!(reopened.stats().misses, 0);
+        assert_eq!((reopened.stats().hits, reopened.stats().misses), (1, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

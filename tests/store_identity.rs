@@ -1,47 +1,80 @@
-//! The artifact store's bit-exactness contract: every entry point that
-//! can route offline work through the store — campaigns, weight
-//! campaigns, accuracy evaluation, DSE — must produce **byte-identical**
-//! results store-disabled, cold-cache, and warm-cache, at multiple `jobs`
-//! settings. The store may only change how fast an answer arrives, never
-//! the answer.
+//! The checkpoint axis of the determinism contract: a model loaded from
+//! the artifact store must give **byte-identical** results to the model
+//! as it was trained. Every entry point — campaigns, weight campaigns,
+//! accuracy evaluation, DSE — runs on the freshly trained model
+//! (store disabled), on the model trained into an empty store (cold) and
+//! on the model loaded back through a fresh handle (warm), at multiple
+//! `jobs` settings. The store may only change how fast a model arrives,
+//! never an answer computed from it.
 
-use goldeneye::dse::{accuracy_eval_stored, search, DseFamily};
+use goldeneye::dse::{accuracy_eval, search, DseFamily};
 use goldeneye::{
     evaluate_accuracy_jobs, run_campaign, run_weight_campaign, CampaignConfig, GoldenEye,
 };
 use inject::SiteKind;
 use models::{train, ResNet, ResNetConfig, SyntheticDataset, TrainConfig};
 use std::sync::Arc;
-use tensor::Tensor;
+use store::Store;
 
-fn setup() -> (ResNet, SyntheticDataset, Tensor, Vec<usize>) {
+const CHECKPOINT: &str = "store_identity:tiny8";
+
+fn data() -> SyntheticDataset {
+    SyntheticDataset::generate(64, 16, 4, 19)
+}
+
+/// The seeded model, loaded from `store` when it holds the checkpoint,
+/// else trained (and stored, when a store is given).
+fn model(data: &SyntheticDataset, store: Option<&Arc<Store>>) -> ResNet {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(23);
     let model = ResNet::new(ResNetConfig::tiny(8), &mut rng);
-    let data = SyntheticDataset::generate(64, 16, 4, 19);
-    train(
-        &model,
-        &data,
-        &TrainConfig { epochs: 5, batch_size: 16, lr: 3e-3, ..Default::default() },
-    );
-    let (x, y) = data.head_batch(8);
-    (model, data, x, y)
+    if let Some(store) = store {
+        if models::load_params_from_store(&model, store, CHECKPOINT).unwrap() {
+            return model;
+        }
+    }
+    train(&model, data, &TrainConfig { epochs: 5, batch_size: 16, lr: 3e-3, ..Default::default() });
+    if let Some(store) = store {
+        models::save_params_to_store(&model, store, CHECKPOINT);
+    }
+    model
 }
 
-fn temp_store_dir(tag: &str) -> std::path::PathBuf {
+/// The model trained with the store disabled, trained into an empty
+/// store, and loaded back from that store by a fresh handle (≈ a second
+/// process), labelled.
+fn disabled_cold_warm(tag: &str, data: &SyntheticDataset) -> [(&'static str, ResNet); 3] {
     let dir = std::env::temp_dir().join(format!("goldeneye_store_identity_{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    let cold_store = Arc::new(Store::open(&dir).unwrap());
+    let cold = model(data, Some(&cold_store));
+    assert_eq!((cold_store.stats().hits, cold_store.stats().misses), (0, 1), "cold store hit");
+    let warm_store = Arc::new(Store::open(&dir).unwrap());
+    let warm = model(data, Some(&warm_store));
+    assert_eq!((warm_store.stats().hits, warm_store.stats().misses), (1, 0), "warm store missed");
+    std::fs::remove_dir_all(&dir).ok();
+    [("disabled", model(data, None)), ("cold", cold), ("warm", warm)]
 }
 
-/// The pinned `jobs` settings every campaign identity check runs over
-/// (serial and parallel).
+/// The pinned `jobs` settings every identity check runs over (serial
+/// and parallel).
 const JOBS: [usize; 2] = [1, 4];
+
+/// Asserts `run` gives one answer for all three models, at every `jobs`.
+fn assert_identical<T: PartialEq>(tag: &str, run: impl Fn(&ResNet, &SyntheticDataset, usize) -> T) {
+    let data = data();
+    let models = disabled_cold_warm(tag, &data);
+    for jobs in JOBS {
+        let reference = run(&models[0].1, &data, jobs);
+        for (label, model) in &models[1..] {
+            assert!(run(model, &data, jobs) == reference, "jobs={jobs}: {label} store moved {tag}");
+        }
+    }
+}
 
 #[test]
 fn campaign_jsonl_is_byte_identical_disabled_cold_warm() {
-    let (model, _data, x, y) = setup();
-    let dir = temp_store_dir("campaign");
-    for jobs in JOBS {
+    assert_identical("campaign", |model, data, jobs| {
+        let (x, y) = data.head_batch(8);
         let cfg = CampaignConfig {
             injections_per_layer: 4,
             kind: SiteKind::Value,
@@ -49,33 +82,17 @@ fn campaign_jsonl_is_byte_identical_disabled_cold_warm() {
             jobs,
             ..Default::default()
         };
-        let disabled = {
-            let ge = GoldenEye::parse("fp:e4m3").unwrap();
-            run_campaign(&ge, &model, &x, &y, &cfg).canonical_trial_jsonl()
-        };
-        let cold = {
-            let store = Arc::new(store::Store::open(&dir).unwrap());
-            let ge = GoldenEye::parse("fp:e4m3").unwrap().with_store(store);
-            run_campaign(&ge, &model, &x, &y, &cfg).canonical_trial_jsonl()
-        };
-        // A fresh handle on the populated directory ≈ a second process.
-        let warm = {
-            let store = Arc::new(store::Store::open(&dir).unwrap());
-            let ge = GoldenEye::parse("fp:e4m3").unwrap().with_store(store);
-            run_campaign(&ge, &model, &x, &y, &cfg).canonical_trial_jsonl()
-        };
-        assert!(!disabled.is_empty());
-        assert!(disabled == cold, "jobs={jobs}: cold store changed campaign JSONL");
-        assert!(disabled == warm, "jobs={jobs}: warm store changed campaign JSONL");
-    }
-    std::fs::remove_dir_all(&dir).ok();
+        let ge = GoldenEye::parse("fp:e4m3").unwrap();
+        let jsonl = run_campaign(&ge, model, &x, &y, &cfg).canonical_trial_jsonl();
+        assert!(!jsonl.is_empty());
+        jsonl
+    });
 }
 
 #[test]
 fn weight_campaign_jsonl_is_byte_identical_disabled_cold_warm() {
-    let (model, _data, x, y) = setup();
-    let dir = temp_store_dir("weight");
-    for jobs in JOBS {
+    assert_identical("weight", |model, data, jobs| {
+        let (x, y) = data.head_batch(8);
         let cfg = CampaignConfig {
             injections_per_layer: 3,
             kind: SiteKind::Value,
@@ -83,79 +100,33 @@ fn weight_campaign_jsonl_is_byte_identical_disabled_cold_warm() {
             jobs,
             ..Default::default()
         };
-        let disabled = {
-            let ge = GoldenEye::parse("int:8").unwrap();
-            run_weight_campaign(&ge, &model, &x, &y, &cfg).canonical_trial_jsonl()
-        };
-        let cold = {
-            let store = Arc::new(store::Store::open(&dir).unwrap());
-            let ge = GoldenEye::parse("int:8").unwrap().with_store(store);
-            run_weight_campaign(&ge, &model, &x, &y, &cfg).canonical_trial_jsonl()
-        };
-        let (warm, stats) = {
-            let store = Arc::new(store::Store::open(&dir).unwrap());
-            let ge = GoldenEye::parse("int:8").unwrap().with_store(store.clone());
-            let out = run_weight_campaign(&ge, &model, &x, &y, &cfg).canonical_trial_jsonl();
-            (out, store.stats())
-        };
-        assert!(!disabled.is_empty());
-        assert!(disabled == cold, "jobs={jobs}: cold store changed weight JSONL");
-        assert!(disabled == warm, "jobs={jobs}: warm store changed weight JSONL");
-        assert!(stats.hits > 0, "jobs={jobs}: warm run never hit the store");
-    }
-    std::fs::remove_dir_all(&dir).ok();
+        let ge = GoldenEye::parse("int:8").unwrap();
+        let jsonl = run_weight_campaign(&ge, model, &x, &y, &cfg).canonical_trial_jsonl();
+        assert!(!jsonl.is_empty());
+        jsonl
+    });
 }
 
 #[test]
 fn evaluate_accuracy_is_bit_identical_disabled_cold_warm() {
-    let (model, data, _x, _y) = setup();
-    let dir = temp_store_dir("evaluate");
-    for jobs in [1usize, 4] {
-        let disabled = {
-            let ge = GoldenEye::parse("fp:e5m2").unwrap();
-            evaluate_accuracy_jobs(&ge, &model, &data, 32, 16, jobs)
-        };
-        let cold = {
-            let store = Arc::new(store::Store::open(&dir).unwrap());
-            let ge = GoldenEye::parse("fp:e5m2").unwrap().with_store(store);
-            evaluate_accuracy_jobs(&ge, &model, &data, 32, 16, jobs)
-        };
-        let warm = {
-            let store = Arc::new(store::Store::open(&dir).unwrap());
-            let ge = GoldenEye::parse("fp:e5m2").unwrap().with_store(store);
-            evaluate_accuracy_jobs(&ge, &model, &data, 32, 16, jobs)
-        };
-        assert_eq!(disabled.to_bits(), cold.to_bits(), "jobs={jobs}: cold store moved accuracy");
-        assert_eq!(disabled.to_bits(), warm.to_bits(), "jobs={jobs}: warm store moved accuracy");
-    }
-    std::fs::remove_dir_all(&dir).ok();
+    assert_identical("evaluate", |model, data, jobs| {
+        let ge = GoldenEye::parse("fp:e5m2").unwrap();
+        evaluate_accuracy_jobs(&ge, model, data, 32, 16, jobs).to_bits()
+    });
 }
 
 #[test]
 fn dse_trail_is_bit_identical_disabled_cold_warm() {
-    let (model, data, _x, _y) = setup();
-    let dir = temp_store_dir("dse");
-    let baseline = models::evaluate(&model, &data, 32, 16);
-    let trail = |store: Option<Arc<store::Store>>| -> Vec<(String, u32, bool)> {
-        let result = search(
-            DseFamily::Fp,
-            accuracy_eval_stored(&model, &data, 32, 16, 2, store),
-            baseline,
-            0.05,
-        );
-        result
+    assert_identical("dse", |model, data, jobs| {
+        let baseline = models::evaluate(model, data, 32, 16);
+        let result =
+            search(DseFamily::Fp, accuracy_eval(model, data, 32, 16, jobs), baseline, 0.05);
+        let trail: Vec<(String, u32, bool)> = result
             .nodes
             .iter()
             .map(|n| (n.spec.to_string(), n.accuracy.to_bits(), n.accepted))
-            .collect()
-    };
-    let disabled = trail(None);
-    let cold = trail(Some(Arc::new(store::Store::open(&dir).unwrap())));
-    let warm_store = Arc::new(store::Store::open(&dir).unwrap());
-    let warm = trail(Some(warm_store.clone()));
-    assert!(!disabled.is_empty());
-    assert_eq!(disabled, cold, "cold store changed the DSE visit trail");
-    assert_eq!(disabled, warm, "warm store changed the DSE visit trail");
-    assert!(warm_store.stats().hits > 0, "warm DSE never hit the store");
-    std::fs::remove_dir_all(&dir).ok();
+            .collect();
+        assert!(!trail.is_empty());
+        (baseline.to_bits(), trail)
+    });
 }

@@ -273,6 +273,63 @@ fn snapshot_restores_after_worker_thread_panics() {
     );
 }
 
+/// A model whose forward panics from its `(ok + 1)`-th call on, as a
+/// shape mismatch deep in a real network would.
+struct PanicsAfter {
+    inner: ResNet,
+    ok: usize,
+    calls: std::sync::atomic::AtomicUsize,
+}
+
+impl Module for PanicsAfter {
+    fn forward(&self, x: &tensor::Var, ctx: &mut nn::Ctx) -> tensor::Var {
+        let call = self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        assert!(call < self.ok, "forward {call} panics");
+        self.inner.forward(x, ctx)
+    }
+
+    fn visit_params(&self, f: &mut dyn FnMut(&nn::Param)) {
+        self.inner.visit_params(f);
+    }
+}
+
+#[test]
+fn weights_survive_a_panicking_trial() {
+    // Accuracy evaluation and weight campaigns quantise the shared
+    // model's weights in place. A trial that panics on a worker is
+    // re-raised in the caller, and the caller's model must come back
+    // holding its own weights, bit for bit, not the quantised ones.
+    let (model, x, y) = setup();
+    let data = SyntheticDataset::generate(32, 16, 4, 17);
+    let ge = GoldenEye::parse("int:4").unwrap();
+    let bits = |m: &dyn Module| -> Vec<Vec<u32>> {
+        m.params()
+            .iter()
+            .map(|p| p.get().as_slice().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+    let before = bits(&model);
+    // Evaluation panics in its first batch; the weight campaign after its
+    // clean run, in its first trial.
+    let mut panicking = PanicsAfter { inner: model, ok: 0, calls: 0.into() };
+    let evaluated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        goldeneye::evaluate_accuracy_jobs(&ge, &panicking, &data, 32, 16, 2)
+    }));
+    assert!(evaluated.is_err(), "the evaluation was expected to panic");
+    assert!(bits(&panicking) == before, "a panicking evaluation left quantised weights");
+
+    panicking.ok = 1;
+    panicking.calls = 0.into();
+    let cfg = CampaignConfig { injections_per_layer: 2, seed: 3, jobs: 2, ..Default::default() };
+    let campaign = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_weight_campaign(&ge, &panicking, &x, &y, &cfg)
+    }));
+    assert!(campaign.is_err(), "the weight campaign was expected to panic");
+    let calls = panicking.calls.load(std::sync::atomic::Ordering::SeqCst);
+    assert!(calls > 1, "the campaign panicked before its trials ({calls} forwards)");
+    assert!(bits(&panicking) == before, "a panicking weight campaign left quantised weights");
+}
+
 #[test]
 fn param_overrides_do_not_leak_across_threads() {
     // The weight campaign installs faulty tensors via thread-local
