@@ -268,8 +268,8 @@ fn main() {
     let store_dir =
         std::env::temp_dir().join(format!("goldeneye_store_bench_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
-    let (cold_s, cold_stats, cold_jsonl) = store_end_to_end(&store_dir);
-    let (warm_s, warm_stats, warm_jsonl) = store_end_to_end(&store_dir);
+    let (cold_s, cold_reads, cold_jsonl) = store_end_to_end(&store_dir);
+    let (warm_s, warm_reads, warm_jsonl) = store_end_to_end(&store_dir);
     let _ = std::fs::remove_dir_all(&store_dir);
     assert!(cold_jsonl == warm_jsonl, "a loaded checkpoint changed per-trial campaign records");
     let warm_speedup = cold_s / warm_s;
@@ -277,8 +277,8 @@ fn main() {
         "\nCheckpoint reuse (end-to-end multi-format campaign): trained {cold_s:.2}s, loaded \
          {warm_s:.2}s ({warm_speedup:.2}x, warm hit rate {:.0}%, {} checkpoint bytes reused, \
          byte-identical records)",
-        warm_stats.hit_rate() * 100.0,
-        warm_stats.bytes_reused
+        hit_rate(warm_reads) * 100.0,
+        warm_reads[2]
     );
 
     // Tracing-overhead budget: the same serial campaign with the event
@@ -302,19 +302,31 @@ fn main() {
         .with_extra("store_cold_s", Json::Num(cold_s))
         .with_extra("store_warm_s", Json::Num(warm_s))
         .with_extra("store_warm_speedup", Json::Num(warm_speedup))
-        .with_extra("store_cold_hit_rate", Json::Num(cold_stats.hit_rate()))
-        .with_extra("store_warm_hit_rate", Json::Num(warm_stats.hit_rate()))
-        .with_extra("store_warm_bytes_reused", Json::from(warm_stats.bytes_reused));
+        .with_extra("store_cold_hit_rate", Json::Num(hit_rate(cold_reads)))
+        .with_extra("store_warm_hit_rate", Json::Num(hit_rate(warm_reads)))
+        .with_extra("store_warm_bytes_reused", Json::from(warm_reads[2]));
     args.finish_run(manifest, Some("BENCH_campaign.json"));
+}
+
+/// The process-wide store read counters: hits, misses, bytes reused.
+fn store_reads() -> [u64; 3] {
+    use trace::names::{STORE_BYTES_REUSED, STORE_HIT, STORE_MISS};
+    [STORE_HIT, STORE_MISS, STORE_BYTES_REUSED].map(|name| trace::counter(name).count())
+}
+
+/// Hits over lookups of a [`store_reads`] delta.
+fn hit_rate([hits, misses, _]: [u64; 3]) -> f64 {
+    hits as f64 / (hits + misses).max(1) as f64
 }
 
 /// One end-to-end multi-format pass against `dir`: model preparation
 /// (training on a cold store, checkpoint load on a warm one), then for
 /// each format an accuracy evaluation plus a small weight campaign.
-/// Returns (wall seconds, this handle's store stats, concatenated
+/// Returns (wall seconds, the pass's [`store_reads`] delta, concatenated
 /// canonical per-trial records).
-fn store_end_to_end(dir: &std::path::Path) -> (f64, store::StoreStats, String) {
+fn store_end_to_end(dir: &std::path::Path) -> (f64, [u64; 3], String) {
     use rand::SeedableRng;
+    let start = store_reads();
     let t = Instant::now();
     let store = Arc::new(store::Store::open(dir).expect("cannot open bench store"));
     let mut rng = rand::rngs::StdRng::seed_from_u64(77);
@@ -345,5 +357,6 @@ fn store_end_to_end(dir: &std::path::Path) -> (f64, store::StoreStats, String) {
         evaluate_accuracy_jobs(&ge, &model, &data, 32, 16, 1);
         jsonl.push_str(&run_weight_campaign(&ge, &model, &x, &y, &cfg).canonical_trial_jsonl());
     }
-    (t.elapsed().as_secs_f64(), store.stats(), jsonl)
+    let (secs, end) = (t.elapsed().as_secs_f64(), store_reads());
+    (secs, std::array::from_fn(|i| end[i] - start[i]), jsonl)
 }

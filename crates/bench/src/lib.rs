@@ -134,20 +134,16 @@ fn cache_dir() -> PathBuf {
 pub fn prepare_model(kind: ModelKind) -> (Box<dyn Module>, f32) {
     let store = Arc::new(Store::open(cache_dir()).expect("cannot open the cache store"));
     let name = kind.checkpoint_name();
-    let cached = kind.build();
-    let model = if let Ok(true) = models::load_params_from_store(cached.as_ref(), &store, &name) {
+    let model = kind.build();
+    if let Ok(true) = models::load_params_from_store(model.as_ref(), &store, &name) {
         eprintln!("[bench] loaded cached weights for {}", kind.name());
-        cached
     } else {
         eprintln!("[bench] training {} (one-time, cached afterwards)...", kind.name());
-        // A fresh build: a failed load may have set some parameters.
-        let model = kind.build();
         let mut cfg = kind.train_config();
         cfg.verbose = true;
         models::train(model.as_ref(), &train_set(), &cfg);
         models::save_params_to_store(model.as_ref(), &store, &name);
-        model
-    };
+    }
     let acc = models::evaluate(model.as_ref(), &test_set(), TEST_N, 32);
     eprintln!("[bench] {} held-out accuracy: {:.1}%", kind.name(), acc * 100.0);
     (model, acc)

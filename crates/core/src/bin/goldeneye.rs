@@ -42,7 +42,7 @@ use trace::{logln, outln, Level, RunManifest};
 struct GlobalFlags {
     /// `--manifest <path>`: write the run manifest as pretty JSON.
     manifest: Option<std::path::PathBuf>,
-    /// `--store <dir>`: artifact store shared across runs (and across
+    /// `--store <dir>`: checkpoint store shared across runs (and across
     /// concurrent processes pointing at the same directory). Caches the
     /// trained demo checkpoint; results stay bit-identical with or without
     /// it.
@@ -107,14 +107,7 @@ impl GlobalFlags {
     /// to the `--manifest` path, if one was given.
     fn finish(&self, mut m: RunManifest) -> Result<(), String> {
         if let Some(store) = &self.store {
-            let s = store.stats();
-            m = m
-                .with_extra("store_generation", store.generation())
-                .with_extra("store_hits", s.hits)
-                .with_extra("store_misses", s.misses)
-                .with_extra("store_bytes_reused", s.bytes_reused)
-                .with_extra("store_bytes_written", s.bytes_written)
-                .with_extra("store_hit_rate", s.hit_rate());
+            m = m.with_extra("store_generation", store.generation());
         }
         m.snapshot_counters();
         m.snapshot_profile();
@@ -193,7 +186,7 @@ fn print_usage() {
            conformance [--all | <spec>...]         bit-exact format conformance oracle\n\
                        [--report <file.jsonl>]     (exhaustive for data widths ≤ 16 bits)\n\
                        [--write-golden <dir>]      regenerate golden vectors\n\
-           store ls|verify|gc --store <dir>        inspect/validate/sweep an artifact store\n\
+           store ls|verify|gc --store <dir>        inspect/validate/sweep a checkpoint store\n\
            validate-trace <file.jsonl>             check a --trace-out file line by line\n\
            trace stats <file.jsonl>                summarize a trace: spans, throughput,\n\
                                                    slowest trials/layers, profile tree\n\
@@ -204,7 +197,7 @@ fn print_usage() {
          OBSERVABILITY (any subcommand):\n\
            --trace-out <path>   append structured JSONL events (spans, trials, manifest)\n\
            --manifest <path>    write the run manifest as pretty JSON\n\
-           --store <dir>        artifact store: caches the trained demo checkpoint\n\
+           --store <dir>        checkpoint store: caches the trained demo checkpoint\n\
                                 across runs/processes (results stay bit-identical)\n\
            --progress           live status line on stderr (heartbeats go to --trace-out)\n\
            --log-level <lvl>    error|warn|info|debug|trace (default info)\n\
@@ -564,20 +557,14 @@ fn cmd_store(args: &[String], global: &GlobalFlags) -> Result<(), String> {
     match action {
         Some("ls") => {
             let entries = store.ls().map_err(|e| format!("cannot list store: {e}"))?;
-            outln!("{:<10} {:<28} {:>18} {:>12}", "kind", "spec", "content", "bytes");
+            outln!("{:<32} {:>12}", "checkpoint", "bytes");
             let mut total = 0u64;
             for e in &entries {
-                outln!(
-                    "{:<10} {:<28} {:>18} {:>12}",
-                    e.kind.as_str(),
-                    e.spec,
-                    format!("{:016x}", e.content),
-                    e.payload_bytes
-                );
+                outln!("{:<32} {:>12}", e.name, e.payload_bytes);
                 total += e.payload_bytes;
             }
             outln!(
-                "\n{} artifact(s), {} payload byte(s), generation {}",
+                "\n{} checkpoint(s), {} payload byte(s), generation {}",
                 entries.len(),
                 total,
                 store.generation()

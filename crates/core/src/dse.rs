@@ -311,49 +311,37 @@ pub fn search(
         accepted
     };
 
-    // Phase 1 — bit-width binary search on [4, 32]: go left (halve the
-    // width) while accuracy holds, right (back up) when it breaks.
-    let (mut lo, mut hi) = (4u32, 32u32);
-    let mut best_width: Option<u32> = None;
-    // Root of the tree: check the widest configuration first; if even it
-    // fails, the family is hopeless for this model.
-    if visit(family.spec_for_width(hi), &mut nodes, &mut eval) {
-        best_width = Some(hi);
+    // One binary search over `[lo, hi]`: visit the widest node `make(hi)`
+    // first (if even it fails, nothing narrower can pass), then go left
+    // (narrower) while accuracy holds and right (back toward wider) when
+    // it breaks. Returns the narrowest accepted value.
+    let mut descend = |(mut lo, mut hi): (u32, u32), make: &dyn Fn(u32) -> FormatSpec| {
+        if nodes.len() >= MAX_NODES || !visit(make(hi), &mut nodes, &mut eval) {
+            return None;
+        }
+        let mut best = hi;
         while lo < hi && nodes.len() < MAX_NODES {
             let mid = (lo + hi) / 2;
-            if visit(family.spec_for_width(mid), &mut nodes, &mut eval) {
-                best_width = Some(mid);
-                hi = mid; // left child: try even shorter
+            if visit(make(mid), &mut nodes, &mut eval) {
+                best = mid;
+                hi = mid;
             } else {
-                lo = mid + 1; // right child: back toward wider
+                lo = mid + 1;
             }
         }
-    }
+        Some(best)
+    };
 
-    // Phase 2 — radix binary search at the chosen width.
+    // Phase 1 — bit-width binary search on [4, 32].
+    let best_width = descend((4, 32), &|w| family.spec_for_width(w));
     let mut best_spec = best_width.map(|w| family.spec_for_width(w));
-    if let Some(w) = best_width {
-        if let Some((rlo, rhi, make)) = family.radix_phase(w) {
-            let (mut lo, mut hi) = (rlo, rhi);
-            let mut best_radix: Option<u32> = None;
-            if nodes.len() < MAX_NODES && visit(make(hi), &mut nodes, &mut eval) {
-                best_radix = Some(hi);
-                while lo < hi && nodes.len() < MAX_NODES {
-                    let mid = (lo + hi) / 2;
-                    if visit(make(mid), &mut nodes, &mut eval) {
-                        best_radix = Some(mid);
-                        hi = mid;
-                    } else {
-                        lo = mid + 1;
-                    }
-                }
-            }
-            if let Some(r) = best_radix {
-                // Prefer the radix-phase result if it is no wider.
-                let cand = make(r);
-                if total_bits(&cand) <= total_bits(best_spec.as_ref().unwrap()) {
-                    best_spec = Some(cand);
-                }
+    // Phase 2 — radix binary search at the chosen width; its result wins
+    // if it is no wider.
+    if let Some((rlo, rhi, make)) = best_width.and_then(|w| family.radix_phase(w)) {
+        if let Some(r) = descend((rlo, rhi), &*make) {
+            let cand = make(r);
+            if total_bits(&cand) <= total_bits(best_spec.as_ref().unwrap()) {
+                best_spec = Some(cand);
             }
         }
     }

@@ -5,8 +5,7 @@
 //! little-endian f32 payload, then an FNV-1a 64-bit hash of everything
 //! after the magic. The hash footer turns silent corruption (truncated
 //! copies, flipped bits on disk) into a load error instead of a
-//! garbage-initialised model. `GERSWTS1` data (no footer) still loads for
-//! backwards compatibility.
+//! garbage-initialised model.
 //!
 //! Checkpoints live in the artifact store ([`save_params_to_store`],
 //! [`load_params_from_store`]) over the byte-level codecs
@@ -18,14 +17,13 @@ use std::io::{self, Read};
 use std::sync::Arc;
 use tensor::Tensor;
 
-const MAGIC_V2: &[u8; 8] = b"GERSWTS2";
-const MAGIC_V1: &[u8; 8] = b"GERSWTS1";
+const MAGIC: &[u8; 8] = b"GERSWTS2";
 
 /// Serialises all parameters of `model` into the `GERSWTS2` byte format,
 /// FNV-1a footer included.
 pub fn params_to_bytes(model: &dyn Module) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(MAGIC_V2);
+    out.extend_from_slice(MAGIC);
     let params = model.params();
     out.extend_from_slice(&(params.len() as u32).to_le_bytes());
     for p in params {
@@ -42,13 +40,14 @@ pub fn params_to_bytes(model: &dyn Module) -> Vec<u8> {
             out.extend_from_slice(&v.to_le_bytes());
         }
     }
-    let footer = fnv1a(&out[MAGIC_V2.len()..]);
+    let footer = fnv1a(&out[MAGIC.len()..]);
     out.extend_from_slice(&footer.to_le_bytes());
     out
 }
 
-/// Loads parameters serialised by [`params_to_bytes`] (or the footer-less
-/// `GERSWTS1` layout) into `model`, matching by parameter name.
+/// Loads parameters serialised by [`params_to_bytes`] into `model`,
+/// matching by parameter name. Every parameter is checked before any is
+/// set, so an error leaves `model` untouched.
 ///
 /// # Errors
 ///
@@ -57,25 +56,16 @@ pub fn params_to_bytes(model: &dyn Module) -> Vec<u8> {
 /// parameter is missing, or a shape disagrees.
 pub fn params_from_bytes(model: &dyn Module, bytes: &[u8]) -> io::Result<()> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    if bytes.len() < 8 {
-        return Err(bad("weight data shorter than its magic"));
-    }
-    let (magic, rest) = bytes.split_at(8);
-    let body = match magic {
-        m if m == MAGIC_V2 => {
-            if rest.len() < 8 {
-                return Err(bad("weight data truncated before hash footer"));
-            }
-            let (body, footer) = rest.split_at(rest.len() - 8);
-            let stored = u64::from_le_bytes(footer.try_into().unwrap());
-            if fnv1a(body) != stored {
-                return Err(bad("weight data corrupt: content hash mismatch"));
-            }
-            body
-        }
-        m if m == MAGIC_V1 => rest,
-        _ => return Err(bad("bad magic in weight data")),
+    let Some(rest) = bytes.strip_prefix(MAGIC) else {
+        return Err(bad("bad magic in weight data"));
     };
+    if rest.len() < 8 {
+        return Err(bad("weight data truncated before hash footer"));
+    }
+    let (body, footer) = rest.split_at(rest.len() - 8);
+    if fnv1a(body) != u64::from_le_bytes(footer.try_into().unwrap()) {
+        return Err(bad("weight data corrupt: content hash mismatch"));
+    }
 
     let mut r = body;
     let count = read_u32(&mut r)? as usize;
@@ -101,24 +91,22 @@ pub fn params_from_bytes(model: &dyn Module, bytes: &[u8]) -> io::Result<()> {
     }
     let mut missing = Vec::new();
     model.visit_params(&mut |p| match loaded.get(p.name()) {
-        Some(t) if t.shape() == &p.get().shape().clone() => p.set(t.clone()),
+        Some(t) if t.shape() == p.get().shape() => {}
         Some(_) => missing.push(format!("{} (shape mismatch)", p.name())),
         None => missing.push(p.name().to_string()),
     });
-    if missing.is_empty() {
-        Ok(())
-    } else {
-        Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("parameters not found/compatible in weight data: {missing:?}"),
-        ))
+    if !missing.is_empty() {
+        return Err(bad(&format!("parameters not found/compatible in weight data: {missing:?}")));
     }
+    model.visit_params(&mut |p| p.set(loaded[p.name()].clone()));
+    Ok(())
 }
 
 /// Stores `model`'s parameters in the artifact store as the checkpoint
-/// named `name`.
+/// named `name`. A failed write leaves the checkpoint uncached, so the
+/// next run trains again; it never fails the caller.
 pub fn save_params_to_store(model: &dyn Module, store: &Arc<store::Store>, name: &str) {
-    store.put_checkpoint(name, params_to_bytes(model));
+    let _ = store.put_checkpoint(name, &params_to_bytes(model));
 }
 
 /// Loads the checkpoint named `name` from the store into `model`. Returns
@@ -155,6 +143,23 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A store in a fresh temp directory, removed when dropped.
+    struct TempStore(Arc<store::Store>, std::path::PathBuf);
+
+    impl TempStore {
+        fn new(tag: &str) -> TempStore {
+            let dir = std::env::temp_dir().join(format!("goldeneye_models_io_{tag}_test"));
+            let _ = std::fs::remove_dir_all(&dir);
+            TempStore(Arc::new(store::Store::open(&dir).unwrap()), dir)
+        }
+    }
+
+    impl Drop for TempStore {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.1);
+        }
+    }
+
     #[test]
     fn save_load_roundtrip() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -184,11 +189,12 @@ mod tests {
             &TrainConfig { epochs: 6, batch_size: 16, lr: 3e-3, ..Default::default() },
         );
         let acc_before = evaluate(&a, &data, 32, 16);
-        let store = Arc::new(store::Store::in_memory());
-        save_params_to_store(&a, &store, "ck");
+        let tmp = TempStore::new("batchnorm");
+        let store = &tmp.0;
+        save_params_to_store(&a, store, "ck");
         let mut rng2 = StdRng::seed_from_u64(555);
         let b = ResNet::new(ResNetConfig::tiny(4), &mut rng2);
-        assert!(load_params_from_store(&b, &store, "ck").unwrap());
+        assert!(load_params_from_store(&b, store, "ck").unwrap());
         let acc_after = evaluate(&b, &data, 32, 16);
         assert_eq!(acc_before, acc_after, "reload changed accuracy");
     }
@@ -197,10 +203,27 @@ mod tests {
     fn load_into_wrong_architecture_errors() {
         let mut rng = StdRng::seed_from_u64(1);
         let a = ResNet::new(ResNetConfig::tiny(3), &mut rng);
-        let store = Arc::new(store::Store::in_memory());
-        save_params_to_store(&a, &store, "ck");
+        let tmp = TempStore::new("wrong_arch");
+        let store = &tmp.0;
+        save_params_to_store(&a, store, "ck");
         let b = ResNet::new(ResNetConfig::resnet18(4, 3), &mut rng);
-        assert!(load_params_from_store(&b, &store, "ck").is_err());
+        assert!(load_params_from_store(&b, store, "ck").is_err());
+    }
+
+    #[test]
+    fn failed_load_leaves_every_parameter_unchanged() {
+        // `tiny(3)` and `tiny(4)` share most parameter names and shapes
+        // but differ in the classifier: the load must fail before it sets
+        // any of the ones that would fit.
+        let mut rng = StdRng::seed_from_u64(1);
+        let a = ResNet::new(ResNetConfig::tiny(3), &mut rng);
+        let b = ResNet::new(ResNetConfig::tiny(4), &mut rng);
+        let before: Vec<Tensor> = b.params().iter().map(|p| p.get()).collect();
+        assert_eq!(before.len(), 32);
+        assert!(params_from_bytes(&b, &params_to_bytes(&a)).is_err());
+        for (p, was) in b.params().iter().zip(&before) {
+            assert_eq!(&p.get(), was, "failed load changed {}", p.name());
+        }
     }
 
     #[test]
@@ -229,6 +252,11 @@ mod tests {
             .expect_err("bit-flipped weight data must not load");
         assert!(err.to_string().contains("hash mismatch"), "got: {err}");
 
+        // A `GERSWTS1` magic (the footer-less layout) is rejected.
+        let mut v1 = good[..good.len() - 8].to_vec();
+        v1[7] = b'1';
+        assert!(params_from_bytes(&fresh(), &v1).is_err());
+
         // A flipped footer bit likewise.
         let mut bad_footer = good.clone();
         let n = bad_footer.len();
@@ -238,14 +266,15 @@ mod tests {
 
     #[test]
     fn store_checkpoint_roundtrip() {
-        let store = Arc::new(store::Store::in_memory());
+        let tmp = TempStore::new("roundtrip");
+        let store = &tmp.0;
         let mut rng = StdRng::seed_from_u64(11);
         let a = ResNet::new(ResNetConfig::tiny(3), &mut rng);
-        assert!(!load_params_from_store(&a, &store, "ck").unwrap(), "empty store misses");
-        save_params_to_store(&a, &store, "ck");
+        assert!(!load_params_from_store(&a, store, "ck").unwrap(), "empty store misses");
+        save_params_to_store(&a, store, "ck");
         let mut rng2 = StdRng::seed_from_u64(12);
         let b = ResNet::new(ResNetConfig::tiny(3), &mut rng2);
-        assert!(load_params_from_store(&b, &store, "ck").unwrap());
+        assert!(load_params_from_store(&b, store, "ck").unwrap());
         for (pa, pb) in a.params().iter().zip(b.params()) {
             assert_eq!(pa.get(), pb.get(), "param {} differs", pa.name());
         }

@@ -23,20 +23,21 @@ fn data() -> SyntheticDataset {
 }
 
 /// The seeded model, loaded from `store` when it holds the checkpoint,
-/// else trained (and stored, when a store is given).
-fn model(data: &SyntheticDataset, store: Option<&Arc<Store>>) -> ResNet {
+/// else trained (and stored, when a store is given), and whether it was
+/// loaded.
+fn model(data: &SyntheticDataset, store: Option<&Arc<Store>>) -> (ResNet, bool) {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(23);
     let model = ResNet::new(ResNetConfig::tiny(8), &mut rng);
     if let Some(store) = store {
         if models::load_params_from_store(&model, store, CHECKPOINT).unwrap() {
-            return model;
+            return (model, true);
         }
     }
     train(&model, data, &TrainConfig { epochs: 5, batch_size: 16, lr: 3e-3, ..Default::default() });
     if let Some(store) = store {
         models::save_params_to_store(&model, store, CHECKPOINT);
     }
-    model
+    (model, false)
 }
 
 /// The model trained with the store disabled, trained into an empty
@@ -45,14 +46,12 @@ fn model(data: &SyntheticDataset, store: Option<&Arc<Store>>) -> ResNet {
 fn disabled_cold_warm(tag: &str, data: &SyntheticDataset) -> [(&'static str, ResNet); 3] {
     let dir = std::env::temp_dir().join(format!("goldeneye_store_identity_{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
-    let cold_store = Arc::new(Store::open(&dir).unwrap());
-    let cold = model(data, Some(&cold_store));
-    assert_eq!((cold_store.stats().hits, cold_store.stats().misses), (0, 1), "cold store hit");
-    let warm_store = Arc::new(Store::open(&dir).unwrap());
-    let warm = model(data, Some(&warm_store));
-    assert_eq!((warm_store.stats().hits, warm_store.stats().misses), (1, 0), "warm store missed");
+    let (cold, loaded) = model(data, Some(&Arc::new(Store::open(&dir).unwrap())));
+    assert!(!loaded, "cold store hit");
+    let (warm, loaded) = model(data, Some(&Arc::new(Store::open(&dir).unwrap())));
+    assert!(loaded, "warm store missed");
     std::fs::remove_dir_all(&dir).ok();
-    [("disabled", model(data, None)), ("cold", cold), ("warm", warm)]
+    [("disabled", model(data, None).0), ("cold", cold), ("warm", warm)]
 }
 
 /// The pinned `jobs` settings every identity check runs over (serial
