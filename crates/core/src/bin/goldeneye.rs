@@ -93,12 +93,19 @@ impl GlobalFlags {
             trace::open_jsonl(std::path::Path::new(path))
                 .map_err(|e| format!("cannot open --trace-out `{path}`: {e}"))?;
         }
+        // A run creates its store; the maintenance subcommands act only on
+        // a store that already exists, so a mistyped path is an error.
+        let maintenance = args.first().is_some_and(|a| a == "store");
         let store = match store_dir {
             None => None,
-            Some(dir) => Some(Arc::new(
-                store::Store::open(&dir)
-                    .map_err(|e| format!("cannot open --store `{dir}`: {e}"))?,
-            )),
+            Some(dir) => {
+                let opened = if maintenance {
+                    store::Store::open_existing(&dir)
+                } else {
+                    store::Store::open(&dir)
+                };
+                Some(Arc::new(opened.map_err(|e| format!("cannot open --store `{dir}`: {e}"))?))
+            }
         };
         Ok(GlobalFlags { manifest: manifest.map(Into::into), store })
     }

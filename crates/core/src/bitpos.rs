@@ -47,6 +47,7 @@ pub fn bit_position_campaign(
     seed: u64,
 ) -> Vec<BitPositionResult> {
     assert!(trials > 0, "need at least one trial per bit");
+    let _pool = tensor::workspace::run_scope();
     let clean = ge.capture_clean_run(model, x.clone());
     let width = ge.format_for_layer(layer).bit_width() as usize;
     let plan = InjectionPlan::single(layer, SiteKind::Value);

@@ -451,7 +451,7 @@ fn run_waves(
     let mut round: u64 = 0;
     loop {
         let mut units: Vec<(usize, usize)> = Vec::new();
-        for (si, st) in sites.iter().enumerate() {
+        for (si, st) in sites.iter_mut().enumerate() {
             if st.stopped || st.done >= n {
                 continue;
             }
@@ -459,6 +459,9 @@ fn run_waves(
             // one wave covers the whole site (fewer scheduling barriers).
             let wave = if rule.is_some() { EARLY_STOP_WAVE } else { n };
             let wave_end = st.done + wave.min(n - st.done);
+            // Room for exactly this wave's records: a campaign result keeps
+            // them, so growth slack would be kept too.
+            st.records.reserve_exact(wave_end - st.done);
             units.extend((st.done..wave_end).map(|t| (si, t)));
         }
         if units.is_empty() {
@@ -514,7 +517,7 @@ fn campaign_result(
 ) -> CampaignResult {
     let planned_trials = sites.len() * n;
     let mut layers = Vec::with_capacity(sites.len());
-    let mut trials = Vec::new();
+    let mut trials = Vec::with_capacity(sites.iter().map(|st| st.records.len()).sum());
     for st in sites {
         trials.extend(st.records);
         layers.push(LayerResult {
@@ -564,6 +567,7 @@ pub fn run_campaign(
     targets: &[usize],
     cfg: &CampaignConfig,
 ) -> CampaignResult {
+    let _pool = tensor::workspace::run_scope();
     if cfg.kind == SiteKind::Metadata {
         assert!(
             ge.format().supports_metadata_injection(),
@@ -628,6 +632,7 @@ pub fn run_weight_campaign(
     targets: &[usize],
     cfg: &CampaignConfig,
 ) -> CampaignResult {
+    let _pool = tensor::workspace::run_scope();
     let _restore = ge.quantized_weights(model);
     let golden = ge.run(model, x.clone());
     // Clean weights quantise to the same codes every trial: convert each

@@ -275,6 +275,7 @@ pub fn search(
     max_drop: f32,
 ) -> DseResult {
     const MAX_NODES: usize = 16;
+    let _pool = tensor::workspace::run_scope();
     let _span = trace::span!("dse", family = format!("{family:?}"));
     let threshold = baseline_accuracy - max_drop;
     let mut nodes: Vec<DseNode> = Vec::new();
@@ -393,6 +394,7 @@ pub fn mixed_precision_search(
     max_drop: f32,
 ) -> MixedPrecisionResult {
     assert!(!candidates.is_empty(), "no candidate formats");
+    let _pool = tensor::workspace::run_scope();
     let threshold = baseline_accuracy - max_drop;
     let mut assignments: std::collections::HashMap<usize, usize> =
         layers.iter().map(|&l| (l, 0)).collect();

@@ -99,3 +99,25 @@ fn drop_outside_unit_interval_is_rejected() {
         assert!(stderr.contains(needle), "--drop {v}: stderr {stderr}");
     }
 }
+
+/// `store ls|verify|gc` refuse a path that holds no store and create
+/// nothing there; `--store` on any other subcommand creates the store.
+#[test]
+fn store_maintenance_refuses_a_missing_store() {
+    let dir = std::env::temp_dir().join(format!("ge_cli_no_store_{}", std::process::id()));
+    let path = dir.to_str().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    for action in ["ls", "verify", "gc"] {
+        let (ok, _, stderr) = run(&["store", action, "--store", path]);
+        assert!(!ok, "store {action} on a missing store should fail");
+        assert!(stderr.contains("no store at"), "store {action}: stderr {stderr}");
+        assert!(!dir.exists(), "store {action} created {path}");
+    }
+    let (ok, _, _) = run(&["inspect", "fp16", "--store", path]);
+    assert!(ok);
+    assert!(dir.join("objects").is_dir(), "--store on a run must create the store");
+    let (ok, stdout, _) = run(&["store", "ls", "--store", path]);
+    assert!(ok, "store ls on the created store");
+    assert!(stdout.contains("0 checkpoint(s)"), "stdout {stdout}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -233,7 +233,7 @@ impl NumberFormat for BlockFloatingPoint {
             |code, src, out| self.quantize_block(code, src, out),
         );
         Quantized {
-            values: Tensor::from_vec(values, t.shape().clone()),
+            values: Tensor::from_buffer(values, t.shape().clone()),
             meta: Metadata::SharedExponents {
                 codes,
                 block_size: self.block_size,

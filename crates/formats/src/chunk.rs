@@ -23,7 +23,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use tensor::linalg::kernels;
-use tensor::{parallel, Tensor};
+use tensor::{parallel, workspace, Tensor};
 
 /// Elements per parallel work unit. Fixed — never derived from the thread
 /// count — which is what makes chunked output thread-count invariant.
@@ -61,7 +61,7 @@ pub(crate) fn map_chunked(t: &Tensor, f: impl Fn(f32) -> f32 + Sync + Copy) -> T
     let timing = trace::recording();
     let t0 = timing.then(Instant::now);
     let src = t.as_slice();
-    let mut out = vec![0.0f32; src.len()];
+    let mut out = workspace::zeroed(src.len());
     let kern = kernels::active();
     let _serial = (src.len() < PAR_MIN_ELEMS).then(|| parallel::with_threads(1));
     parallel::par_chunks_mut(&mut out, QUANT_CHUNK, |i, chunk| {
@@ -77,7 +77,7 @@ pub(crate) fn map_chunked(t: &Tensor, f: impl Fn(f32) -> f32 + Sync + Copy) -> T
         metrics.ns.record(t0.elapsed().as_nanos() as u64);
         metrics.elems.add(src.len() as u64);
     }
-    Tensor::from_vec(out, t.shape().clone())
+    Tensor::from_buffer(out, t.shape().clone())
 }
 
 /// `out[j] = f(src[j])`. Zipped slices, not `src[base + j]`: no bounds
@@ -188,7 +188,7 @@ pub(crate) fn quantize_blocks(
     block_size: usize,
     code_for_max: impl Fn(f32) -> u32 + Sync,
     quantize_block: impl Fn(u32, &[f32], &mut [f32]) + Sync,
-) -> (Vec<f32>, Vec<u32>) {
+) -> (workspace::Buffer, Vec<u32>) {
     let src = t.as_slice();
     let n = src.len();
     let bs = block_size.min(n.max(1));
@@ -208,7 +208,7 @@ pub(crate) fn quantize_blocks(
             },
         )
     });
-    let mut values = vec![0.0f32; n];
+    let mut values = workspace::zeroed(n);
     let task_codes = &codes[..];
     parallel::par_chunks_mut(&mut values, blocks_per_task * bs, |ci, out| {
         let start = ci * blocks_per_task * bs;

@@ -142,7 +142,10 @@ impl Module for ResBlock {
         let mut h = x.clone();
         let last = self.convs.len() - 1;
         for (i, (conv, bn)) in self.convs.iter().enumerate() {
-            h = bn.forward(&conv.forward(&h, ctx), ctx);
+            // One statement per layer: each reassignment of `h` drops the
+            // previous activation as soon as the next layer has read it.
+            h = conv.forward(&h, ctx);
+            h = bn.forward(&h, ctx);
             if i != last {
                 h = self.relu.forward(&h, ctx);
             }

@@ -103,6 +103,22 @@ impl Store {
         Ok(Store { dir, tmp_seq: AtomicU64::new(0) })
     }
 
+    /// Opens the store in `dir` without creating anything, for tools that
+    /// inspect or repair an existing store.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`io::ErrorKind::NotFound`] if `dir` holds no store (no
+    /// `objects` directory).
+    pub fn open_existing(dir: impl Into<PathBuf>) -> io::Result<Store> {
+        let dir = dir.into();
+        if !dir.join("objects").is_dir() {
+            let msg = format!("no store at {}", dir.display());
+            return Err(io::Error::new(io::ErrorKind::NotFound, msg));
+        }
+        Ok(Store { dir, tmp_seq: AtomicU64::new(0) })
+    }
+
     /// The store generation: bumped by every [`Store::gc`] sweep, recorded
     /// in run manifests so results can be traced to the store state that
     /// produced them.
@@ -270,6 +286,18 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.get_checkpoint("demo:cnn:8"), Some(vec![7; 40]));
         assert_eq!(store.get_checkpoint("demo:cnn:4"), None);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_existing_creates_nothing() {
+        let dir = temp_dir("open_existing");
+        let err = Store::open_existing(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert!(!dir.exists(), "open_existing created {}", dir.display());
+        Store::open(&dir).unwrap().put_checkpoint("demo:cnn:8", &[1; 8]).unwrap();
+        let store = Store::open_existing(&dir).unwrap();
+        assert_eq!(store.get_checkpoint("demo:cnn:8"), Some(vec![1; 8]));
         std::fs::remove_dir_all(&dir).ok();
     }
 

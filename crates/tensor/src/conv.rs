@@ -254,9 +254,9 @@ pub fn conv2d(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -
     }
     let (oh, ow) = window_out_dims("conv2d", x.dims(), k, spec.stride, spec.padding);
     let (ohow, ckk, chw) = (oh * ow, c * k * k, c * h * wd);
-    let mut out = vec![0.0f32; n * o * ohow];
+    let mut out = workspace::zeroed(n * o * ohow);
     if n == 0 || o == 0 || ohow == 0 || ckk == 0 {
-        return Tensor::from_vec(out, [n, o, oh, ow]);
+        return Tensor::from_buffer(out, [n, o, oh, ow]);
     }
 
     let kern = kernels::active();
@@ -304,7 +304,7 @@ pub fn conv2d(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -
     if let Some(t0) = t0 {
         linalg::record_conv(t0, kern, flops);
     }
-    Tensor::from_vec(out, [n, o, oh, ow])
+    Tensor::from_buffer(out, [n, o, oh, ow])
 }
 
 /// Gradients of [`conv2d`] with respect to input, weight, and bias,
@@ -382,7 +382,7 @@ pub fn conv2d_backward(
 pub fn maxpool2d(x: &Tensor, kernel: usize, stride: usize) -> (Tensor, Vec<usize>) {
     let (oh, ow) = window_out_dims("maxpool2d", x.dims(), kernel, stride, 0);
     let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-    let mut out = Vec::with_capacity(n * c * oh * ow);
+    let mut out = workspace::with_capacity(n * c * oh * ow);
     let mut arg = Vec::with_capacity(n * c * oh * ow);
     for ni in 0..n {
         for ci in 0..c {
@@ -408,7 +408,7 @@ pub fn maxpool2d(x: &Tensor, kernel: usize, stride: usize) -> (Tensor, Vec<usize
             }
         }
     }
-    (Tensor::from_vec(out, [n, c, oh, ow]), arg)
+    (Tensor::from_buffer(out, [n, c, oh, ow]), arg)
 }
 
 /// Backward of [`maxpool2d`]: routes each output gradient to its argmax.
@@ -436,7 +436,7 @@ pub fn avgpool2d(x: &Tensor, kernel: usize, stride: usize) -> Tensor {
     let (oh, ow) = window_out_dims("avgpool2d", x.dims(), kernel, stride, 0);
     let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
     let norm = (kernel * kernel) as f32;
-    let mut out = Vec::with_capacity(n * c * oh * ow);
+    let mut out = workspace::with_capacity(n * c * oh * ow);
     for ni in 0..n {
         for ci in 0..c {
             let plane = &x.as_slice()[(ni * c + ci) * h * w..(ni * c + ci + 1) * h * w];
@@ -453,7 +453,7 @@ pub fn avgpool2d(x: &Tensor, kernel: usize, stride: usize) -> Tensor {
             }
         }
     }
-    Tensor::from_vec(out, [n, c, oh, ow])
+    Tensor::from_buffer(out, [n, c, oh, ow])
 }
 
 /// Backward of [`avgpool2d`]: spreads each output gradient uniformly over
@@ -490,11 +490,11 @@ pub fn avgpool2d_backward(
 pub fn global_avg_pool(x: &Tensor) -> Tensor {
     let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
     let hw = (h * w) as f32;
-    let mut out = Vec::with_capacity(n * c);
+    let mut out = workspace::with_capacity(n * c);
     for chunk in x.as_slice().chunks(h * w) {
         out.push(chunk.iter().sum::<f32>() / hw);
     }
-    Tensor::from_vec(out, [n, c])
+    Tensor::from_buffer(out, [n, c])
 }
 
 /// Backward of [`global_avg_pool`].

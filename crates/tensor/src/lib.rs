@@ -24,8 +24,9 @@
 //!   with explicit backward passes;
 //! - [`parallel`]: the intra-op scoped-thread worker pool and its
 //!   thread-budget controls ([`parallel::with_threads`]);
-//! - [`workspace`]: a thread-local scratch-buffer pool that lets the
-//!   kernels reuse packing buffers across calls;
+//! - [`workspace`]: the thread-local buffer pool that kernel scratch and
+//!   the ops' output tensors come from and go back to, so steady-state
+//!   inference reuses its buffers instead of faulting in fresh pages;
 //! - [`autograd`]: a tape ([`Tape`]/[`Var`]) for reverse-mode
 //!   differentiation, including a straight-through-estimator hook
 //!   ([`Var::apply_ste`]) so quantisers can participate in training.

@@ -98,9 +98,9 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.dims()[0], a.dims()[1]);
     let (k2, n) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul inner dims: {:?} × {:?}", a.shape(), b.shape());
-    let mut out = vec![0.0f32; m * n];
+    let mut out = workspace::zeroed(m * n);
     sgemm(m, k, n, a.as_slice(), b.as_slice(), &mut out);
-    Tensor::from_vec(out, [m, n])
+    Tensor::from_buffer(out, [m, n])
 }
 
 /// Batched matrix multiply: `[b, m, k] × [b, k, n] → [b, m, n]`.
@@ -120,9 +120,9 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
     let (bb, k2, n) = (b.dims()[0], b.dims()[1], b.dims()[2]);
     assert_eq!(ba, bb, "bmm batch dims: {:?} × {:?}", a.shape(), b.shape());
     assert_eq!(k, k2, "bmm inner dims: {:?} × {:?}", a.shape(), b.shape());
-    let mut out = vec![0.0f32; ba * m * n];
+    let mut out = workspace::zeroed(ba * m * n);
     gemm_batched(ba, m, k, n, a.as_slice(), b.as_slice(), &mut out);
-    Tensor::from_vec(out, [ba, m, n])
+    Tensor::from_buffer(out, [ba, m, n])
 }
 
 /// `out += a × b` for row-major `a: m×k`, `b: k×n`, `out: m×n`.

@@ -6,6 +6,7 @@ use std::time::Instant;
 use crate::math::{self, LaneMap, Lanes, LANES};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
+use crate::workspace;
 
 /// Wall-time histograms of the non-GEMM ops a transformer forward spends
 /// its time in, recorded only while [`trace::recording`].
@@ -37,9 +38,10 @@ fn timed<T>(metric: fn(&OpMetrics) -> &'static trace::Metric, f: impl FnOnce() -
 
 /// `x` with the lane map `M` applied to every element.
 fn map_lanes<M: LaneMap>(x: &Tensor) -> Tensor {
-    let mut out = x.as_slice().to_vec();
+    let mut out = workspace::with_capacity(x.numel());
+    out.extend_from_slice(x.as_slice());
     math::map_in_place::<M>(&mut out);
-    Tensor::from_vec(out, x.shape().clone())
+    Tensor::from_buffer(out, x.shape().clone())
 }
 
 /// Applies a binary operation elementwise with NumPy-style broadcasting.
@@ -57,16 +59,17 @@ fn map_lanes<M: LaneMap>(x: &Tensor) -> Tensor {
 pub fn zip_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
     if a.shape() == b.shape() {
         // Fast path: identical shapes.
-        let data = a.as_slice().iter().zip(b.as_slice()).map(|(&x, &y)| f(x, y)).collect();
-        return Tensor::from_vec(data, a.shape().clone());
+        let mut out = workspace::with_capacity(a.numel());
+        out.extend(a.as_slice().iter().zip(b.as_slice()).map(|(&x, &y)| f(x, y)));
+        return Tensor::from_buffer(out, a.shape().clone());
     }
     let out_shape = Shape::broadcast(a.shape(), b.shape()).unwrap_or_else(|| {
         panic!("shapes {:?} and {:?} are not broadcast-compatible", a.shape(), b.shape())
     });
     let n = out_shape.numel();
-    let mut out = Vec::with_capacity(n);
+    let mut out = workspace::with_capacity(n);
     if n == 0 {
-        return Tensor::from_vec(out, out_shape);
+        return Tensor::from_buffer(out, out_shape);
     }
     let loops = broadcast_loops(out_shape.dims(), a, b);
     let (x, y) = (a.as_slice(), b.as_slice());
@@ -102,7 +105,7 @@ pub fn zip_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Ten
             bo -= sb * extent;
         }
     }
-    Tensor::from_vec(out, out_shape)
+    Tensor::from_buffer(out, out_shape)
 }
 
 /// The loop nest of a broadcast over `out_dims`, outermost first, as
@@ -341,7 +344,7 @@ pub fn softmax_lastdim(x: &Tensor) -> Tensor {
                     *e /= s;
                 }
             }
-            Tensor::from_vec(out, x.shape().clone())
+            Tensor::from_buffer(out, x.shape().clone())
         },
     )
 }
@@ -367,7 +370,7 @@ pub fn log_softmax_lastdim(x: &Tensor) -> Tensor {
                     *d = v - lse;
                 }
             }
-            Tensor::from_vec(out, x.shape().clone())
+            Tensor::from_buffer(out, x.shape().clone())
         },
     )
 }
@@ -375,13 +378,13 @@ pub fn log_softmax_lastdim(x: &Tensor) -> Tensor {
 /// The shared first half of the softmax row kernels: the last-dimension
 /// width, `exp(x - max)` per element and each row's max. `None` for a
 /// zero-width last dimension.
-fn shifted_exps(x: &Tensor) -> Option<(usize, Vec<f32>, Vec<f32>)> {
+fn shifted_exps(x: &Tensor) -> Option<(usize, workspace::Buffer, Vec<f32>)> {
     assert!(x.ndim() >= 1, "softmax requires at least one dimension");
     let cols = x.dims()[x.ndim() - 1];
     if cols == 0 {
         return None;
     }
-    let mut out = vec![0.0f32; x.numel()];
+    let mut out = workspace::zeroed(x.numel());
     let mut maxes = Vec::with_capacity(x.numel() / cols);
     for (dst, row) in out.chunks_mut(cols).zip(x.as_slice().chunks(cols)) {
         let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -462,11 +465,11 @@ pub fn permute(x: &Tensor, perm: &[usize]) -> Tensor {
         |m| m.permute_ns,
         || {
             let new_dims = permuted_dims(x, perm);
-            let mut out = vec![0.0f32; x.numel()];
+            let mut out = workspace::zeroed(x.numel());
             if !out.is_empty() {
                 permute_into(x.as_slice(), &permute_loops(x, perm), &mut out);
             }
-            Tensor::from_vec(out, new_dims)
+            Tensor::from_buffer(out, new_dims)
         },
     )
 }

@@ -11,8 +11,14 @@
 //! tensor still holds it. Value semantics are unchanged; a forward pass
 //! just stops paying for copies nobody writes to. The sharing is an
 //! [`Arc`], so tensors stay `Send + Sync` for the campaign workers.
+//!
+//! The ops take their output buffers from the thread-local pool in
+//! [`crate::workspace`], and such a buffer goes back to the pool of the
+//! thread that drops the last tensor sharing it. A buffer handed to
+//! [`Tensor::from_vec`] is freed instead.
 
 use crate::shape::Shape;
+use crate::workspace::{self, Buffer};
 use rand::Rng;
 use std::fmt;
 use std::sync::Arc;
@@ -30,16 +36,27 @@ use std::sync::Arc;
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
-    data: Arc<Vec<f32>>,
+    data: Arc<Buffer>,
 }
 
 impl Tensor {
-    /// Creates a tensor from a flat row-major buffer.
+    /// Creates a tensor from a flat row-major buffer. The buffer is freed
+    /// when the last tensor sharing it drops.
     ///
     /// # Panics
     ///
     /// Panics if `data.len()` does not equal the shape's element count.
     pub fn from_vec(data: Vec<f32>, shape: impl Into<Shape>) -> Self {
+        Tensor::from_buffer(Buffer::from(data), shape)
+    }
+
+    /// Creates a tensor from a buffer of the [`workspace`] pool, which it
+    /// goes back to when the last tensor sharing it drops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` does not equal the shape's element count.
+    pub fn from_buffer(data: Buffer, shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
         assert_eq!(
             data.len(),
@@ -58,7 +75,8 @@ impl Tensor {
 
     /// Creates a tensor filled with zeros.
     pub fn zeros(shape: impl Into<Shape>) -> Self {
-        Self::full(shape, 0.0)
+        let shape = shape.into();
+        Tensor::from_buffer(workspace::zeroed(shape.numel()), shape)
     }
 
     /// Creates a tensor filled with ones.
@@ -69,8 +87,9 @@ impl Tensor {
     /// Creates a tensor filled with `value`.
     pub fn full(shape: impl Into<Shape>, value: f32) -> Self {
         let shape = shape.into();
-        let n = shape.numel();
-        Tensor::from_vec(vec![value; n], shape)
+        let mut data = workspace::with_capacity(shape.numel());
+        data.resize(shape.numel(), value);
+        Tensor::from_buffer(data, shape)
     }
 
     /// Creates a tensor of iid standard-normal samples (Box–Muller).
@@ -138,7 +157,7 @@ impl Tensor {
     /// Consumes the tensor, returning its buffer (copied only if another
     /// tensor shares it).
     pub fn into_vec(self) -> Vec<f32> {
-        Arc::try_unwrap(self.data).unwrap_or_else(|shared| shared.as_ref().clone())
+        Arc::try_unwrap(self.data).unwrap_or_else(|shared| shared.as_ref().clone()).into_vec()
     }
 
     /// Value at a multi-dimensional index.
@@ -184,7 +203,9 @@ impl Tensor {
 
     /// Applies `f` elementwise, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor::from_vec(self.data.iter().map(|&x| f(x)).collect(), self.shape.clone())
+        let mut out = workspace::with_capacity(self.numel());
+        out.extend(self.data.iter().map(|&x| f(x)));
+        Tensor::from_buffer(out, self.shape.clone())
     }
 
     /// Applies `f` elementwise in place.

@@ -62,6 +62,14 @@ pub const TENSOR_GEMM_KERNEL_NS: &str = "tensor.gemm.kernel_ns";
 pub const TENSOR_GEMM_FLOPS: &str = "tensor.gemm.flops";
 /// Task batches dispatched by the intra-op worker pool.
 pub const TENSOR_PARALLEL_DISPATCHES: &str = "tensor.parallel.dispatches";
+/// Requests the thread-local buffer pool (`tensor::workspace`) could not
+/// serve from a retired buffer, so the global allocator served them: kernel
+/// scratch of any size, tensor storage from the pool's size floor up. A
+/// warm steady-state forward adds none; a count that grows with the work
+/// means the run keeps faulting in fresh pages.
+pub const TENSOR_POOL_MISSES: &str = "tensor.pool.misses";
+/// Bytes the pool misses in `tensor.pool.misses` allocated.
+pub const TENSOR_POOL_ALLOC_BYTES: &str = "tensor.pool.alloc_bytes";
 /// Wall time of one dimension permutation (`tensor::ops::permute`); one
 /// sample per call.
 pub const TENSOR_PERMUTE_NS: &str = "tensor.permute.ns";
@@ -95,6 +103,8 @@ pub const ALL_METRICS: &[&str] = &[
     TENSOR_GEMM_PACK_NS,
     TENSOR_PARALLEL_DISPATCHES,
     TENSOR_PERMUTE_NS,
+    TENSOR_POOL_ALLOC_BYTES,
+    TENSOR_POOL_MISSES,
     TENSOR_SOFTMAX_NS,
 ];
 
