@@ -12,9 +12,8 @@ use crate::instrument::{GoldenEye, InjectionPlan, InjectionRecord};
 use inject::{BitSampler, BitStrata, SiteKind};
 use metrics::{compare_outcomes, ConvergenceTrace, EarlyStop, RunningStats, StratifiedStats};
 use nn::Module;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use tensor::Tensor;
+use tensor::{parallel, Tensor};
 use trace::{names, Json, Progress, RunManifest, TrialRecord};
 
 /// Process-global counter of executed campaign trials.
@@ -107,87 +106,6 @@ impl CampaignConfig {
 /// the old `base + layer·n + trial`, whose adjacent seeds correlate).
 pub fn trial_seed(base: u64, layer: u64, trial: u64) -> u64 {
     rand::mix64(rand::mix64(rand::mix64(base) ^ layer) ^ trial)
-}
-
-/// Resolves a `jobs` knob: `0` means "all available cores".
-fn effective_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        jobs
-    }
-}
-
-/// Runs `trials` independent trial closures and returns their results in
-/// trial-index order. `f` receives `(worker, index)` — the worker id is
-/// 0 in serial runs and the executor-thread index otherwise, so trial
-/// records can be tagged with who ran them (auditing parallel runs
-/// against the serial bit-identity guarantee).
-///
-/// With `jobs <= 1` this is a plain serial loop. Otherwise `jobs` scoped
-/// worker threads pull trial indices from a shared atomic counter, and
-/// the results are re-sorted into index order afterwards — so any
-/// deterministic per-index `f` yields output independent of `jobs`
-/// (the worker id must not feed back into the computation).
-///
-/// # Panics
-///
-/// Propagates a panic from any trial (the remaining workers finish their
-/// current trial first).
-pub(crate) fn run_trials<T, F>(jobs: usize, trials: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-{
-    let jobs = effective_jobs(jobs).min(trials.max(1));
-    if jobs <= 1 {
-        return (0..trials).map(|i| f(0, i)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    // Workers inherit the spawning thread's span path (e.g. `campaign`)
-    // so their spans nest under it in the self-profiler tree.
-    let prof_path = trace::profile_path();
-    let mut collected: Vec<(usize, T)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|worker| {
-                let f = &f;
-                let next = &next;
-                let prof_path = prof_path.as_str();
-                s.spawn(move || {
-                    let _prof = trace::with_profile_path(prof_path);
-                    // Trial-level parallelism already owns the cores: pin
-                    // the intra-op kernel pool (GEMM row panels, chunked
-                    // quantise) to one thread per worker. Safe because
-                    // kernel results are bit-identical for every thread
-                    // count — this only avoids oversubscription.
-                    let _intra_op = tensor::parallel::with_threads(1);
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= trials {
-                            break;
-                        }
-                        local.push((i, f(worker, i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        let mut all = Vec::with_capacity(trials);
-        let mut panicked = None;
-        for h in handles {
-            match h.join() {
-                Ok(local) => all.extend(local),
-                Err(payload) => panicked = Some(payload),
-            }
-        }
-        if let Some(payload) = panicked {
-            std::panic::resume_unwind(payload);
-        }
-        all
-    });
-    collected.sort_unstable_by_key(|(i, _)| *i);
-    collected.into_iter().map(|(_, t)| t).collect()
 }
 
 /// Per-layer campaign result.
@@ -467,10 +385,10 @@ fn run_waves(
         if units.is_empty() {
             break;
         }
-        let results: Vec<TrialRecord> = run_trials(cfg.jobs, units.len(), |worker, u| {
+        let results: Vec<TrialRecord> = parallel::map(cfg.jobs, units.len(), |worker, u| {
             let (si, t) = units[u];
             let site = &sites[si];
-            let _span = trace::span!("batch", layer = site.index);
+            let _span = trace::span!("trial", layer = site.index);
             let (flip, outcome) =
                 run_trial(site, trial_seed(cfg.seed, site.index as u64, t as u64));
             progress.tick(1);
@@ -673,6 +591,7 @@ mod tests {
     use models::{train, ResNet, ResNetConfig, SyntheticDataset, TrainConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn setup() -> (ResNet, Tensor, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(1);

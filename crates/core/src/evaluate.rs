@@ -43,7 +43,7 @@ pub fn evaluate_accuracy_jobs(
     // Live ticks per batch from the workers; one deterministic heartbeat
     // when the (fixed) batch set completes.
     let progress = trace::Progress::new("evaluate", batches as u64);
-    let per_batch = crate::campaign::run_trials(jobs, batches, |_worker, b| {
+    let per_batch = tensor::parallel::map(jobs, batches, |_worker, b| {
         let start = b * batch_size;
         let end = (start + batch_size).min(k);
         let idx: Vec<usize> = (start..end).collect();

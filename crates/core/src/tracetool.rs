@@ -84,9 +84,8 @@ pub fn stats_report(source: &str, jsonl: &str) -> Result<String, String> {
 
     // One decode pass; validate_trace has already guaranteed shape.
     let mut spans: HashMap<String, SpanAgg> = HashMap::new();
-    // Campaign units are `batch` spans over `trials` trials each; a
-    // trial's cost is its batch's duration split evenly.
-    let mut batch_spans: Vec<(u64, u64, u64)> = Vec::new(); // (ns per trial, layer, trials)
+    // Every campaign trial is one `trial` span.
+    let mut trial_spans: Vec<(u64, u64)> = Vec::new(); // (ns, layer)
     let mut layer_ns: HashMap<u64, (u64, u64)> = HashMap::new(); // layer -> (ns, trials)
     let mut heartbeats: Vec<(u64, String, u64, u64)> = Vec::new(); // (ts, phase, done, planned)
     let mut manifests: Vec<RunManifest> = Vec::new();
@@ -100,13 +99,12 @@ pub fn stats_report(source: &str, jsonl: &str) -> Result<String, String> {
                 agg.count += 1;
                 agg.total_ns += dur;
                 agg.max_ns = agg.max_ns.max(dur);
-                if name == "batch" {
+                if name == "trial" {
                     let layer = v.get("layer").and_then(Json::as_u64).unwrap_or(0);
-                    let trials = v.get("trials").and_then(Json::as_u64).unwrap_or(1).max(1);
-                    batch_spans.push((dur / trials, layer, trials));
+                    trial_spans.push((dur, layer));
                     let slot = layer_ns.entry(layer).or_default();
                     slot.0 += dur;
-                    slot.1 += trials;
+                    slot.1 += 1;
                 }
             }
             Some("progress") => {
@@ -147,19 +145,15 @@ pub fn stats_report(source: &str, jsonl: &str) -> Result<String, String> {
         }
     }
 
-    if !batch_spans.is_empty() {
-        batch_spans.sort_by(|a, b| b.0.cmp(&a.0).then((a.1, a.2).cmp(&(b.1, b.2))));
-        let _ = writeln!(out, "\n  slowest trials (per-trial cost of each batch span):");
-        for (ns, layer, trials) in batch_spans.iter().take(TOP_N.min(5)) {
-            let _ = writeln!(
-                out,
-                "    layer {layer:>3}  {:>10} per trial (batch of {trials})",
-                fmt_ns(*ns)
-            );
+    if !trial_spans.is_empty() {
+        trial_spans.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let _ = writeln!(out, "\n  slowest trials:");
+        for (ns, layer) in trial_spans.iter().take(TOP_N.min(5)) {
+            let _ = writeln!(out, "    layer {layer:>3}  {:>10}", fmt_ns(*ns));
         }
         let mut layers: Vec<(u64, (u64, u64))> = layer_ns.into_iter().collect();
         layers.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then(a.0.cmp(&b.0)));
-        let _ = writeln!(out, "\n  slowest layers (summed batch spans):");
+        let _ = writeln!(out, "\n  slowest layers (summed trial spans):");
         for (layer, (ns, count)) in layers.iter().take(TOP_N.min(5)) {
             let _ = writeln!(
                 out,
@@ -461,7 +455,7 @@ mod tests {
             inclusive_ns: (wall * 1e9) as u64,
             exclusive_ns: 1000,
             children: vec![ProfileNode {
-                name: "batch".into(),
+                name: "trial".into(),
                 count: 100,
                 inclusive_ns: (wall * 0.9e9) as u64,
                 exclusive_ns: (wall * 0.9e9) as u64,
@@ -511,7 +505,7 @@ mod tests {
         b.counters = vec![("campaign.trials".into(), Json::obj([("count", Json::from(200u64))]))];
         let report = diff_manifests(&a, &b, 0.10);
         assert!(report.text.contains("campaign.trials"), "{}", report.text);
-        assert!(report.text.contains("campaign;batch"), "{}", report.text);
+        assert!(report.text.contains("campaign;trial"), "{}", report.text);
     }
 
     #[test]
@@ -519,7 +513,7 @@ mod tests {
         let m = manifest(1.0, 100.0);
         let folded = export_folded(&m).unwrap();
         assert!(folded.contains("campaign 1000\n"), "{folded}");
-        assert!(folded.contains("campaign;batch"), "{folded}");
+        assert!(folded.contains("campaign;trial"), "{folded}");
         let empty = RunManifest::new("bare");
         assert!(export_folded(&empty).is_err());
     }
@@ -540,9 +534,10 @@ mod tests {
             worker: 0,
         };
         let jsonl = format!(
-            "{}\n{}\n{}\n{}\n{}\n{}\n",
-            r#"{"ts_ns":1000,"level":"debug","type":"span","name":"batch","layer":1,"trials":1,"dur_ns":4000}"#,
-            r#"{"ts_ns":2000,"level":"debug","type":"span","name":"batch","layer":2,"trials":2,"dur_ns":18000}"#,
+            "{}\n{}\n{}\n{}\n{}\n{}\n{}\n",
+            r#"{"ts_ns":1000,"level":"debug","type":"span","name":"trial","layer":1,"dur_ns":4000}"#,
+            r#"{"ts_ns":2000,"level":"debug","type":"span","name":"trial","layer":2,"dur_ns":8000}"#,
+            r#"{"ts_ns":2500,"level":"debug","type":"span","name":"trial","layer":2,"dur_ns":10000}"#,
             r#"{"ts_ns":3000,"level":"debug","type":"span","name":"campaign","dur_ns":20000}"#,
             r#"{"ts_ns":1000000,"level":"info","type":"progress","phase":"campaign","done":8,"planned":16}"#,
             r#"{"ts_ns":2000000,"level":"info","type":"progress","phase":"campaign","done":16,"planned":16}"#,
@@ -550,9 +545,8 @@ mod tests {
         );
         let jsonl = format!("{jsonl}{}\n", m.to_json().to_compact());
         let report = stats_report("test.jsonl", &jsonl).unwrap();
-        assert!(report.contains("2 span(s)") || report.contains("3 span(s)"), "{report}");
-        assert!(report.contains("slowest trials"), "{report}");
-        assert!(report.contains("9.0µs per trial (batch of 2)"), "{report}");
+        assert!(report.contains("4 span(s)"), "{report}");
+        assert!(report.contains("slowest trials:\n    layer   2      10.0µs\n"), "{report}");
         assert!(report.contains("18.0µs over 2 trial(s)  (9.0µs mean)"), "{report}");
         assert!(report.contains("throughput timeline"), "{report}");
         assert!(report.contains("goldeneye campaign"), "{report}");

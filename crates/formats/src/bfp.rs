@@ -485,7 +485,7 @@ mod tests {
         // make the result byte-identical to the serial path. Above
         // PAR_MIN_ELEMS so the parallel dispatch path really runs.
         use tensor::parallel::with_threads;
-        let n = crate::chunk::PAR_MIN_ELEMS + 10_007;
+        let n = tensor::parallel::PAR_MIN_ELEMS + 10_007;
         let x = Tensor::from_vec((0..n).map(|i| ((i as f32) * 0.371).sin() * 80.0).collect(), [n]);
         let bfp = BlockFloatingPoint::per_tensor(5, 5);
         let serial = {
@@ -528,7 +528,7 @@ mod tests {
         // task boundaries. Above PAR_MIN_ELEMS so the parallel dispatch
         // path really runs.
         use tensor::parallel::with_threads;
-        let n = crate::chunk::PAR_MIN_ELEMS + 9001;
+        let n = tensor::parallel::PAR_MIN_ELEMS + 9001;
         let x = Tensor::from_vec((0..n).map(|i| ((i as f32) * 1.618).cos() * 300.0).collect(), [n]);
         for block in [3usize, 48, 100, 5000] {
             let bfp = BlockFloatingPoint::new(5, 5, block);

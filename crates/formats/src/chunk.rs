@@ -29,13 +29,6 @@ use tensor::{parallel, workspace, Tensor};
 /// count — which is what makes chunked output thread-count invariant.
 pub(crate) const QUANT_CHUNK: usize = 4096;
 
-/// Below this many elements the chunk loop stays on the calling thread:
-/// `tensor::parallel` spawns scoped OS threads per dispatch (~1 ms on
-/// containerised hosts), which swamps the quantise work for the layer
-/// outputs of the evaluation models. The guard only affects latency —
-/// chunk boundaries, and therefore results, are identical either way.
-pub(crate) const PAR_MIN_ELEMS: usize = 1 << 20;
-
 struct QuantMetrics {
     ns: &'static trace::Metric,
     elems: &'static trace::Metric,
@@ -63,7 +56,7 @@ pub(crate) fn map_chunked(t: &Tensor, f: impl Fn(f32) -> f32 + Sync + Copy) -> T
     let src = t.as_slice();
     let mut out = workspace::zeroed(src.len());
     let kern = kernels::active();
-    let _serial = (src.len() < PAR_MIN_ELEMS).then(|| parallel::with_threads(1));
+    let _serial = (src.len() < parallel::PAR_MIN_ELEMS).then(|| parallel::with_threads(1));
     parallel::par_chunks_mut(&mut out, QUANT_CHUNK, |i, chunk| {
         let src = &src[i * QUANT_CHUNK..];
         kernels::with_isa(
@@ -128,7 +121,7 @@ pub(crate) fn max_abs_chunked(t: &Tensor) -> f32 {
     let tasks = src.len().div_ceil(QUANT_CHUNK).max(1);
     let mut partials = vec![0.0f32; tasks];
     let kern = kernels::active();
-    let _serial = (src.len() < PAR_MIN_ELEMS).then(|| parallel::with_threads(1));
+    let _serial = (src.len() < parallel::PAR_MIN_ELEMS).then(|| parallel::with_threads(1));
     parallel::par_chunks_mut(&mut partials, 1, |i, slot| {
         let start = i * QUANT_CHUNK;
         let end = (start + QUANT_CHUNK).min(src.len());
@@ -180,7 +173,7 @@ fn max_abs(xs: &[f32]) -> f32 {
 /// A task covers a fixed run of *whole* blocks (about [`QUANT_CHUNK`]
 /// elements), so chunk boundaries align with the blocks and the result is
 /// identical for every thread count; both passes take the
-/// [`PAR_MIN_ELEMS`] serial guard and run under the dispatched
+/// [`parallel::PAR_MIN_ELEMS`] serial guard and run under the dispatched
 /// instruction set. `block_size == usize::MAX` (one block for the whole
 /// tensor) is clamped to the tensor length.
 pub(crate) fn quantize_blocks(
@@ -194,7 +187,7 @@ pub(crate) fn quantize_blocks(
     let bs = block_size.min(n.max(1));
     let blocks_per_task = (QUANT_CHUNK / bs).max(1);
     let kern = kernels::active();
-    let _serial = (n < PAR_MIN_ELEMS).then(|| parallel::with_threads(1));
+    let _serial = (n < parallel::PAR_MIN_ELEMS).then(|| parallel::with_threads(1));
     let mut codes = vec![0u32; n.div_ceil(bs)];
     parallel::par_chunks_mut(&mut codes, blocks_per_task, |ci, chunk| {
         let start = ci * blocks_per_task * bs;
@@ -274,7 +267,7 @@ mod tests {
     #[test]
     fn map_chunked_matches_map_across_thread_counts() {
         // Above PAR_MIN_ELEMS so the parallel dispatch path really runs.
-        let t = ramp(PAR_MIN_ELEMS + 4097);
+        let t = ramp(parallel::PAR_MIN_ELEMS + 4097);
         let f = |x: f32| (x * 0.5).floor();
         let serial = t.map(f);
         for threads in [1, 2, 8] {

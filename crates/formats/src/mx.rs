@@ -417,7 +417,7 @@ mod tests {
         // byte-identical output for every thread count — whole blocks never
         // straddle task boundaries. Above PAR_MIN_ELEMS so the parallel
         // dispatch path really runs.
-        let n = crate::chunk::PAR_MIN_ELEMS + 10_007;
+        let n = tensor::parallel::PAR_MIN_ELEMS + 10_007;
         let x = Tensor::from_vec((0..n).map(|i| ((i as f32) * 0.7331).sin() * 50.0).collect(), [n]);
         for block in [1usize, 3, 32, 48, 100] {
             let mx = MxFloat::new(MxElem::Fp8E5m2, block);

@@ -79,8 +79,8 @@ impl RangeProfile {
             Some((lo, hi)) => {
                 let src = t.as_slice();
                 let mut out = vec![0.0f32; src.len()];
-                let _serial =
-                    (src.len() < CLAMP_PAR_MIN_ELEMS).then(|| tensor::parallel::with_threads(1));
+                let _serial = (src.len() < tensor::parallel::PAR_MIN_ELEMS)
+                    .then(|| tensor::parallel::with_threads(1));
                 tensor::parallel::par_chunks_mut(&mut out, CLAMP_CHUNK, |i, chunk| {
                     let base = i * CLAMP_CHUNK;
                     for (j, v) in chunk.iter_mut().enumerate() {
@@ -97,13 +97,6 @@ impl RangeProfile {
 /// Elements per parallel clamp work unit. Fixed — never derived from the
 /// thread count — which keeps clamped outputs thread-count invariant.
 const CLAMP_CHUNK: usize = 4096;
-
-/// Below this many elements the clamp stays on the calling thread —
-/// per-dispatch thread spawn costs more than the clamp itself for the
-/// evaluation models' layer outputs (same rationale and value as the
-/// quantise chunking's threshold in `formats`). Latency-only: chunk
-/// boundaries, and therefore results, are identical either way.
-const CLAMP_PAR_MIN_ELEMS: usize = 1 << 20;
 
 #[cfg(test)]
 mod tests {
@@ -148,7 +141,7 @@ mod tests {
         p.observe(0, &Tensor::from_vec(vec![-2.0, 2.0], [2]));
         // Above the serial guard so the parallel dispatch path really
         // runs, ragged so the partial tail chunk is exercised.
-        let n = CLAMP_PAR_MIN_ELEMS + 3 * CLAMP_CHUNK + 17;
+        let n = tensor::parallel::PAR_MIN_ELEMS + 3 * CLAMP_CHUNK + 17;
         let v: Vec<f32> = (0..n)
             .map(|i| match i % 5 {
                 0 => f32::NAN,

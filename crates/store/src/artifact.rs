@@ -9,6 +9,7 @@
 
 use formats::hash::{fnv1a, fnv1a_update, FNV_OFFSET};
 use std::io;
+use std::ops::Range;
 
 /// File magic: "GoldenEye ARTifact", layout version 1.
 const MAGIC: &[u8; 8] = b"GEART001";
@@ -82,14 +83,15 @@ pub(crate) fn encode(key: &ArtifactKey, payload: &[u8]) -> Vec<u8> {
 }
 
 /// Decodes and fully validates an encoded checkpoint (magic, kind, field
-/// bounds, payload footer) and returns its key and a view of its payload.
+/// bounds, payload footer) and returns its key and the byte range of its
+/// payload within `bytes`.
 ///
 /// # Errors
 ///
 /// Returns `InvalidData` on any malformation — truncation, an
 /// out-of-range length, a flipped payload bit, a bad magic, a retired
 /// kind — never a partially decoded checkpoint.
-pub(crate) fn decode(bytes: &[u8]) -> io::Result<(ArtifactKey, &[u8])> {
+pub(crate) fn decode(bytes: &[u8]) -> io::Result<(ArtifactKey, Range<usize>)> {
     let take = |off: usize, len: usize| -> io::Result<&[u8]> {
         off.checked_add(len)
             .and_then(|end| bytes.get(off..end))
@@ -117,7 +119,7 @@ pub(crate) fn decode(bytes: &[u8]) -> io::Result<(ArtifactKey, &[u8])> {
     if u64_at(payload_off + payload_len)? != fnv1a(payload) {
         return Err(bad("artifact payload hash mismatch"));
     }
-    Ok((ArtifactKey::checkpoint(name), payload))
+    Ok((ArtifactKey::checkpoint(name), payload_off..payload_off + payload_len))
 }
 
 #[cfg(test)]
@@ -132,7 +134,7 @@ mod tests {
         let bytes = encode(&key, &payload);
         let (k, p) = decode(&bytes).unwrap();
         assert_eq!(k, key);
-        assert_eq!(p, &payload[..], "NaN and -0.0 bit patterns must survive");
+        assert_eq!(&bytes[p], &payload[..], "NaN and -0.0 bit patterns must survive");
         // Payload is 64-byte aligned in the encoding.
         let off = (HEADER_LEN + "m".len()).div_ceil(PAYLOAD_ALIGN) * PAYLOAD_ALIGN;
         assert_eq!(off, 64);
@@ -197,6 +199,7 @@ mod tests {
             "4745415254303031030000000a000000000000000000000000000000000000000500000000000000\
              64656d6f3a636e6e3a3800000000000000000000000000000102030405887d6b4fbfdc660f"
         );
-        assert_eq!(decode(&bytes).unwrap(), (key, &payload[..]));
+        let (k, p) = decode(&bytes).unwrap();
+        assert_eq!((k, &bytes[p]), (key, &payload[..]));
     }
 }

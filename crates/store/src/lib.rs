@@ -139,10 +139,16 @@ impl Store {
     pub fn get_checkpoint(&self, name: &str) -> Option<Vec<u8>> {
         let key = ArtifactKey::checkpoint(name);
         let bytes = std::fs::read(self.objects().join(key.file_name())).ok();
-        let payload = bytes.as_deref().and_then(|b| match artifact::decode(b) {
+        let payload = bytes.and_then(|mut b| match artifact::decode(&b) {
             // Guard the (astronomically unlikely) file-name hash
             // collision: the decoded key must match exactly.
-            Ok((k, payload)) if k == key => Some(payload.to_vec()),
+            Ok((k, payload)) if k == key => {
+                // Cut the header and footer off the read buffer in place:
+                // a load holds one copy of the weights, not two.
+                b.truncate(payload.end);
+                b.drain(..payload.start);
+                Some(b)
+            }
             _ => None,
         });
         match &payload {
@@ -298,6 +304,20 @@ mod tests {
         Store::open(&dir).unwrap().put_checkpoint("demo:cnn:8", &[1; 8]).unwrap();
         let store = Store::open_existing(&dir).unwrap();
         assert_eq!(store.get_checkpoint("demo:cnn:8"), Some(vec![1; 8]));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn loaded_payload_equals_what_was_put() {
+        // The load cuts the header and footer off the read buffer in
+        // place; names of different lengths move the payload's offset.
+        let dir = temp_dir("in_place");
+        let store = Store::open(&dir).unwrap();
+        let payload: Vec<u8> = (0..10_007u32).map(|i| (i * 31 % 251) as u8).collect();
+        for name in ["m", "demo:resnet18:0123456789abcdef", &"n".repeat(100)] {
+            store.put_checkpoint(name, &payload).unwrap();
+            assert_eq!(store.get_checkpoint(name).as_deref(), Some(&payload[..]), "{name}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

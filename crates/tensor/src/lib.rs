@@ -22,7 +22,8 @@
 //! - [`conv`]: convolution that streams packed B panels straight from the
 //!   image into the GEMM micro-kernel (no im2col matrix), and pooling,
 //!   with explicit backward passes;
-//! - [`parallel`]: the intra-op scoped-thread worker pool and its
+//! - [`parallel`]: the one scoped-thread executor — [`parallel::map`] for
+//!   campaign trials, `parallel_for` for intra-op tasks — and its
 //!   thread-budget controls ([`parallel::with_threads`]);
 //! - [`workspace`]: the thread-local buffer pool that kernel scratch and
 //!   the ops' output tensors come from and go back to, so steady-state

@@ -1,31 +1,42 @@
-//! Intra-op worker threads for the compute kernels.
+//! Worker threads: the one scoped-thread executor of the workspace.
 //!
-//! The same scoped-thread design as the campaign executor in
-//! `goldeneye::campaign::run_trials` (PR 1), one level down the stack:
-//! workers pull task indices from a shared atomic counter inside a
-//! `std::thread::scope`, every task writes only its own pre-assigned
-//! output range, and the task→output mapping is fixed before any thread
-//! starts — so results are **bit-identical for every thread count**
-//! (including 1, which short-circuits to a plain loop with zero
-//! overhead).
+//! Campaign trials and evaluation batches ([`map`], called by
+//! `goldeneye::campaign` and `goldeneye::evaluate`) and the compute
+//! kernels' intra-op tasks ([`parallel_for`], [`par_chunks_mut`]) run on
+//! the same worker loop: workers pull task indices from a shared atomic
+//! counter inside a `std::thread::scope`, every task writes only its own
+//! output (a result slot, or a pre-assigned range), and the task→output
+//! mapping is fixed before any thread starts — so results are
+//! **bit-identical for every thread count** (including 1, which
+//! short-circuits to a plain loop on the caller's thread). Every worker
+//! inherits the caller's span path and pins nested dispatch to one
+//! thread; a worker's panic is re-raised on the caller after the join.
 //!
-//! The thread budget is resolved per call site as:
+//! [`map`] takes its thread count from its caller (`0` = all cores). The
+//! kernels' budget is resolved per call site as:
 //!
-//! 1. the thread-local override installed by [`with_threads`] (used by
-//!    the campaign executor to pin intra-op parallelism to 1 inside its
-//!    own worker threads, avoiding oversubscription), else
+//! 1. the thread-local override installed by [`with_threads`] (which every
+//!    worker sets to 1: the tasks already own the cores, and the
+//!    bit-identity contract makes the pin free), else
 //! 2. the process-wide default set by [`set_max_threads`], else
 //! 3. `std::thread::available_parallelism()`.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// Process-wide default thread budget; 0 = "ask the OS".
 static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Counts task batches dispatched to the worker pool (serial
-/// short-circuits excluded).
+/// Below this many elements an elementwise pass (chunked quantise, range
+/// clamp) stays on the calling thread: every dispatch spawns scoped OS
+/// threads (~1 ms on containerised hosts), which swamps the work for the
+/// evaluation models' layer outputs. The guard only affects latency —
+/// chunk boundaries, and therefore results, are identical either way.
+pub const PAR_MIN_ELEMS: usize = 1 << 20;
+
+/// Counts task batches the kernels dispatched to worker threads (serial
+/// short-circuits and [`map`] calls excluded).
 fn dispatch_counter() -> &'static trace::Metric {
     static C: OnceLock<&'static trace::Metric> = OnceLock::new();
     C.get_or_init(|| trace::counter(trace::names::TENSOR_PARALLEL_DISPATCHES))
@@ -36,6 +47,14 @@ thread_local! {
     static OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
+/// Resolves a thread-count knob: `0` means all available cores.
+fn resolve(threads: usize) -> usize {
+    match threads {
+        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        n => n,
+    }
+}
+
 /// Sets the process-wide default intra-op thread budget (0 restores
 /// "all available cores").
 pub fn set_max_threads(n: usize) {
@@ -44,13 +63,7 @@ pub fn set_max_threads(n: usize) {
 
 /// The thread budget kernels on the current thread will use.
 pub fn max_threads() -> usize {
-    if let Some(n) = OVERRIDE.with(Cell::get) {
-        return n.max(1);
-    }
-    match MAX_THREADS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        n => n,
-    }
+    OVERRIDE.with(Cell::get).unwrap_or_else(|| resolve(MAX_THREADS.load(Ordering::Relaxed)))
 }
 
 /// RAII guard restoring the previous thread-local budget on drop.
@@ -74,9 +87,82 @@ pub fn with_threads(n: usize) -> ThreadsGuard {
     ThreadsGuard { prev }
 }
 
+/// The worker loop behind [`map`] and [`parallel_for`]: `workers` scoped
+/// threads pull task indices from one atomic counter and run
+/// `f(worker, index)` for each.
+fn run_workers<F>(workers: usize, tasks: usize, f: F)
+where
+    F: Fn(usize, usize) + Sync,
+{
+    let next = AtomicUsize::new(0);
+    // Workers inherit the dispatching thread's span path so their spans
+    // aggregate under the campaign/trial that ran them.
+    let prof_path = trace::profile_path();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|worker| {
+                let f = &f;
+                let next = &next;
+                let prof_path = prof_path.as_str();
+                s.spawn(move || {
+                    let _prof = trace::with_profile_path(prof_path);
+                    let _nested = with_threads(1);
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= tasks {
+                            break;
+                        }
+                        f(worker, i);
+                    }
+                })
+            })
+            .collect();
+        let mut panicked = None;
+        for h in handles {
+            if let Err(payload) = h.join() {
+                panicked = Some(payload);
+            }
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
+    });
+}
+
+/// Runs `f(worker, index)` for every `index` in `0..tasks` on `threads`
+/// workers (`0` = all available cores) and returns the results in index
+/// order.
+///
+/// At one thread or one task this is a plain loop on the caller's thread
+/// (worker 0, no pin). Otherwise the worker id is the executor-thread
+/// index, below the thread count, so callers can record who ran a task;
+/// it must not feed back into the result, which is then independent of
+/// `threads`.
+///
+/// # Panics
+///
+/// Propagates a panic from any task (the remaining workers finish their
+/// current task first).
+pub fn map<T, F>(threads: usize, tasks: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, usize) -> T + Sync,
+{
+    let workers = resolve(threads).min(tasks);
+    if workers <= 1 {
+        return (0..tasks).map(|i| f(0, i)).collect();
+    }
+    let slots: Vec<Mutex<Option<T>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
+    run_workers(workers, tasks, |worker, i| {
+        let out = f(worker, i);
+        *slots[i].lock().unwrap() = Some(out);
+    });
+    slots.into_iter().map(|s| s.into_inner().unwrap().expect("every task ran")).collect()
+}
+
 /// Runs `tasks` independent closures, `f(task_index)`, on up to
-/// [`max_threads`] scoped workers (serial when the budget or task count
-/// is 1). Panics from any task are propagated after the scope joins.
+/// [`max_threads`] workers (serial when the budget or task count is 1).
+/// Panics from any task are propagated after the workers join.
 ///
 /// `f` must confine its writes to state owned by its task index; under
 /// that contract the result is independent of the thread count.
@@ -92,38 +178,7 @@ where
         return;
     }
     dispatch_counter().add(1);
-    let next = AtomicUsize::new(0);
-    // Workers inherit the dispatching thread's span path so kernel spans
-    // aggregate under the campaign/trial that ran them.
-    let prof_path = trace::profile_path();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let f = &f;
-                let next = &next;
-                let prof_path = prof_path.as_str();
-                s.spawn(move || {
-                    let _prof = trace::with_profile_path(prof_path);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= tasks {
-                            break;
-                        }
-                        f(i);
-                    }
-                })
-            })
-            .collect();
-        let mut panicked = None;
-        for h in handles {
-            if let Err(payload) = h.join() {
-                panicked = Some(payload);
-            }
-        }
-        if let Some(payload) = panicked {
-            std::panic::resume_unwind(payload);
-        }
-    });
+    run_workers(workers, tasks, |_, i| f(i));
 }
 
 /// Splits `out` into fixed `chunk`-sized pieces and runs
@@ -156,8 +211,8 @@ where
         let start = i * chunk;
         let end = (start + chunk).min(len);
         // SAFETY: task i touches exactly `start..end`; tasks partition
-        // `0..len` disjointly, and the scope in `parallel_for` outlives
-        // no borrow of `out`.
+        // `0..len` disjointly, and every worker of `parallel_for` joins
+        // before the borrow of `out` ends.
         let slice = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
         f(i, slice);
     });
@@ -248,5 +303,42 @@ mod tests {
             });
         });
         assert!(caught.is_err());
+    }
+
+    #[test]
+    fn map_returns_index_order() {
+        let want: Vec<usize> = (0..100).map(|i| i * i).collect();
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(map(threads, 100, |_, i| i * i), want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn map_worker_ids_are_below_the_thread_count() {
+        for threads in [1, 2, 3, 8] {
+            let workers = map(threads, 64, |worker, _| worker);
+            assert!(workers.iter().all(|&w| w < threads), "threads={threads}: {workers:?}");
+        }
+    }
+
+    #[test]
+    fn zero_threads_means_all_cores() {
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        assert_eq!(resolve(0), cores);
+        assert!(map(0, 64, |worker, _| worker).iter().all(|&w| w < cores));
+    }
+
+    #[test]
+    fn map_propagates_panics() {
+        let caught = std::panic::catch_unwind(|| {
+            map(2, 10, |_, i| {
+                if i == 5 {
+                    panic!("task 5 exploded");
+                }
+                i
+            })
+        });
+        let payload = caught.expect_err("the task's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"task 5 exploded"));
     }
 }

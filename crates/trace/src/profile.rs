@@ -3,11 +3,11 @@
 //! per-run profile tree (inclusive/exclusive ns, call counts) and a
 //! flamegraph-ready folded-stack export are derived.
 //!
-//! Paths are `;`-joined span names (`campaign;batch;trial`) — the folded
-//! stack convention. Each thread keeps its own span stack; work handed to
-//! a pool thread inherits the spawning thread's path via
-//! [`with_profile_path`], so `campaign;batch` nests correctly even though
-//! the `batch` span lives on a worker.
+//! Paths are `;`-joined span names (`campaign;trial`) — the folded stack
+//! convention. Each thread keeps its own span stack; work handed to a pool
+//! thread inherits the spawning thread's path via [`with_profile_path`],
+//! so `campaign;trial` nests correctly even though the `trial` span lives
+//! on a worker.
 //!
 //! Aggregation is always on: the cost is one map update per span *drop*
 //! (spans are per-phase/per-trial, never per-element), so it sits in both
