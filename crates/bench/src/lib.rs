@@ -302,6 +302,8 @@ pub struct BenchArgs {
     /// The binary's own switches (see [`BenchArgs::parse_with`]) that were
     /// given.
     switches: Vec<String>,
+    /// `-h` / `--help`: print the usage and exit before any work.
+    help: bool,
     /// When the flags were parsed: the start of the run's `wall_time_s`.
     start: Instant,
 }
@@ -324,12 +326,46 @@ impl BenchArgs {
     /// A malformed or missing value (`--jobs abc`, `--log-level loud`, a
     /// trailing `--injections`) prints `error: ...` and exits with status
     /// 1, as the `goldeneye` CLI does; an unknown flag is reported and
-    /// ignored.
+    /// ignored. `-h` / `--help` prints the shared flags and `own`, then
+    /// exits with status 0.
     pub fn parse_with(own: &[&str]) -> Self {
-        Self::try_parse(std::env::args().skip(1), own).unwrap_or_else(|e| {
+        let args = Self::try_parse(std::env::args().skip(1), own).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(1)
-        })
+        });
+        if args.help {
+            let bin = std::env::args().next().unwrap_or_default();
+            let name = std::path::Path::new(&bin).file_name().map(|n| n.to_string_lossy());
+            print!("{}", Self::usage(name.as_deref().unwrap_or("bench"), own));
+            std::process::exit(0)
+        }
+        args
+    }
+
+    /// The usage text `-h` / `--help` prints: the shared flags, then the
+    /// binary's own switches `own`.
+    fn usage(bin: &str, own: &[&str]) -> String {
+        let mut text = format!(
+            "usage: {bin} [flags]\n\n\
+             shared flags:\n  \
+             --quick               CI-smoke parameters (small sizes, few repetitions)\n  \
+             --full                paper-scale parameters (e.g. 1000 injections/layer)\n  \
+             --injections <n>      injections per layer\n  \
+             --jobs <n>            campaign worker threads (1 = serial, 0 = all cores)\n  \
+             --out <path>          write the run manifest as pretty JSON\n  \
+             --trace-out <path>    write structured JSONL trace events\n  \
+             --log-level <level>   error|warn|info|debug|trace\n  \
+             -v, --verbose         same as --log-level debug\n  \
+             -q, --quiet           same as --log-level warn\n  \
+             -h, --help            print this text and exit\n"
+        );
+        if !own.is_empty() {
+            text.push_str(&format!("\n{bin} switches:\n"));
+            for switch in own {
+                text.push_str(&format!("  {switch}\n"));
+            }
+        }
+        text
     }
 
     /// [`BenchArgs::parse_with`] over `argv` (program name excluded),
@@ -355,6 +391,7 @@ impl BenchArgs {
             jobs: 1,
             out: None,
             switches: Vec::new(),
+            help: false,
             start: Instant::now(),
         };
         let mut it = argv.into_iter();
@@ -379,6 +416,7 @@ impl BenchArgs {
                 }
                 "-v" | "--verbose" => trace::set_level(trace::Level::Debug),
                 "-q" | "--quiet" => trace::set_level(trace::Level::Warn),
+                "-h" | "--help" => args.help = true,
                 other if own.contains(&other) => args.switches.push(a),
                 other => eprintln!("[bench] ignoring unknown flag {other}"),
             }
@@ -462,6 +500,22 @@ mod tests {
         let args = parse(&["--injections", "7", "--jobs", "0", "--full"], &[]).unwrap();
         assert_eq!((args.injections, args.jobs, args.full), (Some(7), 0, true));
         assert_eq!(parse(&[], &[]).unwrap().jobs, 1);
+    }
+
+    #[test]
+    fn help_is_a_flag_not_an_unknown_argument() {
+        let own = ["--overhead-only"];
+        for flag in ["-h", "--help"] {
+            assert!(parse(&[flag], &own).unwrap().help, "{flag}");
+            assert!(parse(&["--quick", flag], &[]).unwrap().help, "{flag} after a flag");
+        }
+        assert!(!parse(&["--quick"], &own).unwrap().help);
+        let usage = BenchArgs::usage("campaign_scaling", &own);
+        for flag in ["--quick", "--full", "--injections", "--jobs", "--out", "--help"] {
+            assert!(usage.contains(flag), "usage lacks {flag}:\n{usage}");
+        }
+        assert!(usage.contains("campaign_scaling switches:\n  --overhead-only\n"), "{usage}");
+        assert!(!BenchArgs::usage("fig3", &[]).contains("switches:"));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! design". This module measures ΔLoss as a function of the flipped bit
 //! position, holding everything else fixed.
 
-use crate::instrument::{GoldenEye, InjectionPlan};
+use crate::instrument::{GoldenEye, InjectionPlan, TrialFault};
 use inject::{BitSampler, SiteKind};
 use metrics::{compare_outcomes, RunningStats};
 use nn::Module;
@@ -57,8 +57,9 @@ pub fn bit_position_campaign(
             let mut mismatch = RunningStats::new();
             for t in 0..trials {
                 let trial_seed = seed.wrapping_add((bit * trials + t) as u64);
-                let (faulty, rec) =
-                    ge.replay(model, &clean, plan, BitSampler::Fixed(bit), trial_seed);
+                let sampler = BitSampler::Fixed(bit);
+                let fault = TrialFault::Activation { plan, sampler, seed: trial_seed };
+                let (faulty, rec) = ge.replay(model, &clean, fault);
                 assert!(rec.is_some(), "layer {layer} never executed");
                 let o = compare_outcomes(clean.golden(), &faulty, targets);
                 delta_loss.push(o.delta_loss);

@@ -8,10 +8,11 @@
 //! and the canonical `(layer, trial)`-ordered records are byte-identical
 //! between serial and parallel runs (see `TrialRecord::canonical_line`).
 
-use crate::instrument::{GoldenEye, InjectionPlan, InjectionRecord};
+use crate::instrument::{GoldenEye, InjectionPlan, InjectionRecord, TrialFault};
 use inject::{BitSampler, BitStrata, SiteKind};
 use metrics::{compare_outcomes, ConvergenceTrace, EarlyStop, RunningStats, StratifiedStats};
 use nn::Module;
+use std::borrow::Cow;
 use std::sync::OnceLock;
 use tensor::{parallel, Tensor};
 use trace::{names, Json, Progress, RunManifest, TrialRecord};
@@ -246,7 +247,7 @@ fn trial_record(
         layer: site.index,
         layer_name: site.name.clone(),
         trial,
-        site: kind.as_str().to_string(),
+        site: Cow::Borrowed(kind.as_str()),
         element: flip.map(|(e, _)| e),
         bit: flip.map(|(_, b)| b),
         delta_loss: outcome.map(|o| o.delta_loss),
@@ -331,9 +332,9 @@ impl SiteState {
     }
 }
 
-/// Checkpoint reuse of an activation campaign, for the heartbeat's
-/// `cache_hit_rate`: the segments each site's replay skips, out of the
-/// model's segment count.
+/// Checkpoint reuse of a campaign, for the heartbeat's `cache_hit_rate`:
+/// the segments each site's replay skips, out of the model's segment
+/// count.
 struct ReplaySegments {
     skipped: Vec<usize>,
     total: usize,
@@ -354,7 +355,7 @@ fn run_waves(
     kind: SiteKind,
     phase: &'static str,
     mut sites: Vec<SiteState>,
-    replay: Option<ReplaySegments>,
+    replay: ReplaySegments,
     run_trial: impl Fn(&SiteState, u64) -> TrialOutcome + Sync,
 ) -> Vec<SiteState> {
     let n = cfg.injections_per_layer;
@@ -395,10 +396,8 @@ fn run_waves(
             trial_record(site, t, kind, flip, outcome.as_ref(), worker)
         });
         for (&(si, _), rec) in units.iter().zip(results) {
-            if let Some(r) = &replay {
-                seg_skipped += r.skipped[si];
-                seg_total += r.total;
-            }
+            seg_skipped += replay.skipped[si];
+            seg_total += replay.total;
             sites[si].fold(rec);
         }
         if let Some(rule) = &rule {
@@ -412,15 +411,12 @@ fn run_waves(
         // Deterministic content first (wave index, site states), volatile
         // schedule/timing fields last.
         let stopped = sites.iter().filter(|s| s.stopped).count();
-        let mut extra: Vec<(&'static str, Json)> = vec![
+        progress.heartbeat(vec![
             ("wave", Json::from(round)),
             ("stopped_sites", Json::from(stopped)),
             ("jobs", Json::from(cfg.jobs)),
-        ];
-        if seg_total > 0 {
-            extra.push(("cache_hit_rate", Json::Num(seg_skipped as f64 / seg_total as f64)));
-        }
-        progress.heartbeat(extra);
+            ("cache_hit_rate", Json::Num(seg_skipped as f64 / seg_total as f64)),
+        ]);
     }
     progress.finish();
     sites
@@ -460,10 +456,10 @@ fn campaign_result(
 /// checkpoints ([`GoldenEye::capture_clean_run`]); the same pass lists the
 /// instrumented layers that become the campaign's sites. Trials replay
 /// only the network suffix from the checkpoint preceding their injection
-/// layer, one trial per forward ([`GoldenEye::run_replay_batch`]), and a
-/// trial whose activation equals the clean run's bit for bit at a later
-/// segment boundary stops there with the golden logits (the exact early
-/// exit of `GoldenEye::replay`; records are unchanged). With
+/// layer, one trial per forward ([`GoldenEye::replay`]), and a trial
+/// whose activation equals the clean run's bit for bit at a later segment
+/// boundary stops there with the golden logits (the replay's exact early
+/// exit; records are unchanged). With
 /// `cfg.early_stop` set, each site's trials run in canonical
 /// waves of [`EARLY_STOP_WAVE`] and stop once the site's ΔLoss confidence
 /// interval is tight enough.
@@ -512,9 +508,10 @@ pub fn run_campaign(
             SiteState::new(l.index, l.name.clone(), strata, cfg.kind, cfg)
         })
         .collect();
-    let sites = run_waves(cfg, cfg.kind, "campaign", sites, Some(replay), |site, seed| {
+    let sites = run_waves(cfg, cfg.kind, "campaign", sites, replay, |site, seed| {
         let plan = InjectionPlan::single(site.index, cfg.kind);
-        let (faulty, rec) = ge.replay(model, &clean, plan, cfg.sampler, seed);
+        let fault = TrialFault::Activation { plan, sampler: cfg.sampler, seed };
+        let (faulty, rec) = ge.replay(model, &clean, fault);
         let flip = rec.as_ref().map(|r| match r {
             InjectionRecord::Value { flip, .. } => (flip.element, flip.bit),
             InjectionRecord::Metadata { flip, .. } => (flip.word, flip.bit),
@@ -527,14 +524,23 @@ pub fn run_campaign(
 /// Runs a **weight**-fault campaign (§V-B: injections in weights as well
 /// as neurons): for each weight parameter (`*.weight`), performs up to
 /// `cfg.injections_per_layer` single-bit flips in the stored, quantised
-/// weight, each evaluated in a fresh inference and compared against the
-/// error-free run over quantised weights.
+/// weight, each compared against the error-free run over quantised
+/// weights.
 ///
 /// Weights are quantised into the format up front (the paper's offline
 /// conversion), and fully restored before returning or unwinding.
 /// `cfg.kind` is ignored: stored weights are data values. Trials run on
-/// the same wave scheduler as [`run_campaign`], so early stopping,
-/// stratified bit sampling and wave heartbeats apply here too.
+/// the same wave scheduler and the same replay engine as
+/// [`run_campaign`], so early stopping, stratified bit sampling and wave
+/// heartbeats apply here too.
+///
+/// **Execution schedule.** The clean run is captured once under the
+/// quantised weights ([`GoldenEye::capture_clean_run`]); it also records
+/// which segments read each weight. A trial converts its weight into the
+/// format, flips one bit, and replays from the first segment that reads
+/// the weight ([`GoldenEye::replay`] with [`TrialFault::Weight`]); once the
+/// last segment that reads it has run, a trial whose activation equals the
+/// clean run's bit for bit stops with the golden logits.
 ///
 /// Each trial perturbs its weight through a **thread-local** parameter
 /// override ([`nn::Param::override_local`]) instead of mutating the
@@ -552,35 +558,36 @@ pub fn run_weight_campaign(
 ) -> CampaignResult {
     let _pool = tensor::workspace::run_scope();
     let _restore = ge.quantized_weights(model);
-    let golden = ge.run(model, x.clone());
-    // Clean weights quantise to the same codes every trial: convert each
-    // once and hand trials a private clone to flip.
-    let mut weights: Vec<(nn::Param, formats::Quantized)> = Vec::new();
-    model.visit_params(&mut |p| {
-        if p.name().ends_with(".weight") {
-            weights.push((p.clone(), ge.format().real_to_format_tensor(&p.get())));
-        }
-    });
     let _campaign_span =
         trace::span!("campaign", format = ge.format().name(), site = "weight", jobs = cfg.jobs);
+    let clean = ge.capture_clean_run(model, x.clone());
+    let weights: Vec<nn::Param> =
+        model.params().into_iter().filter(|p| p.name().ends_with(".weight")).collect();
+    let replay = ReplaySegments {
+        skipped: weights
+            .iter()
+            .map(|p| clean.param_segments(p).map_or(0, |(first, _)| first))
+            .collect(),
+        total: model.num_segments(),
+    };
     let strata = BitStrata::for_format(ge.format());
     let sites = weights
         .iter()
         .enumerate()
-        .map(|(i, (p, _))| {
-            SiteState::new(i, p.name().to_string(), strata.clone(), SiteKind::Value, cfg)
-        })
+        .map(|(i, p)| SiteState::new(i, p.name().to_string(), strata.clone(), SiteKind::Value, cfg))
         .collect();
-    let sites = run_waves(cfg, SiteKind::Value, "weight_campaign", sites, None, |site, seed| {
-        let (param, clean) = &weights[site.index];
+    let sites = run_waves(cfg, SiteKind::Value, "weight_campaign", sites, replay, |site, seed| {
+        let param = &weights[site.index];
+        // Converting the clean weight again each trial gives the same codes
+        // every time, and keeps no copy of every weight for the campaign.
+        let mut q = ge.format().real_to_format_tensor(&param.get());
         let (fault, _) = inject::Injector::new(seed)
-            .try_sample_value_fault_with(clean.values.numel(), &cfg.sampler, &strata)
+            .try_sample_value_fault_with(q.values.numel(), &cfg.sampler, &strata)
             .unwrap_or_else(|e| panic!("{e}"));
-        let mut q = clean.clone();
         inject::flip_value(ge.format(), &mut q, fault.index, fault.bit);
-        let _guard = param.override_local(ge.format().format_to_real_tensor(&q));
-        let faulty = ge.run(model, x.clone());
-        (Some((fault.index, fault.bit)), Some(compare_outcomes(&golden, &faulty, targets)))
+        let value = ge.format().format_to_real_tensor(&q);
+        let (faulty, _) = ge.replay(model, &clean, TrialFault::Weight { param, value });
+        (Some((fault.index, fault.bit)), Some(compare_outcomes(clean.golden(), &faulty, targets)))
     });
     campaign_result(ge.format().name(), SiteKind::Value, sites, cfg.injections_per_layer)
 }

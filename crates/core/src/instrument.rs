@@ -12,6 +12,7 @@ use inject::{
     SiteKind, ValueFlip,
 };
 use nn::{Ctx, ForwardHook, LayerInfo, LayerKind, Module, Param};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use tensor::Tensor;
@@ -177,7 +178,7 @@ struct EmulationHook {
 #[derive(Clone)]
 struct FormatTable {
     default: Arc<dyn NumberFormat>,
-    per_layer: std::collections::HashMap<usize, Arc<dyn NumberFormat>>,
+    per_layer: HashMap<usize, Arc<dyn NumberFormat>>,
 }
 
 impl FormatTable {
@@ -283,15 +284,18 @@ impl ForwardHook for DiscoveryHook {
 
 /// The cached state of one clean (fault-free) emulated inference, captured
 /// by [`GoldenEye::capture_clean_run`]: the activation entering each model
-/// segment, the hook-point count at each segment boundary, the
-/// instrumented layers and the golden logits.
-/// [`GoldenEye::run_replay_batch`] replays faulty trials from the deepest
-/// checkpoint preceding the injection layer instead of re-running the
-/// whole network, and stops a trial early once its activation equals a
-/// later checkpoint bit for bit.
+/// segment, the hook-point count at each segment boundary, the segments
+/// that read each parameter, the instrumented layers and the golden
+/// logits. [`GoldenEye::replay`] replays a faulty trial from the first
+/// segment its fault can reach instead of re-running the whole network,
+/// and stops it early once its activation equals a later checkpoint bit
+/// for bit.
 pub struct CleanRun {
     /// Each segment's input activation and the hook point it starts at.
     checkpoints: Vec<(Tensor, usize)>,
+    /// The first and last segment that binds each parameter
+    /// ([`Ctx::var_of`]), by [`Param::key`].
+    readers: HashMap<usize, (usize, usize)>,
     layers: Vec<LayerInfo>,
     total_layers: usize,
     golden: Tensor,
@@ -322,6 +326,41 @@ impl CleanRun {
     pub fn segment_for_layer(&self, layer: usize) -> usize {
         self.checkpoints.partition_point(|&(_, offset)| offset <= layer).saturating_sub(1)
     }
+
+    /// The first and last segment whose forward bound `param` through
+    /// [`Ctx::var_of`] in the clean run, or `None` if no segment did. A
+    /// fault in the parameter changes nothing before the first, and
+    /// nothing it has not already changed after the last, as long as the
+    /// model reads it only through `var_of`: a read through [`Param::get`]
+    /// alone (eval-mode batch norm reads its statistics so) is not seen.
+    pub fn param_segments(&self, param: &Param) -> Option<(usize, usize)> {
+        self.readers.get(&param.key()).copied()
+    }
+}
+
+/// The fault one replayed trial carries ([`GoldenEye::replay`]).
+#[derive(Debug)]
+pub enum TrialFault<'a> {
+    /// An activation fault: the emulation hook draws it from
+    /// `Injector::new(seed)` under `sampler` and applies it at hook point
+    /// `plan.layer`.
+    Activation {
+        /// Where and what to flip.
+        plan: InjectionPlan,
+        /// Bit-position sampling policy for value faults.
+        sampler: BitSampler,
+        /// The trial's injector seed.
+        seed: u64,
+    },
+    /// A weight fault the caller has already applied: for the trial,
+    /// `param` reads as `value` through a thread-local override
+    /// ([`Param::override_local`]), so concurrent trials never see it.
+    Weight {
+        /// The faulted parameter.
+        param: &'a Param,
+        /// Its faulty value.
+        value: Tensor,
+    },
 }
 
 /// The GoldenEye functional simulator for one number format.
@@ -367,7 +406,7 @@ impl GoldenEye {
         GoldenEye {
             formats: Arc::new(FormatTable {
                 default: Arc::from(format),
-                per_layer: std::collections::HashMap::new(),
+                per_layer: HashMap::new(),
             }),
             filter: LayerFilter::ConvLinear,
             range: Arc::new(RangeProfile::new()),
@@ -513,23 +552,19 @@ impl GoldenEye {
         let emulation = self.hook(None, BitSampler::Uniform, 0, self.trial_range_mode());
         let discovery = Arc::new(DiscoveryHook { filter: self.filter, layers: Mutex::default() });
         let hooks: [Arc<dyn ForwardHook>; 2] = [emulation, discovery.clone()];
-        let mut checkpoints = Vec::new();
-        let (golden, total_layers) =
-            forward_segments(model, hooks, 0, 0, x, Some(&mut checkpoints), None);
+        let mut log = SegmentLog::default();
+        let (golden, total_layers) = forward_segments(model, hooks, 0, 0, x, Some(&mut log), None);
         let layers = std::mem::take(&mut *lock(&discovery.layers));
-        CleanRun { checkpoints, layers, total_layers, golden }
+        let SegmentLog { checkpoints, readers } = log;
+        CleanRun { checkpoints, readers, layers, total_layers, golden }
     }
 
-    /// Replays fault trials from the checkpoint preceding the injection
-    /// layer, one forward per seed: the remaining segments run from the
-    /// cached clean activation, and trial `r`'s fault is drawn from
-    /// `Injector::new(seeds[r])` at the injection site — so each returned
+    /// Replays activation-fault trials at `plan`, one
+    /// [`GoldenEye::replay`] per seed: trial `r`'s fault is drawn from
+    /// `Injector::new(seeds[r])` at the injection site, so each returned
     /// `(logits, record)` pair is bit-identical to
-    /// [`GoldenEye::run_with_injection_sampled`] with that seed. A trial
-    /// whose activation equals the clean run's bit for bit at a segment
-    /// boundary after its fault stops there and returns a share of
-    /// [`CleanRun::golden`], which the remaining segments would have
-    /// computed exactly. An empty `seeds` slice replays nothing.
+    /// [`GoldenEye::run_with_injection_sampled`] with that seed. An empty
+    /// `seeds` slice replays nothing.
     pub fn run_replay_batch(
         &self,
         model: &dyn Module,
@@ -538,45 +573,69 @@ impl GoldenEye {
         sampler: BitSampler,
         seeds: &[u64],
     ) -> Vec<(Tensor, Option<InjectionRecord>)> {
-        seeds.iter().map(|&seed| self.replay(model, clean, plan, sampler, seed)).collect()
+        seeds
+            .iter()
+            .map(|&seed| self.replay(model, clean, TrialFault::Activation { plan, sampler, seed }))
+            .collect()
     }
 
-    /// Replays one fault trial from the checkpoint preceding its injection
-    /// layer (see [`GoldenEye::run_replay_batch`]).
+    /// Replays one fault trial from the clean run's checkpoints: the
+    /// trial's logits, bit-identical to a full forward under the same
+    /// fault, and the record of the activation fault the hook drew (`None`
+    /// for a weight fault, or if `plan.layer` never ran).
     ///
-    /// **Exact early exit.** Once hook point `plan.layer` has run, the
-    /// trial's activation is compared bit for bit with the clean run's at
-    /// every later segment boundary. On a match the fault has been masked
-    /// (a ReLU zeroed it, a quantiser rounded it away), and the trial
-    /// returns a copy-on-write share of [`CleanRun::golden`] without
-    /// running the remaining segments: a segment is a pure function of its
-    /// input, the hooks after the faulted layer hold no trial state, and
+    /// The trial runs from the first segment its fault can reach: an
+    /// activation fault from the segment holding hook point `plan.layer`
+    /// ([`CleanRun::segment_for_layer`]), a weight fault from the first
+    /// segment that reads the weight ([`CleanRun::param_segments`]; a
+    /// weight no segment binds replays from segment 0 with no early exit,
+    /// a full forward). The segments before compute what the clean run
+    /// computed, so the trial starts from the cached clean activation.
+    ///
+    /// **Exact early exit.** Once the last segment the fault can act in
+    /// has run (the one holding the faulted hook point, or the last that
+    /// reads the faulted weight), the trial's activation is compared bit
+    /// for bit with the clean run's at every later segment boundary. On a
+    /// match the fault has been masked (a ReLU zeroed it, a quantiser
+    /// rounded it away), and the trial returns a copy-on-write share of
+    /// [`CleanRun::golden`] without running the remaining segments: a
+    /// segment is a pure function of its input and the parameters it
+    /// reads, the hooks after the faulted layer hold no trial state, and
     /// the range detector is deterministic, so those segments would have
     /// produced the golden logits bit for bit. The skipped segments are
     /// counted in `campaign.replay.segments_masked`.
-    pub(crate) fn replay(
+    pub fn replay(
         &self,
         model: &dyn Module,
         clean: &CleanRun,
-        plan: InjectionPlan,
-        sampler: BitSampler,
-        seed: u64,
+        fault: TrialFault<'_>,
     ) -> (Tensor, Option<InjectionRecord>) {
-        let seg = clean.segment_for_layer(plan.layer);
+        let range_mode = self.trial_range_mode();
+        // The override guard lives until the trial's forward is done.
+        let (hook, (first, last), _override) = match fault {
+            TrialFault::Activation { plan, sampler, seed } => {
+                let seg = clean.segment_for_layer(plan.layer);
+                (self.hook(Some(plan), sampler, seed, range_mode), (seg, seg), None)
+            }
+            TrialFault::Weight { param, value } => {
+                let span = clean.param_segments(param).unwrap_or((0, clean.checkpoints.len() - 1));
+                let hook = self.hook(None, BitSampler::Uniform, 0, range_mode);
+                (hook, span, Some(param.override_local(value)))
+            }
+        };
         // Checkpoint-cache accounting: of the `num_segments` a full
-        // forward would run, this replay skips the `seg` before the
+        // forward would run, this replay skips the `first` before its
         // checkpoint.
         let m = replay_metrics();
         m.batches.add(1);
-        m.segments_skipped.add(seg as u64);
+        m.segments_skipped.add(first as u64);
         m.segments_total.add(model.num_segments() as u64);
-        let hook = self.hook(Some(plan), sampler, seed, self.trial_range_mode());
-        let (input, offset) = &clean.checkpoints[seg];
-        let rejoin = Rejoin { clean, fault_layer: plan.layer };
+        let (input, offset) = &clean.checkpoints[first];
+        let rejoin = Rejoin { clean, armed_after: last };
         let (logits, _) = forward_segments(
             model,
             [hook.clone()],
-            seg,
+            first,
             *offset,
             input.clone(),
             None,
@@ -685,9 +744,19 @@ impl GoldenEye {
 struct Rejoin<'a> {
     /// The clean run's checkpoints and golden logits.
     clean: &'a CleanRun,
-    /// The faulted hook point. Until it has run, the trial's state is the
-    /// clean one whatever the fault, so a match proves nothing.
-    fault_layer: usize,
+    /// The last segment the trial's fault can act in. Until it has run, a
+    /// match with the clean run proves nothing: the fault may act later.
+    armed_after: usize,
+}
+
+/// What a clean pass of [`forward_segments`] records, segment by segment.
+#[derive(Default)]
+struct SegmentLog {
+    /// Each segment's input activation and the hook point it starts at.
+    checkpoints: Vec<(Tensor, usize)>,
+    /// The first and last segment that binds each parameter, by
+    /// [`Param::key`].
+    readers: HashMap<usize, (usize, usize)>,
 }
 
 /// Whether `a` and `b` hold the same shape and the same bits. Compares
@@ -706,17 +775,18 @@ fn bitwise_eq(a: &Tensor, b: &Tensor) -> bool {
 
 /// The one inference forward driver: runs `model`'s segments from `start`
 /// on over `x`, with `hooks` installed and hook points numbered from
-/// `base_layer`. With a `checkpoints` sink it records each segment's input
-/// activation and the hook point the segment starts at. Returns the
+/// `base_layer`. With a `log` it records each segment's input activation,
+/// the hook point the segment starts at, and the segments that bind each
+/// parameter (read off [`Ctx::bindings`] between segments). Returns the
 /// logits and the hook-point count at the end of the pass.
 ///
 /// With a `rejoin` view (replayed trials only), the pass stops after the
-/// first segment that ends once the faulted hook point has run and whose
-/// output equals the clean run's next checkpoint bit for bit, and returns
-/// the clean run's golden logits (see [`GoldenEye::replay`]). The test is
-/// `layers_seen() > fault_layer`, not a segment index: segments without a
-/// hook point share their offset with the next segment, so a pass started
-/// at one of them crosses clean boundaries before its fault runs.
+/// first segment from `armed_after` on whose output equals the clean run's
+/// next checkpoint bit for bit, and returns the clean run's golden logits
+/// (see [`GoldenEye::replay`]). A pass can start before `armed_after`,
+/// and the boundaries it crosses until then match the clean run whatever
+/// the fault: a weight read in several segments acts in each of them, and
+/// segments without a hook point share their offset with the next one.
 ///
 /// `Module::forward` is contractually the segment chain, so a pass from
 /// segment 0 is bit-identical to a plain forward.
@@ -726,7 +796,7 @@ fn forward_segments<const N: usize>(
     start: usize,
     base_layer: usize,
     x: Tensor,
-    mut checkpoints: Option<&mut Vec<(Tensor, usize)>>,
+    mut log: Option<&mut SegmentLog>,
     rejoin: Option<Rejoin<'_>>,
 ) -> (Tensor, usize) {
     let mut ctx = Ctx::inference();
@@ -737,13 +807,19 @@ fn forward_segments<const N: usize>(
     let mut h = ctx.input(x);
     let segments = model.num_segments();
     for s in start..segments {
-        if let Some(sink) = checkpoints.as_deref_mut() {
-            sink.push((h.value(), ctx.layers_seen()));
+        let bound = ctx.bindings().len();
+        if let Some(log) = log.as_deref_mut() {
+            log.checkpoints.push((h.value(), ctx.layers_seen()));
         }
         h = model.forward_segment(s, &h, &mut ctx);
-        if let Some(Rejoin { clean, fault_layer }) = &rejoin {
+        if let Some(log) = log.as_deref_mut() {
+            for (param, _) in &ctx.bindings()[bound..] {
+                log.readers.entry(param.key()).or_insert((s, s)).1 = s;
+            }
+        }
+        if let Some(Rejoin { clean, armed_after }) = &rejoin {
             if let Some((next, _)) = clean.checkpoints.get(s + 1) {
-                if ctx.layers_seen() > *fault_layer && bitwise_eq(&h.value(), next) {
+                if s >= *armed_after && bitwise_eq(&h.value(), next) {
                     replay_metrics().segments_masked.add((segments - s - 1) as u64);
                     return (clean.golden.clone(), clean.total_layers);
                 }
@@ -1294,6 +1370,7 @@ mod tests {
     fn segment_for_layer_picks_deepest_checkpoint() {
         let clean = CleanRun {
             checkpoints: [0, 1, 3, 5].map(|offset| (Tensor::zeros([1]), offset)).to_vec(),
+            readers: HashMap::new(),
             layers: vec![],
             total_layers: 7,
             golden: Tensor::zeros([1, 1]),
@@ -1372,7 +1449,7 @@ mod tests {
             let plan = InjectionPlan::single(layer.index, SiteKind::Value);
             for seed in 0..8 {
                 let hook = ge.hook(Some(plan), BitSampler::Uniform, seed, RangeMode::Off);
-                let rejoin = Rejoin { clean: &clean, fault_layer: plan.layer };
+                let rejoin = Rejoin { clean: &clean, armed_after: seg };
                 let input = clean.checkpoints[start].0.clone();
                 let (logits, _) = forward_segments(
                     &model,

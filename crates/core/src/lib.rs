@@ -55,5 +55,5 @@ pub use campaign::{
 pub use evaluate::{accuracy_sweep, evaluate_accuracy, evaluate_accuracy_jobs, AccuracyPoint};
 pub use instrument::{
     CleanRun, FaultyTrainingHook, GoldenEye, InjectionPlan, InjectionRecord, LayerFilter,
-    ParamSnapshot,
+    ParamSnapshot, TrialFault,
 };

@@ -4,6 +4,7 @@
 
 use crate::json::Json;
 use crate::profile::ProfileNode;
+use std::borrow::Cow;
 
 /// The manifest schema version this build writes (and the only one it
 /// reads). Stamped as the `schema` field; manifests written before the
@@ -123,8 +124,10 @@ pub struct TrialRecord {
     pub layer_name: String,
     /// Trial index within the layer.
     pub trial: usize,
-    /// Fault site kind (`"value"` | `"metadata"`).
-    pub site: String,
+    /// Fault site kind (`"value"` | `"metadata"`). Campaigns borrow the
+    /// static name, so a record holds no heap string for it;
+    /// [`TrialRecord::from_json`] owns whatever string it reads.
+    pub site: Cow<'static, str>,
     /// Flat element index (value faults) or metadata word (metadata
     /// faults); `None` if the injection never fired.
     pub element: Option<usize>,
@@ -146,7 +149,7 @@ impl TrialRecord {
             ("layer", Json::from(self.layer)),
             ("name", Json::from(self.layer_name.as_str())),
             ("trial", Json::from(self.trial)),
-            ("site", Json::from(self.site.as_str())),
+            ("site", Json::from(&*self.site)),
             ("element", Json::from(self.element)),
             ("bit", Json::from(self.bit)),
             ("delta_loss", Json::from(self.delta_loss)),
@@ -188,7 +191,9 @@ impl TrialRecord {
                 .ok_or("trial: missing `name`")?
                 .to_string(),
             trial: v.get("trial").and_then(Json::as_u64).ok_or("trial: missing `trial`")? as usize,
-            site: v.get("site").and_then(Json::as_str).ok_or("trial: missing `site`")?.to_string(),
+            site: Cow::Owned(
+                v.get("site").and_then(Json::as_str).ok_or("trial: missing `site`")?.to_string(),
+            ),
             element: opt_usize("element"),
             bit: opt_usize("bit"),
             delta_loss: opt_f32("delta_loss"),
@@ -483,6 +488,36 @@ mod tests {
             TrialRecord::from_json(&crate::parse(&dud.canonical_line()).unwrap()).unwrap();
         assert_eq!(reparsed.delta_loss, None);
         assert_eq!(reparsed.worker, 0);
+    }
+
+    #[test]
+    fn trial_record_bytes_do_not_depend_on_who_owns_the_site() {
+        // Campaigns borrow the site name, parsed records own it; both
+        // serialize to the same pinned bytes.
+        let borrowed = TrialRecord {
+            layer: 2,
+            layer_name: "block1.conv2".into(),
+            trial: 17,
+            site: Cow::Borrowed("value"),
+            element: Some(1234),
+            bit: Some(3),
+            delta_loss: Some(0.125),
+            mismatch: Some(0.0),
+            worker: 3,
+        };
+        let owned = TrialRecord { site: Cow::Owned("value".to_string()), ..borrowed.clone() };
+        let canonical = r#"{"layer":2,"name":"block1.conv2","trial":17,"site":"value","element":1234,"bit":3,"delta_loss":0.125,"mismatch":0}"#;
+        let full = r#"{"type":"trial","layer":2,"name":"block1.conv2","trial":17,"site":"value","element":1234,"bit":3,"delta_loss":0.125,"mismatch":0,"worker":3}"#;
+        for t in [&borrowed, &owned] {
+            assert_eq!(t.canonical_line(), canonical);
+            assert_eq!(t.to_json().to_compact(), full);
+        }
+        let parsed = TrialRecord::from_json(&crate::parse(full).unwrap()).unwrap();
+        assert!(matches!(parsed.site, Cow::Owned(_)));
+        assert_eq!(parsed, borrowed);
+        // `from_json` takes any site string, not only the two kinds.
+        let other = crate::parse(&full.replace("\"value\"", "\"weight\"")).unwrap();
+        assert_eq!(TrialRecord::from_json(&other).unwrap().site, "weight");
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //! cross-crate invariants and the paper's qualitative claims about fault
 //! outcomes.
 
-use goldeneye::{run_campaign, trial_seed, CampaignConfig, GoldenEye, InjectionPlan};
-use inject::{BitSampler, SiteKind};
+use goldeneye::{
+    run_campaign, run_weight_campaign, trial_seed, CampaignConfig, GoldenEye, InjectionPlan,
+    ParamSnapshot, TrialFault,
+};
+use inject::{BitSampler, BitStrata, Injector, SiteKind};
 use metrics::compare_outcomes;
 use models::{train, ResNet, ResNetConfig, SyntheticDataset, TrainConfig};
 use nn::Module;
@@ -395,4 +398,196 @@ fn replay_early_exit_is_bit_identical_across_hookless_segments() {
         12,
     );
     assert!(exits > 0, "no padded-model trial exited early");
+}
+
+/// The faulty value of `param` in weight-campaign trial `seed`, derived by
+/// hand: the clean (already quantised) weight converted into the format,
+/// one bit flipped at the trial's draw, converted back. Returns the value
+/// and the flipped `(element, bit)`.
+fn faulty_weight(ge: &GoldenEye, param: &nn::Param, seed: u64) -> (Tensor, (usize, usize)) {
+    let mut q = ge.format().real_to_format_tensor(&param.get());
+    let strata = BitStrata::for_format(ge.format());
+    let (f, _) = Injector::new(seed)
+        .try_sample_value_fault_with(q.values.numel(), &BitSampler::Uniform, &strata)
+        .unwrap();
+    inject::flip_value(ge.format(), &mut q, f.index, f.bit);
+    (ge.format().format_to_real_tensor(&q), (f.index, f.bit))
+}
+
+/// Runs a `trials`-per-weight campaign at jobs 1 and 2 (canonical JSONL
+/// byte-identical), then re-runs every trial by hand: the weight
+/// quantised in place, the trial's fault installed as a thread-local
+/// override, and a full `ge.run`. The replayed logits ([`GoldenEye::replay`])
+/// must equal the full forward's bit for bit, and the campaign's record
+/// must hold the same flip and the same ΔLoss and mismatch bits.
+fn assert_weight_replay_matches_full_forwards(
+    ge: &GoldenEye,
+    model: &dyn Module,
+    (x, y): (&Tensor, &[usize]),
+    trials: usize,
+) {
+    let seed = 61;
+    let cfg = CampaignConfig { injections_per_layer: trials, seed, ..Default::default() };
+    let campaign = run_weight_campaign(ge, model, x, y, &cfg);
+    let parallel = run_weight_campaign(ge, model, x, y, &cfg.clone().with_jobs(2));
+    let name = ge.format().name();
+    assert!(campaign.canonical_trial_jsonl() == parallel.canonical_trial_jsonl(), "{name}: jobs 2");
+    let snapshot = ParamSnapshot::capture(model);
+    ge.quantize_weights(model);
+    let clean = ge.capture_clean_run(model, x.clone());
+    let golden = ge.run(model, x.clone());
+    let bits_of = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits_of(clean.golden()), bits_of(&golden), "{name}: golden logits");
+    // The weight campaign's sites, in its order.
+    let weights: Vec<nn::Param> =
+        model.params().into_iter().filter(|p| p.name().ends_with(".weight")).collect();
+    assert_eq!(campaign.layers.len(), weights.len());
+    for (i, param) in weights.iter().enumerate() {
+        for t in 0..trials {
+            let what = format!("{name} {} trial {t}", param.name());
+            let (value, flip) = faulty_weight(ge, param, trial_seed(seed, i as u64, t as u64));
+            let full = {
+                let _fault = param.override_local(value.clone());
+                ge.run(model, x.clone())
+            };
+            let (logits, record) = ge.replay(model, &clean, TrialFault::Weight { param, value });
+            assert!(record.is_none(), "{what}: a weight trial draws no activation fault");
+            assert_eq!(logits.dims(), full.dims(), "{what}: logits shape");
+            assert_eq!(bits_of(&logits), bits_of(&full), "{what}: logits");
+            let r = &campaign.trials[i * trials + t];
+            let o = compare_outcomes(&golden, &full, y);
+            assert_eq!((r.layer, r.trial, r.layer_name.as_str()), (i, t, param.name()), "{what}");
+            assert_eq!((r.element, r.bit), (Some(flip.0), Some(flip.1)), "{what}: flip");
+            assert_eq!(r.delta_loss.map(f32::to_bits), Some(o.delta_loss.to_bits()), "{what}");
+            assert_eq!(r.mismatch.map(f32::to_bits), Some(o.mismatch_rate.to_bits()), "{what}");
+        }
+    }
+    snapshot.restore(model);
+}
+
+#[test]
+fn weight_replay_matches_full_forwards() {
+    // A weight trial replays from the first segment that reads its weight
+    // and may stop once the last one has run. Every trial must still match
+    // a full forward under the same faulty weight bit for bit. (A conv
+    // weight fault reaches every position of its output, and no trial of
+    // these campaigns is masked by a block's end, so the early exit is
+    // pinned by the `SharedWeight` test below.)
+    let (model, x, y) = setup();
+    for spec in ["int:8", "fp:e4m3", "bfp:e5m5:b16"] {
+        let ge = GoldenEye::parse(spec).unwrap();
+        assert_weight_replay_matches_full_forwards(&ge, &model, (&x, y.as_slice()), 6);
+    }
+
+    let mut rng = StdRng::seed_from_u64(3);
+    let deit = models::VisionTransformer::new(models::DeitConfig::tiny_test(16, 4), &mut rng);
+    let (dx, dy) = SyntheticDataset::generate(8, 16, 4, 29).head_batch(4);
+    let bfp = GoldenEye::parse("bfp:e5m5:b16").unwrap();
+    assert_weight_replay_matches_full_forwards(&bfp, &deit, (&dx, dy.as_slice()), 3);
+}
+
+/// A four-segment model that reads one weight, `shared.weight` (4×4), in
+/// segments 0 and 2: `relu(x·W)`, a ReLU, `h·W`, then `2·h`. It has no
+/// hook point, and counts how often each segment runs.
+///
+/// Columns 1 and 3 of `W` are negative, so for positive inputs a fault in
+/// them mostly vanishes in segment 0's ReLU, and `h`'s columns 1 and 3 are
+/// zero. In rows 0 and 2 such a fault still reaches the logits in segment
+/// 2: a trial that stopped once segment 0's output matched the clean run
+/// would drop it. In rows 1 and 3 it meets those zeros and is masked for
+/// good, so the trial may stop after segment 2.
+struct SharedWeight {
+    w: nn::Param,
+    runs: [std::sync::atomic::AtomicUsize; 4],
+}
+
+impl SharedWeight {
+    fn new() -> Self {
+        let w = (0..16).map(|k| (0.5 + 0.1 * (k / 4) as f32) * [1.0, -1.0][k % 2]).collect();
+        SharedWeight {
+            w: nn::Param::new("shared.weight", Tensor::from_vec(w, [4, 4])),
+            runs: Default::default(),
+        }
+    }
+
+    fn runs(&self) -> [usize; 4] {
+        self.runs.each_ref().map(|r| r.load(std::sync::atomic::Ordering::SeqCst))
+    }
+}
+
+impl Module for SharedWeight {
+    fn forward(&self, x: &tensor::Var, ctx: &mut nn::Ctx) -> tensor::Var {
+        (0..4).fold(x.clone(), |h, s| self.forward_segment(s, &h, ctx))
+    }
+
+    fn num_segments(&self) -> usize {
+        4
+    }
+
+    fn forward_segment(&self, segment: usize, x: &tensor::Var, ctx: &mut nn::Ctx) -> tensor::Var {
+        self.runs[segment].fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        match segment {
+            0 => x.matmul(&ctx.var_of(&self.w)).relu(),
+            1 => x.relu(),
+            2 => x.matmul(&ctx.var_of(&self.w)),
+            _ => x.scale(2.0),
+        }
+    }
+
+    fn visit_params(&self, f: &mut dyn FnMut(&nn::Param)) {
+        f(&self.w);
+    }
+}
+
+#[test]
+fn weight_replay_starts_at_the_first_reader_and_exits_after_the_last() {
+    let model = SharedWeight::new();
+    let mut rng = StdRng::seed_from_u64(5);
+    let x = Tensor::rand_uniform([4, 4], 0.5, 1.5, &mut rng);
+    let y = [0, 1, 2, 3];
+    let ge = GoldenEye::parse("int:8").unwrap();
+    let clean = ge.capture_clean_run(&model, x.clone());
+    assert_eq!(clean.param_segments(&model.w), Some((0, 2)), "readers of shared.weight");
+
+    let trials = 32;
+    let before = model.runs();
+    let cfg = CampaignConfig { injections_per_layer: trials, seed: 7, ..Default::default() };
+    let campaign = run_weight_campaign(&ge, &model, &x, &y, &cfg);
+    let after = model.runs();
+    // One clean pass, then every trial starts at segment 0, the first
+    // reader, and cannot stop before segment 2, the last reader, has run.
+    for s in 0..3 {
+        assert_eq!(after[s] - before[s], 1 + trials, "segment {s} runs");
+    }
+    let exits = 1 + trials - (after[3] - before[3]);
+    assert!(exits > 0 && exits < trials, "{exits} of {trials} trials stopped after segment 2");
+
+    // The pin bites: some trials' faults vanish in segment 0 and still
+    // change the logits.
+    let snapshot = ParamSnapshot::capture(&model);
+    ge.quantize_weights(&model);
+    let golden = ge.run(&model, x.clone());
+    let segment0 = |w: &Tensor| {
+        let _fault = model.w.override_local(w.clone());
+        let mut ctx = nn::Ctx::inference();
+        let input = ctx.input(x.clone());
+        model.forward_segment(0, &input, &mut ctx).value()
+    };
+    let clean0 = segment0(&model.w.get());
+    let mut hidden = 0;
+    for t in 0..trials {
+        let (value, _) = faulty_weight(&ge, &model.w, trial_seed(7, 0, t as u64));
+        let full = {
+            let _fault = model.w.override_local(value.clone());
+            ge.run(&model, x.clone())
+        };
+        let o = compare_outcomes(&golden, &full, &y);
+        let r = &campaign.trials[t];
+        assert_eq!(r.delta_loss.map(f32::to_bits), Some(o.delta_loss.to_bits()), "trial {t}");
+        assert_eq!(r.mismatch.map(f32::to_bits), Some(o.mismatch_rate.to_bits()), "trial {t}");
+        let masked0 = segment0(&value).as_slice() == clean0.as_slice();
+        hidden += usize::from(masked0 && full.as_slice() != golden.as_slice());
+    }
+    snapshot.restore(&model);
+    assert!(hidden > 0, "no fault was masked in segment 0 and visible in segment 2");
 }
