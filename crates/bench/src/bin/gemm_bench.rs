@@ -8,9 +8,16 @@
 //! byte-identical to the forced-scalar output, which is the divergence
 //! gate the CI bench-smoke job relies on.
 //!
+//! A second table times `tensor::conv::conv2d` on each of ResNet-18's
+//! conv shapes (CIFAR input, base width 8) at batch 8 and 32, under every
+//! forced kernel and under dispatch, on one thread. Each conv cell is
+//! checked byte-identical to the forced-scalar `conv2d` before it is
+//! timed, and reports the median and quartiles of its samples.
+//!
 //! Writes `BENCH_gemm.json` (override with `--out`): the run manifest
-//! with one row per cell, per-kernel single-thread GFLOP/s and the
-//! measured multicore scaling.
+//! with one row per GEMM cell (`cells`) and per conv cell
+//! (`conv_cells`), per-kernel single-thread GFLOP/s and the measured
+//! multicore scaling.
 //!
 //! Run with: `cargo run --release -p bench --bin gemm_bench
 //! [--quick] [--jobs N] [--out PATH]`
@@ -18,6 +25,7 @@
 use bench::BenchArgs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tensor::conv::{conv2d, Conv2dSpec};
 use tensor::linalg::kernels::{self, Kernel};
 use tensor::linalg::{matmul_naive, sgemm};
 use tensor::Tensor;
@@ -25,6 +33,88 @@ use trace::Json;
 
 fn random_vec(n: usize, rng: &mut StdRng) -> Vec<f32> {
     (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+}
+
+/// ResNet-18's conv shapes at CIFAR size, base width 8:
+/// `(label, C, O, H = W, kernel, stride, padding)`. The stem and the
+/// four stride-1 3×3 layers read their B rows in place; the stage-1
+/// entry 3×3 and 1×1 downsample (stride 2) pack their panels.
+const CONV_SHAPES: [(&str, usize, usize, usize, usize, usize, usize); 7] = [
+    ("stem", 3, 8, 32, 3, 1, 1),
+    ("s0.3x3", 8, 8, 32, 3, 1, 1),
+    ("s1.3x3", 16, 16, 16, 3, 1, 1),
+    ("s2.3x3", 32, 32, 8, 3, 1, 1),
+    ("s3.3x3", 64, 64, 4, 3, 1, 1),
+    ("s1.entry.3x3s2", 8, 16, 32, 3, 2, 1),
+    ("s1.down.1x1s2", 8, 16, 32, 1, 2, 0),
+];
+
+/// Times `conv2d` on every [`CONV_SHAPES`] entry at batch 8 and 32, one
+/// thread, under each supported kernel forced and under dispatch. Each
+/// cell must first reproduce the forced-scalar output byte for byte.
+fn conv_cells(quick: bool, supported: &[Kernel], rng: &mut StdRng) -> Vec<Json> {
+    let samples = if quick { 5 } else { 25 };
+    let mut rows = Vec::new();
+    println!(
+        "\nconv2d (ResNet-18 shapes, CIFAR input, base width 8; 1 thread; \
+         GFLOP/s median [q1, q3] of {samples} samples)\n"
+    );
+    println!(
+        "{:<16} {:>5} {:<10} {:>10} {:>10} {:>17}",
+        "shape", "batch", "kernel", "median s", "GFLOP/s", "[q1, q3]"
+    );
+    let _one = tensor::parallel::with_threads(1);
+    for (label, c, o, hw, k, stride, padding) in CONV_SHAPES {
+        let spec = Conv2dSpec::new(k, stride, padding);
+        let oh = spec.out_dim(hw);
+        for n in [8usize, 32] {
+            let x = Tensor::from_vec(random_vec(n * c * hw * hw, rng), [n, c, hw, hw]);
+            let w = Tensor::from_vec(random_vec(o * c * k * k, rng), [o, c, k, k]);
+            let flops = 2.0 * (n * o * oh * oh * c * k * k) as f64;
+            kernels::force(Some(Kernel::Scalar));
+            let scalar_out = conv2d(&x, &w, None, spec);
+            let mut cells: Vec<(&str, Option<Kernel>)> =
+                supported.iter().map(|&kern| (kern.name(), Some(kern))).collect();
+            cells.push(("dispatch", None));
+            for (kernel, forced) in cells {
+                kernels::force(forced);
+                let out = conv2d(&x, &w, None, spec);
+                assert!(
+                    out.as_slice()
+                        .iter()
+                        .zip(scalar_out.as_slice())
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{kernel} conv2d diverged from forced scalar on {label} at batch {n}"
+                );
+                let t = bench::time(samples, 1, || drop(conv2d(&x, &w, None, spec)));
+                let (q1, q3) = t.quartiles();
+                let gflops = flops / t.median() / 1e9;
+                let (g_q1, g_q3) = (flops / q3 / 1e9, flops / q1 / 1e9);
+                println!(
+                    "{label:<16} {n:>5} {kernel:<10} {:>10.5} {gflops:>10.2} [{g_q1:>6.2}, {g_q3:>6.2}]",
+                    t.median()
+                );
+                rows.push(Json::obj([
+                    ("shape", Json::from(label)),
+                    ("c", Json::from(c)),
+                    ("o", Json::from(o)),
+                    ("hw", Json::from(hw)),
+                    ("kernel_size", Json::from(k)),
+                    ("stride", Json::from(stride)),
+                    ("padding", Json::from(padding)),
+                    ("batch", Json::from(n)),
+                    ("kernel", Json::from(kernel)),
+                    ("samples", Json::from(samples)),
+                    ("seconds", Json::Num(t.median())),
+                    ("gflops", Json::Num(gflops)),
+                    ("gflops_q1", Json::Num(g_q1)),
+                    ("gflops_q3", Json::Num(g_q3)),
+                ]));
+            }
+            kernels::force(None);
+        }
+    }
+    rows
 }
 
 fn main() {
@@ -171,6 +261,7 @@ fn main() {
 
     manifest = manifest
         .with_extra("cells", Json::Arr(rows))
+        .with_extra("conv_cells", Json::Arr(conv_cells(quick, &supported, &mut rng)))
         .with_extra("pivot_size", Json::from(pivot))
         .with_extra("thread_scaling", Json::Num(thread_scaling))
         .with_extra("thread_scaling_size", Json::from(scaling_size))

@@ -58,11 +58,15 @@ impl GlobalFlags {
             match args.iter().position(|a| a == name) {
                 None => Ok(None),
                 Some(i) => {
-                    if i + 1 >= args.len() {
-                        return Err(format!("{name} needs a value"));
+                    let v = args
+                        .get(i + 1)
+                        .filter(|v| !v.starts_with("--"))
+                        .ok_or_else(|| format!("{name} needs a value"))?
+                        .clone();
+                    args.drain(i..=i + 1);
+                    if args.iter().any(|a| a == name) {
+                        return Err(format!("{name} given twice"));
                     }
-                    let v = args.remove(i + 1);
-                    args.remove(i);
                     Ok(Some(v))
                 }
             }
@@ -220,19 +224,60 @@ fn print_usage() {
     );
 }
 
+/// The values of the flags one subcommand was given. Built by
+/// [`Flags::parse`] from the flags the subcommand declares; every flag
+/// takes one value.
+struct Flags(Vec<(&'static str, String)>);
+
+impl Flags {
+    /// Parses `args` as `--flag value` pairs, each flag one of `declared`.
+    /// An undeclared flag, a flag with no value (or with another flag as
+    /// its value), a repeated flag or a stray positional is an error that
+    /// names the token.
+    fn parse(sub: &str, args: &[String], declared: &[&'static str]) -> Result<Flags, String> {
+        let mut values: Vec<(&'static str, String)> = Vec::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let Some(&name) = declared.iter().find(|&&d| d == arg) else {
+                return Err(if arg.starts_with('-') {
+                    format!("{sub}: unknown flag `{arg}` (expected {})", declared.join(", "))
+                } else {
+                    format!("{sub}: unexpected argument `{arg}`")
+                });
+            };
+            let value = it
+                .next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{sub}: {name} needs a value"))?;
+            if values.iter().any(|(n, _)| *n == name) {
+                return Err(format!("{sub}: {name} given twice"));
+            }
+            values.push((name, value.clone()));
+        }
+        Ok(Flags(values))
+    }
+
+    /// Flag `name`'s value, `None` when the flag is absent.
+    fn get(&self, name: &str) -> Option<String> {
+        self.0.iter().find(|(n, _)| *n == name).map(|(_, v)| v.clone())
+    }
+
+    /// Parses flag `name`'s value, `None` when the flag is absent. A value
+    /// that does not parse is an error, never a silent default.
+    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.get(name).map(|v| v.parse().map_err(|_| format!("bad {name} value `{v}`"))).transpose()
+    }
+
+    /// Parses `--jobs N` (default 1 = serial; 0 = all cores).
+    fn jobs(&self) -> Result<usize, String> {
+        Ok(self.parsed("--jobs")?.unwrap_or(1))
+    }
+}
+
+/// Flag `name`'s value, looked up by name: `conformance`'s parse, which
+/// [`Flags`] does not cover yet.
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
-}
-
-/// Parses flag `name`'s value, `None` when the flag is absent. A value
-/// that does not parse is an error, never a silent default.
-fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    flag(args, name).map(|v| v.parse().map_err(|_| format!("bad {name} value `{v}`"))).transpose()
-}
-
-/// Parses `--jobs N` (default 1 = serial; 0 = all cores).
-fn jobs_flag(args: &[String]) -> Result<usize, String> {
-    Ok(parsed_flag(args, "--jobs")?.unwrap_or(1))
 }
 
 fn cmd_ranges() -> Result<(), String> {
@@ -325,10 +370,11 @@ fn demo_model(
 }
 
 fn cmd_evaluate(args: &[String], global: &GlobalFlags) -> Result<(), String> {
-    let model_kind = flag(args, "--model").unwrap_or_else(|| "cnn".into());
-    let spec = flag(args, "--spec").ok_or("evaluate needs --spec")?;
-    let epochs = parsed_flag(args, "--epochs")?.unwrap_or(8);
-    let jobs = jobs_flag(args)?;
+    let flags = Flags::parse("evaluate", args, &["--model", "--spec", "--epochs", "--jobs"])?;
+    let model_kind = flags.get("--model").unwrap_or_else(|| "cnn".into());
+    let spec = flags.get("--spec").ok_or("evaluate needs --spec")?;
+    let epochs = flags.parsed("--epochs")?.unwrap_or(8);
+    let jobs = flags.jobs()?;
     let ge = GoldenEye::parse(&spec).map_err(|e| e.to_string())?;
     let (model, data, baseline) = demo_model(&model_kind, epochs, global.store.as_ref())?;
     let t0 = Instant::now();
@@ -347,12 +393,17 @@ fn cmd_evaluate(args: &[String], global: &GlobalFlags) -> Result<(), String> {
 }
 
 fn cmd_campaign(args: &[String], global: &GlobalFlags) -> Result<(), String> {
-    let model_kind = flag(args, "--model").unwrap_or_else(|| "cnn".into());
-    let spec = flag(args, "--spec").ok_or("campaign needs --spec")?;
-    let site = flag(args, "--site").unwrap_or_else(|| "value".into());
-    let injections = parsed_flag(args, "--injections")?.unwrap_or(20);
-    let jobs = jobs_flag(args)?;
-    let early_stop = match flag(args, "--early-stop") {
+    let flags = Flags::parse(
+        "campaign",
+        args,
+        &["--model", "--spec", "--site", "--injections", "--jobs", "--early-stop", "--sampler"],
+    )?;
+    let model_kind = flags.get("--model").unwrap_or_else(|| "cnn".into());
+    let spec = flags.get("--spec").ok_or("campaign needs --spec")?;
+    let site = flags.get("--site").unwrap_or_else(|| "value".into());
+    let injections = flags.parsed("--injections")?.unwrap_or(20);
+    let jobs = flags.jobs()?;
+    let early_stop = match flags.get("--early-stop") {
         None => None,
         Some(v) => {
             let ci: f32 = v.parse().map_err(|_| format!("bad --early-stop value `{v}`"))?;
@@ -362,7 +413,7 @@ fn cmd_campaign(args: &[String], global: &GlobalFlags) -> Result<(), String> {
             Some(ci)
         }
     };
-    let sampler = match flag(args, "--sampler").as_deref() {
+    let sampler = match flags.get("--sampler").as_deref() {
         None | Some("uniform") => BitSampler::Uniform,
         Some("stratified") => BitSampler::Stratified { critical_mass: 0.5 },
         Some(other) => return Err(format!("unknown sampler `{other}` (uniform|stratified)")),
@@ -415,13 +466,14 @@ fn cmd_campaign(args: &[String], global: &GlobalFlags) -> Result<(), String> {
 }
 
 fn cmd_dse(args: &[String], global: &GlobalFlags) -> Result<(), String> {
-    let model_kind = flag(args, "--model").unwrap_or_else(|| "cnn".into());
-    let family = flag(args, "--family").ok_or("dse needs --family")?;
-    let drop: f32 = parsed_flag(args, "--drop")?.unwrap_or(0.02);
+    let flags = Flags::parse("dse", args, &["--model", "--family", "--drop", "--jobs"])?;
+    let model_kind = flags.get("--model").unwrap_or_else(|| "cnn".into());
+    let family = flags.get("--family").ok_or("dse needs --family")?;
+    let drop: f32 = flags.parsed("--drop")?.unwrap_or(0.02);
     if !(0.0..=1.0).contains(&drop) {
         return Err(format!("--drop needs a fraction in [0, 1], got `{drop}`"));
     }
-    let jobs = jobs_flag(args)?;
+    let jobs = flags.jobs()?;
     let family = match family.as_str() {
         "fp" => DseFamily::Fp,
         "fxp" => DseFamily::Fxp,

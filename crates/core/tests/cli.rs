@@ -83,10 +83,35 @@ fn malformed_numeric_flags_fail_cleanly() {
         ("dse", "--drop", "2%"),
         ("dse", "--jobs", "two"),
     ] {
-        let (ok, _, stderr) = run(&[sub, "--spec", "fp:e4m3", "--family", "fp", flag, value]);
+        let required = if sub == "dse" { ["--family", "fp"] } else { ["--spec", "fp:e4m3"] };
+        let (ok, _, stderr) = run(&[sub, required[0], required[1], flag, value]);
         assert!(!ok, "{sub} {flag} {value} should fail");
         let needle = format!("bad {flag} value `{value}`");
         assert!(stderr.contains(&needle), "{sub} {flag} {value}: stderr {stderr}");
+    }
+}
+
+/// `evaluate`, `campaign` and `dse` read only the flags they declare: a
+/// misspelt flag, a flag without a value (or with another flag as its
+/// value), a repeated flag or a stray positional exits 1 and names the
+/// token, before the demo model trains.
+#[test]
+fn undeclared_or_malformed_flags_fail_cleanly() {
+    for (args, needle) in [
+        (&["campaign", "--spec", "fp:e4m3", "--injection", "3"][..], "unknown flag `--injection`"),
+        (&["evaluate", "--spec", "int:8", "--jbos", "2"], "unknown flag `--jbos`"),
+        (&["dse", "--family", "fp", "--spec", "fp:e4m3"], "unknown flag `--spec`"),
+        (&["dse", "--family"], "--family needs a value"),
+        (&["campaign", "--spec", "--jobs", "2"], "--spec needs a value"),
+        (&["evaluate", "--spec", "int:8", "--jobs", "1", "--jobs", "2"], "--jobs given twice"),
+        (&["dse", "--family", "fp", "extra"], "unexpected argument `extra`"),
+        (&["campaign", "extra", "--spec", "fp:e4m3"], "unexpected argument `extra`"),
+        (&["evaluate", "--spec", "int:8", "--manifest", "--jobs"], "--manifest needs a value"),
+    ] {
+        let (ok, _, stderr) = run(args);
+        assert!(!ok, "{args:?} should fail");
+        assert!(stderr.contains(needle), "{args:?}: want {needle:?} in stderr {stderr}");
+        assert!(!stderr.contains("training"), "{args:?} trained before failing: {stderr}");
     }
 }
 

@@ -3,18 +3,35 @@
 //!
 //! The forward convolution is a GEMM of the packed weight matrix
 //! `[O, C·K·K]` against each image's im2col matrix `[C·K·K, OH·OW]`, but
-//! the im2col matrix never exists. A task packs one `C·K·K × NR` column
-//! panel of it straight from the image into a pooled scratch panel
-//! (`pack_panel`) and runs every packed weight row panel over that panel
-//! while it is still in cache, writing the panel's `NR`-column output
-//! strip. Its values are exactly those `pack_b(im2col(x))` produces, so
-//! the result is bit-identical to a per-image [`sgemm`] on the unfolded
-//! image. The backward pass (training only) still unfolds through
-//! `im2col`.
+//! the im2col matrix never exists. A task owns one image and a range of
+//! its `NR`-column output panels, and runs every packed weight row panel
+//! over each panel's `C·K·K` B rows while they are in cache, writing the
+//! panel's output strip. Where the rows come from depends on the shape:
+//!
+//! - **In place.** A stride-1 conv whose output keeps its input's width
+//!   (`OW = W`, i.e. `K = 2P + 1`: ResNet's stem, its stride-1 3×3
+//!   layers, any 1×1 stride-1 conv) maps output pixel `q` to input pixel
+//!   `q + (ki−P)·W + (kj−P)` of each channel plane. So B row
+//!   `(ci, ki, kj)` of the panel at `q0` is the `NR` consecutive image
+//!   elements from `q0 + (ki−P)·W + (kj−P)`, under a lane mask that
+//!   switches off the lanes whose pixel lies in the padding, wraps into
+//!   a neighbouring row, or lies past the last output column
+//!   (`same_conv_taps`, one table per call, shared by every image,
+//!   channel and weight row panel). The micro-kernel reads these rows
+//!   straight from the image (`BRows::tapped`).
+//! - **Packed.** Every other conv (stride > 1, or a "valid" conv with
+//!   `OW ≠ W`) has lanes that are not consecutive in the image, so each
+//!   panel is gathered into a pooled scratch panel first (`pack_panel`).
+//!
+//! A switched-off lane reads +0.0, exactly the zero `pack_b(im2col(x))`
+//! holds there, so both ways give every output element the same
+//! full-`k` chain in `k` order, bit-identical to a per-image [`sgemm`]
+//! on the unfolded image. The backward pass (training only) still
+//! unfolds through `im2col`.
 
 use std::time::Instant;
 
-use crate::linalg::kernels::{self, MR, NR};
+use crate::linalg::kernels::{self, BRows, Tap, MR, NR};
 use crate::linalg::{self, sgemm};
 use crate::parallel::{self, SendPtr};
 use crate::tensor::Tensor;
@@ -144,25 +161,26 @@ fn col2im(cols: &[f32], c: usize, h: usize, w: usize, spec: Conv2dSpec, x_grad: 
     }
 }
 
-/// Column panels per conv task. A task packs its panels one after another
-/// into one scratch panel, so the pool's zeroing of that panel is paid
-/// once per this many packs. Fixed, so the task grid depends on the shape
-/// alone and never on the thread count.
+/// Column panels per conv task. A packing task packs its panels one after
+/// another into one scratch panel, so the pool's zeroing of that panel is
+/// paid once per this many packs. Fixed, so the task grid depends on the
+/// shape alone and never on the thread count.
 const PANELS_PER_TASK: usize = 8;
 
 /// Packs column panel `j0 / NR` of the im2col matrix of one `[C, H, W]`
-/// image (`OH×OW` output) straight into `dst`, `C·K·K` k-major rows of
+/// image (`OH×OW` output) straight into `dst`, for the convs whose lanes
+/// are not consecutive in the image (stride > 1, or `OW ≠ W`; [`conv2d`]
+/// reads the others in place), `C·K·K` k-major rows of
 /// `NR` lanes: `dst[r·NR + l] = im2col(x)[r, j0 + l]`, zero past the last
 /// output column — exactly the panel `pack_b` makes of the im2col matrix.
 ///
 /// For each kernel offset `(ki, kj)` the lanes whose input pixel lies
 /// inside the image are planned once, as runs of consecutive output
-/// columns, and the plan is replayed for every channel: a row is zeroed
-/// (unless one run fills it), then stride 1 copies each run contiguously
-/// from the input row (1×1 convs included) and other strides gather it
-/// with step `s`. Rows outside
-/// the image, padding columns and the lanes past the last output column
-/// keep their zeros. Every lane is written, so `dst` needs no zeroing.
+/// columns, and the plan is replayed for every channel: a row is zeroed,
+/// then stride 1 (a "valid" conv) copies each run contiguously from the
+/// input row and other strides gather it with step `s`. Rows outside the
+/// image, padding columns and the lanes past the last output column keep
+/// their zeros. Every lane is written, so `dst` needs no zeroing.
 fn pack_panel(
     x: &[f32],
     (c, h, w): (usize, usize, usize),
@@ -199,14 +217,8 @@ fn pack_panel(
             for ci in 0..c {
                 let plane = &x[ci * h * w..(ci + 1) * h * w];
                 let r = (ci * k + ki) * k + kj;
-                let row: &mut [f32; NR] =
-                    (&mut dst[r * NR..(r + 1) * NR]).try_into().expect("NR lanes");
-                if s == 1 && nruns == 1 && runs[0].1 == NR {
-                    let off = runs[0].2;
-                    *row = plane[off..off + NR].try_into().expect("NR lanes");
-                    continue;
-                }
-                *row = [0.0; NR];
+                let row = &mut dst[r * NR..(r + 1) * NR];
+                row.fill(0.0);
                 for &(l, len, off) in &runs[..nruns] {
                     let run = &mut row[l..l + len];
                     if s == 1 {
@@ -222,20 +234,64 @@ fn pack_panel(
     }
 }
 
+/// The B-row taps of every `NR`-column panel of a stride-1 convolution
+/// whose output keeps its input's `h×w` (`k = 2p + 1`), `k²` per panel in
+/// `(ki, kj)` order: panel `j0 / NR` owns `taps[j0/NR·k²..][..k²]`.
+///
+/// Output pixel `q = oi·w + oj` reads input pixel `q + (ki−p)·w + (kj−p)`
+/// of every channel plane, so tap `(ki, kj)` of the panel starting at
+/// column `j0` has offset `(ki−p)·w + (kj−p)` from `j0`. Its mask keeps the
+/// lanes whose pixel `(oi+ki−p, oj+kj−p)` lies inside the image: not in
+/// the padding, not wrapped into a neighbouring row, and not past the last
+/// output column. Masks depend on the panel alone, so one table serves
+/// every image and channel of a call.
+fn same_conv_taps((h, w): (usize, usize), k: usize, p: usize) -> Vec<Tap> {
+    let ohow = h * w;
+    let mut taps = Vec::with_capacity(ohow.div_ceil(NR) * k * k);
+    // Per panel, the lanes whose input row `oi + ki − p` (resp. column
+    // `oj + kj − p`) lies inside the image, for each `ki` (resp. `kj`).
+    let (mut rows, mut cols) = (vec![0u16; k], vec![0u16; k]);
+    for j0 in (0..ohow).step_by(NR) {
+        rows.fill(0);
+        cols.fill(0);
+        // Lanes past the last output column stay off in both.
+        for l in 0..NR.min(ohow - j0) {
+            let (oi, oj) = ((j0 + l) / w, (j0 + l) % w);
+            for (d, (row, col)) in rows.iter_mut().zip(&mut cols).enumerate() {
+                if (p..h + p).contains(&(oi + d)) {
+                    *row |= 1 << l;
+                }
+                if (p..w + p).contains(&(oj + d)) {
+                    *col |= 1 << l;
+                }
+            }
+        }
+        for (ki, &row) in rows.iter().enumerate() {
+            for (kj, &col) in cols.iter().enumerate() {
+                let offset = (ki as isize - p as isize) * w as isize + kj as isize - p as isize;
+                taps.push(Tap { offset, mask: row & col });
+            }
+        }
+    }
+    taps
+}
+
 /// 2-D convolution forward: `x: [N,C,H,W]`, `w: [O,C,K,K]`, optional
 /// `bias: [O]` → `[N,O,OH,OW]`.
 ///
 /// The weight matrix is packed into `MR`-row panels once. Each task then
-/// owns one image and a fixed range of its `NR`-column output panels: it
-/// packs each panel straight from the image into one pooled scratch panel
-/// (`pack_panel`) and runs every weight row panel over it, so neither
-/// an im2col matrix nor a batch-wide pack buffer is ever allocated. Every
-/// output element is one full-`k` accumulation chain in `k` order seeded
-/// from 0, with the bias added afterwards: bit-identical to a per-image
-/// [`sgemm`] on the unfolded image plus bias, for every thread count and
-/// dispatched micro-kernel. When tracing records, each call adds one
-/// `tensor.conv.ns` sample, its flops to `tensor.conv.flops` and its
-/// kernel ordinal to `gemm.kernel`.
+/// owns one image and a fixed range of its `NR`-column output panels. A
+/// stride-1 conv with `OW = W` reads each panel's B rows in place from
+/// the image under `same_conv_taps`' lane masks; any other conv packs
+/// each panel into one pooled scratch panel (`pack_panel`). Every weight
+/// row panel then runs over the panel's rows, so neither an im2col matrix
+/// nor a batch-wide pack buffer is ever allocated. Every output element
+/// is one full-`k` accumulation chain in `k` order seeded from 0, with
+/// the bias added afterwards: bit-identical to a per-image [`sgemm`] on
+/// the unfolded image plus bias, for every thread count and dispatched
+/// micro-kernel. When tracing records, each call adds one `tensor.conv.ns`
+/// sample, its flops to `tensor.conv.flops` and its kernel ordinal to
+/// `gemm.kernel`.
 ///
 /// # Panics
 ///
@@ -268,6 +324,10 @@ pub fn conv2d(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -
         linalg::pack_a(ckk, w.as_slice(), i0, MR.min(o - i0), &mut wpack[pi * ckk * MR..]);
     }
 
+    // A stride-1 conv that keeps its input's width reads its im2col rows
+    // in place, each output row's lanes being consecutive input pixels;
+    // every other conv packs its panels.
+    let taps = (spec.stride == 1 && ow == wd).then(|| same_conv_taps((h, wd), k, spec.padding));
     let ranges = ohow.div_ceil(NR).div_ceil(PANELS_PER_TASK);
     let flops = 2usize.saturating_mul(n * o).saturating_mul(ckk * ohow);
     let _serial = (flops < linalg::PAR_FLOP_THRESHOLD).then(|| parallel::with_threads(1));
@@ -276,12 +336,22 @@ pub fn conv2d(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -
     parallel::parallel_for(n * ranges, |t| {
         let (ni, ri) = (t / ranges, t % ranges);
         let image = &x_all[ni * chw..(ni + 1) * chw];
-        let mut panel = workspace::take(ckk * NR);
+        let mut panel = taps.is_none().then(|| workspace::take(ckk * NR));
         let first = ri * PANELS_PER_TASK * NR;
         for j0 in (first..ohow.min(first + PANELS_PER_TASK * NR)).step_by(NR) {
             let cols = NR.min(ohow - j0);
-            pack_panel(image, (c, h, wd), spec, (oh, ow), j0, &mut panel);
-            linalg::col_panel(kern, ckk, o, wpack, &panel, |r, lanes| {
+            let rows = match &taps {
+                Some(taps) => {
+                    let panel_taps = &taps[j0 / NR * k * k..][..k * k];
+                    BRows::tapped(image, j0, h * wd, c, panel_taps)
+                }
+                None => {
+                    let panel = panel.as_mut().expect("packing convs take a panel");
+                    pack_panel(image, (c, h, wd), spec, (oh, ow), j0, panel);
+                    BRows::packed(panel, ckk)
+                }
+            };
+            linalg::col_panel(kern, o, wpack, &rows, |r, lanes| {
                 // SAFETY: output columns `j0..j0+cols` of image `ni` belong
                 // to task t alone (the (image, panel range) → task map is a
                 // bijection), each row's run is written once, and `out`
@@ -611,8 +681,46 @@ mod tests {
         Ok(())
     }
 
+    /// Reads every panel of a `[C, H, W]` image of distinct non-zero values
+    /// in place through [`same_conv_taps`] and compares the rows bitwise
+    /// with [`packed_oracle`], so a lane that reads a wrong pixel, or reads
+    /// where the oracle holds a zero, shows.
+    fn check_taps((c, h, w): (usize, usize, usize), k: usize) -> Result<(), String> {
+        let spec = Conv2dSpec::new(k, 1, k / 2);
+        let x: Vec<f32> = (0..c * h * w).map(|i| i as f32 + 1.0).collect();
+        let oracle = packed_oracle(&x, (c, h, w), spec);
+        let taps = same_conv_taps((h, w), k, k / 2);
+        let ckk = c * k * k;
+        for (pj, want) in oracle.chunks_exact(ckk * NR).enumerate() {
+            let got =
+                BRows::tapped(&x, pj * NR, h * w, c, &taps[pj * k * k..][..k * k]).to_packed();
+            if let Some(i) = (0..ckk * NR).find(|&i| got[i].to_bits() != want[i].to_bits()) {
+                return Err(format!(
+                    "c={c} h={h} w={w} k={k} panel {pj}: row {} lane {}: {} vs oracle {}",
+                    i / NR,
+                    i % NR,
+                    got[i],
+                    want[i]
+                ));
+            }
+        }
+        Ok(())
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn in_place_rows_match_pack_b_of_im2col(
+            half in 0usize..=2,
+            c in 1usize..=4,
+            h in 1usize..=12,
+            w in 1usize..=12,
+        ) {
+            if let Err(msg) = check_taps((c, h, w), 2 * half + 1) {
+                proptest::prop_assert!(false, "{}", msg);
+            }
+        }
 
         #[test]
         fn pack_panel_matches_pack_b_of_im2col(
@@ -653,8 +761,10 @@ mod tests {
 
     /// `conv2d` equals a per-image `sgemm(w, im2col(x))` plus bias bit for
     /// bit under every supported micro-kernel and thread budget, on
-    /// ResNet-18's conv shapes (CIFAR input, base width 8) at batch 1 and
-    /// 32, plus one base-width-16 layer large enough to run in parallel.
+    /// ResNet-18's conv shapes (CIFAR input, base width 8), a 1×1
+    /// stride-1 conv and a "valid" stride-1 conv at batch 1 and 32, plus
+    /// one base-width-16 layer large enough to run in parallel. The
+    /// stride-1 "same" shapes read their rows in place, the others pack.
     #[test]
     fn conv2d_equals_per_image_sgemm_of_im2col() {
         use crate::parallel::with_threads;
@@ -662,11 +772,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let shapes = [
             // (C, O, H, K, stride, padding)
-            (3, 8, 32, 3, 1, 1),  // stem
-            (8, 8, 32, 3, 1, 1),  // stage-0 3×3
-            (8, 16, 32, 3, 2, 1), // stage-1 entry 3×3 stride 2
-            (8, 16, 32, 1, 2, 0), // stage-1 1×1 stride-2 downsample
-            (64, 64, 4, 3, 1, 1), // stage-3 tail at 4×4
+            (3, 8, 32, 3, 1, 1),   // stem, in place
+            (8, 8, 32, 3, 1, 1),   // stage-0 3×3, in place
+            (16, 16, 16, 3, 1, 1), // stage-1 3×3, in place
+            (32, 32, 8, 3, 1, 1),  // stage-2 3×3, in place: a panel spans 2 rows
+            (64, 64, 4, 3, 1, 1),  // stage-3 3×3, in place: a panel spans 4 rows
+            (8, 16, 16, 1, 1, 0),  // 1×1 stride 1, in place
+            (8, 8, 12, 3, 1, 0),   // "valid" stride 1 (OW ≠ W), packed
+            (8, 16, 32, 3, 2, 1),  // stage-1 entry 3×3 stride 2, packed
+            (8, 16, 32, 1, 2, 0),  // stage-1 1×1 stride-2 downsample, packed
         ];
         let mut cases: Vec<_> =
             shapes.iter().flat_map(|&shape| [(1, shape), (32, shape)]).collect();
@@ -705,6 +819,49 @@ mod tests {
                             "n={n} c={c} o={o} {hw}² {spec:?} {kern} t={threads} diverges at {i}"
                         );
                     }
+                }
+            }
+            kernels::force(None);
+        }
+    }
+
+    /// Images 0 and 2 of a batch of 3 are NaN, so a lane that reads past
+    /// its own image, or wraps into a neighbouring row or channel where the
+    /// oracle holds a padding zero, changes image 1's output. For every
+    /// in-place shape and kernel, image 1 must equal its batch-of-1 output
+    /// bit for bit.
+    #[test]
+    fn in_place_conv_reads_nothing_outside_its_window() {
+        let _lock = kernels::force_lock();
+        let mut rng = StdRng::seed_from_u64(23);
+        for (c, o, hw, k, p) in [
+            (3, 8, 32, 3, 1),
+            (8, 8, 32, 3, 1),
+            (16, 16, 16, 3, 1),
+            (32, 32, 8, 3, 1),
+            (64, 64, 4, 3, 1),
+            (8, 16, 16, 1, 0),
+            (2, 4, 5, 5, 2),
+        ] {
+            let spec = Conv2dSpec::new(k, 1, p);
+            let chw = c * hw * hw;
+            let one = Tensor::randn([1, c, hw, hw], &mut rng);
+            let mut three = vec![f32::NAN; 3 * chw];
+            three[chw..2 * chw].copy_from_slice(one.as_slice());
+            let three = Tensor::from_vec(three, [3, c, hw, hw]);
+            let w = Tensor::randn([o, c, k, k], &mut rng);
+            for kern in kernels::supported_kernels() {
+                kernels::force(Some(kern));
+                let want = conv2d(&one, &w, None, spec);
+                let got = conv2d(&three, &w, None, spec);
+                let ohw = o * hw * hw;
+                let mid = &got.as_slice()[ohw..2 * ohw];
+                for (i, (a, r)) in mid.iter().zip(want.as_slice()).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        r.to_bits(),
+                        "c={c} o={o} {hw}² {spec:?} {kern}: image 1 diverges at {i}: {a} vs {r}"
+                    );
                 }
             }
             kernels::force(None);

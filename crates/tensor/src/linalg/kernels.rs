@@ -9,6 +9,30 @@
 //! `GOLDENEYE_KERNEL=scalar|avx2|avx512` or [`force`] for differential
 //! testing and benchmarking.
 //!
+//! # The kernel contract: tapped B rows
+//!
+//! A kernel multiplies one packed `A` panel (`k` rows of `MR` weights)
+//! by `k` B rows of `NR` lanes described by `BRows`: row
+//! `ci·taps.len() + t` starts at `base + ci·plane + taps[t].offset`, and
+//! lane `l` of it is read iff bit `l` of `taps[t].mask` is set, +0.0
+//! otherwise. A packed panel (`sgemm`'s column panels, the strided
+//! convolutions' gathered panels) is the one-tap, all-lanes case with
+//! `plane = NR`. A stride-1 convolution that keeps its input's width
+//! reads its im2col rows in place: one tap per kernel offset, the
+//! channel plane as `plane`. There is one kernel per ISA and one GEMM
+//! entry point; the rows are data, not a second code path.
+//!
+//! **Soundness of masked reads.** A tap's window may start before the
+//! image (the top-left padding) or end past it, so row addresses are
+//! formed with `wrapping_*` pointer arithmetic, never `add`/`offset`,
+//! and a switched-off lane's address is never dereferenced: the scalar
+//! kernel reads only enabled lanes, AVX2 reads a partial row with
+//! `vmaskmovps` and AVX-512 every row with a zero-masking load, both of
+//! which leave masked-off lanes untouched and fault-suppressed.
+//! `BRows::tapped` checks once per operand, in `O(taps)`, that every
+//! enabled lane of every row lies inside the source slice, so the
+//! kernels' unchecked reads stay in bounds.
+//!
 //! # Bit-exactness across ISAs
 //!
 //! Every kernel executes, per output element, the identical chain
@@ -20,7 +44,9 @@
 //! different (better, but different) results than the scalar chain — so
 //! the SIMD kernels deliberately use separate multiply and add even on
 //! FMA-capable hosts. The differential suite in `tests/kernels.rs` pins
-//! every kernel bit-for-bit against `matmul_naive`.
+//! every kernel bit-for-bit against `matmul_naive`. A switched-off lane
+//! contributes `a·(+0.0)`, the product a packed zero lane gives, so
+//! reading in place changes no element's chain.
 //!
 //! One deliberate carve-out: **NaN payloads**. IEEE-754 leaves the sign
 //! and payload of a NaN produced by an invalid operation unspecified, and
@@ -263,23 +289,163 @@ unsafe fn with_avx512<R>(body: impl FnOnce() -> R) -> R {
     body()
 }
 
-/// Runs the selected micro-kernel over one packed panel pair:
-/// `acc[r][c] += Σ_kk apack[kk,r]·bpack[kk,c]`, accumulating in `kk`
-/// order (the bit-exactness anchor shared by all implementations).
+/// The lane mask of a tap that reads all `NR` lanes.
+const ALL_LANES: u16 = u16::MAX;
+const _: () = assert!(NR == u16::BITS as usize, "one mask bit per lane");
+
+/// One tap of a [`BRows`] operand: where its row starts relative to a
+/// channel's base, and which of its `NR` lanes read memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Tap {
+    /// Element offset of lane 0 from the channel base. Negative for a
+    /// convolution window that starts above or left of the image.
+    pub(crate) offset: isize,
+    /// Bit `l` set: lane `l` reads `base + offset + l`. Clear: the lane
+    /// reads +0.0 and its address is never dereferenced.
+    pub(crate) mask: u16,
+}
+
+/// The one tap of a packed panel: every row is `NR` consecutive lanes.
+const PACKED: &[Tap] = &[Tap { offset: 0, mask: ALL_LANES }];
+
+/// The `k = channels · taps.len()` B rows of one micro-kernel call, in
+/// `k` order: row `ci · taps.len() + t` is the `NR` lanes at
+/// `base + ci · plane + taps[t].offset` under `taps[t].mask`.
+///
+/// A packed `k × NR` panel is the one-tap, all-lanes case
+/// ([`BRows::packed`]). A stride-1 convolution that keeps its input's
+/// width reads its im2col rows in place: one tap per kernel offset, the
+/// channel plane as `plane`, and masks that switch off the lanes whose
+/// pixel lies in the padding ([`BRows::tapped`]).
+#[derive(Clone, Copy)]
+pub(crate) struct BRows<'a> {
+    /// Channel 0's base. It may point outside the source slice (a
+    /// window starting in the padding), so it is only ever moved with
+    /// `wrapping_*` arithmetic and read through enabled lanes.
+    base: *const f32,
+    plane: usize,
+    channels: usize,
+    taps: &'a [Tap],
+    _src: std::marker::PhantomData<&'a [f32]>,
+}
+
+impl<'a> BRows<'a> {
+    /// The rows of a packed `k × NR` panel, `panel[kk·NR..(kk+1)·NR]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `panel` is shorter than `k·NR`.
+    pub(crate) fn packed(panel: &'a [f32], k: usize) -> Self {
+        Self::tapped(panel, 0, NR, k, PACKED)
+    }
+
+    /// The rows `src[origin + ci·plane + tap.offset + l]` for every
+    /// channel `ci < channels`, tap and enabled lane `l`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an enabled lane of any row lies outside `src`. The check
+    /// is per tap (its first channel's lowest and its last channel's
+    /// highest enabled lane), so it costs `O(taps)`, not `O(k·NR)`.
+    pub(crate) fn tapped(
+        src: &'a [f32],
+        origin: usize,
+        plane: usize,
+        channels: usize,
+        taps: &'a [Tap],
+    ) -> Self {
+        if channels > 0 {
+            // In i128, no sum of these offsets can overflow.
+            let last_base = (channels - 1)
+                .checked_mul(plane)
+                .and_then(|span| span.checked_add(origin))
+                .expect("B rows: the last channel's base overflows usize")
+                as i128;
+            for tap in taps.iter().filter(|t| t.mask != 0) {
+                let lo = origin as i128 + tap.offset as i128 + tap.mask.trailing_zeros() as i128;
+                let hi = last_base + tap.offset as i128 + (NR - 1) as i128
+                    - tap.mask.leading_zeros() as i128;
+                assert!(
+                    lo >= 0 && hi < src.len() as i128,
+                    "B rows read {lo}..={hi} of a {}-element source ({tap:?})",
+                    src.len()
+                );
+            }
+        }
+        BRows {
+            base: src.as_ptr().wrapping_add(origin),
+            plane,
+            channels,
+            taps,
+            _src: std::marker::PhantomData,
+        }
+    }
+
+    /// The number of rows, the micro-kernel's `k`.
+    pub(crate) fn k(&self) -> usize {
+        self.channels * self.taps.len()
+    }
+
+    /// The rows as a packed `k × NR` panel, switched-off lanes +0.0: the
+    /// panel a packing conv would have built.
+    #[cfg(test)]
+    pub(crate) fn to_packed(self) -> Vec<f32> {
+        let mut panel = Vec::with_capacity(self.k() * NR);
+        self.for_each_row(|row, mask| {
+            // SAFETY: only enabled lanes are read (`BRows::tapped`).
+            panel.extend((0..NR).map(|l| {
+                if mask >> l & 1 != 0 {
+                    unsafe { row.wrapping_add(l).read() }
+                } else {
+                    0.0
+                }
+            }))
+        });
+        panel
+    }
+
+    /// Calls `row(lane 0's address, mask)` for each row in `k` order.
+    /// Every enabled lane of every row lies inside the source slice:
+    /// [`BRows::tapped`] checked it.
+    #[inline(always)]
+    fn for_each_row(&self, mut row: impl FnMut(*const f32, u16)) {
+        if let [t] = self.taps {
+            // One tap (a packed panel): a single strided walk.
+            let mut p = self.base.wrapping_offset(t.offset);
+            for _ in 0..self.channels {
+                row(p, t.mask);
+                p = p.wrapping_add(self.plane);
+            }
+            return;
+        }
+        for ci in 0..self.channels {
+            let cbase = self.base.wrapping_add(ci * self.plane);
+            for t in self.taps {
+                row(cbase.wrapping_offset(t.offset), t.mask);
+            }
+        }
+    }
+}
+
+/// Runs the selected micro-kernel over one packed `A` panel and one set
+/// of `B` rows: `acc[r][c] += Σ_kk apack[kk,r]·b[kk,c]`, accumulating in
+/// `kk` order (the bit-exactness anchor shared by all implementations).
+/// A switched-off lane contributes `a·(+0.0)`, exactly as the zero a
+/// packed panel holds there.
 #[inline]
-pub(super) fn run(kern: Kernel, k: usize, apack: &[f32], bpack: &[f32], acc: &mut [[f32; NR]; MR]) {
-    debug_assert!(apack.len() >= k * MR);
-    debug_assert!(bpack.len() >= k * NR);
+pub(super) fn run(kern: Kernel, apack: &[f32], b: &BRows, acc: &mut [[f32; NR]; MR]) {
+    assert!(apack.len() >= b.k() * MR, "A panel shorter than k = {}", b.k());
     match kern {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: dispatch only yields Avx2/Avx512 after
         // `is_x86_feature_detected!` confirmed the feature (clamped in
-        // `clamp_supported`), and the slice bounds are checked above.
-        Kernel::Avx2 => unsafe { avx2(k, apack, bpack, acc) },
+        // `clamp_supported`); the A panel's length is checked above and
+        // every enabled B lane by `BRows::tapped`.
+        Kernel::Avx2 => unsafe { avx2(apack, b, acc) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        Kernel::Avx512 => unsafe { avx512(k, apack, bpack, acc) },
-        _ => scalar(k, apack, bpack, acc),
+        Kernel::Avx512 => unsafe { avx512(apack, b, acc) },
+        _ => scalar(apack, b, acc),
     }
 }
 
@@ -287,50 +453,74 @@ pub(super) fn run(kern: Kernel, k: usize, apack: &[f32], bpack: &[f32], acc: &mu
 /// keep `acc` in SIMD registers; there is no k-blocking, so each element's
 /// accumulation chain is a single in-order sum.
 #[inline]
-fn scalar(k: usize, apack: &[f32], bpack: &[f32], acc: &mut [[f32; NR]; MR]) {
-    for kk in 0..k {
-        let av: &[f32; MR] = apack[kk * MR..kk * MR + MR].try_into().unwrap();
-        let bv: &[f32; NR] = bpack[kk * NR..kk * NR + NR].try_into().unwrap();
+fn scalar(apack: &[f32], b: &BRows, acc: &mut [[f32; NR]; MR]) {
+    let mut avs = apack.chunks_exact(MR);
+    b.for_each_row(|row, mask| {
+        let av = avs.next().expect("A panel checked by `run`");
+        let mut bv = [0.0f32; NR];
+        if mask == ALL_LANES {
+            // SAFETY: all `NR` lanes are enabled, so all lie in the source
+            // (`BRows::tapped`).
+            bv = unsafe { row.cast::<[f32; NR]>().read_unaligned() };
+        } else {
+            for (l, v) in bv.iter_mut().enumerate() {
+                if mask >> l & 1 != 0 {
+                    // SAFETY: lane `l` is enabled, so it lies in the source.
+                    *v = unsafe { row.wrapping_add(l).read() };
+                }
+            }
+        }
         for r in 0..MR {
             let ar = av[r];
             for c in 0..NR {
                 acc[r][c] += ar * bv[c];
             }
         }
-    }
+    });
 }
 
 /// AVX2 micro-kernel: the 4×16 tile lives in eight ymm accumulators (two
 /// per row). Separate `vmulps`+`vaddps`, **not** `vfmadd`: FMA would skip
-/// the intermediate rounding and diverge bitwise from [`scalar`].
+/// the intermediate rounding and diverge bitwise from [`scalar`]. A row
+/// with switched-off lanes is read with `vmaskmovps`, which returns +0.0
+/// in those lanes and does not touch their memory.
 ///
 /// # Safety
 ///
 /// Caller must ensure the CPU supports AVX2 and that
-/// `apack.len() >= k*MR`, `bpack.len() >= k*NR`.
+/// `apack.len() >= b.k()*MR`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::needless_range_loop)] // index loops mirror the register tile
-unsafe fn avx2(k: usize, apack: &[f32], bpack: &[f32], acc: &mut [[f32; NR]; MR]) {
+unsafe fn avx2(apack: &[f32], b: &BRows, acc: &mut [[f32; NR]; MR]) {
     use core::arch::x86_64::*;
     let mut c: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
     for r in 0..MR {
         c[r][0] = _mm256_loadu_ps(acc[r].as_ptr());
         c[r][1] = _mm256_loadu_ps(acc[r].as_ptr().add(8));
     }
+    // Shifting the broadcast mask left by these moves bit `l` into lane
+    // `l`'s sign bit, the bit `vmaskmovps` reads.
+    let lo_shift = _mm256_setr_epi32(31, 30, 29, 28, 27, 26, 25, 24);
+    let hi_shift = _mm256_setr_epi32(23, 22, 21, 20, 19, 18, 17, 16);
     let mut ap = apack.as_ptr();
-    let mut bp = bpack.as_ptr();
-    for _ in 0..k {
-        let b0 = _mm256_loadu_ps(bp);
-        let b1 = _mm256_loadu_ps(bp.add(8));
+    b.for_each_row(|row, mask| {
+        let (b0, b1) = if mask == ALL_LANES {
+            (_mm256_loadu_ps(row), _mm256_loadu_ps(row.add(8)))
+        } else {
+            let m = _mm256_set1_epi32(i32::from(mask));
+            (
+                _mm256_maskload_ps(row, _mm256_sllv_epi32(m, lo_shift)),
+                _mm256_maskload_ps(row.wrapping_add(8), _mm256_sllv_epi32(m, hi_shift)),
+            )
+        };
         for r in 0..MR {
             let ar = _mm256_set1_ps(*ap.add(r));
             c[r][0] = _mm256_add_ps(c[r][0], _mm256_mul_ps(ar, b0));
             c[r][1] = _mm256_add_ps(c[r][1], _mm256_mul_ps(ar, b1));
         }
         ap = ap.add(MR);
-        bp = bp.add(NR);
-    }
+    });
     for r in 0..MR {
         _mm256_storeu_ps(acc[r].as_mut_ptr(), c[r][0]);
         _mm256_storeu_ps(acc[r].as_mut_ptr().add(8), c[r][1]);
@@ -339,32 +529,32 @@ unsafe fn avx2(k: usize, apack: &[f32], bpack: &[f32], acc: &mut [[f32; NR]; MR]
 
 /// AVX-512 micro-kernel: `NR = 16` is exactly one zmm register, so the
 /// whole 4×16 tile is four accumulators. Separate `vmulps`+`vaddps` for
-/// the same bit-exactness reason as [`avx2`].
+/// the same bit-exactness reason as [`avx2`]. Every row is one
+/// zero-masked load: a switched-off lane reads +0.0, and masked lanes
+/// are fault-suppressed, never accessed.
 ///
 /// # Safety
 ///
 /// Caller must ensure the CPU supports AVX-512F and that
-/// `apack.len() >= k*MR`, `bpack.len() >= k*NR`.
+/// `apack.len() >= b.k()*MR`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::needless_range_loop)] // index loops mirror the register tile
-unsafe fn avx512(k: usize, apack: &[f32], bpack: &[f32], acc: &mut [[f32; NR]; MR]) {
+unsafe fn avx512(apack: &[f32], b: &BRows, acc: &mut [[f32; NR]; MR]) {
     use core::arch::x86_64::*;
     let mut c: [__m512; MR] = [_mm512_setzero_ps(); MR];
     for r in 0..MR {
         c[r] = _mm512_loadu_ps(acc[r].as_ptr());
     }
     let mut ap = apack.as_ptr();
-    let mut bp = bpack.as_ptr();
-    for _ in 0..k {
-        let b0 = _mm512_loadu_ps(bp);
+    b.for_each_row(|row, mask| {
+        let b0 = _mm512_maskz_loadu_ps(mask, row);
         for r in 0..MR {
             let ar = _mm512_set1_ps(*ap.add(r));
             c[r] = _mm512_add_ps(c[r], _mm512_mul_ps(ar, b0));
         }
         ap = ap.add(MR);
-        bp = bp.add(NR);
-    }
+    });
     for r in 0..MR {
         _mm512_storeu_ps(acc[r].as_mut_ptr(), c[r]);
     }
@@ -392,11 +582,12 @@ mod tests {
     fn every_supported_kernel_matches_scalar_bitwise() {
         for k in [0usize, 1, 3, 17, 64, 129] {
             let (apack, bpack) = tile_of(k as u64 + 7, k);
+            let b = BRows::packed(&bpack, k);
             let mut want = [[0.25f32; NR]; MR];
-            scalar(k, &apack, &bpack, &mut want);
+            scalar(&apack, &b, &mut want);
             for kern in supported_kernels() {
                 let mut got = [[0.25f32; NR]; MR];
-                run(kern, k, &apack, &bpack, &mut got);
+                run(kern, &apack, &b, &mut got);
                 for r in 0..MR {
                     for c in 0..NR {
                         assert_eq!(
@@ -414,6 +605,71 @@ mod tests {
         }
     }
 
+    /// Tapped rows with negative offsets and ragged masks (a hole, a
+    /// single lane, none, all) equal the packed panel built lane by lane,
+    /// under every kernel. Every source element that no tap enables is
+    /// NaN, so a kernel that reads a switched-off lane poisons its tile.
+    #[test]
+    fn every_supported_kernel_reads_tapped_rows_like_their_packed_panel() {
+        let (origin, plane, channels) = (13, 40, 3);
+        let taps = [
+            Tap { offset: -13, mask: ALL_LANES },
+            Tap { offset: -18, mask: 0xFFE0 },
+            Tap { offset: 3, mask: 0x7F7F },
+            Tap { offset: 90, mask: 0 },
+            Tap { offset: 10, mask: 0x0001 },
+        ];
+        // Row `ci·taps + t`, lane `l`: its source index, if enabled.
+        let mut lanes: Vec<Option<usize>> = Vec::new();
+        for ci in 0..channels {
+            for tap in &taps {
+                for l in 0..NR {
+                    let at = origin as isize + (ci * plane) as isize + tap.offset + l as isize;
+                    lanes.push((tap.mask >> l & 1 != 0).then_some(at as usize));
+                }
+            }
+        }
+        let mut src = vec![f32::NAN; origin + (channels - 1) * plane + 20];
+        for &at in lanes.iter().flatten() {
+            src[at] = at as f32 * 0.25 - 7.0;
+        }
+        let want: Vec<f32> = lanes.iter().map(|at| at.map_or(0.0, |at| src[at])).collect();
+        let k = channels * taps.len();
+        let (apack, _) = tile_of(5, k);
+        let mut expected = [[0.5f32; NR]; MR];
+        scalar(&apack, &BRows::packed(&want, k), &mut expected);
+        let rows = BRows::tapped(&src, origin, plane, channels, &taps);
+        assert_eq!(rows.to_packed().len(), want.len());
+        for kern in supported_kernels() {
+            let mut got = [[0.5f32; NR]; MR];
+            run(kern, &apack, &rows, &mut got);
+            for r in 0..MR {
+                for c in 0..NR {
+                    assert_eq!(
+                        got[r][c].to_bits(),
+                        expected[r][c].to_bits(),
+                        "{kern} tile[{r}][{c}]: {} vs {}",
+                        got[r][c],
+                        expected[r][c]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "B rows read -1..=3 of a 10-element source")]
+    fn tapped_rows_refuse_an_enabled_lane_before_the_source() {
+        BRows::tapped(&[0.0; 10], 0, 4, 2, &[Tap { offset: -1, mask: 1 }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "B rows read 0..=10 of a 10-element source")]
+    fn tapped_rows_refuse_an_enabled_lane_past_the_source() {
+        // Channel 1's lane 6 is element 4 + 6 = 10.
+        BRows::tapped(&[0.0; 10], 0, 4, 2, &[Tap { offset: 0, mask: 0x0041 }]);
+    }
+
     #[test]
     fn kernels_propagate_nan_and_inf_like_scalar() {
         let k = 5;
@@ -421,15 +677,16 @@ mod tests {
         apack[0] = 0.0;
         bpack[0] = f32::INFINITY; // 0·Inf = NaN in lane 0
         apack[MR] = f32::NAN;
+        let b = BRows::packed(&bpack, k);
         let mut want = [[0.0f32; NR]; MR];
-        scalar(k, &apack, &bpack, &mut want);
+        scalar(&apack, &b, &mut want);
         // apack[0] = a[kk=0][r=0] → 0·Inf hits lane [0][0]; apack[MR] =
         // a[kk=1][r=0] → the NaN operand sweeps every column of row 0.
         assert!(want[0][0].is_nan(), "scalar reference must see 0·Inf = NaN");
         assert!(want[0][NR - 1].is_nan(), "scalar reference must propagate the NaN operand");
         for kern in supported_kernels() {
             let mut got = [[0.0f32; NR]; MR];
-            run(kern, k, &apack, &bpack, &mut got);
+            run(kern, &apack, &b, &mut got);
             for r in 0..MR {
                 for c in 0..NR {
                     let (g, w) = (got[r][c], want[r][c]);

@@ -23,7 +23,7 @@ use std::time::Instant;
 use crate::parallel::{self, SendPtr};
 use crate::tensor::Tensor;
 use crate::workspace;
-use kernels::{Kernel, MR, NR};
+use kernels::{BRows, Kernel, MR, NR};
 
 /// Below this many flops (`2·m·k·n`) the panel loop stays on one thread.
 /// `parallel_for` spawns scoped OS threads per dispatch (no persistent
@@ -258,37 +258,36 @@ pub(crate) fn row_panel(
         for r in 0..rows {
             acc[r][..cols].copy_from_slice(&orow[r * n + j0..r * n + j0 + cols]);
         }
-        kernels::run(kern, k, apack, bpanel, &mut acc);
+        kernels::run(kern, apack, &BRows::packed(bpanel, k), &mut acc);
         for r in 0..rows {
             orow[r * n + j0..r * n + j0 + cols].copy_from_slice(&acc[r][..cols]);
         }
     }
 }
 
-/// One packed `k×NR` column panel `bpanel` against every packed `MR`-row
-/// panel of an `m×k` matrix (`apack`, its row panels packed by [`pack_a`]
-/// one after another): the column-panel counterpart of [`row_panel`].
-/// Each register tile is seeded from 0.0 and runs the dispatched
-/// micro-kernel `kern` over the full `k`, then hands every real output row
-/// `i` to `store(i, lanes)`. Lanes past the panel's real columns carry
-/// products of padding and must be ignored.
+/// One column panel's `k` B rows `b` against every packed `MR`-row panel
+/// of an `m×k` matrix (`apack`, its row panels packed by [`pack_a`] one
+/// after another): the column-panel counterpart of [`row_panel`]. Each
+/// register tile is seeded from 0.0 and runs the dispatched micro-kernel
+/// `kern` over the full `k`, then hands every real output row `i` to
+/// `store(i, lanes)`. Lanes past the panel's real columns carry products
+/// of padding and must be ignored.
 pub(crate) fn col_panel(
     kern: Kernel,
-    k: usize,
     m: usize,
     apack: &[f32],
-    bpanel: &[f32],
+    b: &BRows,
     mut store: impl FnMut(usize, &[f32; NR]),
 ) {
-    // The SIMD micro-kernels read `k` rows of both panels unchecked.
+    let k = b.k();
     assert!(
-        apack.len() >= m.div_ceil(MR) * k * MR && bpanel.len() >= k * NR,
-        "col_panel: packed operands shorter than m={m}, k={k}"
+        apack.len() >= m.div_ceil(MR) * k * MR,
+        "col_panel: packed A shorter than m={m}, k={k}"
     );
     for (pi, apanel) in apack.chunks_exact(k * MR).take(m.div_ceil(MR)).enumerate() {
         let i0 = pi * MR;
         let mut acc = [[0.0f32; NR]; MR];
-        kernels::run(kern, k, apanel, bpanel, &mut acc);
+        kernels::run(kern, apanel, b, &mut acc);
         for (r, lanes) in acc[..MR.min(m - i0)].iter().enumerate() {
             store(i0 + r, lanes);
         }
