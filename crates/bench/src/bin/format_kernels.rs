@@ -4,7 +4,7 @@
 //! BFP/MX/AFP pay a metadata pass; scalar ops are orders of magnitude
 //! slower per element but used only once per injection.
 //!
-//! Every tensor row converts 64Ki elements. The `tensor_64k` rows feed
+//! The `*_64k` rows convert 64Ki elements. The `tensor_64k` rows feed
 //! randn, which holds no zeros. `bfp:e5m5:b16` is the repository
 //! benchmark's BFP spec; `p3109:e4m3` runs the same float kernel as
 //! `fp:e5m10`; `fp:e3m9` and `fp:e2m8` are on the DSE's FP ladder, whose
@@ -13,8 +13,11 @@
 //! negatives set to `+0.0`, shaped like post-ReLU activations: half the
 //! elements are zeros, which an FP quantiser must handle as cheaply as
 //! normal values. The `denormal_64k` row feeds FP8 inputs of magnitude
-//! around 2^−8, inside e4m3's denormal range. A `scalar` row converts one
-//! value to its bitstring, flips a bit and converts back.
+//! around 2^−8, inside e4m3's denormal range. The `deit_linear_24k` rows
+//! convert a `[512, 48]` randn tensor, about the size of a `deit_tiny` linear
+//! output at batch 8 on 32×32 images, where a call's fixed cost and each
+//! block's own work weigh more than in the 64Ki rows. A `scalar` row
+//! converts one value to its bitstring, flips a bit and converts back.
 //!
 //! Each row is timed by `bench::time` in samples of back-to-back calls,
 //! batched to run for at least 1 ms, 25 samples with `--quick` and 100
@@ -52,6 +55,10 @@ const TENSOR_SPECS: [&str; 10] = [
 /// The float rows repeated on post-ReLU input (half `+0.0`).
 const RELU_SPECS: [&str; 4] = ["fp:e8m23", "fp:e5m10", "fp:e3m9", "fp:e2m8"];
 
+/// The rows on a DeiT-sized linear output: the repository benchmark's BFP
+/// spec, an MX spec and FP8.
+const DEIT_SPECS: [&str; 3] = ["bfp:e5m5:b16", "mx:fp8e4m3:b32", "fp:e4m3"];
+
 /// Times `f`, which converts `elements` elements per call, in samples of
 /// at least [`SAMPLE_SECS`]: the calls per sample double until the fastest
 /// of three samples is that long. Returns the calls per sample and the ns
@@ -72,10 +79,12 @@ fn main() {
     // |x| spread over [2^−9, 2^−7): below e4m3's smallest normal 2^−6.
     let denormal = x.map(|v| v.signum() * (2.0f32).powf(-8.0 + v.tanh()));
     let relu = x.map(|v| if v > 0.0 { v } else { 0.0 });
+    let deit = Tensor::randn([512, 48], &mut rng);
 
     let mut planned: Vec<(&str, &str)> = TENSOR_SPECS.iter().map(|&s| ("tensor_64k", s)).collect();
     planned.extend(RELU_SPECS.iter().map(|&s| ("relu_64k", s)));
     planned.push(("denormal_64k", "fp:e4m3"));
+    planned.extend(DEIT_SPECS.iter().map(|&s| ("deit_linear_24k", s)));
     planned.extend([("scalar", "fp:e5m10"), ("scalar", "int:8")]);
 
     println!(
@@ -84,7 +93,7 @@ fn main() {
         tensor::linalg::kernels::active().name()
     );
     println!(
-        "{:<14} {:<16} {:>8} {:>9} {:>9} {:>9} {:>9}",
+        "{:<16} {:<16} {:>8} {:>9} {:>9} {:>9} {:>9}",
         "group", "spec", "calls", "min", "q1", "median", "q3"
     );
     let mut rows = Vec::new();
@@ -102,6 +111,7 @@ fn main() {
                 let input = match group {
                     "denormal_64k" => &denormal,
                     "relu_64k" => &relu,
+                    "deit_linear_24k" => &deit,
                     _ => &x,
                 };
                 ns_per_elem(samples, input.numel(), || {
@@ -111,7 +121,7 @@ fn main() {
         };
         let (q1, q3) = t.quartiles();
         println!(
-            "{group:<14} {spec:<16} {calls:>8} {:>9.3} {q1:>9.3} {:>9.3} {q3:>9.3}",
+            "{group:<16} {spec:<16} {calls:>8} {:>9.3} {q1:>9.3} {:>9.3} {q3:>9.3}",
             t.min(),
             t.median()
         );

@@ -325,9 +325,9 @@ impl BenchArgs {
     ///
     /// A malformed or missing value (`--jobs abc`, `--log-level loud`, a
     /// trailing `--injections`) prints `error: ...` and exits with status
-    /// 1, as the `goldeneye` CLI does; an unknown flag is reported and
-    /// ignored. `-h` / `--help` prints the shared flags and `own`, then
-    /// exits with status 0.
+    /// 1, as the `goldeneye` CLI does, and so does an unknown flag or a
+    /// stray argument. `-h` / `--help` prints the shared flags and `own`,
+    /// then exits with status 0.
     pub fn parse_with(own: &[&str]) -> Self {
         let args = Self::try_parse(std::env::args().skip(1), own).unwrap_or_else(|e| {
             eprintln!("error: {e}");
@@ -374,8 +374,10 @@ impl BenchArgs {
     /// # Errors
     ///
     /// Returns `bad --<flag> ...` for a value that does not parse,
-    /// `--<flag> needs a value` for a flag given last without one, and the
-    /// error opening a `--trace-out` file.
+    /// `--<flag> needs a value` for a flag given last without one,
+    /// `unknown flag ...` for a flag that is neither shared nor one of `own`,
+    /// `unexpected argument ...` for a bare word, and the error opening a
+    /// `--trace-out` file.
     pub fn try_parse(argv: impl IntoIterator<Item = String>, own: &[&str]) -> Result<Self, String> {
         fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
             it.next().ok_or_else(|| format!("{flag} needs a value"))
@@ -418,7 +420,10 @@ impl BenchArgs {
                 "-q" | "--quiet" => trace::set_level(trace::Level::Warn),
                 "-h" | "--help" => args.help = true,
                 other if own.contains(&other) => args.switches.push(a),
-                other => eprintln!("[bench] ignoring unknown flag {other}"),
+                other if other.starts_with('-') => {
+                    return Err(format!("unknown flag `{other}` (see --help)"))
+                }
+                other => return Err(format!("unexpected argument `{other}`")),
             }
         }
         Ok(args)
@@ -519,13 +524,36 @@ mod tests {
     }
 
     #[test]
+    fn unknown_flags_and_stray_arguments_are_errors() {
+        let own = ["--overhead-only"];
+        assert_eq!(
+            parse(&["--quick", "--injection", "8"], &own).unwrap_err(),
+            "unknown flag `--injection` (see --help)"
+        );
+        assert_eq!(parse(&["extra"], &[]).unwrap_err(), "unexpected argument `extra`");
+        assert!(parse(&["--quick", "-x"], &own).unwrap_err().contains("`-x`"));
+        // Every bench command line in CI and the docs still parses.
+        for line in [
+            &["--quick", "--overhead-only", "--out", "BENCH_overhead.json"][..],
+            &["--quick", "--out", "BENCH_gemm.json"],
+            &["--quick", "--out", "BENCH_format_kernels.json"],
+            &["--quick", "--out", "BENCH_blocksize.json"],
+            &["--injections", "8", "--out", "results/BENCH_campaign.json"],
+            &["--jobs", "2", "--out", "results/BENCH_gemm.json"],
+            &["--injections", "20", "--full", "-q"],
+        ] {
+            assert!(parse(line, &own).is_ok(), "{line:?}");
+        }
+    }
+
+    #[test]
     fn binaries_declare_their_own_switches() {
         let own = ["--overhead-only"];
         let args = parse(&["--quick", "--overhead-only"], &own).unwrap();
         assert!(args.quick && args.has("--overhead-only"));
         assert!(!parse(&["--quick"], &own).unwrap().has("--overhead-only"));
-        // Undeclared, the switch is ignored rather than recorded.
-        assert!(!parse(&["--overhead-only"], &[]).unwrap().has("--overhead-only"));
+        // Undeclared, the switch is an unknown flag.
+        assert!(parse(&["--overhead-only"], &[]).is_err());
     }
 
     #[test]

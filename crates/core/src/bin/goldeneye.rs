@@ -224,42 +224,71 @@ fn print_usage() {
     );
 }
 
-/// The values of the flags one subcommand was given. Built by
-/// [`Flags::parse`] from the flags the subcommand declares; every flag
-/// takes one value.
-struct Flags(Vec<(&'static str, String)>);
+/// The arguments one subcommand was given, parsed by [`Flags::parse`]
+/// against what the subcommand declares: flags that take one value,
+/// switches that take none, and bare positional arguments.
+struct Flags {
+    values: Vec<(&'static str, String)>,
+    switches: Vec<&'static str>,
+    positionals: Vec<String>,
+}
 
 impl Flags {
-    /// Parses `args` as `--flag value` pairs, each flag one of `declared`.
-    /// An undeclared flag, a flag with no value (or with another flag as
-    /// its value), a repeated flag or a stray positional is an error that
+    /// Parses `args` as `--flag value` pairs (each flag one of `declared`),
+    /// switches (each one of `switches`) and at most `max_positionals`
+    /// bare arguments, in any order. An undeclared flag, a flag with no
+    /// value (or with another flag as its value), a repeated flag or
+    /// switch, or a positional past the last one taken is an error that
     /// names the token.
-    fn parse(sub: &str, args: &[String], declared: &[&'static str]) -> Result<Flags, String> {
-        let mut values: Vec<(&'static str, String)> = Vec::new();
+    fn parse(
+        sub: &str,
+        args: &[String],
+        declared: &[&'static str],
+        switches: &[&'static str],
+        max_positionals: usize,
+    ) -> Result<Flags, String> {
+        let mut flags = Flags { values: Vec::new(), switches: Vec::new(), positionals: Vec::new() };
         let mut it = args.iter();
         while let Some(arg) = it.next() {
+            if let Some(&name) = switches.iter().find(|&&s| s == arg) {
+                if flags.switches.contains(&name) {
+                    return Err(format!("{sub}: {name} given twice"));
+                }
+                flags.switches.push(name);
+                continue;
+            }
             let Some(&name) = declared.iter().find(|&&d| d == arg) else {
-                return Err(if arg.starts_with('-') {
-                    format!("{sub}: unknown flag `{arg}` (expected {})", declared.join(", "))
-                } else {
-                    format!("{sub}: unexpected argument `{arg}`")
-                });
+                if arg.starts_with('-') {
+                    let known: Vec<&str> = declared.iter().chain(switches).copied().collect();
+                    let expected = if known.is_empty() { "none".into() } else { known.join(", ") };
+                    return Err(format!("{sub}: unknown flag `{arg}` (expected {expected})"));
+                }
+                if flags.positionals.len() == max_positionals {
+                    return Err(format!("{sub}: unexpected argument `{arg}`"));
+                }
+                flags.positionals.push(arg.clone());
+                continue;
             };
             let value = it
                 .next()
                 .filter(|v| !v.starts_with("--"))
                 .ok_or_else(|| format!("{sub}: {name} needs a value"))?;
-            if values.iter().any(|(n, _)| *n == name) {
+            if flags.values.iter().any(|(n, _)| *n == name) {
                 return Err(format!("{sub}: {name} given twice"));
             }
-            values.push((name, value.clone()));
+            flags.values.push((name, value.clone()));
         }
-        Ok(Flags(values))
+        Ok(flags)
     }
 
     /// Flag `name`'s value, `None` when the flag is absent.
     fn get(&self, name: &str) -> Option<String> {
-        self.0.iter().find(|(n, _)| *n == name).map(|(_, v)| v.clone())
+        self.values.iter().find(|(n, _)| *n == name).map(|(_, v)| v.clone())
+    }
+
+    /// Whether switch `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.switches.contains(&name)
     }
 
     /// Parses flag `name`'s value, `None` when the flag is absent. A value
@@ -272,12 +301,6 @@ impl Flags {
     fn jobs(&self) -> Result<usize, String> {
         Ok(self.parsed("--jobs")?.unwrap_or(1))
     }
-}
-
-/// Flag `name`'s value, looked up by name: `conformance`'s parse, which
-/// [`Flags`] does not cover yet.
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
 }
 
 fn cmd_ranges() -> Result<(), String> {
@@ -370,7 +393,8 @@ fn demo_model(
 }
 
 fn cmd_evaluate(args: &[String], global: &GlobalFlags) -> Result<(), String> {
-    let flags = Flags::parse("evaluate", args, &["--model", "--spec", "--epochs", "--jobs"])?;
+    let flags =
+        Flags::parse("evaluate", args, &["--model", "--spec", "--epochs", "--jobs"], &[], 0)?;
     let model_kind = flags.get("--model").unwrap_or_else(|| "cnn".into());
     let spec = flags.get("--spec").ok_or("evaluate needs --spec")?;
     let epochs = flags.parsed("--epochs")?.unwrap_or(8);
@@ -397,6 +421,8 @@ fn cmd_campaign(args: &[String], global: &GlobalFlags) -> Result<(), String> {
         "campaign",
         args,
         &["--model", "--spec", "--site", "--injections", "--jobs", "--early-stop", "--sampler"],
+        &[],
+        0,
     )?;
     let model_kind = flags.get("--model").unwrap_or_else(|| "cnn".into());
     let spec = flags.get("--spec").ok_or("campaign needs --spec")?;
@@ -466,7 +492,7 @@ fn cmd_campaign(args: &[String], global: &GlobalFlags) -> Result<(), String> {
 }
 
 fn cmd_dse(args: &[String], global: &GlobalFlags) -> Result<(), String> {
-    let flags = Flags::parse("dse", args, &["--model", "--family", "--drop", "--jobs"])?;
+    let flags = Flags::parse("dse", args, &["--model", "--family", "--drop", "--jobs"], &[], 0)?;
     let model_kind = flags.get("--model").unwrap_or_else(|| "cnn".into());
     let family = flags.get("--family").ok_or("dse needs --family")?;
     let drop: f32 = flags.parsed("--drop")?.unwrap_or(0.02);
@@ -508,30 +534,20 @@ fn cmd_dse(args: &[String], global: &GlobalFlags) -> Result<(), String> {
 }
 
 fn cmd_conformance(args: &[String], global: &GlobalFlags) -> Result<(), String> {
-    let report_path = flag(args, "--report");
-    let write_golden = flag(args, "--write-golden");
-    let all = args.iter().any(|a| a == "--all");
-    let specs: Vec<formats::FormatSpec> = {
-        let named: Vec<&String> = args
-            .iter()
-            .enumerate()
-            .filter(|&(i, a)| {
-                !a.starts_with("--")
-                    && args
-                        .get(i.wrapping_sub(1))
-                        .is_none_or(|p| p != "--report" && p != "--write-golden")
-            })
-            .map(|(_, a)| a)
-            .collect();
-        if all || (named.is_empty() && write_golden.is_none()) {
+    let flags =
+        Flags::parse("conformance", args, &["--report", "--write-golden"], &["--all"], usize::MAX)?;
+    let report_path = flags.get("--report");
+    let write_golden = flags.get("--write-golden");
+    let specs: Vec<formats::FormatSpec> =
+        if flags.has("--all") || (flags.positionals.is_empty() && write_golden.is_none()) {
             conformance::standard_zoo()
         } else {
-            named
+            flags
+                .positionals
                 .iter()
                 .map(|s| s.parse().map_err(|e| format!("bad spec `{s}`: {e}")))
                 .collect::<Result<_, String>>()?
-        }
-    };
+        };
 
     if let Some(dir) = &write_golden {
         let dir = std::path::Path::new(dir);
@@ -608,7 +624,8 @@ fn cmd_conformance(args: &[String], global: &GlobalFlags) -> Result<(), String> 
 /// `goldeneye store <ls|verify|gc>` — artifact-store maintenance. All
 /// three act on the directory given by the global `--store` flag.
 fn cmd_store(args: &[String], global: &GlobalFlags) -> Result<(), String> {
-    let action = args.first().map(String::as_str);
+    let flags = Flags::parse("store", args, &[], &[], 1)?;
+    let action = flags.positionals.first().map(String::as_str);
     let store = global
         .store
         .as_ref()
@@ -666,35 +683,30 @@ fn cmd_store(args: &[String], global: &GlobalFlags) -> Result<(), String> {
 /// exit non-zero for CI.
 fn cmd_trace(args: &[String]) -> Result<bool, String> {
     use goldeneye::tracetool;
-    match args.first().map(String::as_str) {
-        Some("stats") => {
-            let path = args.get(1).ok_or("trace stats needs a JSONL file path")?;
+    let Some(sub) = args.first() else {
+        return Err("trace needs a subcommand: stats <file.jsonl> | diff <a> <b> [--threshold R] | export --folded <manifest>".into());
+    };
+    let rest = &args[1..];
+    match sub.as_str() {
+        "stats" => {
+            let flags = Flags::parse("trace stats", rest, &[], &[], 1)?;
+            let path = flags.positionals.first().ok_or("trace stats needs a JSONL file path")?;
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
             let report = tracetool::stats_report(path, &text)?;
             outln!("{}", report.trim_end());
             Ok(true)
         }
-        Some("diff") => {
-            let mut rest: Vec<String> = args[1..].to_vec();
-            let threshold = match rest.iter().position(|a| a == "--threshold") {
-                None => 0.10,
-                Some(i) => {
-                    if i + 1 >= rest.len() {
-                        return Err("--threshold needs a value (e.g. 0.10)".into());
-                    }
-                    let v = rest.remove(i + 1);
-                    rest.remove(i);
-                    let t: f64 =
-                        v.parse().map_err(|_| format!("bad --threshold value `{v}`"))?;
-                    if !t.is_finite() || t < 0.0 {
-                        return Err(format!("--threshold must be a non-negative ratio, got `{v}`"));
-                    }
-                    t
-                }
-            };
-            let [a, b] = rest.as_slice() else {
-                return Err("trace diff needs two manifest paths (and optional --threshold R)".into());
+        "diff" => {
+            let flags = Flags::parse("trace diff", rest, &["--threshold"], &[], 2)?;
+            let threshold = flags.parsed::<f64>("--threshold")?.unwrap_or(0.10);
+            if !threshold.is_finite() || threshold < 0.0 {
+                return Err(format!("--threshold must be a non-negative ratio, got `{threshold}`"));
+            }
+            let [a, b] = flags.positionals.as_slice() else {
+                return Err(
+                    "trace diff needs two manifest paths (and optional --threshold R)".into()
+                );
             };
             let ma = tracetool::load_manifest(a)?;
             let mb = tracetool::load_manifest(b)?;
@@ -702,22 +714,17 @@ fn cmd_trace(args: &[String]) -> Result<bool, String> {
             outln!("{}", report.text.trim_end());
             Ok(!report.has_regression())
         }
-        Some("export") => {
-            let folded = args.iter().any(|a| a == "--folded");
-            let path = args
-                .iter()
-                .skip(1)
-                .find(|a| !a.starts_with("--"))
-                .ok_or("trace export needs a manifest path")?;
-            if !folded {
+        "export" => {
+            let flags = Flags::parse("trace export", rest, &[], &["--folded"], 1)?;
+            let path = flags.positionals.first().ok_or("trace export needs a manifest path")?;
+            if !flags.has("--folded") {
                 return Err("trace export supports --folded (flamegraph folded stacks)".into());
             }
             let m = tracetool::load_manifest(path)?;
             print!("{}", tracetool::export_folded(&m)?);
             Ok(true)
         }
-        Some(other) => Err(format!("unknown trace subcommand `{other}` (stats|diff|export)")),
-        None => Err("trace needs a subcommand: stats <file.jsonl> | diff <a> <b> [--threshold R] | export --folded <manifest>".into()),
+        other => Err(format!("unknown trace subcommand `{other}` (stats|diff|export)")),
     }
 }
 

@@ -146,3 +146,42 @@ fn store_maintenance_refuses_a_missing_store() {
     assert!(stdout.contains("0 checkpoint(s)"), "stdout {stdout}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `conformance`, `trace` and `store` accept only the flags, switches and
+/// positionals they declare: anything else exits 1, names the token and
+/// runs nothing (`conformance --all --reprot r.jsonl` used to run the
+/// whole zoo, write no report and exit 0).
+#[test]
+fn maintenance_subcommands_refuse_undeclared_arguments() {
+    let dir = std::env::temp_dir().join(format!("ge_cli_strict_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (report, manifest) = (file("r.jsonl"), file("m.json"));
+    for (args, needle) in [
+        (vec!["conformance", "--all", "--reprot", &report], "unknown flag `--reprot`"),
+        (vec!["conformance", "fp8", "--report"], "--report needs a value"),
+        (vec!["conformance", "--all", "--all"], "--all given twice"),
+        (vec!["trace", "export", "--foldd", &manifest], "unknown flag `--foldd`"),
+        (vec!["trace", "export", "--folded", &manifest, "extra"], "unexpected argument `extra`"),
+        (vec!["trace", "stats", &report, &manifest], "unexpected argument"),
+        (
+            vec!["trace", "diff", &report, &manifest, "--thresold", "0.2"],
+            "unknown flag `--thresold`",
+        ),
+        (vec!["store", "ls", "--bogus"], "unknown flag `--bogus`"),
+        (vec!["store", "ls", "extra"], "unexpected argument `extra`"),
+    ] {
+        let (ok, stdout, stderr) = run(&args);
+        assert!(!ok, "{args:?} should fail");
+        assert!(stderr.contains(needle), "{args:?}: want {needle:?} in stderr {stderr}");
+        assert!(stdout.is_empty(), "{args:?} ran before failing: {stdout}");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "{args:?} wrote a file");
+    }
+    // A declared flag and a positional spec still parse, in either order.
+    let (ok, stdout, stderr) = run(&["conformance", "--report", &report, "fp8"]);
+    assert!(ok, "conformance fp8 --report: {stderr}");
+    assert!(stdout.contains("1 format(s)"), "stdout {stdout}");
+    assert!(std::fs::metadata(&report).unwrap().len() > 0, "no report written");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -10,8 +10,9 @@
 
 use crate::bitstring::Bitstring;
 use crate::format::{DynamicRange, NumberFormat, Quantized};
-use crate::fp::{exp2, exponent_of, f32_saturate, round_ties_even};
+use crate::fp::{exp2, exponent_field, f32_saturate, round_ties_even};
 use crate::metadata::Metadata;
+use std::mem::MaybeUninit;
 use tensor::Tensor;
 
 /// A block-floating-point format: `exp_bits`-wide shared exponent per
@@ -92,17 +93,14 @@ impl BlockFloatingPoint {
     }
 
     /// The biased exponent code chosen for a block with maximum magnitude
-    /// `max_abs`.
+    /// `max_abs` (never NaN): the exponent of `max_abs` plus the bias,
+    /// clamped to the register. Branch-free, so it vectorises across the
+    /// blocks of a group: a zero maximum reads exponent −1023 and clamps
+    /// to code 0, and an Inf one (an Inf element) reads 1024, which clamps
+    /// to the top code for every width (`1024 + bias ≥ max_code`).
     #[inline(always)]
     fn code_for_block(&self, max_abs: f64) -> u32 {
-        if max_abs == 0.0 {
-            return 0;
-        }
-        if !max_abs.is_finite() {
-            // An Inf element pins the block at the top exponent code.
-            return self.max_code() as u32;
-        }
-        let e = exponent_of(max_abs);
+        let e = exponent_field(max_abs);
         (e + self.bias()).clamp(0, self.max_code()) as u32
     }
 
@@ -135,7 +133,7 @@ impl BlockFloatingPoint {
     /// the same; this holds for every code of e5m5. The rest (e8/e11 codes
     /// near their ends) take the f64 loop below.
     #[inline(always)]
-    fn quantize_block(&self, code: u32, src: &[f32], out: &mut [f32]) {
+    fn quantize_block(&self, code: u32, src: &[f32], out: &mut [MaybeUninit<f32>]) {
         let k = self.step_exp(code);
         if self.runs_in_f32(k) {
             return self.quantize_block_f32(src, out, k);
@@ -151,7 +149,7 @@ impl BlockFloatingPoint {
             let sign = if x.is_sign_negative() { -1.0 } else { 1.0 };
             let mag =
                 if x.is_nan() { 0.0 } else { round_ties_even((x as f64).abs() * inv).min(mag_max) };
-            *v = f32_saturate(sign * mag * step);
+            v.write(f32_saturate(sign * mag * step));
         }
     }
 
@@ -178,7 +176,7 @@ impl BlockFloatingPoint {
     ///   and `mag_max · step` or is zero, so it is exact, finite and
     ///   normal: f64's product and its `f32_saturate` give the same value.
     #[inline(always)]
-    fn quantize_block_f32(&self, src: &[f32], out: &mut [f32], k: i64) {
+    fn quantize_block_f32(&self, src: &[f32], out: &mut [MaybeUninit<f32>], k: i64) {
         const TWO_23: f32 = 8_388_608.0;
         let pow2 = |k: i64| f32::from_bits(((k + 127) as u32) << 23);
         let (step, inv) = (pow2(k), pow2(-k));
@@ -224,13 +222,14 @@ impl NumberFormat for BlockFloatingPoint {
     }
 
     fn real_to_format_tensor(&self, t: &Tensor) -> Quantized {
+        let this = *self;
         let (values, codes) = crate::chunk::quantize_blocks(
             t,
             self.block_size,
             #[inline(always)]
-            |max_abs| self.code_for_block(max_abs as f64),
+            move |max_abs| this.code_for_block(max_abs as f64),
             #[inline(always)]
-            |code, src, out| self.quantize_block(code, src, out),
+            move |code, src, out| this.quantize_block(code, src, out),
         );
         Quantized {
             values: Tensor::from_buffer(values, t.shape().clone()),
@@ -627,6 +626,22 @@ mod tests {
     }
 
     #[test]
+    fn block_code_is_the_clamped_exponent_with_zero_and_inf_at_the_ends() {
+        // The branch-free code against the rule it replaced: 0 for a zero
+        // maximum, the top code for an Inf one, else the clamped exponent.
+        for (e, m) in [(2, 1), (5, 5), (8, 7), (11, 1), (11, 23)] {
+            let bfp = BlockFloatingPoint::new(e, m, 16);
+            assert_eq!(bfp.code_for_block(0.0), 0);
+            assert_eq!(bfp.code_for_block(f64::INFINITY), bfp.max_code() as u32);
+            for bits in (1..f32::INFINITY.to_bits()).step_by(997) {
+                let max = f32::from_bits(bits) as f64;
+                let want = (crate::fp::exponent_of(max) + bfp.bias()).clamp(0, bfp.max_code());
+                assert_eq!(bfp.code_for_block(max), want as u32, "e{e}m{m} {max:e}");
+            }
+        }
+    }
+
+    #[test]
     fn tensor_path_matches_division_oracle_bitwise() {
         // The reciprocal multiply, the f32 block loop, the f32 block max and
         // the shared `chunk::quantize_blocks` must not move a bit, under
@@ -635,27 +650,51 @@ mod tests {
         // e11m1), where the product is not the quotient but the output
         // still is (see `quantize_block`). The binade blocks put e8m7 and
         // e11 blocks on both sides of the f32 path's limits.
-        crate::chunk::for_each_kernel(|kern| {
-            let mut x = crate::chunk::oracle_inputs();
-            x.extend(binade_blocks(7));
-            x.extend(binade_blocks(5));
-            check_against_oracle(&x, kern);
+        //
+        // The block sizes cover one block per element, blocks that do not
+        // divide the input (a partial last block) or `QUANT_CHUNK` (blocks
+        // straddling the task-sized stretches of the input; the driver's
+        // tasks hold whole blocks), a group of blocks smaller than a block
+        // (5000) and one block for the whole tensor. The long input passes
+        // the serial guard, so at two threads the tasks really split.
+        use crate::chunk::{for_each_kernel, past_serial_guard, QUANT_CHUNK};
+        use tensor::parallel::with_threads;
+        let mut x = crate::chunk::oracle_inputs();
+        x.extend(binade_blocks(7));
+        x.extend(binade_blocks(5));
+        let sizes = [1, 3, 16, 17, 32, 5000];
+        assert!(sizes.iter().any(|&b| x.len() % b != 0 && QUANT_CHUNK % b != 0));
+        let formats: Vec<BlockFloatingPoint> = sizes
+            .iter()
+            .flat_map(|&b| [(5, 5), (8, 7)].map(|(e, m)| BlockFloatingPoint::new(e, m, b)))
+            .chain([
+                BlockFloatingPoint::new(2, 3, 8),
+                BlockFloatingPoint::new(4, 23, 3),
+                BlockFloatingPoint::new(11, 1, 4),
+                BlockFloatingPoint::new(11, 5, 4),
+                BlockFloatingPoint::per_tensor(5, 5),
+                BlockFloatingPoint::per_tensor(8, 7),
+            ])
+            .collect();
+        let long = past_serial_guard(&x);
+        let long_formats = [3, 16, 17].map(|b| BlockFloatingPoint::new(5, 5, b));
+        for_each_kernel(|kern| {
+            for threads in [1, 2] {
+                let _g = with_threads(threads);
+                check_against_oracle(&x, &formats, kern);
+                check_against_oracle(&long, &long_formats, kern);
+                check_against_oracle(&long, &[BlockFloatingPoint::per_tensor(5, 5)], kern);
+            }
         });
     }
 
-    fn check_against_oracle(x: &[f32], kern: tensor::linalg::kernels::Kernel) {
+    fn check_against_oracle(
+        x: &[f32],
+        formats: &[BlockFloatingPoint],
+        kern: tensor::linalg::kernels::Kernel,
+    ) {
         let t = Tensor::from_vec(x.to_vec(), [x.len()]);
-        let formats = [
-            BlockFloatingPoint::new(5, 5, 16),
-            BlockFloatingPoint::new(8, 7, 16),
-            BlockFloatingPoint::new(2, 3, 8),
-            BlockFloatingPoint::new(4, 23, 3),
-            BlockFloatingPoint::new(11, 1, 4),
-            BlockFloatingPoint::new(11, 5, 4),
-            BlockFloatingPoint::new(5, 5, 5000),
-            BlockFloatingPoint::per_tensor(5, 5),
-        ];
-        for bfp in formats {
+        for &bfp in formats {
             let q = bfp.real_to_format_tensor(&t);
             let (values, codes) = oracle(&bfp, x);
             let Metadata::SharedExponents { codes: got, .. } = &q.meta else { panic!() };

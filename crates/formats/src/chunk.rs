@@ -19,6 +19,7 @@
 //! output is the same bits under every kernel; the formats' oracle tests
 //! run under each one the host supports ([`for_each_kernel`]).
 
+use std::mem::MaybeUninit;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -86,15 +87,17 @@ fn map_slice(f: impl Fn(f32) -> f32, src: &[f32], out: &mut [f32]) {
 const LANES: usize = 16;
 
 /// `out[j] = f(src[j])` over fixed groups of [`LANES`], the last one
-/// padded with zeros (`f` must be pure). For short runs such as one BFP
-/// block: a loop of unknown length would run them in its scalar
-/// remainder, where a fixed-size group compiles to straight vector code.
+/// padded with zeros (`f` must be pure). Writes every element of `out`,
+/// which may be uninitialised. For short runs such as one BFP block: a
+/// loop of unknown length would run them in its scalar remainder, where
+/// a fixed-size group compiles to straight vector code.
 #[inline(always)]
-pub(crate) fn map_lanes(f: impl Fn(f32) -> f32, src: &[f32], out: &mut [f32]) {
+pub(crate) fn map_lanes(f: impl Fn(f32) -> f32, src: &[f32], out: &mut [MaybeUninit<f32>]) {
+    debug_assert_eq!(src.len(), out.len());
     #[inline(always)]
-    fn group(f: &impl Fn(f32) -> f32, src: &[f32; LANES], out: &mut [f32; LANES]) {
+    fn group(f: &impl Fn(f32) -> f32, src: &[f32; LANES], out: &mut [MaybeUninit<f32>; LANES]) {
         for (v, &x) in out.iter_mut().zip(src) {
-            *v = f(x);
+            v.write(f(x));
         }
     }
     let mut outs = out.chunks_exact_mut(LANES);
@@ -104,7 +107,7 @@ pub(crate) fn map_lanes(f: impl Fn(f32) -> f32, src: &[f32], out: &mut [f32]) {
     }
     let (o, s) = (outs.into_remainder(), srcs.remainder());
     if !o.is_empty() {
-        let (mut pad, mut y) = ([0.0f32; LANES], [0.0f32; LANES]);
+        let (mut pad, mut y) = ([0.0f32; LANES], [MaybeUninit::uninit(); LANES]);
         pad[..s.len()].copy_from_slice(s);
         group(&f, &pad, &mut y);
         o.copy_from_slice(&y[..o.len()]);
@@ -145,14 +148,7 @@ pub(crate) fn max_abs_chunked(t: &Tensor) -> f32 {
 /// dispatched wrapper of its caller.
 #[inline]
 fn max_abs(xs: &[f32]) -> f32 {
-    let key = |x: f32| {
-        let b = x.to_bits() & 0x7fff_ffff;
-        if b > f32::INFINITY.to_bits() {
-            0
-        } else {
-            b
-        }
-    };
+    let key = abs_key;
     let mut acc = [0u32; LANES];
     let mut groups = xs.chunks_exact(LANES);
     for g in &mut groups {
@@ -164,23 +160,43 @@ fn max_abs(xs: &[f32]) -> f32 {
     f32::from_bits(acc.iter().fold(tail, |m, &a| m.max(a)))
 }
 
-/// Block-scaled Method 1, shared by BFP and MX: one pass computes each
-/// block's register code from its `max |x|` (`code_for_max`), a second
-/// quantises each block under its code (`quantize_block(code, src, out)`).
-/// Both run once per block, so pass them as `#[inline(always)]` closures:
-/// only inlined code is compiled for the dispatched instruction set.
+/// The bit pattern of `|x|`, with NaN counted as +0.0: ordered like the
+/// value for the maxima of [`max_abs`].
+#[inline(always)]
+fn abs_key(x: f32) -> u32 {
+    let b = x.to_bits() & 0x7fff_ffff;
+    if b > f32::INFINITY.to_bits() {
+        0
+    } else {
+        b
+    }
+}
+
+/// Block-scaled Method 1, shared by BFP and MX: each block's register
+/// code from its `max |x|` (`code_for_max`), then the block quantised
+/// under its code (`quantize_block(code, src, out)`, which must write every
+/// element of `out`). Pass both as `#[inline(always)]` closures: only
+/// inlined code is compiled for the dispatched instruction set.
+///
+/// The tensor is worked [`GROUP`] blocks at a time: the group's maxima
+/// are collected in one array and their codes computed one block per
+/// lane, so a branch-free `code_for_max` runs as vector code across the
+/// blocks, and the group is quantised while its elements are still in L1. Each element goes
+/// through exactly the arithmetic `quantize_block` gives it, so grouping
+/// changes no bit. The values are written into an uninitialised pool
+/// buffer: every element is written exactly once.
 ///
 /// A task covers a fixed run of *whole* blocks (about [`QUANT_CHUNK`]
 /// elements), so chunk boundaries align with the blocks and the result is
-/// identical for every thread count; both passes take the
+/// identical for every thread count; tasks take the
 /// [`parallel::PAR_MIN_ELEMS`] serial guard and run under the dispatched
 /// instruction set. `block_size == usize::MAX` (one block for the whole
 /// tensor) is clamped to the tensor length.
 pub(crate) fn quantize_blocks(
     t: &Tensor,
     block_size: usize,
-    code_for_max: impl Fn(f32) -> u32 + Sync,
-    quantize_block: impl Fn(u32, &[f32], &mut [f32]) + Sync,
+    code_for_max: impl Fn(f32) -> u32 + Sync + Copy,
+    quantize_block: impl Fn(u32, &[f32], &mut [MaybeUninit<f32>]) + Sync + Copy,
 ) -> (workspace::Buffer, Vec<u32>) {
     let src = t.as_slice();
     let n = src.len();
@@ -189,34 +205,72 @@ pub(crate) fn quantize_blocks(
     let kern = kernels::active();
     let _serial = (n < parallel::PAR_MIN_ELEMS).then(|| parallel::with_threads(1));
     let mut codes = vec![0u32; n.div_ceil(bs)];
-    parallel::par_chunks_mut(&mut codes, blocks_per_task, |ci, chunk| {
-        let start = ci * blocks_per_task * bs;
+    let mut values = workspace::with_capacity(n);
+    let mut tasks: Vec<(&mut [u32], &mut [MaybeUninit<f32>])> = codes
+        .chunks_mut(blocks_per_task)
+        .zip(values.spare_capacity_mut()[..n].chunks_mut(blocks_per_task * bs))
+        .collect();
+    parallel::par_chunks_mut(&mut tasks, 1, |ci, task| {
+        let (codes, out) = &mut task[0];
+        let src = &src[ci * blocks_per_task * bs..][..out.len()];
         kernels::with_isa(
             kern,
             #[inline(always)]
-            || {
-                for (slot, block) in chunk.iter_mut().zip(src[start..].chunks(bs)) {
-                    *slot = code_for_max(max_abs(block));
-                }
+            || match bs {
+                // A literal block size specialises the loops of
+                // `quantize_task` to whole vectors per block.
+                16 => quantize_task(16, src, codes, out, code_for_max, quantize_block),
+                32 => quantize_task(32, src, codes, out, code_for_max, quantize_block),
+                _ => quantize_task(bs, src, codes, out, code_for_max, quantize_block),
             },
         )
     });
-    let mut values = workspace::zeroed(n);
-    let task_codes = &codes[..];
-    parallel::par_chunks_mut(&mut values, blocks_per_task * bs, |ci, out| {
-        let start = ci * blocks_per_task * bs;
-        let blocks = out.chunks_mut(bs).zip(src[start..].chunks(bs));
-        kernels::with_isa(
-            kern,
-            #[inline(always)]
-            || {
-                for ((out, block), &code) in blocks.zip(&task_codes[ci * blocks_per_task..]) {
-                    quantize_block(code, block, out);
-                }
-            },
-        )
-    });
+    drop(tasks);
+    // SAFETY: the tasks' output chunks partition `values[..n]`, and each
+    // `quantize_block` call wrote every element of its block.
+    unsafe { values.set_len(n) };
     (values, codes)
+}
+
+/// One task of [`quantize_blocks`]: its blocks of `bs` elements from
+/// `src`, worked [`GROUP`] at a time.
+#[inline(always)]
+fn quantize_task(
+    bs: usize,
+    src: &[f32],
+    codes: &mut [u32],
+    out: &mut [MaybeUninit<f32>],
+    code_for_max: impl Fn(f32) -> u32,
+    quantize_block: impl Fn(u32, &[f32], &mut [MaybeUninit<f32>]),
+) {
+    let groups = codes.chunks_mut(GROUP).zip(out.chunks_mut(GROUP * bs));
+    for ((codes, out), src) in groups.zip(src.chunks(GROUP * bs)) {
+        let maxes = group_max_abs(src, bs);
+        let mut group_codes = [0u32; GROUP];
+        for (c, &m) in group_codes.iter_mut().zip(&maxes) {
+            *c = code_for_max(m);
+        }
+        codes.copy_from_slice(&group_codes[..codes.len()]);
+        let blocks = src.chunks(bs).zip(out.chunks_mut(bs));
+        for ((block, out), &code) in blocks.zip(&group_codes) {
+            quantize_block(code, block, out);
+        }
+    }
+}
+
+/// Blocks per group in [`quantize_blocks`]: one block per f32 lane of a
+/// 512-bit register.
+const GROUP: usize = LANES;
+
+/// [`max_abs`] of each `bs`-element block of a group (at most [`GROUP`]
+/// blocks; entries past the last block read 0.0).
+#[inline(always)]
+fn group_max_abs(src: &[f32], bs: usize) -> [f32; GROUP] {
+    let mut maxes = [0.0f32; GROUP];
+    for (m, block) in maxes.iter_mut().zip(src.chunks(bs)) {
+        *m = max_abs(block);
+    }
+    maxes
 }
 
 /// Inputs for the block formats' oracle tests: random f32 bit patterns
@@ -232,6 +286,14 @@ pub(crate) fn oracle_inputs() -> Vec<f32> {
     x.extend([0.0, -0.0, 0.0, 0.0, 0.0, -0.0, 0.0, 0.0]);
     x.extend([f32::INFINITY, 1.0, -0.0, f32::NAN, f32::NEG_INFINITY, 3.0, 1e-45, -2.0]);
     x
+}
+
+/// `x` repeated to just past [`parallel::PAR_MIN_ELEMS`] elements, so a
+/// conversion of it takes the worker pool, with a tail that leaves a
+/// partial last block for every block size above 1 the oracle tests use.
+#[cfg(test)]
+pub(crate) fn past_serial_guard(x: &[f32]) -> Vec<f32> {
+    x.iter().copied().cycle().take(parallel::PAR_MIN_ELEMS + 4099).collect()
 }
 
 /// Runs `check` once under each kernel the host supports, with the

@@ -351,6 +351,13 @@ pub fn f32_saturate(x: f64) -> f32 {
 /// Unbiased binary exponent of a positive, finite, normal-in-f64 value.
 pub(crate) fn exponent_of(a: f64) -> i64 {
     debug_assert!(a > 0.0 && a.is_finite());
+    exponent_field(a)
+}
+
+/// `a`'s exponent field less the bias: [`exponent_of`] for normal
+/// values, −1023 for zero (and subnormals), 1024 for ±Inf and NaN.
+#[inline(always)]
+pub(crate) fn exponent_field(a: f64) -> i64 {
     ((a.to_bits() >> 52) & 0x7ff) as i64 - 1023
 }
 

@@ -19,8 +19,9 @@
 
 use crate::bitstring::Bitstring;
 use crate::format::{DynamicRange, NumberFormat, Quantized};
-use crate::fp::{exp2, exponent_of, f32_saturate, mul_pow2, FpParams, SpecialRule};
+use crate::fp::{exp2, exponent_field, f32_saturate, mul_pow2, FpParams, SpecialRule};
 use crate::metadata::Metadata;
+use std::mem::MaybeUninit;
 use tensor::Tensor;
 
 /// E8M0 scale bias: `scale = 2^(code − 127)`.
@@ -131,16 +132,14 @@ impl MxFloat {
     /// The E8M0 scale code chosen for a block of maximum magnitude
     /// `max_abs`: `clamp(floor(log2 max) − emax + 127, 0, 255)`, the OCP
     /// rule that puts the block max in the element's top binade.
+    ///
+    /// Branch-free, so it vectorises across the blocks of a group (`max_abs`
+    /// is never NaN): a zero maximum reads exponent −1023 and clamps to
+    /// code 0, and an Inf one (an Inf element) reads 1024, which clamps to
+    /// the top code, since every element's `emax` is at most 15.
     #[inline(always)]
     fn code_for_block(&self, max_abs: f64) -> u32 {
-        if max_abs == 0.0 {
-            return 0;
-        }
-        if !max_abs.is_finite() {
-            // An Inf element pins the block at the top scale code.
-            return (1 << SCALE_BITS) - 1;
-        }
-        let e = exponent_of(max_abs) - self.elem.params().emax();
+        let e = exponent_field(max_abs) - self.elem.params().emax();
         (e + SCALE_BIAS).clamp(0, (1 << SCALE_BITS) - 1) as u32
     }
 
@@ -150,7 +149,7 @@ impl MxFloat {
     }
 
     /// Method 1 for one block under scale code `code`.
-    fn quantize_block(&self, code: u32, src: &[f32], out: &mut [f32]) {
+    fn quantize_block(&self, code: u32, src: &[f32], out: &mut [MaybeUninit<f32>]) {
         let params = self.elem.params();
         // E8M0 scales span 2^−127 … 2^128, so both 2^−s and 2^s are finite
         // normal f64s: multiplying by them is exact, the same value as
@@ -163,7 +162,7 @@ impl MxFloat {
             let q = params.quantize(x as f64 * down);
             // A non-finite `q` is NaN (for NaN-capable elements); quantize
             // never returns Inf.
-            *v = if q.is_finite() { f32_saturate(q * up) } else { q as f32 };
+            v.write(if q.is_finite() { f32_saturate(q * up) } else { q as f32 });
         }
     }
 
@@ -190,13 +189,14 @@ impl NumberFormat for MxFloat {
     }
 
     fn real_to_format_tensor(&self, t: &Tensor) -> Quantized {
+        let this = *self;
         let (values, codes) = crate::chunk::quantize_blocks(
             t,
             self.block_size,
             #[inline(always)]
-            |max_abs| self.code_for_block(max_abs as f64),
+            move |max_abs| this.code_for_block(max_abs as f64),
             #[inline(always)]
-            |code, src, out| self.quantize_block(code, src, out),
+            move |code, src, out| this.quantize_block(code, src, out),
         );
         Quantized {
             values: Tensor::from_buffer(values, t.shape().clone()),
@@ -439,35 +439,67 @@ mod tests {
     }
 
     #[test]
+    fn scale_code_is_the_clamped_exponent_with_zero_and_inf_at_the_ends() {
+        // The branch-free code against the rule it replaced: 0 for a zero
+        // maximum, the top code for an Inf one, else the clamped exponent.
+        for elem in MxElem::ALL {
+            let mx = MxFloat::new(elem, 32);
+            assert_eq!(mx.code_for_block(0.0), 0);
+            assert_eq!(mx.code_for_block(f64::INFINITY), (1 << SCALE_BITS) - 1);
+            for bits in (1..f32::INFINITY.to_bits()).step_by(997) {
+                let max = f32::from_bits(bits) as f64;
+                let e = crate::fp::exponent_of(max) - elem.params().emax();
+                let want = (e + SCALE_BIAS).clamp(0, (1 << SCALE_BITS) - 1);
+                assert_eq!(mx.code_for_block(max), want as u32, "{} {max:e}", mx.name());
+            }
+        }
+    }
+
+    #[test]
     fn tensor_path_matches_mul_pow2_oracle_bitwise() {
         // Method 1 as it was before the block loop was tightened (f64
         // block max, `mul_pow2` per element) must agree bit for bit, under
-        // every kernel.
+        // every kernel, at one and two threads. Block sizes as in BFP's
+        // oracle test: partial last blocks, blocks straddling the
+        // `QUANT_CHUNK`-sized stretches, and (100) groups longer than a
+        // task; the long input passes the serial guard.
+        use crate::chunk::{for_each_kernel, past_serial_guard};
+        use tensor::parallel::with_threads;
         let x = crate::chunk::oracle_inputs();
-        let t = Tensor::from_vec(x.clone(), [x.len()]);
-        crate::chunk::for_each_kernel(|kern| {
-            for elem in MxElem::ALL {
-                for block in [1usize, 32, 100] {
-                    let mx = MxFloat::new(elem, block);
-                    let name = mx.name();
-                    let q = mx.real_to_format_tensor(&t);
-                    let Metadata::SharedExponents { codes, .. } = &q.meta else { panic!() };
-                    for (b, xs) in x.chunks(block).enumerate() {
-                        let max_abs = xs.iter().fold(0.0f64, |m, &v| m.max((v as f64).abs()));
-                        let code = mx.code_for_block(max_abs);
-                        assert_eq!(codes[b], code, "{name} {kern} block {b}");
-                        let s = MxFloat::scale_exp(code);
-                        for (j, &xv) in xs.iter().enumerate() {
-                            let v = elem.params().quantize(mul_pow2(xv as f64, -s));
-                            let want =
-                                if v.is_finite() { f32_saturate(mul_pow2(v, s)) } else { v as f32 };
-                            let got = q.values.as_slice()[b * block + j];
-                            assert_eq!(got.to_bits(), want.to_bits(), "{name} {kern} x = {xv:e}");
-                        }
+        let long = past_serial_guard(&x);
+        for_each_kernel(|kern| {
+            for threads in [1, 2] {
+                let _g = with_threads(threads);
+                for elem in MxElem::ALL {
+                    for block in [1usize, 3, 16, 17, 32, 100] {
+                        check_against_oracle(&x, MxFloat::new(elem, block), kern);
                     }
+                }
+                for block in [3, 17, 32] {
+                    check_against_oracle(&long, MxFloat::new(MxElem::Fp8E4m3, block), kern);
                 }
             }
         });
+    }
+
+    fn check_against_oracle(x: &[f32], mx: MxFloat, kern: tensor::linalg::kernels::Kernel) {
+        let name = mx.name();
+        let (elem, block) = (mx.elem(), mx.block_size());
+        let q = mx.real_to_format_tensor(&Tensor::from_vec(x.to_vec(), [x.len()]));
+        let Metadata::SharedExponents { codes, .. } = &q.meta else { panic!() };
+        assert_eq!(codes.len(), x.len().div_ceil(block), "{name}");
+        for (b, xs) in x.chunks(block).enumerate() {
+            let max_abs = xs.iter().fold(0.0f64, |m, &v| m.max((v as f64).abs()));
+            let code = mx.code_for_block(max_abs);
+            assert_eq!(codes[b], code, "{name} {kern} block {b}");
+            let s = MxFloat::scale_exp(code);
+            for (j, &xv) in xs.iter().enumerate() {
+                let v = elem.params().quantize(mul_pow2(xv as f64, -s));
+                let want = if v.is_finite() { f32_saturate(mul_pow2(v, s)) } else { v as f32 };
+                let got = q.values.as_slice()[b * block + j];
+                assert_eq!(got.to_bits(), want.to_bits(), "{name} {kern} x = {xv:e}");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Normalisation layers: batch norm (CNNs) and layer norm (transformers).
 
 use crate::module::{Ctx, LayerKind, Module, Param};
-use tensor::{Tensor, Var};
+use tensor::{ops, Tensor, Var};
 
 /// Batch normalisation over `[N, C, H, W]` (per-channel statistics).
 ///
@@ -125,13 +125,20 @@ impl Module for LayerNorm {
     fn forward(&self, x: &Var, ctx: &mut Ctx) -> Var {
         let nd = x.shape().ndim();
         assert_eq!(x.shape().dims()[nd - 1], self.dim, "{}: last-dim mismatch", self.name);
-        let mean = x.mean_axes_keepdim(&[nd - 1]);
-        let xc = x.sub(&mean);
-        let var = xc.mul(&xc).mean_axes_keepdim(&[nd - 1]);
-        let inv_std = var.add_scalar(self.eps).sqrt().recip();
-        let g = ctx.var_of(&self.gamma);
-        let b = ctx.var_of(&self.beta);
-        let y = xc.mul(&inv_std).mul(&g).add(&b);
+        let y = if ctx.is_training() {
+            let mean = x.mean_axes_keepdim(&[nd - 1]);
+            let xc = x.sub(&mean);
+            let var = xc.mul(&xc).mean_axes_keepdim(&[nd - 1]);
+            let inv_std = var.add_scalar(self.eps).sqrt().recip();
+            let g = ctx.var_of(&self.gamma);
+            let b = ctx.var_of(&self.beta);
+            xc.mul(&inv_std).mul(&g).add(&b)
+        } else {
+            // One row kernel, bit for bit the chain above.
+            let g = ctx.var_of(&self.gamma).value();
+            let b = ctx.var_of(&self.beta).value();
+            ctx.constant(ops::layer_norm_lastdim(&x.value(), &g, &b, self.eps))
+        };
         ctx.hook_output(LayerKind::Norm, &self.name, y)
     }
 
@@ -221,6 +228,79 @@ mod tests {
             let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 16.0;
             assert!(mean.abs() < 1e-4);
             assert!((var - 1.0).abs() < 1e-2);
+        }
+    }
+
+    /// A layer norm over `dim` columns with random γ and β, so a change in
+    /// the order of the affine steps cannot hide behind γ = 1, β = 0.
+    fn random_layernorm(dim: usize, seed: u64) -> LayerNorm {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ln = LayerNorm::new("ln", dim);
+        ln.gamma.set(tensor::Tensor::randn([dim], &mut rng));
+        ln.beta.set(tensor::Tensor::randn([dim], &mut rng));
+        ln
+    }
+
+    /// Asserts that the inference row kernel gives the training pass's
+    /// composed chain bit for bit, NaN for NaN (DESIGN.md §15).
+    fn assert_row_kernel_is_the_chain(ln: &LayerNorm, x: &tensor::Tensor) {
+        let mut train = Ctx::training();
+        let chain = ln.forward(&train.input(x.clone()), &mut train).value();
+        let mut infer = Ctx::inference();
+        let kernel = ln.forward(&infer.input(x.clone()), &mut infer).value();
+        assert_eq!(kernel.dims(), chain.dims());
+        for (i, (a, b)) in kernel.as_slice().iter().zip(chain.as_slice()).enumerate() {
+            assert!(
+                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                "{:?} element {i}: kernel {a:e}, chain {b:e}",
+                x.dims()
+            );
+        }
+        // The inference pass still binds γ and β (weight faults find their
+        // segment through the bindings).
+        assert_eq!(infer.bindings().len(), 2);
+    }
+
+    #[test]
+    fn layernorm_row_kernel_is_the_composed_chain() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for (dims, scale) in [
+            (vec![8, 64, 48], 3.0),
+            (vec![2, 4, 16], 0.5),
+            (vec![13, 7], 1e3), // odd width; 8-row block plus 5 single rows
+            (vec![5, 1], 2.0),  // width 1: every row is constant
+            (vec![9, 33], 1e-30),
+        ] {
+            let dim = dims[dims.len() - 1];
+            let mut x = tensor::Tensor::randn(dims.clone(), &mut rng);
+            x.map_inplace(|v| v * scale + 0.25);
+            assert_row_kernel_is_the_chain(&random_layernorm(dim, 7), &x);
+        }
+    }
+
+    #[test]
+    fn layernorm_row_kernel_matches_on_constant_and_non_finite_rows() {
+        let ln = random_layernorm(6, 8);
+        let rows: [[f32; 6]; 10] = [
+            [1.5; 6], // variance 0
+            [0.0; 6],
+            [-0.0; 6],
+            [f32::INFINITY, 1.0, 2.0, 3.0, 4.0, 5.0],
+            [1.0, f32::NEG_INFINITY, 2.0, 3.0, 4.0, 5.0],
+            [f32::INFINITY, f32::NEG_INFINITY, 0.0, 1.0, 2.0, 3.0],
+            [1.0, 2.0, f32::NAN, 3.0, 4.0, 5.0],
+            [f32::MAX, f32::MAX, -f32::MAX, 1.0, 0.0, 2.0], // sum overflows
+            [1e-45, -1e-45, 0.0, 1e-45, 0.0, 0.0],          // subnormal
+            [3.0, 3.0, 3.0, 3.0, 3.0, 3.000_001],
+        ];
+        // Nine rows: one 8-row block and one row on its own, then each row
+        // alone so the single-row path sees them all too.
+        for take in [9usize, 10] {
+            let data: Vec<f32> = rows.iter().take(take).flatten().copied().collect();
+            assert_row_kernel_is_the_chain(&ln, &tensor::Tensor::from_vec(data, [take, 6]));
+        }
+        for row in &rows {
+            assert_row_kernel_is_the_chain(&ln, &tensor::Tensor::from_vec(row.to_vec(), [1, 6]));
         }
     }
 

@@ -3,6 +3,7 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
+use crate::linalg::kernels;
 use crate::math::{self, LaneMap, Lanes, LANES};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -423,8 +424,89 @@ fn row_sums(x: &[f32], cols: usize, out: &mut [f32]) {
     }
 }
 
-/// Rows [`row_sums`] interleaves.
+/// Rows [`row_sums`] and [`layer_norm_lastdim`] interleave.
 const ROW_BLOCK: usize = 8;
+
+/// Layer normalisation over the last dimension in one row kernel, for
+/// inference: per row of width `n`, `((xc·inv_std)·γ) + β` with
+/// `xc = x − mean`, `mean = Σx · (1/n)`, `var = Σxc² · (1/n)` and
+/// `inv_std = 1/√(var + eps)`.
+///
+/// Every element goes through the same f32 operations, in the same
+/// order, as the composed chain `nn::LayerNorm` runs on a training tape
+/// (`mean_axes_keepdim`, `sub`, `mul`, `mean_axes_keepdim`, `add_scalar`,
+/// `sqrt`, `recip`, `mul`, `mul`, `add`): both row sums run left to right
+/// from `0.0`, as [`row_sums`] does them, so the output is the chain's bit
+/// for bit (NaN for NaN, §15). [`ROW_BLOCK`] rows advance together so
+/// their sum chains overlap. Runs under the dispatched instruction set.
+///
+/// # Panics
+///
+/// Panics if `x` has no dimension, or if `gamma` or `beta` does not hold
+/// one element per column.
+pub fn layer_norm_lastdim(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor {
+    assert!(x.ndim() >= 1, "layer norm requires at least one dimension");
+    let cols = x.dims()[x.ndim() - 1];
+    assert_eq!(gamma.numel(), cols, "layer norm: gamma has {} of {cols} columns", gamma.numel());
+    assert_eq!(beta.numel(), cols, "layer norm: beta has {} of {cols} columns", beta.numel());
+    let mut out = workspace::zeroed(x.numel());
+    if cols > 0 {
+        let (g, b) = (gamma.as_slice(), beta.as_slice());
+        kernels::with_isa(
+            kernels::active(),
+            #[inline(always)]
+            || layer_norm_rows(x.as_slice(), g, b, eps, &mut out),
+        );
+    }
+    Tensor::from_buffer(out, x.shape().clone())
+}
+
+/// [`layer_norm_lastdim`]'s loop over rows of `g.len()` columns: the
+/// centred values go to `out` with the second sum, then are scaled in
+/// place.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // the block's rows advance column by column in lock step
+fn layer_norm_rows(x: &[f32], g: &[f32], b: &[f32], eps: f32, out: &mut [f32]) {
+    let cols = g.len();
+    let inv_n = 1.0 / cols as f32;
+    let finish = |row: &mut [f32], inv_std: f32| {
+        for ((v, &gv), &bv) in row.iter_mut().zip(g).zip(b) {
+            *v = *v * inv_std * gv + bv;
+        }
+    };
+    let mut out_blocks = out.chunks_exact_mut(ROW_BLOCK * cols);
+    let mut x_blocks = x.chunks_exact(ROW_BLOCK * cols);
+    for (ob, xb) in (&mut out_blocks).zip(&mut x_blocks) {
+        let mut sum = [0.0f32; ROW_BLOCK];
+        for c in 0..cols {
+            for i in 0..ROW_BLOCK {
+                sum[i] += xb[i * cols + c];
+            }
+        }
+        let mean = sum.map(|s| s * inv_n);
+        let mut sq = [0.0f32; ROW_BLOCK];
+        for c in 0..cols {
+            for i in 0..ROW_BLOCK {
+                let xc = xb[i * cols + c] - mean[i];
+                ob[i * cols + c] = xc;
+                sq[i] += xc * xc;
+            }
+        }
+        for (i, row) in ob.chunks_exact_mut(cols).enumerate() {
+            finish(row, 1.0 / (sq[i] * inv_n + eps).sqrt());
+        }
+    }
+    let rows = out_blocks.into_remainder().chunks_exact_mut(cols);
+    for (row, xr) in rows.zip(x_blocks.remainder().chunks_exact(cols)) {
+        let mean = xr.iter().fold(0.0, |acc, &v| acc + v) * inv_n;
+        let mut sq = 0.0f32;
+        for (v, &xv) in row.iter_mut().zip(xr) {
+            *v = xv - mean;
+            sq += *v * *v;
+        }
+        finish(row, 1.0 / (sq * inv_n + eps).sqrt());
+    }
+}
 
 /// Index of the maximum element in each row of a `[N, C]` tensor.
 ///

@@ -252,3 +252,20 @@ fn conv2d_bit_identical_across_thread_budgets() {
         assert_bits_eq(&got, &serial, "conv2d");
     }
 }
+
+/// A whole `deit_tiny` forward gives the same logits in an inference pass,
+/// where `nn::LayerNorm` runs its one row kernel, as in a training pass,
+/// where it runs the composed chain the gradients need.
+#[test]
+fn deit_inference_forward_matches_training_forward() {
+    use models::{DeitConfig, VisionTransformer};
+    use nn::{Ctx, Module};
+    let mut rng = StdRng::seed_from_u64(32);
+    let net = VisionTransformer::new(DeitConfig::deit_tiny(32, 10), &mut rng);
+    let x = Tensor::randn([2, 3, 32, 32], &mut rng);
+    let mut train = Ctx::training();
+    let chain = net.forward(&train.input(x.clone()), &mut train).value();
+    let mut infer = Ctx::inference();
+    let kernel = net.forward(&infer.input(x), &mut infer).value();
+    assert_bits_eq(&kernel, &chain, "deit_tiny(32, 10) logits");
+}
