@@ -663,7 +663,9 @@ mod tests {
         x.extend(binade_blocks(7));
         x.extend(binade_blocks(5));
         let sizes = [1, 3, 16, 17, 32, 5000];
-        assert!(sizes.iter().any(|&b| x.len() % b != 0 && QUANT_CHUNK % b != 0));
+        assert!(sizes
+            .iter()
+            .any(|&b| !x.len().is_multiple_of(b) && !QUANT_CHUNK.is_multiple_of(b)));
         let formats: Vec<BlockFloatingPoint> = sizes
             .iter()
             .flat_map(|&b| [(5, 5), (8, 7)].map(|(e, m)| BlockFloatingPoint::new(e, m, b)))

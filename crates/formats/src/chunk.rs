@@ -148,7 +148,14 @@ pub(crate) fn max_abs_chunked(t: &Tensor) -> f32 {
 /// dispatched wrapper of its caller.
 #[inline]
 fn max_abs(xs: &[f32]) -> f32 {
-    let key = abs_key;
+    let key = |x: f32| {
+        let b = x.to_bits() & 0x7fff_ffff;
+        if b > f32::INFINITY.to_bits() {
+            0
+        } else {
+            b
+        }
+    };
     let mut acc = [0u32; LANES];
     let mut groups = xs.chunks_exact(LANES);
     for g in &mut groups {
@@ -160,31 +167,22 @@ fn max_abs(xs: &[f32]) -> f32 {
     f32::from_bits(acc.iter().fold(tail, |m, &a| m.max(a)))
 }
 
-/// The bit pattern of `|x|`, with NaN counted as +0.0: ordered like the
-/// value for the maxima of [`max_abs`].
-#[inline(always)]
-fn abs_key(x: f32) -> u32 {
-    let b = x.to_bits() & 0x7fff_ffff;
-    if b > f32::INFINITY.to_bits() {
-        0
-    } else {
-        b
-    }
-}
-
 /// Block-scaled Method 1, shared by BFP and MX: each block's register
 /// code from its `max |x|` (`code_for_max`), then the block quantised
 /// under its code (`quantize_block(code, src, out)`, which must write every
 /// element of `out`). Pass both as `#[inline(always)]` closures: only
-/// inlined code is compiled for the dispatched instruction set.
+/// inlined code is compiled for the dispatched instruction set. They are
+/// `Copy` so that each task takes them by value: a closure that owns a
+/// copy of the format keeps its fields in registers, where one behind a
+/// reference measured ~1.6× slower on `bfp:e5m5:b16` (AVX-512 Xeon).
 ///
 /// The tensor is worked [`GROUP`] blocks at a time: the group's maxima
 /// are collected in one array and their codes computed one block per
 /// lane, so a branch-free `code_for_max` runs as vector code across the
-/// blocks, and the group is quantised while its elements are still in L1. Each element goes
-/// through exactly the arithmetic `quantize_block` gives it, so grouping
-/// changes no bit. The values are written into an uninitialised pool
-/// buffer: every element is written exactly once.
+/// blocks, and the group is quantised while its elements are still in
+/// L1. Each element goes through exactly the arithmetic `quantize_block`
+/// gives it, so grouping changes no bit. The values are written into an
+/// uninitialised pool buffer: every element is written exactly once.
 ///
 /// A task covers a fixed run of *whole* blocks (about [`QUANT_CHUNK`]
 /// elements), so chunk boundaries align with the blocks and the result is
@@ -245,7 +243,10 @@ fn quantize_task(
 ) {
     let groups = codes.chunks_mut(GROUP).zip(out.chunks_mut(GROUP * bs));
     for ((codes, out), src) in groups.zip(src.chunks(GROUP * bs)) {
-        let maxes = group_max_abs(src, bs);
+        let mut maxes = [0.0f32; GROUP];
+        for (m, block) in maxes.iter_mut().zip(src.chunks(bs)) {
+            *m = max_abs(block);
+        }
         let mut group_codes = [0u32; GROUP];
         for (c, &m) in group_codes.iter_mut().zip(&maxes) {
             *c = code_for_max(m);
@@ -261,17 +262,6 @@ fn quantize_task(
 /// Blocks per group in [`quantize_blocks`]: one block per f32 lane of a
 /// 512-bit register.
 const GROUP: usize = LANES;
-
-/// [`max_abs`] of each `bs`-element block of a group (at most [`GROUP`]
-/// blocks; entries past the last block read 0.0).
-#[inline(always)]
-fn group_max_abs(src: &[f32], bs: usize) -> [f32; GROUP] {
-    let mut maxes = [0.0f32; GROUP];
-    for (m, block) in maxes.iter_mut().zip(src.chunks(bs)) {
-        *m = max_abs(block);
-    }
-    maxes
-}
 
 /// Inputs for the block formats' oracle tests: random f32 bit patterns
 /// (NaN, ±Inf, subnormals, every binade), a smooth ramp, and blocks of
