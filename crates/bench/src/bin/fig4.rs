@@ -36,7 +36,8 @@ fn main() {
         println!("== {} (native FP32: {:.1}%) ==", kind.name(), native_acc * 100.0);
         println!("{:<8} {:>16} {:>6} {:>10}", "family", "spec", "bits", "accuracy");
         for (family, specs) in LADDERS {
-            let points = accuracy_sweep(model.as_ref(), &data, specs, TEST_N, 32);
+            let points = accuracy_sweep(model.as_ref(), &data, specs, TEST_N, 32)
+                .expect("the ladders hold valid specs");
             for p in points {
                 println!(
                     "{:<8} {:>16} {:>6} {:>9.1}%",

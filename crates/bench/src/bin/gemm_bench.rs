@@ -9,7 +9,8 @@
 //! gate the CI bench-smoke job relies on.
 //!
 //! A second table times `tensor::conv::conv2d` on each of ResNet-18's
-//! conv shapes (CIFAR input, base width 8) at batch 8 and 32, under every
+//! conv shapes (CIFAR input, base width 8) and DeiT's 4×4/4 patch embed
+//! at batch 8 and 32, under every
 //! forced kernel and under dispatch, on one thread. Each conv cell is
 //! checked byte-identical to the forced-scalar `conv2d` before it is
 //! timed, and reports the median and quartiles of its samples.
@@ -35,18 +36,25 @@ fn random_vec(n: usize, rng: &mut StdRng) -> Vec<f32> {
     (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
 }
 
-/// ResNet-18's conv shapes at CIFAR size, base width 8:
-/// `(label, C, O, H = W, kernel, stride, padding)`. The stem and the
-/// four stride-1 3×3 layers read their B rows in place; the stage-1
-/// entry 3×3 and 1×1 downsample (stride 2) pack their panels.
-const CONV_SHAPES: [(&str, usize, usize, usize, usize, usize, usize); 7] = [
+/// ResNet-18's conv shapes at CIFAR size, base width 8, and DeiT's patch
+/// embed: `(label, C, O, H = W, kernel, stride, padding)`. Every one has
+/// `H = stride·OH`, so every one reads its B rows in place: the stem and
+/// the four stride-1 3×3 layers from the image itself, the stage-entry
+/// 3×3s and 1×1 downsamples (stride 2) and the 4×4 patch embed (stride
+/// 4) from the image's phase planes, split once per image.
+const CONV_SHAPES: [(&str, usize, usize, usize, usize, usize, usize); 12] = [
     ("stem", 3, 8, 32, 3, 1, 1),
     ("s0.3x3", 8, 8, 32, 3, 1, 1),
     ("s1.3x3", 16, 16, 16, 3, 1, 1),
     ("s2.3x3", 32, 32, 8, 3, 1, 1),
     ("s3.3x3", 64, 64, 4, 3, 1, 1),
     ("s1.entry.3x3s2", 8, 16, 32, 3, 2, 1),
+    ("s2.entry.3x3s2", 16, 32, 16, 3, 2, 1),
+    ("s3.entry.3x3s2", 32, 64, 8, 3, 2, 1),
     ("s1.down.1x1s2", 8, 16, 32, 1, 2, 0),
+    ("s2.down.1x1s2", 16, 32, 16, 1, 2, 0),
+    ("s3.down.1x1s2", 32, 64, 8, 1, 2, 0),
+    ("deit.patch.4x4s4", 3, 48, 32, 4, 4, 0),
 ];
 
 /// Times `conv2d` on every [`CONV_SHAPES`] entry at batch 8 and 32, one
@@ -56,8 +64,8 @@ fn conv_cells(quick: bool, supported: &[Kernel], rng: &mut StdRng) -> Vec<Json> 
     let samples = if quick { 5 } else { 25 };
     let mut rows = Vec::new();
     println!(
-        "\nconv2d (ResNet-18 shapes, CIFAR input, base width 8; 1 thread; \
-         GFLOP/s median [q1, q3] of {samples} samples)\n"
+        "\nconv2d (ResNet-18 shapes, CIFAR input, base width 8, and DeiT's patch embed; \
+         1 thread; GFLOP/s median [q1, q3] of {samples} samples)\n"
     );
     println!(
         "{:<16} {:>5} {:<10} {:>10} {:>10} {:>17}",

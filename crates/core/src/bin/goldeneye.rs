@@ -236,7 +236,9 @@ struct Flags {
 impl Flags {
     /// Parses `args` as `--flag value` pairs (each flag one of `declared`),
     /// switches (each one of `switches`) and at most `max_positionals`
-    /// bare arguments, in any order. An undeclared flag, a flag with no
+    /// bare arguments, in any order. A token starting with `-` is a flag
+    /// unless its first comma-separated item is a number (`-1.5,2`,
+    /// `-inf`): that is a positional. An undeclared flag, a flag with no
     /// value (or with another flag as its value), a repeated flag or
     /// switch, or a positional past the last one taken is an error that
     /// names the token.
@@ -258,7 +260,7 @@ impl Flags {
                 continue;
             }
             let Some(&name) = declared.iter().find(|&&d| d == arg) else {
-                if arg.starts_with('-') {
+                if is_flag(arg) {
                     let known: Vec<&str> = declared.iter().chain(switches).copied().collect();
                     let expected = if known.is_empty() { "none".into() } else { known.join(", ") };
                     return Err(format!("{sub}: unknown flag `{arg}` (expected {expected})"));
@@ -303,13 +305,19 @@ impl Flags {
     }
 }
 
+/// Whether `arg` is a flag rather than a (possibly negative) number list.
+fn is_flag(arg: &str) -> bool {
+    arg.starts_with('-') && arg.split(',').next().is_none_or(|v| v.trim().parse::<f32>().is_err())
+}
+
 fn cmd_ranges() -> Result<(), String> {
     print!("{}", formats::ranges::table1_text());
     Ok(())
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
-    let spec = args.first().ok_or("inspect needs a format spec")?;
+    let flags = Flags::parse("inspect", args, &[], &[], 1)?;
+    let spec = flags.positionals.first().ok_or("inspect needs a format spec")?;
     let ge = GoldenEye::parse(spec).map_err(|e| e.to_string())?;
     let f = ge.format();
     let r = f.dynamic_range();
@@ -326,8 +334,9 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_quantize(args: &[String]) -> Result<(), String> {
-    let spec = args.first().ok_or("quantize needs a format spec")?;
-    let values = args.get(1).ok_or("quantize needs comma-separated values")?;
+    let flags = Flags::parse("quantize", args, &[], &[], 2)?;
+    let spec = flags.positionals.first().ok_or("quantize needs a format spec")?;
+    let values = flags.positionals.get(1).ok_or("quantize needs comma-separated values")?;
     let values: Vec<f32> = values
         .split(',')
         .map(|v| v.trim().parse::<f32>().map_err(|_| format!("bad value `{v}`")))
@@ -729,7 +738,8 @@ fn cmd_trace(args: &[String]) -> Result<bool, String> {
 }
 
 fn cmd_validate_trace(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("validate-trace needs a JSONL file path")?;
+    let flags = Flags::parse("validate-trace", args, &[], &[], 1)?;
+    let path = flags.positionals.first().ok_or("validate-trace needs a JSONL file path")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let summary = trace::validate_trace(&text).map_err(|e| format!("{path}: {e}"))?;
     outln!(

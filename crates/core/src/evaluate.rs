@@ -71,24 +71,27 @@ pub struct AccuracyPoint {
 
 /// Sweeps a list of format specs, measuring accuracy for each.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if any spec fails to parse.
+/// Returns the first spec's parse error if any spec fails to parse.
+/// Every spec is parsed before any is evaluated, so a bad spec costs no
+/// forward pass.
 pub fn accuracy_sweep(
     model: &dyn Module,
     data: &SyntheticDataset,
     specs: &[&str],
     k: usize,
     batch_size: usize,
-) -> Vec<AccuracyPoint> {
-    specs
+) -> Result<Vec<AccuracyPoint>, formats::ParseFormatError> {
+    let sims = specs.iter().map(|s| GoldenEye::parse(s)).collect::<Result<Vec<_>, _>>()?;
+    Ok(specs
         .iter()
-        .map(|s| {
-            let ge = GoldenEye::parse(s).unwrap_or_else(|e| panic!("{e}"));
+        .zip(sims)
+        .map(|(s, ge)| {
             let accuracy = evaluate_accuracy(&ge, model, data, k, batch_size);
             AccuracyPoint { spec: s.to_string(), bit_width: ge.format().bit_width(), accuracy }
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -137,9 +140,28 @@ mod tests {
     #[test]
     fn sweep_reports_bit_widths() {
         let (model, data) = trained_tiny();
-        let points = accuracy_sweep(&model, &data, &["fp16", "int:8"], 8, 8);
+        let points = accuracy_sweep(&model, &data, &["fp16", "int:8"], 8, 8).unwrap();
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].bit_width, 16);
         assert_eq!(points[1].bit_width, 8);
+    }
+
+    /// A model whose forward pass fails the test if it ever runs.
+    struct NoForward;
+
+    impl Module for NoForward {
+        fn forward(&self, _: &tensor::Var, _: &mut nn::Ctx) -> tensor::Var {
+            panic!("accuracy_sweep ran a forward pass before rejecting a bad spec")
+        }
+
+        fn visit_params(&self, _: &mut dyn FnMut(&nn::Param)) {}
+    }
+
+    #[test]
+    fn sweep_rejects_a_bad_spec_before_any_forward() {
+        let data = SyntheticDataset::generate(8, 16, 4, 5);
+        let err = accuracy_sweep(&NoForward, &data, &["fp16", "nonsense:42", "int:8"], 8, 8)
+            .expect_err("a bad spec must be an error");
+        assert!(err.to_string().contains("nonsense"), "error names the spec: {err}");
     }
 }

@@ -115,6 +115,42 @@ fn undeclared_or_malformed_flags_fail_cleanly() {
     }
 }
 
+/// `inspect`, `quantize` and `validate-trace` take 1, 2 and 1
+/// positionals and no flag: a stray argument or flag exits 1 and names
+/// the token (each used to ignore it and exit 0). A value list that
+/// starts with `-` is a positional, not a flag.
+#[test]
+fn format_and_trace_subcommands_refuse_stray_arguments() {
+    let dir = std::env::temp_dir().join(format!("ge_cli_stray_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.jsonl");
+    std::fs::write(&trace, "").unwrap();
+    let trace = trace.to_str().unwrap();
+    for (args, needle) in [
+        (&["inspect", "fp16", "extra"][..], "inspect: unexpected argument `extra`"),
+        (&["inspect", "fp16", "--bogus"], "inspect: unknown flag `--bogus`"),
+        (&["quantize", "int:8", "1,2", "extra"], "quantize: unexpected argument `extra`"),
+        (&["quantize", "int:8", "1,2", "--jobs", "2"], "quantize: unknown flag `--jobs`"),
+        (&["validate-trace", trace, "extra"], "validate-trace: unexpected argument `extra`"),
+    ] {
+        let (ok, stdout, stderr) = run(args);
+        assert!(!ok, "{args:?} should fail");
+        assert!(stderr.contains(needle), "{args:?}: want {needle:?} in stderr {stderr}");
+        assert!(stdout.is_empty(), "{args:?} ran before failing: {stdout}");
+    }
+    for (args, want) in [
+        (&["quantize", "int:8", "-1.5,2"][..], "-1.500000"),
+        (&["quantize", "fp16", "-inf,1"], "-inf"),
+        (&["validate-trace", trace], "ok"),
+    ] {
+        let (ok, stdout, stderr) = run(args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert!(stdout.contains(want), "{args:?}: want {want:?} in stdout {stdout}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn drop_outside_unit_interval_is_rejected() {
     for v in ["-0.1", "1.5", "NaN", "inf"] {

@@ -82,9 +82,9 @@ impl Module for BatchNorm2d {
                 scale[i] = s;
                 shift[i] = b.as_slice()[i] - rm.as_slice()[i] * s;
             }
-            let scale = ctx.constant(Tensor::from_vec(scale, [1, c, 1, 1]));
-            let shift = ctx.constant(Tensor::from_vec(shift, [1, c, 1, 1]));
-            x.mul(&scale).add(&shift)
+            // One pass, bit for bit `x.mul(scale).add(shift)` with the
+            // scale and shift broadcast as `[1, C, 1, 1]`.
+            ctx.constant(ops::channel_affine(&x.value(), &scale, &shift))
         };
         ctx.hook_output(LayerKind::Norm, &self.name, y)
     }
@@ -212,6 +212,100 @@ mod tests {
         for (p, v) in ctx.bindings() {
             assert!(grads.get(v).is_some(), "no grad for {}", p.name());
         }
+    }
+
+    /// A batch norm over `c` channels with random γ, β and running
+    /// statistics, so the folded scale and shift are not 1 and 0.
+    fn random_batchnorm(c: usize, seed: u64) -> BatchNorm2d {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bn = BatchNorm2d::new("bn", c);
+        bn.gamma.set(tensor::Tensor::randn([c], &mut rng));
+        bn.beta.set(tensor::Tensor::randn([c], &mut rng));
+        bn.running_mean.set(tensor::Tensor::randn([c], &mut rng));
+        let mut var = tensor::Tensor::randn([c], &mut rng);
+        var.map_inplace(|v| v.abs() + 0.1);
+        bn.running_var.set(var);
+        bn
+    }
+
+    /// The inference pass's folded scale and shift, applied by the
+    /// broadcast `mul`/`add` chain the one-pass kernel replaces.
+    fn batchnorm_chain(bn: &BatchNorm2d, x: &tensor::Tensor) -> tensor::Tensor {
+        let c = bn.channels;
+        let (rm, rv, g, b) =
+            (bn.running_mean.get(), bn.running_var.get(), bn.gamma.get(), bn.beta.get());
+        let scale: Vec<f32> =
+            (0..c).map(|i| g.as_slice()[i] / (rv.as_slice()[i] + bn.eps).sqrt()).collect();
+        let shift: Vec<f32> =
+            (0..c).map(|i| b.as_slice()[i] - rm.as_slice()[i] * scale[i]).collect();
+        let scale = tensor::Tensor::from_vec(scale, [1, c, 1, 1]);
+        let shift = tensor::Tensor::from_vec(shift, [1, c, 1, 1]);
+        ops::add(&ops::mul(x, &scale), &shift)
+    }
+
+    /// Asserts that the inference pass equals [`batchnorm_chain`] bit for
+    /// bit, NaN for NaN (DESIGN.md §15).
+    fn assert_batchnorm_is_the_chain(bn: &BatchNorm2d, x: &tensor::Tensor) {
+        let want = batchnorm_chain(bn, x);
+        let mut ctx = Ctx::inference();
+        let got = bn.forward(&ctx.input(x.clone()), &mut ctx).value();
+        assert_eq!(got.dims(), want.dims());
+        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert!(
+                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                "{:?} element {i}: one pass {a:e}, chain {b:e}",
+                x.dims()
+            );
+        }
+    }
+
+    #[test]
+    fn batchnorm_inference_is_the_mul_add_chain() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for dims in [[32, 8, 32, 32], [3, 5, 7, 3], [2, 1, 4, 4], [4, 6, 1, 1], [1, 1, 1, 1]] {
+            let x = tensor::Tensor::randn(dims, &mut rng);
+            assert_batchnorm_is_the_chain(&random_batchnorm(dims[1], 10), &x);
+        }
+    }
+
+    #[test]
+    fn batchnorm_inference_matches_the_chain_on_special_values() {
+        let specials = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            1e-45,
+            -1e-45,
+            1.17e-38,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            -f32::MAX,
+            1.0,
+        ];
+        let n = specials.len();
+        for c in [1usize, 3] {
+            let bn = random_batchnorm(c, 11);
+            // Every special value in every channel, as 1×1 planes and as
+            // one row of a wider plane.
+            let data: Vec<f32> = (0..c).flat_map(|_| specials).collect();
+            assert_batchnorm_is_the_chain(
+                &bn,
+                &tensor::Tensor::from_vec(data.clone(), [1, c, 1, n]),
+            );
+            let planes: Vec<f32> = specials.iter().flat_map(|&v| vec![v; c]).collect();
+            assert_batchnorm_is_the_chain(&bn, &tensor::Tensor::from_vec(planes, [n, c, 1, 1]));
+        }
+        // Scales and shifts that are themselves special: a zero variance
+        // with γ = 0 gives 0·(1/√eps), an infinite γ an infinite scale.
+        let bn = BatchNorm2d::new("bn", 4);
+        bn.gamma.set(tensor::Tensor::from_vec(vec![0.0, f32::INFINITY, -0.0, 1e-30], [4]));
+        bn.running_var.set(tensor::Tensor::from_vec(vec![0.0, 1.0, 1e30, 1e-30], [4]));
+        bn.running_mean.set(tensor::Tensor::from_vec(vec![1.0, 0.0, -2.0, f32::NAN], [4]));
+        let data: Vec<f32> = (0..4).flat_map(|_| specials).collect();
+        assert_batchnorm_is_the_chain(&bn, &tensor::Tensor::from_vec(data, [1, 4, 1, n]));
     }
 
     #[test]

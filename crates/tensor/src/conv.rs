@@ -6,22 +6,34 @@
 //! the im2col matrix never exists. A task owns one image and a range of
 //! its `NR`-column output panels, and runs every packed weight row panel
 //! over each panel's `C·K·K` B rows while they are in cache, writing the
-//! panel's output strip. Where the rows come from depends on the shape:
+//! panel's output strip once. Where the rows come from depends on the
+//! shape:
 //!
-//! - **In place.** A stride-1 conv whose output keeps its input's width
-//!   (`OW = W`, i.e. `K = 2P + 1`: ResNet's stem, its stride-1 3×3
-//!   layers, any 1×1 stride-1 conv) maps output pixel `q` to input pixel
-//!   `q + (ki−P)·W + (kj−P)` of each channel plane. So B row
-//!   `(ci, ki, kj)` of the panel at `q0` is the `NR` consecutive image
-//!   elements from `q0 + (ki−P)·W + (kj−P)`, under a lane mask that
-//!   switches off the lanes whose pixel lies in the padding, wraps into
-//!   a neighbouring row, or lies past the last output column
-//!   (`same_conv_taps`, one table per call, shared by every image,
-//!   channel and weight row panel). The micro-kernel reads these rows
-//!   straight from the image (`BRows::tapped`).
-//! - **Packed.** Every other conv (stride > 1, or a "valid" conv with
-//!   `OW ≠ W`) has lanes that are not consecutive in the image, so each
-//!   panel is gathered into a pooled scratch panel first (`pack_panel`).
+//! - **In place.** A conv whose input is exactly `s` times its output in
+//!   each direction (`H = s·OH`, `W = s·OW`: every zoo conv — ResNet's
+//!   stem, its 3×3 layers at stride 1 and 2, its 1×1 convs and stride-2
+//!   downsamples, DeiT's 4×4/4 patch embed) reads its rows from the
+//!   image's *phase planes*: plane `(a, b)` holds the input pixels
+//!   `(oi·s + a, oj·s + b)` as an `OH×OW` image. Output pixel
+//!   `(oi, oj)` reads input pixel `(oi·s + ki − P, oj·s + kj − P)`, which
+//!   is pixel `(oi + ⌊(ki−P)/s⌋, oj + ⌊(kj−P)/s⌋)` of phase plane
+//!   `((ki−P) mod s, (kj−P) mod s)`. So B row `(ci, ki, kj)` of the
+//!   panel at `q0` is the `NR` consecutive phase-plane elements from
+//!   `q0 + ⌊(ki−P)/s⌋·OW + ⌊(kj−P)/s⌋`, under a lane mask that switches
+//!   off the lanes whose pixel lies in the padding, wraps into a
+//!   neighbouring row, or lies past the last output column (`conv_taps`,
+//!   one table per call, shared by every image, channel and weight row
+//!   panel). At stride 1 the image is its own single phase plane. At
+//!   stride `s > 1` a task owns a whole image and first splits it once
+//!   into the phase planes its taps read, laid out `[C][u²][OH][OW]` in
+//!   pooled scratch (`split_phases`): `u = s` phases per direction when
+//!   `K ≥ s`, one for a 1×1 stride-2 downsample, which reads only the
+//!   even pixels. The micro-kernel reads the rows in place
+//!   (`BRows::tapped`).
+//! - **Packed.** A conv that fails the condition (a "valid" conv, an odd
+//!   input at stride 2) has lanes that are not consecutive in any plane,
+//!   so each panel is gathered into a pooled scratch panel first
+//!   (`pack_panel`).
 //!
 //! A switched-off lane reads +0.0, exactly the zero `pack_b(im2col(x))`
 //! holds there, so both ways give every output element the same
@@ -29,6 +41,7 @@
 //! on the unfolded image. The backward pass (training only) still
 //! unfolds through `im2col`.
 
+use std::mem::MaybeUninit;
 use std::time::Instant;
 
 use crate::linalg::kernels::{self, BRows, Tap, MR, NR};
@@ -162,16 +175,16 @@ fn col2im(cols: &[f32], c: usize, h: usize, w: usize, spec: Conv2dSpec, x_grad: 
 }
 
 /// Column panels per conv task. A packing task packs its panels one after
-/// another into one scratch panel, so the pool's zeroing of that panel is
-/// paid once per this many packs. Fixed, so the task grid depends on the
-/// shape alone and never on the thread count.
+/// another into one scratch panel. Fixed, so the task grid depends on the
+/// shape alone and never on the thread count. A phase-plane conv's task
+/// instead owns every panel of its image, so the image is split once.
 const PANELS_PER_TASK: usize = 8;
 
 /// Packs column panel `j0 / NR` of the im2col matrix of one `[C, H, W]`
 /// image (`OH×OW` output) straight into `dst`, for the convs whose lanes
-/// are not consecutive in the image (stride > 1, or `OW ≠ W`; [`conv2d`]
-/// reads the others in place), `C·K·K` k-major rows of
-/// `NR` lanes: `dst[r·NR + l] = im2col(x)[r, j0 + l]`, zero past the last
+/// are not consecutive in any phase plane (`H ≠ s·OH` or `W ≠ s·OW`;
+/// [`conv2d`] reads the others in place), `C·K·K` k-major rows of `NR`
+/// lanes: `dst[r·NR + l] = im2col(x)[r, j0 + l]`, zero past the last
 /// output column — exactly the panel `pack_b` makes of the im2col matrix.
 ///
 /// For each kernel offset `(ki, kj)` the lanes whose input pixel lies
@@ -180,18 +193,19 @@ const PANELS_PER_TASK: usize = 8;
 /// then stride 1 (a "valid" conv) copies each run contiguously from the
 /// input row and other strides gather it with step `s`. Rows outside the
 /// image, padding columns and the lanes past the last output column keep
-/// their zeros. Every lane is written, so `dst` needs no zeroing.
-fn pack_panel(
+/// their zeros. Every lane is written, so `dst` may start uninitialised;
+/// the packed panel is returned.
+fn pack_panel<'a>(
     x: &[f32],
     (c, h, w): (usize, usize, usize),
     spec: Conv2dSpec,
     (oh, ow): (usize, usize),
     j0: usize,
-    dst: &mut [f32],
-) {
+    dst: &'a mut [MaybeUninit<f32>],
+) -> &'a [f32] {
     let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
     debug_assert_eq!(x.len(), c * h * w);
-    debug_assert_eq!(dst.len(), c * k * k * NR);
+    let dst = &mut dst[..c * k * k * NR];
     let end = (j0 + NR).min(oh * ow);
     for ki in 0..k {
         for kj in 0..k {
@@ -218,57 +232,140 @@ fn pack_panel(
                 let plane = &x[ci * h * w..(ci + 1) * h * w];
                 let r = (ci * k + ki) * k + kj;
                 let row = &mut dst[r * NR..(r + 1) * NR];
-                row.fill(0.0);
+                row.fill(MaybeUninit::new(0.0));
                 for &(l, len, off) in &runs[..nruns] {
-                    let run = &mut row[l..l + len];
-                    if s == 1 {
-                        run.copy_from_slice(&plane[off..off + len]);
-                    } else {
-                        for (d, &v) in run.iter_mut().zip(plane[off..].iter().step_by(s)) {
-                            *d = v;
+                    for (d, &v) in row[l..l + len].iter_mut().zip(plane[off..].iter().step_by(s)) {
+                        d.write(v);
+                    }
+                }
+            }
+        }
+    }
+    // SAFETY: every lane of `dst` was written above (the fill).
+    unsafe { &*(dst as *const [MaybeUninit<f32>] as *const [f32]) }
+}
+
+/// The phases `(d − p) mod s` that kernel rows `d < k` (and, the kernel
+/// being square, its columns) read, ascending. At `k ≥ s` that is every
+/// phase; a 1×1 stride-2 downsample reads phase 0 alone.
+fn phases_read(k: usize, s: usize, p: usize) -> Vec<usize> {
+    let mut phases: Vec<usize> =
+        (0..k).map(|d| (d as isize - p as isize).rem_euclid(s as isize) as usize).collect();
+    phases.sort_unstable();
+    phases.dedup();
+    phases
+}
+
+/// Splits one `[C, H, W]` image into the phase planes its conv reads
+/// (`H = s·OH`, `W = s·OW`; `phases` from [`phases_read`], `u` of them),
+/// laid out `[C][u²][OH][OW]` in `dst`: plane `i·u + j` of channel `ci`
+/// holds pixel `(oi·s + phases[i], oj·s + phases[j])` at `oi·OW + oj`.
+/// Every element of `dst[..C·u²·OH·OW]` is written; the planes are
+/// returned.
+fn split_phases<'a>(
+    x: &[f32],
+    (c, h, w): (usize, usize, usize),
+    s: usize,
+    phases: &[usize],
+    dst: &'a mut [MaybeUninit<f32>],
+) -> &'a [f32] {
+    let (oh, ow, u) = (h / s, w / s, phases.len());
+    debug_assert_eq!((x.len(), oh * s, ow * s), (c * h * w, h, w));
+    let plane = oh * ow;
+    let dst = &mut dst[..c * u * u * plane];
+    for (src, planes) in x.chunks_exact(h * w).zip(dst.chunks_exact_mut(u * u * plane)) {
+        for (i, &a) in phases.iter().enumerate() {
+            for oi in 0..oh {
+                let row = &src[(oi * s + a) * w..][..w];
+                // Row `oi` of the planes `(i, 0..u)`, `plane` apart.
+                let out = &mut planes[i * u * plane + oi * ow..];
+                match (s, u) {
+                    (2, 2) => deinterleave::<2>(row, out, plane),
+                    (4, 4) => deinterleave::<4>(row, out, plane),
+                    _ => {
+                        for (j, &b) in phases.iter().enumerate() {
+                            let out = &mut out[j * plane..][..ow];
+                            for (d, &v) in out.iter_mut().zip(row[b..].iter().step_by(s)) {
+                                d.write(v);
+                            }
                         }
                     }
                 }
             }
         }
     }
+    // SAFETY: the loops above write row `oi` of every plane `(i, j)` of
+    // every channel, `OW` elements each: all of `dst`.
+    unsafe { &*(dst as *const [MaybeUninit<f32>] as *const [f32]) }
 }
 
-/// The B-row taps of every `NR`-column panel of a stride-1 convolution
-/// whose output keeps its input's `h×w` (`k = 2p + 1`), `k²` per panel in
-/// `(ki, kj)` order: panel `j0 / NR` owns `taps[j0/NR·k²..][..k²]`.
+/// Splits one input row of `S·OW` pixels into its `S` column phases:
+/// `dst[b·plane + oj] = row[oj·S + b]`, one pass over the row.
+#[inline(always)]
+fn deinterleave<const S: usize>(row: &[f32], dst: &mut [MaybeUninit<f32>], plane: usize) {
+    let ow = row.len() / S;
+    let mut rows = dst.chunks_mut(plane);
+    let mut outs: [&mut [MaybeUninit<f32>]; S] =
+        std::array::from_fn(|_| &mut rows.next().expect("one plane per phase")[..ow]);
+    for (oj, px) in row.chunks_exact(S).enumerate() {
+        for (out, &v) in outs.iter_mut().zip(px) {
+            out[oj].write(v);
+        }
+    }
+}
+
+/// The B-row taps of every `NR`-column panel of a `k×k` convolution at
+/// stride `s` and padding `p` whose input is `s` times its `oh×ow`
+/// output in each direction, read from the image's phase planes
+/// ([`split_phases`] of [`phases_read`]`(k, s, p)`; at `s = 1` the image
+/// itself), `k²` per panel in `(ki, kj)` order: panel `j0 / NR` owns
+/// `taps[j0/NR·k²..][..k²]`.
 ///
-/// Output pixel `q = oi·w + oj` reads input pixel `q + (ki−p)·w + (kj−p)`
-/// of every channel plane, so tap `(ki, kj)` of the panel starting at
-/// column `j0` has offset `(ki−p)·w + (kj−p)` from `j0`. Its mask keeps the
-/// lanes whose pixel `(oi+ki−p, oj+kj−p)` lies inside the image: not in
-/// the padding, not wrapped into a neighbouring row, and not past the last
-/// output column. Masks depend on the panel alone, so one table serves
-/// every image and channel of a call.
-fn same_conv_taps((h, w): (usize, usize), k: usize, p: usize) -> Vec<Tap> {
-    let ohow = h * w;
+/// Kernel row `ki` reads phase row `(ki−p) mod s` at plane row offset
+/// `⌊(ki−p)/s⌋` (columns alike), so tap `(ki, kj)` of the panel starting
+/// at column `j0` has offset `plane·oh·ow + ⌊(ki−p)/s⌋·ow + ⌊(kj−p)/s⌋`
+/// from `j0`, `plane` being the phase pair's index in the split. Its mask
+/// keeps the lanes whose plane pixel lies inside its `oh×ow` plane, i.e.
+/// whose input pixel lies inside the image: not in the padding, not
+/// wrapped into a neighbouring row, and not past the last output column.
+/// Masks depend on the panel alone, so one table serves every image and
+/// channel of a call.
+fn conv_taps((oh, ow): (usize, usize), k: usize, s: usize, p: usize) -> Vec<Tap> {
+    let ohow = oh * ow;
+    let phases = phases_read(k, s, p);
+    // Per kernel index `d`: (index of phase `(d−p) mod s` among the
+    // phases read, plane offset `⌊(d−p)/s⌋`).
+    let shift: Vec<(usize, isize)> = (0..k)
+        .map(|d| {
+            let rel = d as isize - p as isize;
+            let phase = rel.rem_euclid(s as isize) as usize;
+            (phases.binary_search(&phase).expect("a phase read"), rel.div_euclid(s as isize))
+        })
+        .collect();
+    let u = phases.len();
     let mut taps = Vec::with_capacity(ohow.div_ceil(NR) * k * k);
-    // Per panel, the lanes whose input row `oi + ki − p` (resp. column
-    // `oj + kj − p`) lies inside the image, for each `ki` (resp. `kj`).
+    // Per panel, the lanes whose plane row `oi + ⌊(ki−p)/s⌋` (resp.
+    // column `oj + ⌊(kj−p)/s⌋`) lies inside the plane, for each `ki`
+    // (resp. `kj`).
     let (mut rows, mut cols) = (vec![0u16; k], vec![0u16; k]);
     for j0 in (0..ohow).step_by(NR) {
         rows.fill(0);
         cols.fill(0);
         // Lanes past the last output column stay off in both.
         for l in 0..NR.min(ohow - j0) {
-            let (oi, oj) = ((j0 + l) / w, (j0 + l) % w);
-            for (d, (row, col)) in rows.iter_mut().zip(&mut cols).enumerate() {
-                if (p..h + p).contains(&(oi + d)) {
+            let (oi, oj) = (((j0 + l) / ow) as isize, ((j0 + l) % ow) as isize);
+            for ((row, col), &(_, off)) in rows.iter_mut().zip(&mut cols).zip(&shift) {
+                if (0..oh as isize).contains(&(oi + off)) {
                     *row |= 1 << l;
                 }
-                if (p..w + p).contains(&(oj + d)) {
+                if (0..ow as isize).contains(&(oj + off)) {
                     *col |= 1 << l;
                 }
             }
         }
-        for (ki, &row) in rows.iter().enumerate() {
-            for (kj, &col) in cols.iter().enumerate() {
-                let offset = (ki as isize - p as isize) * w as isize + kj as isize - p as isize;
+        for (&row, &(i, di)) in rows.iter().zip(&shift) {
+            for (&col, &(j, dj)) in cols.iter().zip(&shift) {
+                let offset = ((i * u + j) * ohow) as isize + di * ow as isize + dj;
                 taps.push(Tap { offset, mask: row & col });
             }
         }
@@ -281,17 +378,19 @@ fn same_conv_taps((h, w): (usize, usize), k: usize, p: usize) -> Vec<Tap> {
 ///
 /// The weight matrix is packed into `MR`-row panels once. Each task then
 /// owns one image and a fixed range of its `NR`-column output panels. A
-/// stride-1 conv with `OW = W` reads each panel's B rows in place from
-/// the image under `same_conv_taps`' lane masks; any other conv packs
-/// each panel into one pooled scratch panel (`pack_panel`). Every weight
-/// row panel then runs over the panel's rows, so neither an im2col matrix
-/// nor a batch-wide pack buffer is ever allocated. Every output element
-/// is one full-`k` accumulation chain in `k` order seeded from 0, with
-/// the bias added afterwards: bit-identical to a per-image [`sgemm`] on
-/// the unfolded image plus bias, for every thread count and dispatched
-/// micro-kernel. When tracing records, each call adds one `tensor.conv.ns`
-/// sample, its flops to `tensor.conv.flops` and its kernel ordinal to
-/// `gemm.kernel`.
+/// conv with `H = s·OH` and `W = s·OW` reads each panel's B rows in place
+/// from the image's phase planes (the image itself at stride 1, else
+/// split once per image into pooled scratch) under `conv_taps`' lane
+/// masks; any other conv packs each panel into one pooled scratch panel
+/// (`pack_panel`). Every weight row panel then runs over the panel's
+/// rows, so neither an im2col matrix nor a batch-wide pack buffer is ever
+/// allocated, and each output element is written once into an
+/// uninitialised pooled buffer. Every output element is one full-`k`
+/// accumulation chain in `k` order seeded from 0, with the bias added
+/// afterwards: bit-identical to a per-image [`sgemm`] on the unfolded
+/// image plus bias, for every thread count and dispatched micro-kernel.
+/// When tracing records, each call adds one `tensor.conv.ns` sample, its
+/// flops to `tensor.conv.flops` and its kernel ordinal to `gemm.kernel`.
 ///
 /// # Panics
 ///
@@ -310,9 +409,8 @@ pub fn conv2d(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -
     }
     let (oh, ow) = window_out_dims("conv2d", x.dims(), k, spec.stride, spec.padding);
     let (ohow, ckk, chw) = (oh * ow, c * k * k, c * h * wd);
-    let mut out = workspace::zeroed(n * o * ohow);
     if n == 0 || o == 0 || ohow == 0 || ckk == 0 {
-        return Tensor::from_buffer(out, [n, o, oh, ow]);
+        return Tensor::from_buffer(workspace::zeroed(n * o * ohow), [n, o, oh, ow]);
     }
 
     let kern = kernels::active();
@@ -324,53 +422,79 @@ pub fn conv2d(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -
         linalg::pack_a(ckk, w.as_slice(), i0, MR.min(o - i0), &mut wpack[pi * ckk * MR..]);
     }
 
-    // A stride-1 conv that keeps its input's width reads its im2col rows
-    // in place, each output row's lanes being consecutive input pixels;
-    // every other conv packs its panels.
-    let taps = (spec.stride == 1 && ow == wd).then(|| same_conv_taps((h, wd), k, spec.padding));
-    let ranges = ohow.div_ceil(NR).div_ceil(PANELS_PER_TASK);
+    // A conv whose input is `s` times its output in each direction reads
+    // its im2col rows in place from the image's phase planes; every other
+    // conv packs its panels. A strided in-place task owns a whole image,
+    // so the image is split once.
+    let s = spec.stride;
+    let taps = (h == s * oh && wd == s * ow).then(|| conv_taps((oh, ow), k, s, spec.padding));
+    let phases = phases_read(k, s, spec.padding);
+    let split = taps.is_some() && s > 1;
+    // The channel stride of the rows read in place: the image's own at
+    // stride 1, else the phase planes the taps read.
+    let plane = phases.len() * phases.len() * ohow;
+    let panels = ohow.div_ceil(NR);
+    let per_task = if split { panels } else { PANELS_PER_TASK };
+    let ranges = panels.div_ceil(per_task);
     let flops = 2usize.saturating_mul(n * o).saturating_mul(ckk * ohow);
     let _serial = (flops < linalg::PAR_FLOP_THRESHOLD).then(|| parallel::with_threads(1));
+    let mut out = workspace::with_capacity(n * o * ohow);
     let ob = SendPtr(out.as_mut_ptr());
     let (x_all, wpack, bias) = (x.as_slice(), &wpack[..], bias.map(Tensor::as_slice));
     parallel::parallel_for(n * ranges, |t| {
         let (ni, ri) = (t / ranges, t % ranges);
         let image = &x_all[ni * chw..(ni + 1) * chw];
-        let mut panel = taps.is_none().then(|| workspace::take(ckk * NR));
-        let first = ri * PANELS_PER_TASK * NR;
-        for j0 in (first..ohow.min(first + PANELS_PER_TASK * NR)).step_by(NR) {
+        let mut planes = split.then(|| workspace::scratch(c * plane));
+        let src = match &mut planes {
+            Some(buf) => split_phases(image, (c, h, wd), s, &phases, buf.spare_capacity_mut()),
+            None => image,
+        };
+        let mut panel = taps.is_none().then(|| workspace::scratch(ckk * NR));
+        let first = ri * per_task * NR;
+        for j0 in (first..ohow.min(first + per_task * NR)).step_by(NR) {
             let cols = NR.min(ohow - j0);
             let rows = match &taps {
                 Some(taps) => {
                     let panel_taps = &taps[j0 / NR * k * k..][..k * k];
-                    BRows::tapped(image, j0, h * wd, c, panel_taps)
+                    BRows::tapped(src, j0, plane, c, panel_taps)
                 }
                 None => {
-                    let panel = panel.as_mut().expect("packing convs take a panel");
-                    pack_panel(image, (c, h, wd), spec, (oh, ow), j0, panel);
-                    BRows::packed(panel, ckk)
+                    let dst = panel.as_mut().expect("packing convs take a panel");
+                    let dst = dst.spare_capacity_mut();
+                    BRows::packed(pack_panel(image, (c, h, wd), spec, (oh, ow), j0, dst), ckk)
                 }
             };
             linalg::col_panel(kern, o, wpack, &rows, |r, lanes| {
-                // SAFETY: output columns `j0..j0+cols` of image `ni` belong
-                // to task t alone (the (image, panel range) → task map is a
-                // bijection), each row's run is written once, and `out`
-                // outlives the thread scope.
+                // SAFETY: output columns `j0..j0+cols` of image `ni` lie in
+                // `out`'s capacity and belong to task t alone (the (image,
+                // panel range) → task map is a bijection), each row's run is
+                // written once, and `out` outlives the thread scope.
                 let dst = unsafe {
-                    std::slice::from_raw_parts_mut(ob.get().add((ni * o + r) * ohow + j0), cols)
+                    std::slice::from_raw_parts_mut(
+                        ob.get().add((ni * o + r) * ohow + j0).cast::<MaybeUninit<f32>>(),
+                        cols,
+                    )
                 };
                 match bias {
                     Some(b) => {
                         let bv = b[r];
                         for (d, &v) in dst.iter_mut().zip(lanes) {
-                            *d = v + bv;
+                            d.write(v + bv);
                         }
                     }
-                    None => dst.copy_from_slice(&lanes[..cols]),
+                    None => {
+                        for (d, &v) in dst.iter_mut().zip(lanes) {
+                            d.write(v);
+                        }
+                    }
                 }
             });
         }
     });
+    // SAFETY: the tasks' panels cover every output column of every image,
+    // and `col_panel` stores every output row of each, so all
+    // `n·o·ohow` elements were written.
+    unsafe { out.set_len(n * o * ohow) };
     if let Some(t0) = t0 {
         linalg::record_conv(t0, kern, flops);
     }
@@ -664,16 +788,16 @@ mod tests {
         let (oh, ow) = (spec.out_dim(h), spec.out_dim(w));
         let ckk = c * spec.kernel * spec.kernel;
         let oracle = packed_oracle(&x, (c, h, w), spec);
-        let mut panel = vec![f32::NAN; ckk * NR];
+        let mut panel = vec![MaybeUninit::new(f32::NAN); ckk * NR];
         for (pj, want) in oracle.chunks_exact(ckk * NR).enumerate() {
-            panel.fill(f32::NAN);
-            pack_panel(&x, (c, h, w), spec, (oh, ow), pj * NR, &mut panel);
-            if let Some(i) = (0..ckk * NR).find(|&i| panel[i].to_bits() != want[i].to_bits()) {
+            panel.fill(MaybeUninit::new(f32::NAN));
+            let got = pack_panel(&x, (c, h, w), spec, (oh, ow), pj * NR, &mut panel);
+            if let Some(i) = (0..ckk * NR).find(|&i| got[i].to_bits() != want[i].to_bits()) {
                 return Err(format!(
                     "c={c} h={h} w={w} {spec:?} panel {pj}: row {} lane {}: {} vs oracle {}",
                     i / NR,
                     i % NR,
-                    panel[i],
+                    got[i],
                     want[i]
                 ));
             }
@@ -682,21 +806,29 @@ mod tests {
     }
 
     /// Reads every panel of a `[C, H, W]` image of distinct non-zero values
-    /// in place through [`same_conv_taps`] and compares the rows bitwise
-    /// with [`packed_oracle`], so a lane that reads a wrong pixel, or reads
-    /// where the oracle holds a zero, shows.
-    fn check_taps((c, h, w): (usize, usize, usize), k: usize) -> Result<(), String> {
-        let spec = Conv2dSpec::new(k, 1, k / 2);
+    /// in place, from its phase planes (split into a NaN-poisoned buffer)
+    /// through [`conv_taps`], and compares the rows bitwise with
+    /// [`packed_oracle`], so a lane that reads a wrong pixel, reads where
+    /// the oracle holds a zero, or reads a plane slot the split left
+    /// unwritten shows. `spec` must satisfy `H = s·OH` and `W = s·OW`.
+    fn check_taps((c, h, w): (usize, usize, usize), spec: Conv2dSpec) -> Result<(), String> {
+        let (k, s) = (spec.kernel, spec.stride);
+        let (oh, ow) = (spec.out_dim(h), spec.out_dim(w));
+        assert_eq!((h, w), (s * oh, s * ow), "{spec:?} on {h}×{w} is not a phase-plane conv");
         let x: Vec<f32> = (0..c * h * w).map(|i| i as f32 + 1.0).collect();
         let oracle = packed_oracle(&x, (c, h, w), spec);
-        let taps = same_conv_taps((h, w), k, k / 2);
+        let phases = phases_read(k, s, spec.padding);
+        let plane = phases.len() * phases.len() * oh * ow;
+        let mut poisoned = vec![MaybeUninit::new(f32::NAN); c * plane];
+        let planes = split_phases(&x, (c, h, w), s, &phases, &mut poisoned);
+        let taps = conv_taps((oh, ow), k, s, spec.padding);
         let ckk = c * k * k;
         for (pj, want) in oracle.chunks_exact(ckk * NR).enumerate() {
             let got =
-                BRows::tapped(&x, pj * NR, h * w, c, &taps[pj * k * k..][..k * k]).to_packed();
+                BRows::tapped(planes, pj * NR, plane, c, &taps[pj * k * k..][..k * k]).to_packed();
             if let Some(i) = (0..ckk * NR).find(|&i| got[i].to_bits() != want[i].to_bits()) {
                 return Err(format!(
-                    "c={c} h={h} w={w} k={k} panel {pj}: row {} lane {}: {} vs oracle {}",
+                    "c={c} h={h} w={w} {spec:?} panel {pj}: row {} lane {}: {} vs oracle {}",
                     i / NR,
                     i % NR,
                     got[i],
@@ -717,7 +849,28 @@ mod tests {
             h in 1usize..=12,
             w in 1usize..=12,
         ) {
-            if let Err(msg) = check_taps((c, h, w), 2 * half + 1) {
+            let k = 2 * half + 1;
+            if let Err(msg) = check_taps((c, h, w), Conv2dSpec::new(k, 1, k / 2)) {
+                proptest::prop_assert!(false, "{}", msg);
+            }
+        }
+
+        /// Strided phase-plane rows: every `(k, s, p)` with
+        /// `k − s ≤ 2p ≤ k − 1`, the condition under which
+        /// `H = s·OH` holds for every multiple `H` of `s`.
+        #[test]
+        fn phase_plane_rows_match_pack_b_of_im2col(
+            k in 1usize..=5,
+            s in 2usize..=4,
+            p in 0usize..=2,
+            c in 1usize..=3,
+            oh in 1usize..=6,
+            ow in 1usize..=6,
+        ) {
+            proptest::prop_assume!(k <= s + 2 * p && 2 * p < k);
+            let (h, w) = (s * oh, s * ow);
+            proptest::prop_assume!(k <= h.min(w) + 2 * p);
+            if let Err(msg) = check_taps((c, h, w), Conv2dSpec::new(k, s, p)) {
                 proptest::prop_assert!(false, "{}", msg);
             }
         }
@@ -735,6 +888,27 @@ mod tests {
             if let Err(msg) = check_packer((c, h, w), Conv2dSpec::new(k, s, p)) {
                 proptest::prop_assert!(false, "{}", msg);
             }
+        }
+    }
+
+    /// The zoo's strided shapes and the phase-plane edge cases the
+    /// proptest may miss: ResNet's 3×3/2 entries and 1×1/2 downsamples,
+    /// DeiT's 4×4/4 patch embed, a kernel reaching two planes back
+    /// (5×5/2, padding 2) and a stride-3 plane set.
+    #[test]
+    fn phase_plane_rows_match_pack_b_of_im2col_on_zoo_shapes() {
+        for (chw, (k, s, p)) in [
+            ((8, 32, 32), (3, 2, 1)),
+            ((16, 16, 16), (3, 2, 1)),
+            ((32, 8, 8), (3, 2, 1)),
+            ((8, 32, 32), (1, 2, 0)),
+            ((32, 8, 8), (1, 2, 0)),
+            ((3, 32, 32), (4, 4, 0)),
+            ((2, 10, 6), (5, 2, 2)),
+            ((2, 9, 12), (3, 3, 1)),
+            ((1, 2, 2), (3, 2, 1)), // one output pixel
+        ] {
+            check_taps(chw, Conv2dSpec::new(k, s, p)).unwrap();
         }
     }
 
@@ -761,10 +935,12 @@ mod tests {
 
     /// `conv2d` equals a per-image `sgemm(w, im2col(x))` plus bias bit for
     /// bit under every supported micro-kernel and thread budget, on
-    /// ResNet-18's conv shapes (CIFAR input, base width 8), a 1×1
-    /// stride-1 conv and a "valid" stride-1 conv at batch 1 and 32, plus
-    /// one base-width-16 layer large enough to run in parallel. The
-    /// stride-1 "same" shapes read their rows in place, the others pack.
+    /// ResNet-18's conv shapes (CIFAR input, base width 8), DeiT's patch
+    /// embed, a 1×1 stride-1 conv, a "valid" stride-1 conv and an odd-size
+    /// stride-2 conv at batch 1 and 32, plus one base-width-16 layer large
+    /// enough to run in parallel. The shapes with `H = s·OH` read their
+    /// rows in place (from phase planes at stride 2 and 4), the others
+    /// pack.
     #[test]
     fn conv2d_equals_per_image_sgemm_of_im2col() {
         use crate::parallel::with_threads;
@@ -779,12 +955,18 @@ mod tests {
             (64, 64, 4, 3, 1, 1),  // stage-3 3×3, in place: a panel spans 4 rows
             (8, 16, 16, 1, 1, 0),  // 1×1 stride 1, in place
             (8, 8, 12, 3, 1, 0),   // "valid" stride 1 (OW ≠ W), packed
-            (8, 16, 32, 3, 2, 1),  // stage-1 entry 3×3 stride 2, packed
-            (8, 16, 32, 1, 2, 0),  // stage-1 1×1 stride-2 downsample, packed
+            (8, 16, 32, 3, 2, 1),  // stage-1 entry 3×3 stride 2, phase planes
+            (16, 32, 16, 3, 2, 1), // stage-2 entry, phase planes
+            (32, 64, 8, 3, 2, 1),  // stage-3 entry, phase planes
+            (8, 16, 32, 1, 2, 0),  // stage-1 1×1 stride-2 downsample, phase planes
+            (32, 64, 8, 1, 2, 0),  // stage-3 downsample, phase planes
+            (3, 48, 32, 4, 4, 0),  // DeiT patch embed 4×4 stride 4, phase planes
+            (4, 8, 15, 3, 2, 1),   // odd size at stride 2 (W ≠ 2·OW), packed
         ];
         let mut cases: Vec<_> =
             shapes.iter().flat_map(|&shape| [(1, shape), (32, shape)]).collect();
         cases.push((32, (32, 32, 16, 3, 1, 1)));
+        cases.push((32, (32, 64, 16, 3, 2, 1)));
         for (n, (c, o, hw, k, s, p)) in cases {
             let spec = Conv2dSpec::new(k, s, p);
             let x = Tensor::randn([n, c, hw, hw], &mut rng);
@@ -826,24 +1008,31 @@ mod tests {
     }
 
     /// Images 0 and 2 of a batch of 3 are NaN, so a lane that reads past
-    /// its own image, or wraps into a neighbouring row or channel where the
-    /// oracle holds a padding zero, changes image 1's output. For every
-    /// in-place shape and kernel, image 1 must equal its batch-of-1 output
-    /// bit for bit.
+    /// its own image, or wraps into a neighbouring row, channel or phase
+    /// plane where the oracle holds a padding zero, changes image 1's
+    /// output. For every in-place shape (stride 1, and the phase-plane
+    /// strides 2 and 4) and kernel, image 1 must equal its batch-of-1
+    /// output bit for bit.
     #[test]
     fn in_place_conv_reads_nothing_outside_its_window() {
         let _lock = kernels::force_lock();
         let mut rng = StdRng::seed_from_u64(23);
-        for (c, o, hw, k, p) in [
-            (3, 8, 32, 3, 1),
-            (8, 8, 32, 3, 1),
-            (16, 16, 16, 3, 1),
-            (32, 32, 8, 3, 1),
-            (64, 64, 4, 3, 1),
-            (8, 16, 16, 1, 0),
-            (2, 4, 5, 5, 2),
+        for (c, o, hw, k, s, p) in [
+            (3, 8, 32, 3, 1, 1),
+            (8, 8, 32, 3, 1, 1),
+            (16, 16, 16, 3, 1, 1),
+            (32, 32, 8, 3, 1, 1),
+            (64, 64, 4, 3, 1, 1),
+            (8, 16, 16, 1, 1, 0),
+            (2, 4, 5, 5, 1, 2),
+            (8, 16, 32, 3, 2, 1),
+            (16, 32, 16, 3, 2, 1),
+            (32, 64, 8, 3, 2, 1),
+            (8, 16, 32, 1, 2, 0),
+            (3, 48, 32, 4, 4, 0),
+            (2, 4, 10, 5, 2, 2),
         ] {
-            let spec = Conv2dSpec::new(k, 1, p);
+            let spec = Conv2dSpec::new(k, s, p);
             let chw = c * hw * hw;
             let one = Tensor::randn([1, c, hw, hw], &mut rng);
             let mut three = vec![f32::NAN; 3 * chw];
@@ -854,7 +1043,7 @@ mod tests {
                 kernels::force(Some(kern));
                 let want = conv2d(&one, &w, None, spec);
                 let got = conv2d(&three, &w, None, spec);
-                let ohw = o * hw * hw;
+                let ohw = o * spec.out_dim(hw) * spec.out_dim(hw);
                 let mid = &got.as_slice()[ohw..2 * ohw];
                 for (i, (a, r)) in mid.iter().zip(want.as_slice()).enumerate() {
                     assert_eq!(

@@ -15,12 +15,14 @@
 //! by `k` B rows of `NR` lanes described by `BRows`: row
 //! `ci·taps.len() + t` starts at `base + ci·plane + taps[t].offset`, and
 //! lane `l` of it is read iff bit `l` of `taps[t].mask` is set, +0.0
-//! otherwise. A packed panel (`sgemm`'s column panels, the strided
-//! convolutions' gathered panels) is the one-tap, all-lanes case with
-//! `plane = NR`. A stride-1 convolution that keeps its input's width
-//! reads its im2col rows in place: one tap per kernel offset, the
-//! channel plane as `plane`. There is one kernel per ISA and one GEMM
-//! entry point; the rows are data, not a second code path.
+//! otherwise. A packed panel (`sgemm`'s column panels, the gathered
+//! panels of the convolutions that cannot read in place) is the one-tap,
+//! all-lanes case with `plane = NR`. A convolution whose input is
+//! `stride` times its output reads its im2col rows in place, from the
+//! image or, when strided, from the image's phase planes: one tap per
+//! kernel offset, the channel's planes as `plane`. There is one kernel
+//! per ISA and one GEMM entry point; the rows are data, not a second
+//! code path.
 //!
 //! **Soundness of masked reads.** A tap's window may start before the
 //! image (the top-left padding) or end past it, so row addresses are
@@ -313,10 +315,11 @@ const PACKED: &[Tap] = &[Tap { offset: 0, mask: ALL_LANES }];
 /// `base + ci · plane + taps[t].offset` under `taps[t].mask`.
 ///
 /// A packed `k × NR` panel is the one-tap, all-lanes case
-/// ([`BRows::packed`]). A stride-1 convolution that keeps its input's
-/// width reads its im2col rows in place: one tap per kernel offset, the
-/// channel plane as `plane`, and masks that switch off the lanes whose
-/// pixel lies in the padding ([`BRows::tapped`]).
+/// ([`BRows::packed`]). A convolution whose input is `stride` times its
+/// output reads its im2col rows in place, from the image or its phase
+/// planes: one tap per kernel offset, the channel's planes as `plane`,
+/// and masks that switch off the lanes whose pixel lies in the padding
+/// ([`BRows::tapped`]).
 #[derive(Clone, Copy)]
 pub(crate) struct BRows<'a> {
     /// Channel 0's base. It may point outside the source slice (a

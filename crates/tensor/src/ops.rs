@@ -508,6 +508,42 @@ fn layer_norm_rows(x: &[f32], g: &[f32], b: &[f32], eps: f32, out: &mut [f32]) {
     }
 }
 
+/// Inference batch norm's per-channel affine step in one pass: every
+/// element of channel `ci` of an `[N, C, ...]` tensor becomes
+/// `(x·scale[ci]) + shift[ci]`, written once into a pooled buffer.
+///
+/// Each element goes through the same two f32 operations, in the same
+/// order and with the same rounding, as the broadcast chain
+/// `mul(x, scale[1,C,1,1])` then `add(·, shift[1,C,1,1])` (no fused
+/// multiply-add), so the output is the chain's bit for bit, NaN for NaN
+/// (§15). Runs under the dispatched instruction set.
+///
+/// # Panics
+///
+/// Panics if `x` has fewer than two dimensions, or if `scale` or `shift`
+/// does not hold one element per channel.
+pub fn channel_affine(x: &Tensor, scale: &[f32], shift: &[f32]) -> Tensor {
+    assert!(x.ndim() >= 2, "channel affine needs [N, C, ...], got {:?}", x.shape());
+    let c = x.dims()[1];
+    assert_eq!(scale.len(), c, "channel affine: {} scales for {c} channels", scale.len());
+    assert_eq!(shift.len(), c, "channel affine: {} shifts for {c} channels", shift.len());
+    let plane: usize = x.dims()[2..].iter().product();
+    let mut out = workspace::with_capacity(x.numel());
+    if plane > 0 {
+        kernels::with_isa(
+            kernels::active(),
+            #[inline(always)]
+            || {
+                for (i, xs) in x.as_slice().chunks_exact(plane).enumerate() {
+                    let (s, t) = (scale[i % c], shift[i % c]);
+                    out.extend(xs.iter().map(|&v| v * s + t));
+                }
+            },
+        );
+    }
+    Tensor::from_buffer(out, x.shape().clone())
+}
+
 /// Index of the maximum element in each row of a `[N, C]` tensor.
 ///
 /// # Panics

@@ -3,10 +3,11 @@
 //! Two kinds of `f32` buffer come and go on every forward pass:
 //!
 //! - **scratch** the kernels use inside one call: the packed A/B panels
-//!   of the GEMM, conv's packed weights and its one `C·K²×NR` B panel per
-//!   task, the backward pass's im2col columns and transposed weights.
-//!   [`take`] hands out a zeroed [`Buffer`] that goes back to the pool
-//!   when it drops.
+//!   of the GEMM, conv's packed weights, its one `C·K²×NR` B panel or one
+//!   image's phase planes per task, the backward pass's im2col columns
+//!   and transposed weights. [`take`] hands out a zeroed [`Buffer`] and
+//!   [`scratch`] an empty one for a kernel that writes every element
+//!   before it reads any; both go back to the pool when they drop.
 //! - **storage** of the tensors the ops return. The ops take their output
 //!   buffer from [`zeroed`] or [`with_capacity`] and wrap it with
 //!   `Tensor::from_buffer`; it goes back to the pool when the last tensor
@@ -27,9 +28,9 @@
 //!   buffer retired longest ago;
 //! - storage shorter than [`MIN_STORAGE_LEN`] bypasses the pool both ways:
 //!   `malloc` serves small blocks from its own free lists without faults;
-//! - a request takes the smallest pooled buffer that fits, and never one
-//!   more than [`MAX_OVERSIZE`] times its length, so a small tensor never
-//!   pins a large buffer;
+//! - a request takes the most recently retired pooled buffer that fits,
+//!   and never one more than [`MAX_OVERSIZE`] times its length, so a
+//!   small tensor never pins a large buffer;
 //! - only buffers the pool handed out go back to it: a tensor made from a
 //!   plain `Vec` frees its buffer, so the pool grows only on its own
 //!   misses;
@@ -141,6 +142,15 @@ pub fn take(len: usize) -> Buffer {
     Buffer::zeroed_from(reuse(len), len)
 }
 
+/// An empty scratch buffer with room for `len` elements from the current
+/// thread's pool, allocating only when no retired buffer fits: [`take`]
+/// without the zero fill, for a kernel that writes all `len` elements
+/// through `spare_capacity_mut` before it reads any.
+pub(crate) fn scratch(len: usize) -> Buffer {
+    let vec = reuse(len).unwrap_or_else(|| Vec::with_capacity(len));
+    Buffer { vec, pooled: true }
+}
+
 /// A zero-filled buffer of `len` elements for a tensor's storage: a
 /// pooled one (re-zeroed) when `len` is at least [`MIN_STORAGE_LEN`] and
 /// one fits, else a fresh allocation.
@@ -162,22 +172,23 @@ pub fn with_capacity(len: usize) -> Buffer {
     Buffer { vec, pooled: true }
 }
 
-/// The smallest pooled buffer of capacity `len..=MAX_OVERSIZE·len`,
-/// emptied, preferring the most recently retired; `None` counts a miss
-/// (and the bytes the caller is about to allocate).
+/// The most recently retired pooled buffer of capacity
+/// `len..=MAX_OVERSIZE·len`, emptied; `None` counts a miss (and the bytes
+/// the caller is about to allocate).
+///
+/// Most recent, not smallest: a forward pass then takes, on its second
+/// run, the buffers its first run retired in the order it retired them,
+/// so a warm pass makes no allocation. Smallest-fit could hand a
+/// long-lived tensor an exact-size buffer that its first run had served
+/// from a larger one, leaving a later, smaller request without any.
 fn reuse(len: usize) -> Option<Vec<f32>> {
     let found = POOL
         .try_with(|p| {
             let mut pool = p.borrow_mut();
-            let mut best: Option<(usize, usize)> = None;
-            for (i, b) in pool.iter().enumerate().rev() {
-                let cap = b.capacity();
-                let fits = cap >= len && cap <= len.saturating_mul(MAX_OVERSIZE);
-                if fits && best.is_none_or(|(_, c)| cap < c) {
-                    best = Some((i, cap));
-                }
-            }
-            best.map(|(i, _)| pool.remove(i))
+            let fits =
+                |b: &Vec<f32>| (len..=len.saturating_mul(MAX_OVERSIZE)).contains(&b.capacity());
+            let i = pool.iter().rposition(fits)?;
+            Some(pool.remove(i))
         })
         .ok()
         .flatten();

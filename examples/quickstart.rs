@@ -36,7 +36,7 @@ fn main() {
     println!("accuracy under emulated formats:");
     let specs =
         ["fp32", "fp16", "bfloat16", "int:8", "fp:e4m3", "bfp:e5m5:b16", "afp:e4m3", "fp:e2m1"];
-    for p in accuracy_sweep(&model, &test_data, &specs, 64, 32) {
+    for p in accuracy_sweep(&model, &test_data, &specs, 64, 32).expect("valid specs") {
         println!("  {:<14} ({:>2} bits): {:>5.1}%", p.spec, p.bit_width, p.accuracy * 100.0);
     }
 

@@ -59,7 +59,8 @@ fn fp32_emulation_equals_native_accuracy() {
 #[test]
 fn accuracy_degrades_with_precision() {
     let (model, data) = trained_cnn();
-    let points = accuracy_sweep(&model, &data, &["fp32", "fp16", "fp:e4m3", "fp:e2m1"], 64, 32);
+    let points =
+        accuracy_sweep(&model, &data, &["fp32", "fp16", "fp:e4m3", "fp:e2m1"], 64, 32).unwrap();
     let acc: Vec<f32> = points.iter().map(|p| p.accuracy).collect();
     // Wide formats are lossless here; the 4-bit one must hurt.
     assert!((acc[0] - acc[1]).abs() < 0.05, "fp16 ≈ fp32");
@@ -74,8 +75,8 @@ fn adaptivfloat_beats_plain_fp_at_same_width() {
     // comparison is against `fp:e2m5:nodn` — a fixed two-binade window
     // [1, 3.94) that flushes most activations, where AFP re-centres.
     let (model, data) = trained_cnn();
-    let fp = accuracy_sweep(&model, &data, &["fp:e2m5:nodn"], 64, 32)[0].accuracy;
-    let afp = accuracy_sweep(&model, &data, &["afp:e2m5"], 64, 32)[0].accuracy;
+    let fp = accuracy_sweep(&model, &data, &["fp:e2m5:nodn"], 64, 32).unwrap()[0].accuracy;
+    let afp = accuracy_sweep(&model, &data, &["afp:e2m5"], 64, 32).unwrap()[0].accuracy;
     assert!(afp >= fp, "AFP e2m5 ({afp}) should be at least as accurate as FP e2m5 w/o DN ({fp})");
 }
 
@@ -172,8 +173,8 @@ fn snapshot_guards_against_weight_leakage_across_sweeps() {
     let snap = ParamSnapshot::capture(&model);
     let before = models::forward_logits(&model, data.head_batch(2).0);
     // Two sweeps in a row: any leakage of quantised weights would compound.
-    accuracy_sweep(&model, &data, &["int:4", "fp:e2m1"], 16, 16);
-    accuracy_sweep(&model, &data, &["bfp:e5m2:b8"], 16, 16);
+    accuracy_sweep(&model, &data, &["int:4", "fp:e2m1"], 16, 16).unwrap();
+    accuracy_sweep(&model, &data, &["bfp:e5m2:b8"], 16, 16).unwrap();
     let after = models::forward_logits(&model, data.head_batch(2).0);
     assert!(before.allclose(&after, 0.0));
     snap.restore(&model); // no-op, but must not panic
